@@ -80,9 +80,7 @@ def cmd_aggregate(args) -> int:
 
     try:
         res = aggregate(cfg, chips)
-    except NotAcyclicError as exc:
-        return _fail(str(exc), INPUT_ERROR)
-    except BadParametersError as exc:
+    except (LazyTreeError, NotAcyclicError) as exc:
         return _fail(str(exc), INPUT_ERROR)
 
     payload = {

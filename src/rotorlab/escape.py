@@ -94,9 +94,6 @@ class BlockFactorization:
     blocks: tuple[str, ...]
     appended_zero: bool
 
-    def joined(self) -> str:
-        return "".join(self.blocks)
-
 
 def factor_blocks(a: str) -> BlockFactorization:
     """Greedy factorization into blocks {0, 10, 110}.

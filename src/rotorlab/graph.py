@@ -39,6 +39,22 @@ class ConfigError(GraphError):
     """A rotor configuration does not fit the graph."""
 
 
+class NotAcyclicError(GraphError):
+    """A tree rotor configuration has a parent and child pointing at each
+    other."""
+
+
+class StepBudgetExceededError(GraphError):
+    """A walk ran past its step budget.  Termination is guaranteed for
+    strongly connected graphs and acyclic tree configurations, so this
+    signals a bug or a tiny budget."""
+
+
+class ResultCheckError(GraphError):
+    """A computed result failed the internal check that guards it; this
+    signals a bug."""
+
+
 class DirectedMultigraph:
     """Immutable directed multigraph with named vertices and a sink.
 
@@ -67,9 +83,6 @@ class DirectedMultigraph:
 
     def outdeg(self, x: str) -> int:
         return len(self.out[x])
-
-    def out_list(self, x: str) -> tuple[str, ...]:
-        return self.out[x]
 
     def edge_count(self, x: str, y: str) -> int:
         """Number of parallel edges x -> y (d_xy)."""

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from rotorlab.graph import (
     DirectedMultigraph,
     GraphError,
+    ResultCheckError,
     RotorConfiguration,
     enumerate_recurrent,
     is_recurrent,
@@ -354,5 +355,7 @@ def verify_isomorphism(g: DirectedMultigraph,
         sink_identity_ok=sink_identity_ok,
         bijective_ok=bijective_ok,
     )
-    assert structure.order == spanning_tree_count(g)
+    if structure.order != spanning_tree_count(g):
+        raise ResultCheckError("sandpile group order differs from the "
+                               "spanning-tree count")
     return report

@@ -29,8 +29,13 @@ materialized rotors:
   offsets its base direction.
 
 Every shortcut is exact: the literal step-by-step engine (fast_paths=False)
-computes the same words, depths, and effective directions, and the test
-suite cross-checks the two.
+computes the same words, the same depths for chips that return, and the same
+effective directions, and the test suite cross-checks the two.  The depth
+reported for an escaped chip is the depth at which that engine proved the
+escape, so the two engines can report different depths for the same chip.
+
+Aggregation runs on the same walk: ``walk_chip(settle=True)`` also stops a
+chip on the first vertex whose rotor is not yet materialized.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from rotorlab.graph import GraphError
+from rotorlab.graph import GraphError, NotAcyclicError, StepBudgetExceededError
 
 
 Address = tuple[int, ...]
@@ -53,15 +58,7 @@ class LazyTreeError(GraphError):
     pass
 
 
-class NotAcyclicError(LazyTreeError):
-    pass
-
-
 class UnsupportedConfigError(LazyTreeError):
-    pass
-
-
-class StepBudgetExceededError(LazyTreeError):
     pass
 
 
@@ -124,12 +121,6 @@ class LazyTreeConfig:
         if addr == ORIGIN:
             return self.origin_arity()
         return self.d - 1
-
-    def parent_direction(self) -> int:
-        return self.d
-
-    def override_map(self) -> dict[Address, int]:
-        return dict(self.overrides)
 
     def validate(self) -> None:
         d = self.d
@@ -204,9 +195,9 @@ class LazyTreeConfig:
         dirn = self._override_dict.get(addr)
         if dirn is not None:
             return dirn
-        for ray in self.rays:
-            if ray.contains(addr):
-                return ray.direction
+        ray = self.ray_at(addr)
+        if ray is not None:
+            return ray.direction
         best = self.region_at(addr)
         if best is not None:
             rel = len(addr) - len(best.addr)
@@ -214,6 +205,12 @@ class LazyTreeConfig:
         if addr == ORIGIN and self.mode == "branch":
             return 1
         return self.default
+
+    def ray_at(self, addr: Address) -> RayRule | None:
+        for ray in self.rays:
+            if ray.contains(addr):
+                return ray
+        return None
 
     def region_at(self, addr: Address) -> LevelRegion | None:
         regions = self._region_dict
@@ -383,14 +380,16 @@ def modified_count(d: int, rho: int) -> int:
 
 RETURNED = "returned"
 ESCAPED = "escaped"
+SETTLED = "settled"
 
 
 @dataclass
 class ChipResult:
-    outcome: str                  # RETURNED | ESCAPED
+    outcome: str                  # RETURNED | ESCAPED | SETTLED
     max_depth: int                # deepest level reached (escape: peel depth)
     steps: int
     visited: list[Address] | None = None
+    site: Address | None = None   # the vertex a SETTLED chip stopped on
 
 
 class TreeState:
@@ -521,55 +520,31 @@ class TreeState:
 
     # -- excursion classification ---------------------------------------------
 
-    def _has_structure_strictly_below(self, addr: Address) -> bool:
-        return addr in self.cfg.structure_prefixes
-
-    def _config_ray_at(self, addr: Address) -> RayRule | None:
-        for ray in self.cfg.rays:
-            if ray.contains(addr):
-                return ray
-        return None
-
-    def _profile_bounces_below(self, addr: Address) -> bool:
-        """Pure-profile subtree: does some level strictly below point d-1?"""
-        pd = self.patched_prefix(addr)
-        first = max(pd + 1, 1)
-        reg = self.cfg.region_at(addr)
-        if reg is not None:
-            t = len(addr) - len(reg.addr)
-            return t + first < reg.h
-        return self.cfg.default == self.cfg.d - 1
-
     def _uniform_bounce_level(self, addr: Address) -> int | None:
-        """Fast-path check for a chip entering ``addr`` with direction d.
+        """First bouncing level below ``addr`` in a pure-profile subtree.
 
-        When the subtree below addr is pure profile (no overrides, regions
-        starting below, config rays, or escape-ray passes) and its first
-        non-d level points in direction d-1 at relative depth i0 (with all
-        shallower levels pointing d), a chip entering performs a full turn
-        of every vertex down to that level and returns; the subtree becomes
-        direction d one level deeper.  Returns i0, or None when the fast
-        path does not apply.
+        Applies when the subtree below addr is pure profile: no overrides,
+        regions starting below, config rays, or escape-ray passes.  Returns
+        the relative depth i0 >= 1 of the first level, below the patched
+        prefix, whose rotors point in direction d-1, or None when the
+        subtree is not pure profile or no such level exists.
+
+        A chip entering addr with direction d then performs a full turn of
+        every vertex down to level i0 and returns; the subtree becomes
+        direction d one level deeper.
         """
-        if not self.fast:
-            return None
         if self.ray_counts.get(addr, 0):
             return None
-        if self._has_structure_strictly_below(addr):
+        if addr in self.cfg.structure_prefixes:
             return None
-        if self._config_ray_at(addr) is not None:
+        if self.cfg.ray_at(addr) is not None:
             return None
-        pd = self.patched_prefix(addr)
-        i0 = max(pd + 1, 1)
+        i0 = max(self.patched_prefix(addr) + 1, 1)
         reg = self.cfg.region_at(addr)
         if reg is not None:
             t = len(addr) - len(reg.addr)
-            if t + i0 < reg.h:
-                return i0
-            return None
-        if self.cfg.default == self.cfg.d - 1:
-            return i0
-        return None
+            return i0 if t + i0 < reg.h else None
+        return i0 if self.cfg.default == self.cfg.d - 1 else None
 
     def _descends_forever(self, addr: Address) -> bool:
         """Exact escape decision for a chip about to descend from addr.
@@ -592,26 +567,23 @@ class TreeState:
             inc = self._cycle(e, 1, self.cfg.d)
             if inc == self.cfg.d:
                 return False
-            if self._has_structure_strictly_below(w):
+            if w in self.cfg.structure_prefixes:
                 w = w + (inc,)
                 continue
-            ray = self._config_ray_at(w)
+            ray = self.cfg.ray_at(w)
             if ray is None:
-                return not self._profile_bounces_below(w)
+                return self._uniform_bounce_level(w) is None
             offset = ray.offset_of(w) % len(ray.pattern)
             if ray.pattern[offset] != inc:
                 w = w + (inc,)          # peels off the ray into its own subtree
                 continue
-            if len(w) > self._static_depth + self.patch_depth_limit():
+            if len(w) > self._static_depth + self._max_patch_end:
                 key = (id(ray), offset)
                 if key in ride_seen:
                     return True         # periodic ride along the ray
                 ride_seen.add(key)
             w = w + (inc,)
         raise UnsupportedConfigError("escape decision did not converge")
-
-    def patch_depth_limit(self) -> int:
-        return self._max_patch_end
 
     def _fresh_depth_cap(self) -> int:
         """Progress bound for stepwise entries into fresh territory.
@@ -628,10 +600,25 @@ class TreeState:
 
     # -- chip walks -------------------------------------------------------------
 
-    def walk_chip(self, record_visits: bool = False) -> ChipResult:
-        """One chip from the origin: walk until it returns or escapes."""
+    def walk_chip(self, record_visits: bool = False,
+                  settle: bool = False) -> ChipResult:
+        """One chip from the origin: walk until it returns or escapes.
+
+        With ``settle`` the chip also stops on entering a vertex whose rotor
+        is not materialized yet: that vertex is materialized with its
+        effective direction and returned as ``site`` (outcome SETTLED).
+        This is the aggregation stop.  It comes before every shortcut, so a
+        settling walk never escapes.
+
+        The state's ``step_cap`` bounds each walk on its own:
+        StepBudgetExceededError is raised before step ``step_cap + 1``.
+        """
         cfg = self.cfg
         d = cfg.d
+        origin_arity = cfg.origin_arity()
+        branch = cfg.mode == "branch"
+        rotors = self.rotors
+        cap = self.step_cap
         pos = ORIGIN
         steps = 0
         max_depth = 0
@@ -639,36 +626,36 @@ class TreeState:
         visited: list[Address] | None = [] if record_visits else None
 
         while True:
-            if steps >= self.step_cap:
-                raise StepBudgetExceededError(f"exceeded {self.step_cap} steps")
+            if steps >= cap:
+                raise StepBudgetExceededError(f"exceeded {cap} steps")
             steps += 1
-            if pos == ORIGIN and cfg.mode == "branch":
-                target = (1,)
+            if pos:                     # below the origin
+                inc = rotors[pos] % d + 1
+                rotors[pos] = inc
+                target = pos[:-1] if inc == d else pos + (inc,)
+            elif branch:
+                target = (1,)           # the origin edge carries no rotor
             else:
-                cur = self.rotors[pos]
-                inc = self._cycle(cur, 1, self._arity(pos))
-                self.rotors[pos] = inc
-                if pos != ORIGIN and inc == d:
-                    target = pos[:-1]
-                else:
-                    target = pos + (inc,)
-            if target == ORIGIN:
+                inc = rotors[pos] % origin_arity + 1
+                rotors[pos] = inc
+                target = (inc,)
+            if not target:
                 return ChipResult(RETURNED, max_depth, steps, visited)
             if len(target) > max_depth:
                 max_depth = len(target)
             if visited is not None:
                 visited.append(target)
 
-            r = self.rotors.get(target)
-            if r is not None:
+            if target in rotors:
                 pos = target
                 continue
 
             # entering unmaterialized territory
-            self.ensure_rays(target)
+            e = self.effective(target)
+            if settle:
+                self._set_rotor(target, e)
+                return ChipResult(SETTLED, max_depth, steps, visited, target)
             count = self.ray_counts.get(target, 0)
-            base = self.base_with_patch(target)
-            e = self._cycle(base, count, d) if count else base
             inc = self._cycle(e, 1, d)
 
             if inc == d:
@@ -681,7 +668,7 @@ class TreeState:
                     return ChipResult(RETURNED, max_depth, steps, visited)
                 continue
 
-            if e == d:
+            if e == d and self.fast:
                 i0 = self._uniform_bounce_level(target)
                 if i0 is not None:
                     # closed-form excursion: full turn down to level i0, return
@@ -756,6 +743,7 @@ class AggregationResult:
     ball_checks: list[tuple[int, bool]]     # (rho, occupied == B_rho) at b_rho
     sandwich_ok: bool
     state: TreeState
+    stops: list[Address]                    # where each chip stopped, in order
 
     def is_exact_ball(self, rho: int) -> bool:
         return (len(self.occupied) == ball_size(self.d, rho)
@@ -765,8 +753,11 @@ class AggregationResult:
 
 
 def _aggregate_run(cfg: LazyTreeConfig, n_chips: int, modified: bool,
-                   check_acyclic: bool, step_cap: int,
-                   ) -> tuple[AggregationResult, list[Address]]:
+                   check_acyclic: bool, step_cap: int) -> AggregationResult:
+    """Chip 1 occupies the origin; every later chip walks with
+    ``walk_chip(settle=True)`` until it settles on a fresh vertex or, when
+    ``modified``, returns to the origin.  The occupied cluster is exactly
+    the materialized region of the walk state."""
     if cfg.mode != "tree":
         raise LazyTreeError("aggregation runs on the full tree")
     if check_acyclic:
@@ -777,13 +768,13 @@ def _aggregate_run(cfg: LazyTreeConfig, n_chips: int, modified: bool,
         raise LazyTreeError("need at least one chip")
 
     st = TreeState(cfg, fast_paths=True, step_cap=step_cap)
-    occupied: set[Address] = {ORIGIN}
     depth_counts: dict[int, int] = {0: 1}
     max_depth = 0
     stops: list[Address] = [ORIGIN]
     ball_checks: list[tuple[int, bool]] = [(0, True)]   # A_1 = {origin} = B_0
     sandwich_ok = True
     d = cfg.d
+    steps = 0
 
     def full_prefix_radius() -> int:
         k = 0
@@ -793,7 +784,7 @@ def _aggregate_run(cfg: LazyTreeConfig, n_chips: int, modified: bool,
 
     def note_size() -> None:
         nonlocal sandwich_ok
-        size = len(occupied)
+        size = len(st.rotors)
         rho = 0
         while ball_size(d, rho) < size:
             rho += 1
@@ -805,50 +796,44 @@ def _aggregate_run(cfg: LazyTreeConfig, n_chips: int, modified: bool,
             if not (full_prefix_radius() >= inner and max_depth <= rho):
                 sandwich_ok = False
 
-    steps_guard = step_cap
     for _ in range(n_chips - 1):
-        pos = ORIGIN
         while True:
-            if steps_guard <= 0:
+            res = st.walk_chip(settle=True)
+            steps += res.steps
+            if steps > step_cap:
                 raise StepBudgetExceededError(f"exceeded {step_cap} steps")
-            steps_guard -= 1
-            cur = st.rotors[pos]
-            inc = st._cycle(cur, 1, st._arity(pos))
-            st.rotors[pos] = inc
-            if pos != ORIGIN and inc == d:
-                target = pos[:-1]
-            else:
-                target = pos + (inc,)
-            if modified and target == ORIGIN:
-                stops.append(ORIGIN)
+            # a plain chip back at the origin walks on as a fresh chip would
+            if res.outcome == SETTLED or modified:
                 break
-            if target not in occupied:
-                if target not in st.rotors:
-                    st._set_rotor(target, st.effective(target))
-                occupied.add(target)
-                depth_counts[len(target)] = depth_counts.get(len(target), 0) + 1
-                if len(target) > max_depth:
-                    max_depth = len(target)
-                stops.append(target)
-                note_size()
-                break
-            pos = target
+        if res.outcome == RETURNED:
+            stops.append(ORIGIN)
+            continue
+        site = res.site
+        depth_counts[len(site)] = depth_counts.get(len(site), 0) + 1
+        if len(site) > max_depth:
+            max_depth = len(site)
+        stops.append(site)
+        note_size()
 
-    result = AggregationResult(
-        d=d, chips=n_chips, occupied=occupied, depth_counts=depth_counts,
-        max_depth=max_depth, ball_checks=ball_checks,
-        sandwich_ok=sandwich_ok, state=st,
+    return AggregationResult(
+        d=d, chips=n_chips, occupied=set(st.rotors),
+        depth_counts=depth_counts, max_depth=max_depth,
+        ball_checks=ball_checks, sandwich_ok=sandwich_ok, state=st,
+        stops=stops,
     )
-    return result, stops
 
 
 def aggregate(cfg: LazyTreeConfig, n_chips: int,
               check_acyclic: bool = True,
               step_cap: int = 10 ** 9) -> AggregationResult:
-    """Rotor-router aggregation: chip n stops on first exiting the cluster."""
-    result, _ = _aggregate_run(cfg, n_chips, modified=False,
-                               check_acyclic=check_acyclic, step_cap=step_cap)
-    return result
+    """Rotor-router aggregation: chip n stops on first exiting the cluster.
+
+    ``step_cap`` is one budget for the whole run: the steps of every chip
+    are summed, and StepBudgetExceededError is raised once the sum passes
+    it.
+    """
+    return _aggregate_run(cfg, n_chips, modified=False,
+                          check_acyclic=check_acyclic, step_cap=step_cap)
 
 
 @dataclass
@@ -871,12 +856,14 @@ class ModifiedAggregationResult:
 def aggregate_modified(cfg: LazyTreeConfig, n_chips: int,
                        check_acyclic: bool = True,
                        step_cap: int = 10 ** 9) -> ModifiedAggregationResult:
-    """Time-changed aggregation: chips also stop on returning to the origin."""
-    result, stops = _aggregate_run(cfg, n_chips, modified=True,
-                                   check_acyclic=check_acyclic,
-                                   step_cap=step_cap)
+    """Time-changed aggregation: chips also stop on returning to the origin.
+
+    ``step_cap`` is one budget for the whole run, as in :func:`aggregate`.
+    """
+    result = _aggregate_run(cfg, n_chips, modified=True,
+                            check_acyclic=check_acyclic, step_cap=step_cap)
     return ModifiedAggregationResult(
-        d=cfg.d, chips=n_chips, stops=stops, occupied=result.occupied,
+        d=cfg.d, chips=n_chips, stops=result.stops, occupied=result.occupied,
         max_depth=result.max_depth, state=result.state,
     )
 

@@ -6,6 +6,7 @@ import random
 
 from rotorlab.graph import (
     DirectedMultigraph,
+    ResultCheckError,
     RotorConfiguration,
     build_graph,
     is_recurrent,
@@ -53,5 +54,6 @@ def random_recurrent_config(g: DirectedMultigraph, rng: random.Random,
     for _ in range(mix_steps):
         x = rng.choice(g.rotor_vertices)
         t, _ = route_to_sink(g, t, x)
-    assert is_recurrent(g, t)
+    if not is_recurrent(g, t):
+        raise ResultCheckError("routing left the recurrent states")
     return t

@@ -19,6 +19,8 @@ from fractions import Fraction
 from rotorlab.graph import (
     DirectedMultigraph,
     GraphError,
+    NotAcyclicError,
+    ResultCheckError,
     RotorConfiguration,
     build_graph,
 )
@@ -26,10 +28,6 @@ from rotorlab.walk import route_all
 
 
 class BadParametersError(GraphError):
-    pass
-
-
-class NotAcyclicError(GraphError):
     pass
 
 
@@ -87,28 +85,52 @@ def _tree_skeleton(d: int, n: int) -> TreeInfo:
     return info
 
 
+def _tree_graph(d: int, n: int, variant: str, up: str | None,
+                merge: str | None) -> tuple[DirectedMultigraph, TreeInfo]:
+    """T_n with the root's parent edge going to ``up`` and the leaves merged
+    into the vertex ``merge``; None means no parent edge / leaves kept.
+
+    The sink is ``up``, or the root when there is no parent edge.  Vertex
+    order: ``up`` when it is an extra vertex, then the tree vertices in BFS
+    order, then ``merge``.  The merged vertex has one edge back along every
+    edge into it, in the order of their tails.
+    """
+    _check_params(d, n)
+    info = _tree_skeleton(d, n)
+    info.variant = variant
+    tree = info.internal if merge else list(info.depth)
+    out: dict[str, list[str]] = {}
+    for v in tree:
+        out[v] = [merge if merge and info.depth[c] == n - 1 else c
+                  for c in info.children[v]]
+        parent = info.parent.get(v, up)
+        if parent is not None:
+            out[v].append(parent)
+    vertices = list(tree)
+    if up is not None and up != merge:
+        out[up] = ["r"]
+        vertices.insert(0, up)
+        if merge is None:
+            info.leaves = [up] + info.leaves
+    if merge is not None:
+        out[merge] = [v for v in tree for t in out[v] if t == merge]
+        vertices.append(merge)
+    g = build_graph(vertices, up if up is not None else "r", out)
+    return g, info
+
+
+def build_plain_tree(d: int, n: int) -> tuple[DirectedMultigraph, TreeInfo]:
+    """T_n alone, bidirected, rooted sink at r."""
+    return _tree_graph(d, n, "plain", up=None, merge=None)
+
+
 def build_hat_tree(d: int, n: int) -> tuple[DirectedMultigraph, TreeInfo]:
     """T_n plus an extra leaf o attached to the root; bidirected; sink o.
 
     Chips are stopped on the leaf set {o} + (depth n-1 vertices); the
     rotors at those leaves never fire.
     """
-    _check_params(d, n)
-    info = _tree_skeleton(d, n)
-    info.variant = "hat"
-    out: dict[str, list[str]] = {}
-    out["o"] = ["r"]
-    for v in info.depth:
-        if v == "r":
-            out[v] = list(info.children[v]) + ["o"]
-        elif info.children[v]:
-            out[v] = list(info.children[v]) + [info.parent[v]]
-        else:
-            out[v] = [info.parent[v]]
-    vertices = ["o"] + list(info.depth)
-    g = build_graph(vertices, "o", out)
-    info.leaves = ["o"] + [v for v in info.depth if info.depth[v] == n - 1]
-    return g, info
+    return _tree_graph(d, n, "hat", up="o", merge=None)
 
 
 def build_wired_tree(d: int, n: int) -> tuple[DirectedMultigraph, TreeInfo]:
@@ -117,70 +139,12 @@ def build_wired_tree(d: int, n: int) -> tuple[DirectedMultigraph, TreeInfo]:
     Edges are kept, not collapsed: the root has one edge to s (the former o
     edge) and every other neighbor of s has a = d-1 parallel edges to s.
     """
-    _check_params(d, n)
-    info = _tree_skeleton(d, n)
-    info.variant = "wired"
-    a = d - 1
-    out: dict[str, list[str]] = {}
-    for v in info.internal:
-        kids = info.children[v]
-        kid_slots = [c if info.depth[c] <= n - 2 else "s" for c in kids]
-        parent_slot = info.parent[v] if v != "r" else "s"
-        out[v] = kid_slots + [parent_slot]
-    s_out: list[str] = []
-    if n == 2:
-        s_out = ["r"] * d
-    else:
-        s_out.append("r")
-        for v in info.internal:
-            if info.depth[v] == n - 2:
-                s_out.extend([v] * a)
-    out["s"] = s_out
-    vertices = list(info.internal) + ["s"]
-    g = build_graph(vertices, "s", out)
-    return g, info
+    return _tree_graph(d, n, "wired", up="s", merge="s")
 
 
 def build_branch(d: int, n: int) -> tuple[DirectedMultigraph, TreeInfo]:
     """Y_n: hat tree with all leaves except o collapsed to a boundary b."""
-    _check_params(d, n)
-    info = _tree_skeleton(d, n)
-    info.variant = "branch"
-    a = d - 1
-    out: dict[str, list[str]] = {"o": ["r"]}
-    for v in info.internal:
-        kids = info.children[v]
-        kid_slots = [c if info.depth[c] <= n - 2 else "b" for c in kids]
-        parent_slot = info.parent[v] if v != "r" else "o"
-        out[v] = kid_slots + [parent_slot]
-    b_out = []
-    if n == 2:
-        b_out = ["r"] * a
-    else:
-        for v in info.internal:
-            if info.depth[v] == n - 2:
-                b_out.extend([v] * a)
-    out["b"] = b_out
-    vertices = ["o"] + list(info.internal) + ["b"]
-    g = build_graph(vertices, "o", out)
-    return g, info
-
-
-def build_plain_tree(d: int, n: int) -> tuple[DirectedMultigraph, TreeInfo]:
-    """T_n alone, bidirected, rooted sink at r."""
-    _check_params(d, n)
-    info = _tree_skeleton(d, n)
-    info.variant = "plain"
-    out: dict[str, list[str]] = {}
-    for v in info.depth:
-        if v == "r":
-            out[v] = list(info.children[v])
-        elif info.children[v]:
-            out[v] = list(info.children[v]) + [info.parent[v]]
-        else:
-            out[v] = [info.parent[v]]
-    g = build_graph(list(info.depth), "r", out)
-    return g, info
+    return _tree_graph(d, n, "branch", up="o", merge="b")
 
 
 def build_tree(spec: TreeSpec) -> tuple[DirectedMultigraph, TreeInfo]:
@@ -270,7 +234,8 @@ def random_acyclic_tree_config(g: DirectedMultigraph, info: TreeInfo,
         else:
             slots.append(0)
     t = RotorConfiguration(tuple(slots))
-    assert is_acyclic_tree_config(g, info, t)
+    if not is_acyclic_tree_config(g, info, t):
+        raise ResultCheckError("sampled tree configuration is not acyclic")
     return t
 
 

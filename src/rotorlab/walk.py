@@ -17,6 +17,7 @@ from rotorlab.graph import (
     DirectedMultigraph,
     GraphError,
     RotorConfiguration,
+    StepBudgetExceededError,
 )
 
 
@@ -26,11 +27,6 @@ class WalkError(GraphError):
 
 class ChipAtSinkError(WalkError):
     pass
-
-
-class StepBudgetExceededError(WalkError):
-    """Routing ran past its step budget.  Termination is guaranteed for
-    strongly connected graphs, so this signals a bug or a tiny budget."""
 
 
 class NotAPredecessorError(WalkError):

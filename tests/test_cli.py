@@ -65,6 +65,17 @@ def test_aggregate_bad_config_rejected(capsys, tmp_path):
     assert "mutual" in err or "error" in err
 
 
+def test_aggregate_branch_mode_config_rejected(capsys, tmp_path):
+    cfg = tmp_path / "br.json"
+    cfg.write_text(json.dumps({"d": 3, "default": 1, "mode": "branch"}))
+    code, out, err = run_cli(capsys, "aggregate", "--d", "3", "--chips", "5",
+                             "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
 def test_group_wired(capsys):
     code, out, _ = run_cli(capsys, "group", "--wired", "3", "3")
     assert code == 0

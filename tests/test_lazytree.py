@@ -72,6 +72,39 @@ def naive_run(cfg: LazyTreeConfig, m: int, depth_cap: int):
     return "".join(word), depths, rotors
 
 
+def naive_aggregate(cfg: LazyTreeConfig, n_chips: int, modified: bool):
+    """Fully explicit aggregation on a plain dict of rotors.
+
+    Chip 1 occupies the origin; every later chip steps literally until it
+    enters an unoccupied vertex, which it occupies, or, when ``modified``,
+    until it returns to the origin.
+    """
+    d = cfg.d
+    rotors = {ORIGIN: cfg.base_direction(ORIGIN)}
+    stops = [ORIGIN]
+    for _ in range(n_chips - 1):
+        pos = ORIGIN
+        while True:
+            inc = rotors[pos] % d + 1
+            rotors[pos] = inc
+            if pos != ORIGIN and inc == d:
+                target = pos[:-1]
+            else:
+                target = pos + (inc,)
+            if modified and target == ORIGIN:
+                stops.append(ORIGIN)
+                break
+            if target not in rotors:
+                rotors[target] = cfg.base_direction(target)
+                stops.append(target)
+                break
+            pos = target
+    depth_counts = {}
+    for addr in rotors:
+        depth_counts[len(addr)] = depth_counts.get(len(addr), 0) + 1
+    return stops, depth_counts, rotors
+
+
 def assert_engines_agree(cfg: LazyTreeConfig, m: int, depth_cap: int = 40):
     """Fast and literal engines and the explicit simulator must coincide.
 
@@ -414,6 +447,32 @@ def test_aggregate_modified_random_configs():
         mod = aggregate_modified(cfg, modified_count(3, 2))
         assert mod.occupied_is_ball(2)
         assert mod.rotors_restored()
+
+
+def test_aggregate_matches_naive_aggregator():
+    rng = random.Random(29)
+    for trial in range(60):
+        d = 3 if trial % 2 == 0 else 4
+        cfg = random_acyclic_config(d, rng)
+        rho = 4 if d == 3 else 3
+        chips = rng.choice([ball_size(d, rho),
+                            rng.randrange(1, ball_size(d, rho) + 1)])
+        stops, depth_counts, rotors = naive_aggregate(cfg, chips, False)
+        res = aggregate(cfg, chips)
+        assert res.stops == stops, cfg
+        assert res.occupied == set(rotors)
+        assert res.depth_counts == depth_counts
+        assert res.max_depth == max(depth_counts)
+        assert res.state.rotors == rotors
+
+        chips = rng.choice([modified_count(d, rho),
+                            rng.randrange(1, modified_count(d, rho) + 1)])
+        stops, depth_counts, rotors = naive_aggregate(cfg, chips, True)
+        mod = aggregate_modified(cfg, chips)
+        assert mod.stops == stops, cfg
+        assert mod.occupied == set(rotors)
+        assert mod.max_depth == max(depth_counts)
+        assert mod.state.rotors == rotors
 
 
 def test_step_budget_guard():

@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -5,6 +8,7 @@ import pytest
 
 from rotorlab.graph import (
     enumerate_recurrent,
+    graph_to_json,
     is_recurrent,
     spanning_tree_count,
 )
@@ -16,6 +20,7 @@ from rotorlab.trees import (
     alternation_experiment,
     build_branch,
     build_hat_tree,
+    build_plain_tree,
     build_tree,
     build_wired_tree,
     exit_measure_experiment,
@@ -122,6 +127,37 @@ def test_build_tree_dispatch():
     assert info.variant == "wired"
     with pytest.raises(BadParametersError):
         build_tree(TreeSpec(3, 2, "bogus"))
+
+
+# sha256 over n = 2..6 of graph_to_json(g) followed by the TreeInfo fields
+# as JSON; vertex and out-list order fix the recurrent-state enumeration
+# order and so the bytes of `rotorlab group`
+BUILDER_DIGESTS = {
+    ("plain", 3): "b505e997c544af6531418ef3a2b9999ca849b638412ebfef254f179666cc143f",
+    ("plain", 4): "763707d223992aad9d4848debb72698af6a33f2fa743cf475a690f04fd62a483",
+    ("plain", 5): "1d937fa3bd0db4df2add42ebc5a73776b21814f897dfea828e35465f85c195ad",
+    ("hat", 3): "4ecc30afb5182e6159c97cd294484a6d558a8a5f220d3ac5f66d18b788523c0e",
+    ("hat", 4): "1f5b41cf2cd77ce37347a021adfe0d612706f390ce1a9bc23d8903122f42be78",
+    ("hat", 5): "6c89c927df7b8a9b9b2dd8ecd5d4a7e291c9308520cff7da5d2f5a2061cc7c48",
+    ("wired", 3): "6b60428dd2115b66aac5961bac4b045cdc66282a70ce080fb8ada39858533598",
+    ("wired", 4): "ba1c42efdf0f2fbf7b768accc1124eb9ab4792e248d4a7800a53f051e706646d",
+    ("wired", 5): "a9dfdb6c4271f535e64170d58c6e1ba000cfb989d5175a35ccf447f7148e6191",
+    ("branch", 3): "3026def00c66340eeafc89fd6fe9d5efe50a759bf0a89faadc67879dcbae1f9c",
+    ("branch", 4): "9a9f8188319773bb8d8c93d416448e6011eec886cc5723dd95a581e3a47dbf55",
+    ("branch", 5): "5eb44dbacb9747631a1fee1597c85b358e3c7f81ee8417ebb8293a30b237379f",
+}
+
+
+def test_builders_golden():
+    builders = {"plain": build_plain_tree, "hat": build_hat_tree,
+                "wired": build_wired_tree, "branch": build_branch}
+    for (variant, d), digest in BUILDER_DIGESTS.items():
+        h = hashlib.sha256()
+        for n in range(2, 7):
+            g, info = builders[variant](d, n)
+            h.update(graph_to_json(g).encode())
+            h.update(json.dumps(dataclasses.asdict(info)).encode())
+        assert h.hexdigest() == digest, (variant, d)
 
 
 def test_hitting_probabilities_closed_forms():
