@@ -25,7 +25,7 @@ from rotorlab.escape import (
     validate_word,
     violating_window,
 )
-from rotorlab.graph import GraphError, graph_from_json
+from rotorlab.graph import GraphError, TooLargeError, graph_from_json
 from rotorlab.group import order_of_generator, verify_isomorphism
 from rotorlab.lazytree import (
     LazyTreeConfig,
@@ -114,11 +114,15 @@ def cmd_group(args) -> int:
         else:
             with open(path) as fh:
                 g = graph_from_json(fh.read())
-    except (OSError, json.JSONDecodeError, KeyError, GraphError,
+    except (OSError, json.JSONDecodeError, GraphError,
             BadParametersError) as exc:
         return _fail(str(exc), INPUT_ERROR)
 
-    report = verify_isomorphism(g)
+    try:
+        report = verify_isomorphism(g)
+    except TooLargeError as exc:
+        return _fail(f"graph too large to check exhaustively: {exc}",
+                     INPUT_ERROR)
     payload = report.to_json_dict()
     if args.wired:
         root_order = order_of_generator(g, "r", verify_witnesses=1)
@@ -191,7 +195,7 @@ def cmd_escape(args) -> int:
     if args.action == "simulate":
         try:
             cfg = _load_escape_config(args)
-        except (OSError, ValueError, KeyError, LazyTreeError) as exc:
+        except (OSError, ValueError, LazyTreeError) as exc:
             return _fail(str(exc), INPUT_ERROR)
         if args.m < 0:
             return _fail("--m must be nonnegative", INPUT_ERROR)

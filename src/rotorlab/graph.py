@@ -405,8 +405,22 @@ def graph_to_json(g: DirectedMultigraph) -> str:
 
 
 def graph_from_json(text: str) -> DirectedMultigraph:
+    """Parse and build a graph; a malformed payload raises GraphError."""
     payload = json.loads(text)
-    return build_graph(payload["vertices"], payload["sink"], payload["out"])
+    if not isinstance(payload, dict):
+        raise GraphError("graph JSON must be an object")
+    vertices, sink, out = (payload.get(k) for k in ("vertices", "sink", "out"))
+
+    def is_names(value) -> bool:
+        return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+    if not is_names(vertices):
+        raise GraphError("'vertices' must be a list of strings")
+    if not isinstance(sink, str):
+        raise GraphError("'sink' must be a string")
+    if not (isinstance(out, dict) and all(map(is_names, out.values()))):
+        raise GraphError("'out' must map vertices to lists of strings")
+    return build_graph(vertices, sink, out)
 
 
 def config_to_json(g: DirectedMultigraph, t: RotorConfiguration) -> str:

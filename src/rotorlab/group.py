@@ -71,7 +71,7 @@ def order_of_generator(g: DirectedMultigraph, x: str,
         for _ in range(verify_witnesses):
             w = random_recurrent_config(g, rng)
             if _orbit_period(g, x, w, cap) != order:
-                raise GraphError("generator order depends on witness; bug")
+                raise ResultCheckError("generator order depends on witness; bug")
     return order
 
 

@@ -46,7 +46,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from rotorlab.graph import GraphError, NotAcyclicError, StepBudgetExceededError
+from rotorlab.graph import (
+    GraphError,
+    NotAcyclicError,
+    ResultCheckError,
+    StepBudgetExceededError,
+)
 
 
 Address = tuple[int, ...]
@@ -245,19 +250,55 @@ class LazyTreeConfig:
 
     @staticmethod
     def from_json(text: str) -> "LazyTreeConfig":
+        """Parse a config; a missing field or a wrong JSON type raises
+        LazyTreeError."""
         p = json.loads(text)
         return LazyTreeConfig(
-            d=p["d"],
-            default=p["default"],
-            mode=p.get("mode", "tree"),
-            overrides=tuple((str_to_addr(o["addr"]), o["dir"])
-                            for o in p.get("overrides", ())),
-            rays=tuple(RayRule(str_to_addr(r["start_addr"]),
-                               tuple(r["pattern"]), r["dir"])
-                       for r in p.get("rays", ())),
-            regions=tuple(LevelRegion(str_to_addr(r["addr"]), r["h"])
-                          for r in p.get("regions", ())),
+            d=_json_field(p, "d", int),
+            default=_json_field(p, "default", int),
+            mode=_json_field(p, "mode", str, "tree"),
+            overrides=tuple((_json_addr(o, "addr"), _json_field(o, "dir", int))
+                            for o in _json_field(p, "overrides", list, [])),
+            rays=tuple(RayRule(_json_addr(r, "start_addr"),
+                               _json_ints(r, "pattern"),
+                               _json_field(r, "dir", int))
+                       for r in _json_field(p, "rays", list, [])),
+            regions=tuple(LevelRegion(_json_addr(r, "addr"),
+                                      _json_field(r, "h", int))
+                          for r in _json_field(p, "regions", list, [])),
         )
+
+
+_REQUIRED = object()
+
+
+def _json_field(obj, key: str, kind: type, default=_REQUIRED):
+    """obj[key] from a parsed config, checked to be exactly a ``kind``
+    (so JSON true is not an int)."""
+    if type(obj) is not dict:
+        raise LazyTreeError("config and its entries must be JSON objects")
+    value = obj.get(key, default)
+    if value is _REQUIRED:
+        raise LazyTreeError(f"config field {key!r} is missing")
+    if type(value) is not kind:
+        raise LazyTreeError(
+            f"config field {key!r} must be of type {kind.__name__}")
+    return value
+
+
+def _json_ints(obj, key: str) -> tuple[int, ...]:
+    values = _json_field(obj, key, list)
+    if any(type(v) is not int for v in values):
+        raise LazyTreeError(f"config field {key!r} must list integers")
+    return tuple(values)
+
+
+def _json_addr(obj, key: str) -> Address:
+    text = _json_field(obj, key, str)
+    try:
+        return str_to_addr(text)
+    except ValueError:
+        raise LazyTreeError(f"bad address {text!r}") from None
 
 
 def uniform_config(d: int, direction: int, mode: str = "tree") -> LazyTreeConfig:
@@ -500,7 +541,7 @@ class TreeState:
         seen = self.ray_seen[ray_id]
         inc = self._cycle(seen, 1, self.cfg.d)
         if inc >= self.cfg.d:
-            raise LazyTreeError("escape ray tried to bounce; engine bug")
+            raise ResultCheckError("escape ray tried to bounce; engine bug")
         nxt = at + (inc,)
         self.ray_counts[nxt] = self.ray_counts.get(nxt, 0) + 1
         self.ray_seen[ray_id] = self._cycle(self.base_with_patch(nxt),

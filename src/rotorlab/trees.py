@@ -320,16 +320,16 @@ def hitting_probabilities(d: int, n: int, verify: bool = True,
         closed_o = Fraction(a ** (n - 1) - 1, a ** n - 1)
         closed_z = Fraction(a - 1, a ** n - 1)
         if p_o != closed_o or h_r != closed_z:
-            raise GraphError("harmonic solve disagrees with closed forms")
+            raise ResultCheckError("harmonic solve disagrees with closed forms")
         if p_o + (a ** (n - 1)) * h_r != 1:
-            raise GraphError("leaf probabilities do not sum to 1")
+            raise ResultCheckError("leaf probabilities do not sum to 1")
         z1 = tree_leaves[-1]
         if z1 != z0:
             bnd2 = {v: Fraction(0) for v in tree_leaves}
             bnd2["o"] = Fraction(0)
             bnd2[z1] = Fraction(1)
             if _solve_harmonic(info, bnd2)["r"] != h_r:
-                raise GraphError("leaf symmetry violated")
+                raise ResultCheckError("leaf symmetry violated")
 
     probs = {z: h_r for z in tree_leaves}
     probs["o"] = p_o

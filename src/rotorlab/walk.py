@@ -11,13 +11,15 @@ import io
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
 from rotorlab.graph import (
     DirectedMultigraph,
     GraphError,
     RotorConfiguration,
     StepBudgetExceededError,
+    _acyclic,
+    _rotor_targets,
 )
 
 
@@ -87,12 +89,6 @@ class WalkTrace:
             return self.emitter_set
         return {frm for frm, _ in self.steps}
 
-    def visited(self) -> set[str]:
-        seen = {self.start}
-        for _, to in self.steps:
-            seen.add(to)
-        return seen
-
     def to_csv(self) -> str:
         buf = io.StringIO()
         buf.write("step,from,to\n")
@@ -112,6 +108,34 @@ def step(g: DirectedMultigraph, t: RotorConfiguration,
     return t2, g.out[chip][s]
 
 
+def _route(g: DirectedMultigraph, full: list[int], v: int,
+           stops: Collection[int], emitters: set[int],
+           steps: list[tuple[str, str]] | None,
+           count: int, step_budget: int) -> tuple[int, int]:
+    """Walk one chip from vertex index v until it enters ``stops``.
+
+    Turns the rotors of ``full`` in place, adds every emitting vertex to
+    ``emitters`` and, when ``steps`` is a list, appends each (from, to)
+    pair.  ``count`` steps were taken before this chip; returns the stop
+    vertex and the new count.
+    """
+    out_idx = g.out_idx
+    deg = g.deg_idx
+    names = g.vertices
+    while v not in stops:
+        if count >= step_budget:
+            raise StepBudgetExceededError(f"exceeded {step_budget} steps")
+        emitters.add(v)
+        s = (full[v] + 1) % deg[v]
+        full[v] = s
+        w = out_idx[v][s]
+        if steps is not None:
+            steps.append((names[v], names[w]))
+        v = w
+        count += 1
+    return v, count
+
+
 def route_to_sink(g: DirectedMultigraph, t: RotorConfiguration, x: str,
                   record_trace: bool = False,
                   step_budget: int = DEFAULT_STEP_BUDGET,
@@ -125,26 +149,12 @@ def route_to_sink(g: DirectedMultigraph, t: RotorConfiguration, x: str,
     if x not in g.index:
         raise GraphError(f"unknown vertex {x!r}")
     full = g.slots_to_full(t)
-    out_idx = g.out_idx
-    deg = g.deg_idx
-    sink_i = g.sink_index
-    v = g.index[x]
     steps: list[tuple[str, str]] = []
     emitters: set[int] = set()
-    names = g.vertices
-    count = 0
-    while v != sink_i:
-        if count >= step_budget:
-            raise StepBudgetExceededError(f"exceeded {step_budget} steps")
-        emitters.add(v)
-        s = (full[v] + 1) % deg[v]
-        full[v] = s
-        w = out_idx[v][s]
-        if record_trace:
-            steps.append((names[v], names[w]))
-        v = w
-        count += 1
+    _route(g, full, g.index[x], (g.sink_index,), emitters,
+           steps if record_trace else None, 0, step_budget)
     t2 = g.full_to_slots(full)
+    names = g.vertices
     trace = WalkTrace(start=x, stop=g.sink, initial=t, final=t2, steps=steps,
                       emitter_set={names[i] for i in emitters})
     return t2, trace
@@ -175,8 +185,6 @@ def reverse_walk(g: DirectedMultigraph, t_final: RotorConfiguration, x: str,
     state the chip is at its first visit, and the predecessor is found by
     walking the rotor path from x.
     """
-    from rotorlab.graph import _acyclic, _rotor_targets  # internal reuse
-
     t_final.validate(g)
     if x not in g.index:
         raise GraphError(f"unknown vertex {x!r}")
@@ -236,16 +244,15 @@ ChipDistribution = dict[str, int]
 
 def route_all(g: DirectedMultigraph, t: RotorConfiguration,
               chips: Mapping[str, int], stop_set: Iterable[str],
-              scheduler: str = "chip_by_chip",
               record_trace: bool = False,
               step_budget: int = DEFAULT_STEP_BUDGET,
               ) -> tuple[ChipDistribution, RotorConfiguration, WalkTrace]:
     """Route every chip until it enters the stop set.
 
-    The outcome is independent of the interleaving; ``scheduler`` picks
-    "chip_by_chip" (finish each chip before the next starts) or
-    "round_robin" (all active chips advance one step per round) so tests can
-    exercise the abelian property.
+    Chips are routed one at a time, each to its stop, in vertex order of
+    their starting vertices.  By the abelian property the stop counts and
+    the final configuration do not depend on that order.  ``step_budget``
+    bounds the steps of all chips together.
     """
     t.validate(g)
     stops = {g.index[v] for v in stop_set}
@@ -258,63 +265,21 @@ def route_all(g: DirectedMultigraph, t: RotorConfiguration,
             raise WalkError("negative chip count")
 
     full = g.slots_to_full(t)
-    out_idx = g.out_idx
-    deg = g.deg_idx
     names = g.vertices
     counts: dict[int, int] = {}
     steps: list[tuple[str, str]] = []
+    recorded = steps if record_trace else None
     segments: list[int] = []
-    budget = step_budget
-
-    positions: list[int] = []
-    for v in g.vertices:         # deterministic source order
-        c = chips.get(v, 0)
-        positions.extend([g.index[v]] * c)
-
-    emitters: set[int] = set()
-
-    def advance(v: int) -> int:
-        nonlocal budget
-        if budget <= 0:
-            raise StepBudgetExceededError(f"exceeded {step_budget} steps")
-        budget -= 1
-        emitters.add(v)
-        s = (full[v] + 1) % deg[v]
-        full[v] = s
-        w = out_idx[v][s]
-        if record_trace:
-            steps.append((names[v], names[w]))
-        return w
-
     chip_stops: list[str] = []
-    if scheduler == "chip_by_chip":
-        for v in positions:
+    emitters: set[int] = set()
+    count = 0
+    for i, v in enumerate(names):
+        for _ in range(chips.get(v, 0)):
             segments.append(len(steps))
-            while v not in stops:
-                v = advance(v)
-            counts[v] = counts.get(v, 0) + 1
-            chip_stops.append(names[v])
-    elif scheduler == "round_robin":
-        active = []
-        for v in positions:
-            segments.append(len(steps))
-            if v in stops:
-                counts[v] = counts.get(v, 0) + 1
-                chip_stops.append(names[v])
-            else:
-                active.append(v)
-        while active:
-            nxt = []
-            for v in active:
-                w = advance(v)
-                if w in stops:
-                    counts[w] = counts.get(w, 0) + 1
-                    chip_stops.append(names[w])
-                else:
-                    nxt.append(w)
-            active = nxt
-    else:
-        raise WalkError(f"unknown scheduler {scheduler!r}")
+            w, count = _route(g, full, i, stops, emitters, recorded,
+                              count, step_budget)
+            counts[w] = counts.get(w, 0) + 1
+            chip_stops.append(names[w])
 
     t2 = g.full_to_slots(full)
     stop_counts = {names[v]: c for v, c in sorted(counts.items())}

@@ -76,6 +76,41 @@ def test_aggregate_branch_mode_config_rejected(capsys, tmp_path):
     assert len(lines) == 1 and lines[0].startswith("error:")
 
 
+def _complete_graph_json(n):
+    names = [f"v{i}" for i in range(n)]
+    return {"vertices": names, "sink": names[0],
+            "out": {v: [w for w in names if w != v] for v in names}}
+
+
+@pytest.mark.parametrize("command, payload, needle", [
+    ("aggregate", {"d": "3", "default": 1}, "'d'"),
+    ("aggregate", [{"d": 3, "default": 1}], "object"),
+    ("simulate", {"d": 3, "default": 1,
+                  "overrides": [{"addr": "1", "dir": "2"}]}, "'dir'"),
+    ("group", {"vertices": ["a", "s"], "sink": "s",
+               "out": {"a": 5, "s": ["a"]}}, "'out'"),
+    ("group", _complete_graph_json(9), "limit 1000000"),
+], ids=["string-degree", "list-root", "string-override-dir",
+        "number-out-list", "k9-too-large"])
+def test_malformed_input_exits_2_with_one_error_line(capsys, tmp_path,
+                                                     command, payload, needle):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    argv = {
+        "aggregate": ["aggregate", "--d", "3", "--chips", "5",
+                      "--config", str(path)],
+        "simulate": ["escape", "simulate", "--config", str(path), "--m", "3"],
+        "group": ["group", str(path)],
+    }[command]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert needle in lines[0]
+    assert "Traceback" not in err
+
+
 def test_group_wired(capsys):
     code, out, _ = run_cli(capsys, "group", "--wired", "3", "3")
     assert code == 0

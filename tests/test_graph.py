@@ -5,6 +5,7 @@ import pytest
 
 from rotorlab.graph import (
     EmptyOutListError,
+    GraphError,
     LoopEdgeError,
     NotStronglyConnectedError,
     RotorConfiguration,
@@ -178,6 +179,21 @@ def test_graph_json_roundtrip():
     assert g2.sink == g.sink
     assert g2.out == g.out
     assert graph_to_json(g2) == graph_to_json(g)
+
+
+@pytest.mark.parametrize("payload", [
+    [["a", "s"], "s", {"a": ["s"], "s": ["a"]}],
+    {"vertices": ["a", "s"], "sink": "s"},
+    {"vertices": "as", "sink": "s", "out": {"a": ["s"], "s": ["a"]}},
+    {"vertices": ["a", 1], "sink": "s", "out": {"a": ["s"], "s": ["a"]}},
+    {"vertices": ["a", "s"], "sink": 1, "out": {"a": ["s"], "s": ["a"]}},
+    {"vertices": ["a", "s"], "sink": "s", "out": [["s"], ["a"]]},
+    {"vertices": ["a", "s"], "sink": "s", "out": {"a": 5, "s": ["a"]}},
+    {"vertices": ["a", "s"], "sink": "s", "out": {"a": "s", "s": ["a"]}},
+])
+def test_graph_from_json_rejects_malformed_payload(payload):
+    with pytest.raises(GraphError):
+        graph_from_json(json.dumps(payload))
 
 
 def test_config_json_roundtrip():

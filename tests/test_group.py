@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from rotorlab import group
 from rotorlab.graph import (
+    ResultCheckError,
     RotorConfiguration,
     build_graph,
     enumerate_recurrent,
@@ -204,3 +206,12 @@ def test_report_json_shape():
     assert set(d) == {"rec_count", "sp_order", "invariant_factors",
                       "relations_ok", "commutes_ok", "transitive_ok",
                       "sink_identity_ok", "bijective_ok", "ok"}
+
+
+def test_order_witness_disagreement_raises_result_check(monkeypatch):
+    g = build_graph(["a", "b", "s"], "s",
+                    {"a": ["b", "s"], "b": ["a", "s"], "s": ["a", "b"]})
+    periods = iter([3, 1])
+    monkeypatch.setattr(group, "_orbit_period", lambda *args: next(periods))
+    with pytest.raises(ResultCheckError):
+        order_of_generator(g, "a", verify_witnesses=1)

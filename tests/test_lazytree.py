@@ -3,9 +3,11 @@ import random
 
 import pytest
 
+from rotorlab.graph import ResultCheckError
 from rotorlab.lazytree import (
     ORIGIN,
     LazyTreeConfig,
+    LazyTreeError,
     LevelRegion,
     NotAcyclicError,
     RayRule,
@@ -491,3 +493,33 @@ def test_dot_snapshot():
     dot = dot_snapshot(res.state, cluster=res.occupied)
     assert dot.startswith("digraph")
     assert '"o"' in dot
+
+
+@pytest.mark.parametrize("payload", [
+    [],
+    {"default": 1},
+    {"d": 3.0, "default": 1},
+    {"d": 3, "default": True},
+    {"d": 3, "default": 1, "mode": 2},
+    {"d": 3, "default": 1, "overrides": {"addr": "1", "dir": 2}},
+    {"d": 3, "default": 1, "overrides": ["1"]},
+    {"d": 3, "default": 1, "overrides": [{"addr": 1, "dir": 2}]},
+    {"d": 3, "default": 1, "overrides": [{"addr": "1/x", "dir": 2}]},
+    {"d": 3, "default": 1,
+     "rays": [{"start_addr": "3", "pattern": ["2"], "dir": 2}]},
+    {"d": 3, "default": 1, "regions": [{"addr": "1", "h": None}]},
+])
+def test_config_from_json_rejects_malformed_fields(payload):
+    with pytest.raises(LazyTreeError):
+        LazyTreeConfig.from_json(json.dumps(payload))
+
+
+def test_ray_bounce_guard_raises_result_check(monkeypatch):
+    cfg = alternating_tree_config()
+    st = TreeState(cfg)
+    assert st.walk_chip().outcome == "escaped"
+    (tip, (ray_id,)), = st.ray_tips.items()
+    # a ray tip that last saw direction d-1 would have to bounce next
+    monkeypatch.setitem(st.ray_seen, ray_id, cfg.d - 1)
+    with pytest.raises(ResultCheckError):
+        st.ensure_rays(tip + (1,))

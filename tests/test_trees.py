@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+from rotorlab import trees
 from rotorlab.graph import (
+    ResultCheckError,
     enumerate_recurrent,
     graph_to_json,
     is_recurrent,
@@ -280,3 +282,21 @@ def test_branch_root_rotor_cycle_step_by_step():
     assert tgt2 == "o" and t.slot(g, "r") == 2     # direction 3, up
     t, tgt3 = step(g, t, "r")
     assert tgt3 == "b" and t.slot(g, "r") == 0     # direction 1 again
+
+
+@pytest.mark.parametrize("bad_call", [0, 1, 2])
+def test_hitting_probability_guards_raise_result_check(monkeypatch, bad_call):
+    # calls 0 and 1 feed the closed-form check, call 2 the symmetry check
+    solve = trees._solve_harmonic
+    calls = []
+
+    def skewed(info, boundary):
+        H = solve(info, boundary)
+        if len(calls) == bad_call:
+            H = dict(H, r=H["r"] + 1)
+        calls.append(boundary)
+        return H
+
+    monkeypatch.setattr(trees, "_solve_harmonic", skewed)
+    with pytest.raises(ResultCheckError):
+        hitting_probabilities(3, 3)

@@ -174,6 +174,23 @@ def test_route_all_one_step_distribution():
     assert t2.slot(g, "m") == t.slot(g, "m")   # full turn restores the rotor
 
 
+def route_round_robin(g, t, chips, stop_set):
+    """Interleaved oracle for route_all: every round, each chip not yet in
+    the stop set takes one literal step()."""
+    counts = {}
+    active = [v for v in g.vertices for _ in range(chips.get(v, 0))]
+    while active:
+        moving = []
+        for v in active:
+            if v in stop_set:
+                counts[v] = counts.get(v, 0) + 1
+            else:
+                t, v = step(g, t, v)
+                moving.append(v)
+        active = moving
+    return counts, t
+
+
 def test_route_all_scheduler_independence():
     rng = random.Random(29)
     for _ in range(12):
@@ -182,8 +199,8 @@ def test_route_all_scheduler_independence():
         t = RotorConfiguration(slots)
         chips = {v: rng.randrange(0, 3) for v in g.vertices}
         stop = {g.sink}
-        a = route_all(g, t, chips, stop, scheduler="chip_by_chip")
-        b = route_all(g, t, chips, stop, scheduler="round_robin")
+        a = route_all(g, t, chips, stop)
+        b = route_round_robin(g, t, chips, stop)
         assert a[0] == b[0] and a[1] == b[1]
 
 
@@ -196,9 +213,58 @@ def test_route_all_scheduler_independence_exhaustive():
         t = RotorConfiguration.from_dict(g, {"o": so, "r": sr})
         for co, cr in product(range(3), range(3)):
             chips = {"o": co, "r": cr}
-            a = route_all(g, t, chips, {g.sink}, scheduler="chip_by_chip")
-            b = route_all(g, t, chips, {g.sink}, scheduler="round_robin")
+            a = route_all(g, t, chips, {g.sink})
+            b = route_round_robin(g, t, chips, {g.sink})
             assert a[0] == b[0] and a[1] == b[1]
+
+
+def route_sequential(g, t, chips, stop_set):
+    """Literal oracle for route_all: chips in vertex order, each walked to
+    its stop with step() before the next one starts."""
+    counts, chip_stops, steps, segments = {}, [], [], []
+    for v in g.vertices:
+        for _ in range(chips.get(v, 0)):
+            segments.append(len(steps))
+            chip = v
+            while chip not in stop_set:
+                t, nxt = step(g, t, chip)
+                steps.append((chip, nxt))
+                chip = nxt
+            counts[chip] = counts.get(chip, 0) + 1
+            chip_stops.append(chip)
+    return counts, chip_stops, t, steps, segments or [0]
+
+
+def test_routing_matches_literal_step_oracle():
+    rng = random.Random(37)
+    for _ in range(60):
+        g = random_multigraph(rng, rng.randrange(2, 7))
+        slots = tuple(rng.randrange(g.outdeg(v)) for v in g.rotor_vertices)
+        t = RotorConfiguration(slots)
+        # step() refuses a chip on the sink, so the sink always stops chips
+        stop = {g.sink} | {v for v in g.rotor_vertices if rng.random() < 0.3}
+        chips = {v: rng.randrange(0, 4) for v in g.vertices}
+        counts, chip_stops, t_end, steps, segments = route_sequential(
+            g, t, chips, stop)
+        for record in (True, False):
+            got, t2, trace = route_all(g, t, chips, stop, record_trace=record)
+            assert got == counts
+            assert list(got) == sorted(got, key=g.index.__getitem__)
+            assert trace.chip_stops == chip_stops
+            assert t2 == trace.final == t_end and trace.initial == t
+            assert trace.steps == (steps if record else [])
+            assert trace.segments == (segments if record
+                                      else [0] * len(segments))
+            assert trace.emitters() == {frm for frm, _ in steps}
+        x = rng.choice(g.vertices)
+        _, _, t_end, steps, _ = route_sequential(g, t, {x: 1}, {g.sink})
+        t2, trace = route_to_sink(g, t, x, record_trace=True)
+        assert t2 == trace.final == t_end and trace.initial == t
+        assert (trace.start, trace.stop) == (x, g.sink)
+        assert trace.steps == steps and trace.segments == [0]
+        assert trace.chip_stops == []
+        assert trace.emitters() == {frm for frm, _ in steps}
+        assert route_to_sink(g, t, x)[1].emitters() == trace.emitters()
 
 
 def test_step_budget_exceeded():
