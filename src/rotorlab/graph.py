@@ -335,29 +335,49 @@ def reduced_laplacian(g: DirectedMultigraph) -> list[list[int]]:
     return mat
 
 
-def integer_determinant(mat: list[list[int]]) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
+def rank_and_minor(mat: list[list[int]]) -> tuple[int, int]:
+    """Rank r of an integer matrix and a nonzero r x r minor of it, up to sign.
+
+    Fraction-free (Bareiss) elimination; a zero pivot is replaced by the
+    first nonzero entry of the remaining block, column by column, with the
+    row and column swaps counted in the sign.  The minor is the last pivot:
+    the determinant, sign included, when the matrix is square and
+    nonsingular, and 1 when r = 0.
+    """
     m = [row[:] for row in mat]
-    n = len(m)
-    if n == 0:
-        return 1
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
     sign = 1
     prev = 1
-    for k in range(n - 1):
+    r = 0
+    for k in range(min(rows, cols)):
         if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            pos = next(((i, j) for j in range(k, cols)
+                        for i in range(k, rows) if m[i][j]), None)
+            if pos is None:
+                break
+            i, j = pos
+            if i != k:
+                m[k], m[i] = m[i], m[k]
+                sign = -sign
+            if j != k:
+                for row in m:
+                    row[k], row[j] = row[j], row[k]
+                sign = -sign
+        p = m[k][k]
+        for i in range(k + 1, rows):
+            for j in range(k + 1, cols):
+                m[i][j] = (m[i][j] * p - m[i][k] * m[k][j]) // prev
             m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+        prev = p
+        r = k + 1
+    return r, sign * prev
+
+
+def integer_determinant(mat: list[list[int]]) -> int:
+    """Exact determinant of a square matrix, by ``rank_and_minor``."""
+    r, minor = rank_and_minor(mat)
+    return minor if r == len(mat) else 0
 
 
 def spanning_tree_count(g: DirectedMultigraph) -> int:

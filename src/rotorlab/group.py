@@ -20,6 +20,7 @@ from rotorlab.graph import (
     RotorConfiguration,
     enumerate_recurrent,
     is_recurrent,
+    rank_and_minor,
     reduced_laplacian,
     spanning_tree_count,
 )
@@ -127,55 +128,110 @@ class SandpileGroupStructure:
 
 
 def smith_invariant_factors(mat: list[list[int]]) -> list[int]:
-    """Diagonal of the Smith normal form of an integer matrix.
+    """Nonzero diagonal entries of the Smith normal form of an integer matrix.
 
-    Row/column elimination with smallest-pivot selection keeps intermediate
-    entries from exploding; a final divisibility pass enforces f_i | f_{i+1}.
+    Each pivot is a smallest nonzero entry of the remaining block; Euclid
+    remainders in its row and column replace it until it divides them, and
+    a final divisibility pass enforces f_i | f_{i+1}.
+
+    While every pivot divides its row and column, each step is a Gaussian
+    elimination step, so every entry is a ratio of two minors of the input
+    and stays below Hadamard's bound.  After the first Euclid round that
+    leaves a remainder, the rest is eliminated modulo D (Domich, Kannan and
+    Trotter): the lcm of the finished pivots and of a nonzero r x r minor
+    of the block that remains, r being the block's rank, both from Bareiss
+    elimination.  Adding a multiple of D to an entry is a row operation on
+    the matrix stacked over D * I, whose cokernel is the torsion of the
+    matrix's, in which every factor divides D, plus a copy of Z_D for each
+    free dimension.  So every entry that an update produces is kept as its
+    symmetric residue mod D, at most D / 2 in absolute value; a diagonal
+    entry d stands for gcd(d, D), a missing one for D, and the copies of
+    Z_D from the free dimensions sort to the end of the chain, where they
+    are dropped.
     """
     m = [row[:] for row in mat]
     rows = len(m)
     cols = len(m[0]) if rows else 0
+    D = 0
+    # symmetric residues lie in [-half, half]; until a modulus is known
+    # nothing is out of range, so the reduction never runs
+    half = math.inf
+    lo = -half
     diag: list[int] = []
     top = 0
     while top < rows and top < cols:
-        # locate the smallest nonzero entry in the remaining block
+        # locate a smallest nonzero entry in the remaining block
         best = None
+        bv = 0
         for i in range(top, rows):
+            row = m[i]
             for j in range(top, cols):
-                v = abs(m[i][j])
-                if v and (best is None or v < abs(m[best[0]][best[1]])):
-                    best = (i, j)
+                v = abs(row[j])
+                if v and (not bv or v < bv):
+                    best, bv = (i, j), v
+                    if v == 1:
+                        break
+            if bv == 1:
+                break
         if best is None:
             break
         bi, bj = best
         m[top], m[bi] = m[bi], m[top]
-        for row in m:
-            row[top], row[bj] = row[bj], row[top]
+        if bj != top:
+            # finished rows are zero beyond their pivot
+            for row in m[top:]:
+                row[top], row[bj] = row[bj], row[top]
         while True:
-            # clear the column
             dirty = False
+            # clear the column: row updates, skipping zero multipliers and
+            # the zeros of the pivot row
+            prow = m[top]
             for i in range(top + 1, rows):
-                if m[i][top]:
-                    q = m[i][top] // m[top][top]
-                    for j in range(top, cols):
-                        m[i][j] -= q * m[top][j]
-                    if m[i][top]:
-                        m[top], m[i] = m[i], m[top]
+                row = m[i]
+                if row[top]:
+                    q = row[top] // prow[top]
+                    if q:
+                        for j in range(top, cols):
+                            c = prow[j]
+                            if c:
+                                x = row[j] - q * c
+                                if x > half or x < lo:
+                                    x = (x + half) % D - half
+                                row[j] = x
+                    if row[top]:
+                        m[top], m[i] = row, prow
+                        prow = row
                         dirty = True
-            # clear the row
+            # clear the row: column updates, likewise
             for j in range(top + 1, cols):
-                if m[top][j]:
-                    q = m[top][j] // m[top][top]
-                    for i in range(top, rows):
-                        m[i][j] -= q * m[i][top]
-                    if m[top][j]:
-                        for row in m:
+                if prow[j]:
+                    q = prow[j] // prow[top]
+                    if q:
+                        for i in range(top, rows):
+                            row = m[i]
+                            c = row[top]
+                            if c:
+                                x = row[j] - q * c
+                                if x > half or x < lo:
+                                    x = (x + half) % D - half
+                                row[j] = x
+                    if prow[j]:
+                        for row in m[top:]:
                             row[top], row[j] = row[j], row[top]
                         dirty = True
             if not dirty:
                 break
+            if not D:
+                # the pivot left a remainder: from here on, work mod D
+                r, minor = rank_and_minor([row[top:] for row in m[top:]])
+                D = math.lcm(minor, *diag)
+                rank = top + r
+                half = D // 2
+                lo = -half
         diag.append(abs(m[top][top]))
         top += 1
+    if D:
+        diag = [math.gcd(x, D) for x in diag] + [D] * (cols - len(diag))
     # enforce the divisibility chain
     changed = True
     while changed:
@@ -186,7 +242,7 @@ def smith_invariant_factors(mat: list[list[int]]) -> list[int]:
                 gcd = math.gcd(a, b)
                 diag[i], diag[i + 1] = gcd, a * b // gcd
                 changed = True
-    return diag
+    return diag[:rank] if D else diag
 
 
 def sandpile_structure(g: DirectedMultigraph) -> SandpileGroupStructure:

@@ -252,12 +252,17 @@ def route_all(g: DirectedMultigraph, t: RotorConfiguration,
     Chips are routed one at a time, each to its stop, in vertex order of
     their starting vertices.  By the abelian property the stop counts and
     the final configuration do not depend on that order.  ``step_budget``
-    bounds the steps of all chips together.
+    bounds the steps of all chips together.  The sink carries no rotor, so
+    a chip that starts at or enters the sink while the sink is not in the
+    stop set raises ``ChipAtSinkError``, as ``step`` does.
     """
     t.validate(g)
     stops = {g.index[v] for v in stop_set}
     if not stops:
         raise WalkError("stop set must be nonempty")
+    sink = g.sink_index
+    sink_stops = sink in stops
+    stops.add(sink)
     for v, c in chips.items():
         if v not in g.index:
             raise GraphError(f"unknown vertex {v!r}")
@@ -278,6 +283,9 @@ def route_all(g: DirectedMultigraph, t: RotorConfiguration,
             segments.append(len(steps))
             w, count = _route(g, full, i, stops, emitters, recorded,
                               count, step_budget)
+            if w == sink and not sink_stops:
+                raise ChipAtSinkError(
+                    "a chip reached the sink, which is not in the stop set")
             counts[w] = counts.get(w, 0) + 1
             chip_stops.append(names[w])
 

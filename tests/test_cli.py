@@ -1,6 +1,12 @@
+import contextlib
+import copy
+import io
 import json
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rotorlab.cli import main
 from rotorlab.graph import build_graph, graph_to_json
@@ -230,3 +236,118 @@ def test_verify_all_wiring(capsys, monkeypatch):
     assert main(["verify-all"]) == 0
     monkeypatch.setattr(acceptance, "ALL_CRITERIA", [fake_ok, fake_bad])
     assert main(["verify-all"]) == 1
+
+
+# -- fuzzing: malformed payloads and bad numeric flags -----------------------
+
+_VALID_PAYLOADS = {
+    "config": {"d": 3, "default": 1, "mode": "tree",
+               "overrides": [{"addr": "1", "dir": 2}],
+               "rays": [{"start_addr": "3", "pattern": [2], "dir": 2}],
+               "regions": [{"addr": "2", "h": 1}]},
+    "graph": {"vertices": ["a", "b", "s"], "sink": "s",
+              "out": {"a": ["b", "s"], "b": ["a", "s"], "s": ["a", "b"]}},
+}
+_KEYS = ["d", "default", "mode", "overrides", "rays", "regions", "addr",
+         "dir", "start_addr", "pattern", "h", "vertices", "sink", "out",
+         "a", "b", "s"]
+_SCALARS = (st.none() | st.booleans() | st.integers(-3, 6)
+            | st.floats(-2, 4) | st.sampled_from(
+                ["", "1", "2/1", "3", "x", "tree", "branch", "a", "s"]))
+_JSON = st.recursive(
+    _SCALARS,
+    lambda kids: (st.lists(kids, max_size=3)
+                  | st.dictionaries(st.sampled_from(_KEYS), kids,
+                                    max_size=3)),
+    max_leaves=8)
+
+
+@st.composite
+def _mutated(draw, kind):
+    """A valid payload with one to three fields replaced or deleted."""
+    payload = copy.deepcopy(_VALID_PAYLOADS[kind])
+    for _ in range(draw(st.integers(1, 3))):
+        node = payload
+        while True:
+            keys = list(node) if isinstance(node, dict) else list(
+                range(len(node)))
+            if not keys:
+                break
+            k = draw(st.sampled_from(keys))
+            if isinstance(node[k], (dict, list)) and node[k] and draw(
+                    st.integers(0, 3)):
+                node = node[k]
+                continue
+            if isinstance(node, dict) and not draw(st.integers(0, 3)):
+                del node[k]
+            else:
+                node[k] = draw(_JSON)
+            break
+    return payload
+
+
+def _payload_argv(command, path):
+    return {
+        "aggregate": ["aggregate", "--d", "3", "--chips", "4",
+                      "--config", path],
+        "simulate": ["escape", "simulate", "--config", path, "--m", "4"],
+        "group": ["group", path],
+    }[command]
+
+
+_PRESETS = ["alternating", "uniform-3-1", "uniform-4-0", "uniform-2-1",
+            "uniform-3-9", "uniform-x-1", "uniform-3", "uniform-3-1-1",
+            "uniform--3-1", "spiral"]
+_FLAG_CASES = st.one_of(
+    st.builds(lambda d, c: ["aggregate", "--d", str(d), "--chips", str(c)],
+              st.integers(-2, 4), st.integers(-3, 6)),
+    st.builds(lambda d, r: ["aggregate", "--d", str(d), "--radius", str(r)],
+              st.integers(-2, 4), st.integers(-3, 2)),
+    st.builds(lambda c, r: ["aggregate", "--d", "3", "--chips", str(c),
+                            "--radius", str(r)],
+              st.integers(-1, 3), st.integers(-1, 2)),
+    st.builds(lambda p, m: ["escape", "simulate", "--preset", p,
+                            "--m", str(m)],
+              st.sampled_from(_PRESETS), st.integers(-3, 6)),
+    st.builds(lambda d, n: ["group", "--wired", str(d), str(n)],
+              st.integers(-1, 4), st.integers(-1, 3)),
+)
+
+
+def _run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+def _assert_contract(argv):
+    code, err = _run_quietly(argv)
+    assert code in (0, 2, 3), (argv, code, err)
+    assert "Traceback" not in err
+    if code:
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), (argv,
+                                                                   err)
+
+
+@pytest.mark.parametrize("command", ["aggregate", "simulate", "group"])
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(data=st.data())
+def test_fuzz_malformed_payloads_exit_cleanly(command, data):
+    payload = data.draw(_JSON | _mutated(
+        "graph" if command == "group" else "config"))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/input.json"
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        _assert_contract(_payload_argv(command, path))
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(_FLAG_CASES)
+def test_fuzz_bad_numeric_flags_exit_cleanly(argv):
+    _assert_contract(argv)

@@ -1,5 +1,7 @@
 import json
 import random
+from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 
@@ -18,7 +20,9 @@ from rotorlab.graph import (
     enumerate_recurrent,
     graph_from_json,
     graph_to_json,
+    integer_determinant,
     is_recurrent,
+    rank_and_minor,
     shortest_path_config,
     spanning_tree_count,
 )
@@ -129,6 +133,56 @@ def test_enumerate_matches_matrix_tree():
         # no duplicates, all recurrent
         assert len({t.slots for t in recs}) == len(recs)
         assert all(is_recurrent(g, t) for t in recs)
+
+
+def _leibniz_det(mat):
+    n = len(mat)
+    total = 0
+    for perm in permutations(range(n)):
+        sign = 1
+        for i in range(n):
+            for j in range(i + 1, n):
+                if perm[i] > perm[j]:
+                    sign = -sign
+        term = sign
+        for i, j in enumerate(perm):
+            term *= mat[i][j]
+        total += term
+    return total
+
+
+def _rational_rank(mat):
+    m = [[Fraction(x) for x in row] for row in mat]
+    r = 0
+    for j in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(r, len(m)) if m[i][j]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        for i in range(len(m)):
+            if i != r and m[i][j]:
+                f = m[i][j] / m[r][j]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        r += 1
+    return r
+
+
+def test_rank_and_minor_against_brute_force():
+    rng = random.Random(53)
+    for _ in range(300):
+        rows, cols = rng.randrange(1, 6), rng.randrange(1, 6)
+        mat = [[rng.randrange(-4, 5) * rng.choice([0, 1, 1])
+                for _ in range(cols)] for _ in range(rows)]
+        if rows > 1 and rng.random() < 0.4:
+            mat[-1] = [2 * a - b for a, b in zip(mat[0], mat[1])]
+        r, minor = rank_and_minor(mat)
+        assert r == _rational_rank(mat), mat
+        minors = {abs(_leibniz_det([[mat[i][j] for j in cs] for i in rs]))
+                  for rs in combinations(range(rows), r)
+                  for cs in combinations(range(cols), r)}
+        assert minor != 0 and abs(minor) in minors, mat
+        if rows == cols:
+            assert integer_determinant(mat) == _leibniz_det(mat), mat
 
 
 def test_spanning_tree_count_triangle():

@@ -267,6 +267,23 @@ def test_routing_matches_literal_step_oracle():
         assert route_to_sink(g, t, x)[1].emitters() == trace.emitters()
 
 
+def test_route_all_chip_through_sink_outside_stop_set_raises():
+    # the sink carries no rotor, so walking a chip on from it would depend
+    # on a rotor that no RotorConfiguration records
+    g = build_graph(["a", "b", "c", "s"], "s",
+                    {"a": ["s"], "b": ["a"], "c": ["a"], "s": ["b", "c"]})
+    t = RotorConfiguration.uniform(g, 0)
+    with pytest.raises(ChipAtSinkError):
+        route_all(g, t, {"a": 2}, {"b", "c"})
+    with pytest.raises(ChipAtSinkError):
+        route_all(g, t, {"a": 1}, {"b", "c"})
+    with pytest.raises(ChipAtSinkError):
+        route_all(g, t, {"s": 1}, {"b"})
+    assert route_all(g, t, {"a": 2}, {"b", "c", "s"})[0] == {"s": 2}
+    assert route_all(g, t, {"b": 1, "s": 1}, {"a", "s"})[0] == {"a": 1,
+                                                                "s": 1}
+
+
 def test_step_budget_exceeded():
     from rotorlab.walk import StepBudgetExceededError
     g = build_graph(["a", "b", "c", "s"], "s",
