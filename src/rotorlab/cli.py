@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from rotorlab import acceptance
@@ -136,8 +137,11 @@ def _load_escape_config(args) -> LazyTreeConfig:
         if args.preset == "alternating":
             return alternating_tree_config()
         if args.preset.startswith("uniform-"):
-            _, d, c = args.preset.split("-")
-            return uniform_config(int(d), int(c))
+            match = re.fullmatch(r"uniform-([0-9]+)-([0-9]+)", args.preset)
+            if not match:
+                raise ValueError(f"malformed preset {args.preset!r}: expected "
+                                 "uniform-<D>-<C> with decimal integers")
+            return uniform_config(int(match[1]), int(match[2]))
         raise ValueError(f"unknown preset {args.preset!r}")
     with open(args.config) as fh:
         return LazyTreeConfig.from_json(fh.read())

@@ -24,7 +24,12 @@ from rotorlab.graph import (
     reduced_laplacian,
     spanning_tree_count,
 )
-from rotorlab.walk import reverse_walk, route_to_sink
+from rotorlab.walk import (
+    DEFAULT_STEP_BUDGET,
+    _route,
+    reverse_walk,
+    route_to_sink,
+)
 
 
 class NotRecurrentError(GraphError):
@@ -78,10 +83,17 @@ def order_of_generator(g: DirectedMultigraph, x: str,
 
 def _orbit_period(g: DirectedMultigraph, x: str, t0: RotorConfiguration,
                   cap: int) -> int:
-    t = t0
+    t0.validate(g)
+    if x not in g.index:
+        raise GraphError(f"unknown vertex {x!r}")
+    start = g.slots_to_full(t0)
+    full = start[:]
+    v = g.index[x]
+    stops = (g.sink_index,)
+    emitters: set[int] = set()
     for k in range(1, cap + 1):
-        t, _ = route_to_sink(g, t, x)
-        if t == t0:
+        _route(g, full, v, stops, emitters, None, 0, DEFAULT_STEP_BUDGET)
+        if full == start:
             return k
     raise BudgetExceededError(f"order of e_{x} exceeds cap {cap}")
 
@@ -253,56 +265,104 @@ def sandpile_structure(g: DirectedMultigraph) -> SandpileGroupStructure:
     return SandpileGroupStructure(factors)
 
 
+def _generator_tables(g: DirectedMultigraph,
+                      recs: list[RotorConfiguration]) -> list[list[int]]:
+    """Each generator's action as a table over the recurrent states.
+
+    ``perm[v][i]`` is the index in ``recs`` of e_x(recs[i]), x being the
+    vertex with index v; the chip is routed by ``_route``, the kernel of
+    ``route_to_sink``.  The sink's table is the identity.
+    """
+    fulls = [g.slots_to_full(t) for t in recs]
+    # keyed on whole lists: the sink is a stop, so its unused entry stays 0
+    where = {tuple(full): i for i, full in enumerate(fulls)}
+    stops = (g.sink_index,)
+    emitters: set[int] = set()
+    perm = []
+    for v in range(len(g.vertices)):
+        if v == g.sink_index:
+            perm.append(list(range(len(recs))))
+            continue
+        row = []
+        for full in fulls:
+            image = full[:]
+            _route(g, image, v, stops, emitters, None, 0, DEFAULT_STEP_BUDGET)
+            i = where.get(tuple(image))
+            if i is None:
+                raise NotRecurrentError("generators act on recurrent "
+                                        "configurations")
+            row.append(i)
+        perm.append(row)
+    return perm
+
+
+def _apply(tables: list[list[int]], i: int) -> int:
+    """Index of the state reached from state i through ``tables`` in turn."""
+    for table in tables:
+        i = table[i]
+    return i
+
+
 def verify_transitivity(g: DirectedMultigraph,
                         limit: int = 1_000_000) -> bool:
-    """The generators reach every recurrent state from every other.
-
-    Checks the constructive group element prod e_x^{u(x)-v(x)} mapping the
-    first canonical state to each other state, then confirms orbit closure
-    by breadth-first search as an independent route.
-    """
+    """The generators reach every recurrent state from every other."""
     recs = enumerate_recurrent(g, limit)
-    if len(recs) <= 1:
-        return True
-    t1 = recs[0]
-    for t2 in recs[1:]:
-        if _constructive_transport(g, t1, t2) != t2:
+    return _transitive(g, recs, _generator_tables(g, recs))
+
+
+def _transitive(g: DirectedMultigraph, recs: list[RotorConfiguration],
+                perm: list[list[int]]) -> bool:
+    """Transitivity of the action given by the generator tables.
+
+    Applies the constructive group element prod e_x^{u(x)-v(x)} of the
+    transitivity proof to the first state, aiming at each other state: u(x)
+    counts rotor turns from t1(x) to t2(x), v(x) counts chips landing at x
+    when u(y) chips at each y take a single step from t1.  Negative
+    exponents use the inverse tables.  Then confirms orbit closure by
+    breadth-first search over the tables as an independent route.  False
+    when a table is not a permutation.
+    """
+    n = len(recs)
+    inv = []
+    for row in perm:
+        back = [-1] * n
+        for i, j in enumerate(row):
+            back[j] = i
+        if -1 in back:
             return False
-    # independent confirmation: BFS orbit of t1 under all generators
-    seen = {t1.slots}
-    frontier = [t1]
+        inv.append(back)
+    if n <= 1:
+        return True
+    movers = [v for v in range(len(g.vertices)) if v != g.sink_index]
+    out_idx = g.out_idx
+    deg = g.deg_idx
+    t1 = g.slots_to_full(recs[0])
+    for k in range(1, n):
+        t2 = g.slots_to_full(recs[k])
+        turns = {y: (t2[y] - t1[y]) % deg[y] for y in movers}
+        landed = [0] * len(g.vertices)
+        for y, u in turns.items():
+            for j in range(1, u + 1):
+                landed[out_idx[y][(t1[y] + j) % deg[y]]] += 1
+        i = 0
+        for x in movers:
+            e = turns[x] - landed[x]
+            i = _apply([perm[x] if e > 0 else inv[x]] * abs(e), i)
+        if i != k:
+            return False
+    # independent confirmation: BFS orbit of the first state
+    seen = {0}
+    frontier = [0]
     while frontier:
         nxt = []
-        for t in frontier:
-            for x in g.rotor_vertices:
-                t2, _ = route_to_sink(g, t, x)
-                if t2.slots not in seen:
-                    seen.add(t2.slots)
-                    nxt.append(t2)
+        for i in frontier:
+            for x in movers:
+                j = perm[x][i]
+                if j not in seen:
+                    seen.add(j)
+                    nxt.append(j)
         frontier = nxt
-    return len(seen) == len(recs)
-
-
-def _constructive_transport(g: DirectedMultigraph, t1: RotorConfiguration,
-                            t2: RotorConfiguration) -> RotorConfiguration:
-    """Apply prod e_x^{u(x)-v(x)} to t1, following the transitivity proof.
-
-    u(x) counts rotor turns from t1(x) to t2(x); v(x) counts chips landing
-    at x when u(y) chips at each y take a single step from t1.
-    """
-    u: dict[str, int] = {}
-    for x in g.rotor_vertices:
-        u[x] = (t2.slot(g, x) - t1.slot(g, x)) % g.outdeg(x)
-    v: dict[str, int] = {x: 0 for x in g.vertices}
-    for y in g.rotor_vertices:
-        s = t1.slot(g, y)
-        for i in range(1, u[y] + 1):
-            tgt = g.out[y][(s + i) % g.outdeg(y)]
-            v[tgt] += 1
-    t = t1
-    for x in g.rotor_vertices:
-        t = apply_generator(g, t, x, u[x] - v.get(x, 0))
-    return t
+    return len(seen) == n
 
 
 @dataclass
@@ -346,60 +406,40 @@ def verify_isomorphism(g: DirectedMultigraph,
                        limit: int = 1_000_000) -> IsomorphismReport:
     """Check the group isomorphism exhaustively on the recurrent states.
 
-    Verifies that the recurrent-state count equals the Smith normal form
-    group order, that each Laplacian relation e_x^{d_x} = prod_y e_y^{d_xy}
-    holds as a map, that e_sink acts as the identity, that generators
-    commute pairwise, that the action is transitive, and that each e_x is a
-    bijection inverted by reverse_walk.
+    Each e_x is computed once per recurrent state, as a table of state
+    indices.  On those tables it verifies that each Laplacian relation
+    e_x^{d_x} = prod_y e_y^{d_xy} holds as a map, that generators commute
+    pairwise, that every e_x is injective and that the action is
+    transitive.  It also verifies that the recurrent-state count equals the
+    Smith normal form group order, that route_to_sink from the sink is the
+    identity, and that reverse_walk, run literally, maps every e_x(t) back
+    to t.
     """
     recs = enumerate_recurrent(g, limit)
     structure = sandpile_structure(g)
+    perm = _generator_tables(g, recs)
+    n = len(recs)
+    movers = [v for v in range(len(g.vertices)) if v != g.sink_index]
 
-    relations_ok = True
-    for x in g.rotor_vertices:
-        dx = g.outdeg(x)
-        for t in recs:
-            lhs = apply_generator(g, t, x, dx)
-            rhs = t
-            for y in g.out[x]:
-                rhs = apply_generator(g, rhs, y, 1)
-            if lhs != rhs:
-                relations_ok = False
-                break
-        if not relations_ok:
-            break
+    relations_ok = all(
+        _apply([perm[x]] * g.deg_idx[x], i)
+        == _apply([perm[y] for y in g.out_idx[x]], i)
+        for x in movers for i in range(n))
 
     sink_identity_ok = all(route_to_sink(g, t, g.sink)[0] == t for t in recs)
 
-    commutes_ok = True
-    for xi, x in enumerate(g.rotor_vertices):
-        for y in g.rotor_vertices[xi + 1:]:
-            for t in recs:
-                xy = apply_generator(g, apply_generator(g, t, x), y)
-                yx = apply_generator(g, apply_generator(g, t, y), x)
-                if xy != yx:
-                    commutes_ok = False
-                    break
-            if not commutes_ok:
-                break
-        if not commutes_ok:
-            break
+    commutes_ok = all(
+        perm[x][perm[y][i]] == perm[y][perm[x][i]]
+        for xi, x in enumerate(movers) for y in movers[xi + 1:]
+        for i in range(n))
 
-    bijective_ok = True
-    for x in g.vertices:
-        images = set()
-        for t in recs:
-            t2, _ = route_to_sink(g, t, x)
-            images.add(t2.slots)
-            if reverse_walk(g, t2, x) != t:
-                bijective_ok = False
-                break
-        if len(images) != len(recs):
-            bijective_ok = False
-        if not bijective_ok:
-            break
+    bijective_ok = all(
+        len(set(perm[x])) == n
+        and all(reverse_walk(g, recs[perm[x][i]], name) == recs[i]
+                for i in range(n))
+        for x, name in enumerate(g.vertices))
 
-    transitive_ok = verify_transitivity(g, limit)
+    transitive_ok = _transitive(g, recs, perm)
 
     report = IsomorphismReport(
         rec_count=len(recs),

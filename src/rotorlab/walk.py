@@ -183,19 +183,24 @@ def reverse_walk(g: DirectedMultigraph, t_final: RotorConfiguration, x: str,
     Each reverse step picks the unique legal predecessor.  In a cyclic state
     the predecessor lies on the rotor cycle through the chip; in a recurrent
     state the chip is at its first visit, and the predecessor is found by
-    walking the rotor path from x.
+    walking the rotor path from x.  The configuration is validated once and
+    then kept as a per-vertex slot list and a rotor-target list, each reverse
+    step decrementing one rotor in both.
     """
     t_final.validate(g)
     if x not in g.index:
         raise GraphError(f"unknown vertex {x!r}")
-    t = t_final
-    chip = g.sink
+    out_idx = g.out_idx
+    deg = g.deg_idx
+    full = g.slots_to_full(t_final)
+    tgt = _rotor_targets(g, t_final)
+    start = g.index[x]
+    chip = g.sink_index
     count = 0
     while True:
-        tgt = _rotor_targets(g, t)
         rec = _acyclic(g, tgt)
-        if rec and chip == x:
-            return t
+        if rec and chip == start:
+            return g.full_to_slots(full)
         if count >= step_budget:
             raise StepBudgetExceededError(f"exceeded {step_budget} reverse steps")
         if not rec:
@@ -203,38 +208,40 @@ def reverse_walk(g: DirectedMultigraph, t_final: RotorConfiguration, x: str,
             z = _cycle_predecessor(g, tgt, chip)
         else:
             # first visit to chip: last exit from the rotor path out of x
-            z = _path_predecessor(g, tgt, x, chip)
-        t, chip = predecessor(g, t, chip, g.vertices[z])
+            z = _path_predecessor(g, tgt, start, chip)
+        s = (full[z] - 1) % deg[z]
+        full[z] = s
+        tgt[z] = out_idx[z][s]
+        chip = z
         count += 1
 
 
-def _cycle_predecessor(g: DirectedMultigraph, tgt: list[int], chip: str) -> int:
+def _cycle_predecessor(g: DirectedMultigraph, tgt: list[int], chip: int) -> int:
     """Vertex preceding the chip on the rotor cycle through it."""
-    start = g.index[chip]
-    v = start
+    v = chip
     seen = set()
     while True:
         if v in seen or v == g.sink_index:
             raise WalkError("rotor cycle does not pass through the chip")
         seen.add(v)
         w = tgt[v]
-        if w == start:
+        if w == chip:
             return v
         v = w
 
 
-def _path_predecessor(g: DirectedMultigraph, tgt: list[int], x: str,
-                      chip: str) -> int:
+def _path_predecessor(g: DirectedMultigraph, tgt: list[int], x: int,
+                      chip: int) -> int:
     """Vertex before the first occurrence of chip on the rotor path from x."""
-    v = g.index[x]
-    goal = g.index[chip]
+    v = x
     seen = set()
     while True:
         if v in seen or v == g.sink_index:
-            raise WalkError(f"rotor path from {x!r} misses {chip!r}")
+            raise WalkError(f"rotor path from {g.vertices[x]!r} misses "
+                            f"{g.vertices[chip]!r}")
         seen.add(v)
         w = tgt[v]
-        if w == goal:
+        if w == chip:
             return v
         v = w
 

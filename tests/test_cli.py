@@ -96,8 +96,12 @@ def _complete_graph_json(n):
     ("group", {"vertices": ["a", "s"], "sink": "s",
                "out": {"a": 5, "s": ["a"]}}, "'out'"),
     ("group", _complete_graph_json(9), "limit 1000000"),
+    ("preset", "uniform-3--1", "uniform-<D>-<C>"),
+    ("preset", "uniform-3", "uniform-<D>-<C>"),
+    ("preset", "uniform-x-1", "uniform-<D>-<C>"),
 ], ids=["string-degree", "list-root", "string-override-dir",
-        "number-out-list", "k9-too-large"])
+        "number-out-list", "k9-too-large", "preset-negative-direction",
+        "preset-missing-direction", "preset-nondecimal-degree"])
 def test_malformed_input_exits_2_with_one_error_line(capsys, tmp_path,
                                                      command, payload, needle):
     path = tmp_path / "input.json"
@@ -107,6 +111,7 @@ def test_malformed_input_exits_2_with_one_error_line(capsys, tmp_path,
                       "--config", str(path)],
         "simulate": ["escape", "simulate", "--config", str(path), "--m", "3"],
         "group": ["group", str(path)],
+        "preset": ["escape", "simulate", "--preset", payload, "--m", "3"],
     }[command]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2

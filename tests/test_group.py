@@ -16,6 +16,7 @@ from rotorlab.graph import (
 )
 from rotorlab.group import (
     GroupElement,
+    IsomorphismReport,
     NotRecurrentError,
     apply_generator,
     order_of_generator,
@@ -26,6 +27,7 @@ from rotorlab.group import (
 )
 from rotorlab.sampling import random_multigraph, random_recurrent_config
 from rotorlab.trees import build_wired_tree
+from rotorlab.walk import reverse_walk, route_to_sink
 
 
 def two_cycle():
@@ -424,3 +426,140 @@ def test_order_witness_disagreement_raises_result_check(monkeypatch):
     monkeypatch.setattr(group, "_orbit_period", lambda *args: next(periods))
     with pytest.raises(ResultCheckError):
         order_of_generator(g, "a", verify_witnesses=1)
+
+
+def transport_oracle(g, t1, t2):
+    """Apply prod e_x^{u(x)-v(x)} to t1 through apply_generator, following
+    the transitivity proof: u(x) counts rotor turns from t1(x) to t2(x),
+    v(x) counts chips landing at x when u(y) chips at each y take a single
+    step from t1."""
+    u = {x: (t2.slot(g, x) - t1.slot(g, x)) % g.outdeg(x)
+         for x in g.rotor_vertices}
+    v = {x: 0 for x in g.vertices}
+    for y in g.rotor_vertices:
+        s = t1.slot(g, y)
+        for i in range(1, u[y] + 1):
+            v[g.out[y][(s + i) % g.outdeg(y)]] += 1
+    t = t1
+    for x in g.rotor_vertices:
+        t = apply_generator(g, t, x, u[x] - v[x])
+    return t
+
+
+def transitivity_oracle(g, limit=1_000_000):
+    """Literal oracle for verify_transitivity: the constructive transport
+    from the first state to each other one, then a breadth-first orbit
+    under route_to_sink."""
+    recs = enumerate_recurrent(g, limit)
+    if len(recs) <= 1:
+        return True
+    t1 = recs[0]
+    if any(transport_oracle(g, t1, t2) != t2 for t2 in recs[1:]):
+        return False
+    seen = {t1.slots}
+    frontier = [t1]
+    while frontier:
+        nxt = []
+        for t in frontier:
+            for x in g.rotor_vertices:
+                t2, _ = route_to_sink(g, t, x)
+                if t2.slots not in seen:
+                    seen.add(t2.slots)
+                    nxt.append(t2)
+        frontier = nxt
+    return len(seen) == len(recs)
+
+
+def isomorphism_oracle(g, limit=1_000_000):
+    """Literal oracle for verify_isomorphism: every check recomputes each
+    generator through apply_generator or route_to_sink, call by call."""
+    recs = enumerate_recurrent(g, limit)
+    structure = sandpile_structure(g)
+    relations_ok = True
+    for x in g.rotor_vertices:
+        for t in recs:
+            rhs = t
+            for y in g.out[x]:
+                rhs = apply_generator(g, rhs, y, 1)
+            if apply_generator(g, t, x, g.outdeg(x)) != rhs:
+                relations_ok = False
+    commutes_ok = all(
+        apply_generator(g, apply_generator(g, t, x), y)
+        == apply_generator(g, apply_generator(g, t, y), x)
+        for x, y in combinations(g.rotor_vertices, 2) for t in recs)
+    bijective_ok = True
+    for x in g.vertices:
+        images = set()
+        for t in recs:
+            t2, _ = route_to_sink(g, t, x)
+            images.add(t2.slots)
+            if reverse_walk(g, t2, x) != t:
+                bijective_ok = False
+        if len(images) != len(recs):
+            bijective_ok = False
+    return IsomorphismReport(
+        rec_count=len(recs),
+        sp_order=structure.order,
+        invariant_factors=structure.factors,
+        relations_ok=relations_ok,
+        commutes_ok=commutes_ok,
+        transitive_ok=transitivity_oracle(g, limit),
+        sink_identity_ok=all(route_to_sink(g, t, g.sink)[0] == t
+                             for t in recs),
+        bijective_ok=bijective_ok,
+    )
+
+
+def test_verify_isomorphism_matches_literal_oracle():
+    rng = random.Random(53)
+    graphs = [random_multigraph(rng, 3 + k % 4) for k in range(60)]
+    graphs.append(build_wired_tree(3, 3)[0])
+    for g in graphs:
+        want = isomorphism_oracle(g).to_json_dict()
+        assert want["ok"]
+        assert verify_isomorphism(g).to_json_dict() == want
+        assert verify_transitivity(g) is want["transitive_ok"]
+
+
+def test_swapped_generator_images_fail_the_check(monkeypatch):
+    real = group._generator_tables
+
+    def swapped(g, recs):
+        perm = real(g, recs)
+        row = perm[g.index["a"]]
+        row[0], row[1] = row[1], row[0]
+        return perm
+
+    monkeypatch.setattr(group, "_generator_tables", swapped)
+    rep = verify_isomorphism(triangle())
+    assert rep.ok is False
+    # the literal reverse walk returns the other preimage
+    assert rep.bijective_ok is False
+
+
+def test_generator_image_outside_recurrent_states_raises(monkeypatch):
+    # the tables are built over all but the last state, whose preimages
+    # then land outside the index
+    real = group._generator_tables
+    monkeypatch.setattr(group, "_generator_tables",
+                        lambda g, recs: real(g, recs[:-1]))
+    with pytest.raises(NotRecurrentError):
+        verify_isomorphism(triangle())
+
+
+def test_orbit_period_matches_route_to_sink_loop():
+    rng = random.Random(59)
+    for _ in range(20):
+        g = random_multigraph(rng, rng.randrange(2, 7))
+        t0 = random_recurrent_config(g, rng)
+        for x in g.vertices:
+            t, k = route_to_sink(g, t0, x)[0], 1
+            while t != t0:
+                t, k = route_to_sink(g, t, x)[0], k + 1
+            assert group._orbit_period(g, x, t0, 10 ** 6) == k
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_root_order_of_ternary_wired_tree(n):
+    # the paper's root order: e_r has order 2^n - 1 on wired(3, n)
+    assert order_of_generator(build_wired_tree(3, n)[0], "r") == 2 ** n - 1

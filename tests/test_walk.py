@@ -1,10 +1,15 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from rotorlab.graph import (
+    GraphError,
     RotorConfiguration,
+    StepBudgetExceededError,
+    _acyclic,
+    _rotor_targets,
     build_graph,
     classify,
     enumerate_recurrent,
@@ -16,6 +21,7 @@ from rotorlab.walk import (
     NotAPredecessorError,
     NotHarmonicAtEmitterError,
     RotorsNotRestoredError,
+    WalkError,
     WalkTrace,
     check_harmonic_invariant,
     predecessor,
@@ -141,6 +147,82 @@ def test_reverse_walk_round_trip_exhaustive():
             for x in g.vertices:
                 t2, _ = route_to_sink(g, t, x)
                 assert reverse_walk(g, t2, x) == t
+
+
+def reverse_walk_oracle(g, t_final, x, step_budget=10 ** 9):
+    """Literal oracle for reverse_walk: one predecessor() call per reverse
+    step, with the rotor targets of a fresh configuration recomputed each
+    time."""
+    t_final.validate(g)
+    if x not in g.index:
+        raise GraphError(f"unknown vertex {x!r}")
+    t, chip, count = t_final, g.sink, 0
+    while True:
+        tgt = _rotor_targets(g, t)
+        rec = _acyclic(g, tgt)
+        if rec and chip == x:
+            return t
+        if count >= step_budget:
+            raise StepBudgetExceededError(f"exceeded {step_budget} reverse steps")
+        # the predecessor precedes the chip on the rotor cycle through it
+        # or, at a first visit, on the rotor path from x
+        goal = g.index[chip]
+        v = g.index[x] if rec else goal
+        seen = set()
+        while True:
+            if v in seen or v == g.sink_index:
+                raise WalkError(f"rotor path from {x!r} misses {chip!r}" if rec
+                                else "rotor cycle does not pass through the chip")
+            seen.add(v)
+            if tgt[v] == goal:
+                break
+            v = tgt[v]
+        t, chip = predecessor(g, t, chip, g.vertices[v])
+        count += 1
+
+
+def outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except GraphError as exc:
+        return type(exc), str(exc)
+
+
+def test_reverse_walk_matches_predecessor_oracle():
+    rng = random.Random(37)
+    for _ in range(30):
+        g = random_multigraph(rng, rng.randrange(2, 7))
+        for t in enumerate_recurrent(g):
+            for x in g.vertices:
+                assert reverse_walk(g, t, x) == reverse_walk_oracle(g, t, x)
+
+
+def test_reverse_walk_errors_match_predecessor_oracle():
+    rng = random.Random(41)
+    cases = 0
+    for _ in range(10):
+        g = random_multigraph(rng, rng.randrange(2, 5))
+        every = product(*(range(g.outdeg(v)) for v in g.rotor_vertices))
+        for slots in every:
+            t = RotorConfiguration(slots)
+            for x in g.vertices:
+                budget = rng.randrange(4)
+                for kwargs in ({}, {"step_budget": budget}):
+                    want = outcome(reverse_walk_oracle, g, t, x, **kwargs)
+                    assert outcome(reverse_walk, g, t, x, **kwargs) == want
+                    cases += isinstance(want, tuple)
+        bad = [RotorConfiguration(slots + (0,)),
+               RotorConfiguration((g.outdeg(g.rotor_vertices[0]),)
+                                  + slots[1:])]
+        for t in bad:
+            want = outcome(reverse_walk_oracle, g, t, g.sink)
+            assert want[0].__name__ == "ConfigError"
+            assert outcome(reverse_walk, g, t, g.sink) == want
+        t = enumerate_recurrent(g)[0]
+        want = outcome(reverse_walk_oracle, g, t, "nowhere")
+        assert want == (GraphError, "unknown vertex 'nowhere'")
+        assert outcome(reverse_walk, g, t, "nowhere") == want
+    assert cases > 100
 
 
 def test_routing_injective_on_recurrent():
