@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 a verified property failed (that would be a bug),
 2 bad input, 3 word not realizable.  Output is deterministic JSON: same
-request, same bytes.
+request, same bytes.  A request for more than MAX_CHIPS chips exits 2
+before any walking.
 """
 
 from __future__ import annotations
@@ -43,6 +44,10 @@ from rotorlab.trees import BadParametersError, build_wired_tree
 
 OK, VERDICT_FAIL, INPUT_ERROR, NOT_REALIZABLE = 0, 1, 2, 3
 
+# The most chips one command walks (aggregate, escape simulate).  Larger
+# requests exit 2 before any walking, so both end in bounded time.
+MAX_CHIPS = 10 ** 6
+
 
 def _emit(payload: dict, out_path: str | None) -> None:
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
@@ -58,6 +63,23 @@ def _fail(msg: str, code: int) -> int:
     return code
 
 
+def _check_chips(request: str, chips: int) -> None:
+    if chips > MAX_CHIPS:
+        raise ValueError(f"{request} is above the chip limit {MAX_CHIPS}")
+
+
+def _radius_chips(d: int, radius: int) -> int:
+    """b_radius, checked against MAX_CHIPS.  b_radius > 2^radius, so a
+    radius past MAX_CHIPS.bit_length() is refused before the power that
+    ball_size would take."""
+    if radius > MAX_CHIPS.bit_length():
+        raise ValueError(f"--radius {radius} (b_{radius} > 2^{radius} chips) "
+                         f"is above the chip limit {MAX_CHIPS}")
+    chips = ball_size(d, radius)
+    _check_chips(f"--radius {radius} (b_{radius} = {chips} chips)", chips)
+    return chips
+
+
 def cmd_aggregate(args) -> int:
     try:
         if args.config:
@@ -71,11 +93,12 @@ def cmd_aggregate(args) -> int:
             return _fail("--chips and --radius are mutually exclusive",
                          INPUT_ERROR)
         if args.radius is not None:
-            chips = ball_size(args.d, args.radius)
+            chips = _radius_chips(args.d, args.radius)
         else:
             chips = args.chips
         if chips is None or chips < 1:
             return _fail("need --chips or --radius", INPUT_ERROR)
+        _check_chips(f"--chips {chips}", chips)
     except (OSError, ValueError, LazyTreeError) as exc:
         return _fail(str(exc), INPUT_ERROR)
 
@@ -203,7 +226,11 @@ def cmd_escape(args) -> int:
             return _fail(str(exc), INPUT_ERROR)
         if args.m < 0:
             return _fail("--m must be nonnegative", INPUT_ERROR)
-        res = run_chips_infinite(cfg, args.m)
+        try:
+            _check_chips(f"--m {args.m}", args.m)
+            res = run_chips_infinite(cfg, args.m)
+        except (ValueError, LazyTreeError) as exc:
+            return _fail(str(exc), INPUT_ERROR)
         payload = {
             "m": args.m,
             "word": res.word,
@@ -241,9 +268,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_agg = sub.add_parser("aggregate", help="grow a rotor-router cluster")
     p_agg.add_argument("--d", type=int, required=True, help="tree degree")
-    p_agg.add_argument("--chips", type=int, help="number of chips")
+    p_agg.add_argument("--chips", type=int,
+                       help=f"number of chips (at most {MAX_CHIPS})")
     p_agg.add_argument("--radius", type=int,
-                       help="grow exactly b_radius chips")
+                       help="grow exactly b_radius chips (b_radius at most "
+                            f"{MAX_CHIPS})")
     p_agg.add_argument("--config", help="lazy tree config JSON path")
     p_agg.add_argument("--out", help="write the JSON report here")
     p_agg.add_argument("--dot", help="write a DOT snapshot here")
@@ -269,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_esc.add_argument("--preset",
                        help="simulate preset: alternating or uniform-D-C")
     p_esc.add_argument("--m", type=int, default=0,
-                       help="number of chips (simulate)")
+                       help=f"number of chips (simulate; at most {MAX_CHIPS})")
     p_esc.add_argument("--out", help="write the JSON report here")
     p_esc.set_defaults(func=cmd_escape)
 

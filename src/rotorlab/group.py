@@ -64,13 +64,17 @@ def order_of_generator(g: DirectedMultigraph, x: str,
 
     The action is transitive and abelian, so the period of any orbit point
     equals the order of e_x in the group; ``verify_witnesses`` extra random
-    witnesses are checked for agreement.
+    witnesses are checked for agreement.  A witness that is not recurrent
+    raises NotRecurrentError before any routing.
     """
     from rotorlab.sampling import random_recurrent_config
     from rotorlab.graph import shortest_path_config
 
     if witness is None:
         witness = shortest_path_config(g)
+    elif not is_recurrent(g, witness):
+        # off the recurrent states an orbit need not return to its start
+        raise NotRecurrentError("generators act on recurrent configurations")
     order = _orbit_period(g, x, witness, cap)
     if verify_witnesses:
         rng = rng or random.Random(0)

@@ -28,11 +28,26 @@ materialized rotors:
 * pass counts -- how many escape rays have run through a vertex, which
   offsets its base direction.
 
+Inside ``TreeState`` every vertex the engine touches gets an integer id on
+first contact, and the state lives in flat per-id tables: parent, depth,
+rotor (0 while not materialized), a block of child-id slots, and the
+static ``NodeKind`` (base direction, config ray and offset, level region,
+the structure below), derived from the parent's kind when the id is made.
+Sparse maps keyed by id hold the pass count, the absolute depth reached by
+the deepest patch covering the vertex, and the number of pending ray tips
+on its ancestor chain.  Setting a patch or moving a tip updates these on
+every descendant that already has an id, so each lookup during a walk is a
+table read.  Addresses stay the currency of the API: ``effective(addr)``,
+``ensure_rays(addr)``, ``ChipResult.site`` and ``visited``, the
+address-keyed snapshots ``rotors``, ``patches``, ``ray_counts`` and
+``ray_tips``, aggregation ``stops`` and ``occupied``, JSON and DOT.
+
 Every shortcut is exact: the literal step-by-step engine (fast_paths=False)
-computes the same words, the same depths for chips that return, and the same
-effective directions, and the test suite cross-checks the two.  The depth
-reported for an escaped chip is the depth at which that engine proved the
-escape, so the two engines can report different depths for the same chip.
+runs on the same tables and computes the same words, the same depths for
+chips that return, and the same effective directions, and the test suite
+cross-checks the two.  The depth reported for an escaped chip is the depth
+at which that engine proved the escape, so the two engines can report
+different depths for the same chip.
 
 Aggregation runs on the same walk: ``walk_chip(settle=True)`` also stops a
 chip on the first vertex whose rotor is not yet materialized.
@@ -42,6 +57,7 @@ from __future__ import annotations
 
 import json
 import random
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -85,17 +101,6 @@ class RayRule:
     pattern: tuple[int, ...]
     direction: int
 
-    def contains(self, addr: Address) -> bool:
-        k = len(self.start)
-        if addr[:k] != self.start or len(addr) < k:
-            return False
-        rel = addr[k:]
-        return all(c == self.pattern[i % len(self.pattern)]
-                   for i, c in enumerate(rel))
-
-    def offset_of(self, addr: Address) -> int:
-        return len(addr) - len(self.start)
-
 
 @dataclass(frozen=True)
 class LevelRegion:
@@ -103,6 +108,26 @@ class LevelRegion:
 
     addr: Address
     h: int
+
+
+class NodeKind:
+    """What a config fixes about one vertex: its base direction, the first
+    config ray through it as (index, offset mod period) and all of them in
+    ``rays``, and the deepest level region at or above it.  ``kids`` maps
+    child indices to the kinds of the structure addresses (overrides,
+    regions, ray starts and their prefixes) just below; it is None off the
+    structure and nonempty exactly on proper prefixes of it."""
+
+    __slots__ = ("base", "kids", "ray", "region", "rays")
+
+    def __init__(self, base: int, ray: tuple[int, int] | None,
+                 region: LevelRegion | None,
+                 rays: tuple[tuple[int, int], ...]) -> None:
+        self.base = base
+        self.kids: dict[int, NodeKind] | None = None
+        self.ray = ray
+        self.region = region
+        self.rays = rays
 
 
 @dataclass(frozen=True)
@@ -172,60 +197,105 @@ class LazyTreeConfig:
             if not 1 <= c <= hi:
                 raise LazyTreeError(f"bad address {addr}")
 
-    # -- cached lookup structures --------------------------------------------
-
-    @cached_property
-    def _override_dict(self) -> dict[Address, int]:
-        return dict(self.overrides)
-
-    @cached_property
-    def _region_dict(self) -> dict[Address, LevelRegion]:
-        return {reg.addr: reg for reg in self.regions}
-
-    @cached_property
-    def structure_prefixes(self) -> frozenset[Address]:
-        """Proper prefixes of every override, region, and ray-start address."""
-        prefixes: set[Address] = set()
-        addrs = [a for a, _ in self.overrides]
-        addrs += [reg.addr for reg in self.regions]
-        addrs += [ray.start for ray in self.rays]
-        for a in addrs:
-            for k in range(len(a)):
-                prefixes.add(a[:k])
-        return frozenset(prefixes)
-
     # -- base directions ----------------------------------------------------
 
+    def _kind(self, override: int | None, rays: tuple[tuple[int, int], ...],
+              region: LevelRegion | None, depth: int) -> NodeKind:
+        """The base direction is the override, else the first config ray's
+        direction, else the level region's, else 1 at a branch-mode origin,
+        else the default."""
+        ray = min(rays) if rays else None
+        if override is not None:
+            base = override
+        elif ray is not None:
+            base = self.rays[ray[0]].direction
+        elif region is not None:
+            rel = depth - len(region.addr)
+            base = self.d - 1 if rel < region.h else self.d
+        elif depth == 0 and self.mode == "branch":
+            base = 1
+        else:
+            base = self.default
+        return NodeKind(base, ray, region, rays)
+
+    def _step_rays(self, rays: tuple[tuple[int, int], ...],
+                   c: int) -> tuple[tuple[int, int], ...]:
+        """The config rays of a parent that go on through its child c."""
+        pattern = [ray.pattern for ray in self.rays]
+        return tuple((i, (o + 1) % len(pattern[i]))
+                     for i, o in rays if pattern[i][o] == c)
+
+    @cached_property
+    def root_kind(self) -> NodeKind:
+        """The origin's kind, with the kinds of the structure below it."""
+        overrides = dict(self.overrides)
+        regions = {reg.addr: reg for reg in self.regions}
+        starts: dict[Address, tuple[int, ...]] = {}
+        for i, ray in enumerate(self.rays):
+            starts[ray.start] = starts.get(ray.start, ()) + (i,)
+        marked = [*overrides, *regions, *starts]
+        made: dict[Address, NodeKind] = {}
+        for addr in sorted({a[:k] for a in marked for k in range(len(a) + 1)}
+                           | {ORIGIN}):
+            up = made.get(addr[:-1]) if addr else None
+            rays = self._step_rays(up.rays, addr[-1]) if up and up.rays \
+                else ()
+            rays += tuple((i, 0) for i in starts.get(addr, ()))
+            region = regions.get(addr, up.region if up else None)
+            kind = made[addr] = self._kind(overrides.get(addr), rays, region,
+                                           len(addr))
+            kind.kids = {}
+            if up:
+                up.kids[addr[-1]] = kind
+        return made[ORIGIN]
+
+    @cached_property
+    def _shared_kinds(self) -> dict[tuple, NodeKind]:
+        return {}
+
+    def child_kind(self, kind: NodeKind, c: int, depth: int) -> NodeKind:
+        """Kind of child ``c`` (at ``depth``) of a vertex of kind ``kind``.
+
+        Off the structure a kind depends only on the config rays through
+        the vertex, its region and whether it lies in the region's tail, so
+        those kinds are shared."""
+        if kind.kids:
+            sub = kind.kids.get(c)
+            if sub is not None:
+                return sub
+        rays = self._step_rays(kind.rays, c) if kind.rays else ()
+        region = kind.region
+        tail = (region is not None and not rays
+                and depth - len(region.addr) >= region.h)
+        key = (rays, id(region), tail)
+        shared = self._shared_kinds.get(key)
+        if shared is None:
+            shared = self._shared_kinds[key] = self._kind(None, rays, region,
+                                                          depth)
+        return shared
+
+    @cached_property
+    def _kinds_at(self) -> dict[Address, NodeKind]:
+        return {}
+
+    def kind_at(self, addr: Address) -> NodeKind:
+        """The kind of the vertex at an address, memoized: a query whose
+        parent was asked before costs one step."""
+        memo = self._kinds_at
+        kind = memo.get(addr)
+        if kind is None:
+            up = memo.get(addr[:-1]) if addr else None
+            if up is not None:
+                kind = self.child_kind(up, addr[-1], len(addr))
+            else:
+                kind = self.root_kind
+                for depth, c in enumerate(addr, 1):
+                    kind = self.child_kind(kind, c, depth)
+            memo[addr] = kind
+        return kind
+
     def base_direction(self, addr: Address) -> int:
-        dirn = self._override_dict.get(addr)
-        if dirn is not None:
-            return dirn
-        ray = self.ray_at(addr)
-        if ray is not None:
-            return ray.direction
-        best = self.region_at(addr)
-        if best is not None:
-            rel = len(addr) - len(best.addr)
-            return self.d - 1 if rel < best.h else self.d
-        if addr == ORIGIN and self.mode == "branch":
-            return 1
-        return self.default
-
-    def ray_at(self, addr: Address) -> RayRule | None:
-        for ray in self.rays:
-            if ray.contains(addr):
-                return ray
-        return None
-
-    def region_at(self, addr: Address) -> LevelRegion | None:
-        regions = self._region_dict
-        if not regions:
-            return None
-        for k in range(len(addr), -1, -1):
-            reg = regions.get(addr[:k])
-            if reg is not None:
-                return reg
-        return None
+        return self.kind_at(addr).base
 
     # -- serialization ------------------------------------------------------
 
@@ -352,12 +422,12 @@ def find_cyclic_pair(cfg: LazyTreeConfig) -> tuple[Address, Address] | None:
     for p in sorted(_mutual_probe_set(cfg)):
         if p == ORIGIN and cfg.mode == "branch":
             continue
-        bp = cfg.base_direction(p)
+        kind = cfg.kind_at(p)
+        bp = kind.base
         if bp > cfg.num_children(p):
             continue            # points at the parent, not a child
-        child = p + (bp,)
-        if cfg.base_direction(child) == cfg.d:
-            return (p, child)
+        if cfg.child_kind(kind, bp, len(p) + 1).base == cfg.d:
+            return (p, p + (bp,))
     return None
 
 
@@ -433,27 +503,54 @@ class ChipResult:
     site: Address | None = None   # the vertex a SETTLED chip stopped on
 
 
+MAX_DEGREE = 2 ** 16
+
+
 class TreeState:
-    """Mutable rotor state of a lazy tree run."""
+    """Mutable rotor state of a lazy tree run, on per-vertex id tables.
+
+    Id 0 is the origin; a vertex gets the next id on first contact.  Per
+    id: ``_parent``, ``_depth``, ``_rot`` (0 while the vertex is not
+    materialized), ``_kind`` and ``_first``: child c of x has its id, or -1,
+    at ``_kids[_first[x] + c]``.  A vertex gets a block of child slots with
+    its first child id; until then ``_first`` is -1, which points into the
+    shared block of -1s at the start of ``_kids``.  Sparse maps hold what
+    most vertices lack: ``_rc`` pass counts; ``_cover``, for each vertex a
+    patch covers, the largest ``depth(a) + k`` over the patches ``(a, k)``
+    at or above it; ``_tip``, the number of pending ray tips at or above
+    the vertex.  ``_addr`` memoizes the addresses handed out by the API.
+    Degrees above MAX_DEGREE are refused, since each block has d-1 slots
+    (d at a tree-mode origin).
+    """
 
     def __init__(self, cfg: LazyTreeConfig, fast_paths: bool = True,
                  step_cap: int = 10 ** 9):
+        if cfg.d > MAX_DEGREE:
+            raise UnsupportedConfigError(
+                f"degree {cfg.d} is above the limit {MAX_DEGREE}")
         self.cfg = cfg
         self.fast = fast_paths
         self.step_cap = step_cap
-        self.rotors: dict[Address, int] = {}
-        self.patches: dict[Address, int] = {}
-        self.ray_counts: dict[Address, int] = {}
-        self.ray_tips: dict[Address, list[int]] = {}
+        root = cfg.root_kind
+        self._parent = array("i", [-1])
+        self._depth = array("i", [0])
+        self._first = array("i", [-1])
+        self._kids = array("i", [-1]) * cfg.d
+        self._rot: list[int] = [root.base if cfg.mode == "tree" else 0]
+        self._kind: list[NodeKind] = [root]
+        self._addr: list[Address | None] = [ORIGIN]
+        self._rc: dict[int, int] = {}
+        self._cover: dict[int, int] = {}
+        self._tip: dict[int, int] = {}
+        self._patch: dict[int, int] = {}
+        self._tips: dict[int, list[int]] = {}
         self.ray_seen: dict[int, int] = {}
         self.n_rays = 0
         self._static_depth = self._max_static_depth()
         self._max_materialized = 0
         self._max_patch_end = 0
-        if cfg.mode == "tree":
-            self.rotors[ORIGIN] = cfg.base_direction(ORIGIN)
 
-    # -- static structure helpers -------------------------------------------
+    # -- ids and addresses ----------------------------------------------------
 
     def _max_static_depth(self) -> int:
         depth = 1
@@ -465,130 +562,236 @@ class TreeState:
             depth = max(depth, len(ray.start) + len(ray.pattern))
         return depth
 
-    def _cycle(self, dirn: int, k: int, arity: int) -> int:
-        return (dirn - 1 + k) % arity + 1
+    def _slots(self, x: int) -> int:
+        return self.cfg.origin_arity() if x == 0 else self.cfg.d - 1
 
-    def _arity(self, addr: Address) -> int:
-        return self.cfg.origin_arity() if addr == ORIGIN else self.cfg.d
+    def _child(self, x: int, c: int) -> int:
+        """A fresh id for child c of x, covered and under tips as x is."""
+        b = self._first[x]
+        if b < 0:
+            b = self._first[x] = len(self._kids) - 1
+            self._kids.extend(array("i", [-1]) * self._slots(x))
+        y = len(self._rot)
+        self._kids[b + c] = y
+        depth = self._depth[x] + 1
+        self._parent.append(x)
+        self._depth.append(depth)
+        self._first.append(-1)
+        self._rot.append(0)
+        self._kind.append(self.cfg.child_kind(self._kind[x], c, depth))
+        self._addr.append(None)
+        cover = self._cover.get(x, 0)
+        if cover > depth:
+            self._cover[y] = cover
+        if x in self._tip:
+            self._tip[y] = self._tip[x]
+        return y
 
-    def _set_rotor(self, addr: Address, dirn: int) -> None:
-        self.rotors[addr] = dirn
-        if len(addr) > self._max_materialized:
-            self._max_materialized = len(addr)
+    def _kid(self, x: int, c: int) -> int:
+        """The id of child c of x, made if it has none yet."""
+        y = self._kids[self._first[x] + c]
+        return y if y >= 0 else self._child(x, c)
 
-    def _set_patch(self, addr: Address, k: int) -> None:
-        self.patches[addr] = max(self.patches.get(addr, 0), k)
-        if len(addr) + k > self._max_patch_end:
-            self._max_patch_end = len(addr) + k
+    def _children(self, x: int) -> list[int]:
+        b = self._first[x] + 1
+        if not b:
+            return []
+        return [y for y in self._kids[b:b + self._slots(x)] if y > 0]
+
+    def _node(self, addr: Address) -> int:
+        """The id of an address, making ids down its path as needed."""
+        x = 0
+        hi = self.cfg.origin_arity()
+        for c in addr:
+            if not 1 <= c <= hi:
+                raise LazyTreeError(f"bad address {addr}")
+            hi = self.cfg.d - 1
+            x = self._kid(x, c)
+        return x
+
+    def _address(self, x: int) -> Address:
+        """The address of id x, memoized with those of its ancestors."""
+        addrs = self._addr
+        path = []
+        while addrs[x] is None:
+            p = self._parent[x]
+            b = self._first[p]
+            path.append((x, self._kids.index(x, b + 1, b + 1 + self._slots(p))
+                         - b))
+            x = p
+        addr = addrs[x]
+        for y, c in reversed(path):
+            addr = addrs[y] = addr + (c,)
+        return addr
+
+    # -- address-keyed snapshots ------------------------------------------------
+
+    def _by_address(self, items: Iterable) -> dict:
+        return {self._address(x): v for x, v in items if v}
+
+    @property
+    def rotors(self) -> dict[Address, int]:
+        """Materialized rotor directions by address (a fresh dict)."""
+        return self._by_address(enumerate(self._rot))
+
+    @property
+    def patches(self) -> dict[Address, int]:
+        """Patch roots: levels 0..k-1 below the address point in direction
+        d (a fresh dict)."""
+        return self._by_address(self._patch.items())
+
+    @property
+    def ray_counts(self) -> dict[Address, int]:
+        """Escape rays that have passed each vertex (a fresh dict)."""
+        return self._by_address(self._rc.items())
+
+    @property
+    def ray_tips(self) -> dict[Address, list[int]]:
+        """Pending ray tips by address, as lists of ray ids (a fresh dict)."""
+        return self._by_address((x, list(v)) for x, v in self._tips.items())
 
     # -- dynamic direction lookups -------------------------------------------
 
-    def patched_prefix(self, addr: Address) -> int:
-        """Largest relative depth p such that levels 0..p below addr are
-        patched to direction d; -1 when addr itself is not covered."""
-        best = -1
-        for k in range(len(addr) + 1):
-            j = self.patches.get(addr[:k])
-            if j is not None:
-                cover = j - 1 - (len(addr) - k)
-                if cover > best:
-                    best = cover
-        return best
-
-    def base_with_patch(self, addr: Address) -> int:
-        if self.patched_prefix(addr) >= 0:
-            return self.cfg.d
-        return self.cfg.base_direction(addr)
-
     def effective(self, addr: Address) -> int:
         """Current rotor direction at an address, rays expanded as needed."""
-        r = self.rotors.get(addr)
-        if r is not None:
+        return self._effective(self._node(addr))
+
+    def _effective(self, x: int) -> int:
+        r = self._rot[x]
+        if r:
             return r
-        self.ensure_rays(addr)
-        base = self.base_with_patch(addr)
-        k = self.ray_counts.get(addr, 0)
+        self._ensure_rays(x)
+        d = self.cfg.d
+        base = d if x in self._cover else self._kind[x].base
+        k = self._rc.get(x)
         if k:
-            return self._cycle(base, k, self._arity(addr))
+            arity = self.cfg.origin_arity() if x == 0 else d
+            return (base - 1 + k) % arity + 1
         return base
+
+    def _set_patch(self, x: int, k: int) -> None:
+        if k <= self._patch.get(x, 0):
+            return
+        self._patch[x] = k
+        end = self._depth[x] + k
+        if end > self._max_patch_end:
+            self._max_patch_end = end
+        cover = self._cover
+        if cover.get(x, 0) >= end:
+            return
+        cover[x] = end
+        depth = self._depth
+        stack = self._children(x)
+        while stack:
+            y = stack.pop()
+            # a vertex at depth >= end stays as it was, and so does every
+            # vertex below one whose cover already reaches end
+            if depth[y] < end and cover.get(y, 0) < end:
+                cover[y] = end
+                stack += self._children(y)
+
+    def _move_tips(self, x: int, delta: int, skip: int = -1) -> None:
+        """Add delta to the tip counts of x's subtree, except skip's."""
+        tip = self._tip
+        stack = [x]
+        while stack:
+            y = stack.pop()
+            if y != skip:
+                n = tip.get(y, 0) + delta
+                if n:
+                    tip[y] = n
+                else:
+                    del tip[y]
+                stack += self._children(y)
 
     # -- escape-ray expansion -------------------------------------------------
 
     def ensure_rays(self, addr: Address) -> None:
-        """Advance every pending ray tip off the ancestor chain of addr.
+        """Advance every pending ray tip off the ancestor chain of addr."""
+        self._ensure_rays(self._node(addr))
 
-        Tips advance earliest-recorded first, which keeps per-vertex pass
-        counts chronological.
-        """
-        if not self.ray_tips:
+    def _ensure_rays(self, x: int) -> None:
+        """Tips advance earliest-recorded first, which keeps per-vertex pass
+        counts chronological.  A tip on the chain only moves down it, so
+        the earliest one keeps going until it leaves the chain."""
+        left = self._tip.get(x)
+        if not left:
             return
+        chain = []                      # x and its ancestors up to the top tip
+        pending = []
         while True:
-            best_id = None
-            best_at = None
-            for k in range(len(addr) + 1):
-                prefix = addr[:k]
-                ids = self.ray_tips.get(prefix)
-                if ids:
-                    m = min(ids)
-                    if best_id is None or m < best_id:
-                        best_id = m
-                        best_at = prefix
-            if best_id is None:
-                return
-            self._advance_ray(best_id, best_at)
+            chain.append(x)
+            ids = self._tips.get(x)
+            if ids:
+                pending += ((r, x) for r in ids)
+                left -= len(ids)
+                if not left:
+                    break
+            x = self._parent[x]
+        chain.reverse()
+        top = self._depth[chain[0]]     # chain[k] sits at depth top + k
+        for r, y in sorted(pending):
+            while True:
+                y = self._advance_ray(r, y)
+                k = self._depth[y] - top
+                if k >= len(chain) or chain[k] != y:
+                    break
 
-    def _advance_ray(self, ray_id: int, at: Address) -> None:
-        seen = self.ray_seen[ray_id]
-        inc = self._cycle(seen, 1, self.cfg.d)
-        if inc >= self.cfg.d:
+    def _advance_ray(self, ray_id: int, at: int) -> int:
+        d = self.cfg.d
+        inc = self.ray_seen[ray_id] % d + 1
+        if inc >= d:
             raise ResultCheckError("escape ray tried to bounce; engine bug")
-        nxt = at + (inc,)
-        self.ray_counts[nxt] = self.ray_counts.get(nxt, 0) + 1
-        self.ray_seen[ray_id] = self._cycle(self.base_with_patch(nxt),
-                                            self.ray_counts[nxt] - 1,
-                                            self.cfg.d)
-        self.ray_tips[at].remove(ray_id)
-        if not self.ray_tips[at]:
-            del self.ray_tips[at]
-        self.ray_tips.setdefault(nxt, []).append(ray_id)
+        nxt = self._kid(at, inc)
+        k = self._rc[nxt] = self._rc.get(nxt, 0) + 1
+        base = d if nxt in self._cover else self._kind[nxt].base
+        self.ray_seen[ray_id] = (base - 2 + k) % d + 1
+        ids = self._tips[at]
+        ids.remove(ray_id)
+        if not ids:
+            del self._tips[at]
+        self._tips.setdefault(nxt, []).append(ray_id)
+        self._move_tips(at, -1, skip=nxt)
+        return nxt
 
-    def _record_escape(self, addr: Address, seen_dir: int) -> None:
-        self.ray_counts[addr] = self.ray_counts.get(addr, 0) + 1
+    def _record_escape(self, x: int, seen_dir: int) -> None:
+        self._rc[x] = self._rc.get(x, 0) + 1
         ray_id = self.n_rays
         self.n_rays += 1
         self.ray_seen[ray_id] = seen_dir
-        self.ray_tips.setdefault(addr, []).append(ray_id)
+        self._tips.setdefault(x, []).append(ray_id)
+        self._move_tips(x, 1)
 
     # -- excursion classification ---------------------------------------------
 
-    def _uniform_bounce_level(self, addr: Address) -> int | None:
-        """First bouncing level below ``addr`` in a pure-profile subtree.
+    def _uniform_bounce_level(self, x: int) -> int | None:
+        """First bouncing level below x in a pure-profile subtree.
 
-        Applies when the subtree below addr is pure profile: no overrides,
+        Applies when the subtree below x is pure profile: no overrides,
         regions starting below, config rays, or escape-ray passes.  Returns
         the relative depth i0 >= 1 of the first level, below the patched
         prefix, whose rotors point in direction d-1, or None when the
         subtree is not pure profile or no such level exists.
 
-        A chip entering addr with direction d then performs a full turn of
+        A chip entering x with direction d then performs a full turn of
         every vertex down to level i0 and returns; the subtree becomes
         direction d one level deeper.
         """
-        if self.ray_counts.get(addr, 0):
+        if x in self._rc:
             return None
-        if addr in self.cfg.structure_prefixes:
+        kind = self._kind[x]
+        if kind.kids or kind.ray is not None:
             return None
-        if self.cfg.ray_at(addr) is not None:
-            return None
-        i0 = max(self.patched_prefix(addr) + 1, 1)
-        reg = self.cfg.region_at(addr)
+        depth = self._depth[x]
+        i0 = max(self._cover.get(x, 0) - depth, 1)
+        reg = kind.region
         if reg is not None:
-            t = len(addr) - len(reg.addr)
+            t = depth - len(reg.addr)
             return i0 if t + i0 < reg.h else None
         return i0 if self.cfg.default == self.cfg.d - 1 else None
 
-    def _descends_forever(self, addr: Address) -> bool:
-        """Exact escape decision for a chip about to descend from addr.
+    def _descends_forever(self, x: int) -> bool:
+        """Exact escape decision for a chip about to descend from x.
 
         Walks a virtual probe downward; declares escape once the remaining
         path provably stays in territory that never bounces (uniform default
@@ -596,34 +799,30 @@ class TreeState:
         ray), returns False as soon as a bounce is certain, and hands mixed
         territory back to the stepwise walk one level at a time.
         """
-        w = addr
+        d = self.cfg.d
+        w = x
         ride_seen: set[tuple[int, int]] = set()
-        guard = 4 * (self._static_depth + len(addr)) + 64
+        guard = 4 * (self._static_depth + self._depth[x]) + 64
         while guard:
             guard -= 1
-            self.ensure_rays(w)
-            if self.ray_counts.get(w, 0) or w in self.rotors:
+            self._ensure_rays(w)
+            if w in self._rc or self._rot[w]:
                 return False
-            e = self.base_with_patch(w)
-            inc = self._cycle(e, 1, self.cfg.d)
-            if inc == self.cfg.d:
+            kind = self._kind[w]
+            e = d if w in self._cover else kind.base
+            inc = e % d + 1
+            if inc == d:
                 return False
-            if w in self.cfg.structure_prefixes:
-                w = w + (inc,)
-                continue
-            ray = self.cfg.ray_at(w)
-            if ray is None:
-                return self._uniform_bounce_level(w) is None
-            offset = ray.offset_of(w) % len(ray.pattern)
-            if ray.pattern[offset] != inc:
-                w = w + (inc,)          # peels off the ray into its own subtree
-                continue
-            if len(w) > self._static_depth + self._max_patch_end:
-                key = (id(ray), offset)
-                if key in ride_seen:
-                    return True         # periodic ride along the ray
-                ride_seen.add(key)
-            w = w + (inc,)
+            if not kind.kids:
+                if kind.ray is None:
+                    return self._uniform_bounce_level(w) is None
+                i, offset = kind.ray
+                if (self.cfg.rays[i].pattern[offset] == inc and self._depth[w]
+                        > self._static_depth + self._max_patch_end):
+                    if kind.ray in ride_seen:
+                        return True     # periodic ride along the ray
+                    ride_seen.add(kind.ray)
+            w = self._kid(w, inc)       # along the ray, or off it
         raise UnsupportedConfigError("escape decision did not converge")
 
     def _fresh_depth_cap(self) -> int:
@@ -654,58 +853,67 @@ class TreeState:
         The state's ``step_cap`` bounds each walk on its own:
         StepBudgetExceededError is raised before step ``step_cap + 1``.
         """
-        cfg = self.cfg
-        d = cfg.d
-        origin_arity = cfg.origin_arity()
-        branch = cfg.mode == "branch"
-        rotors = self.rotors
+        d = self.cfg.d
+        origin_arity = self.cfg.origin_arity()
+        branch = self.cfg.mode == "branch"
+        parent = self._parent
+        first = self._first
+        kids = self._kids
+        rot = self._rot
         cap = self.step_cap
-        pos = ORIGIN
-        steps = 0
+        pos = 0
+        depth = 0                       # of pos
         max_depth = 0
         fresh_cap = self._fresh_depth_cap()   # frozen: the walk's own
         visited: list[Address] | None = [] if record_visits else None
 
-        while True:
-            if steps >= cap:
-                raise StepBudgetExceededError(f"exceeded {cap} steps")
-            steps += 1
+        for steps in range(1, cap + 1):
             if pos:                     # below the origin
-                inc = rotors[pos] % d + 1
-                rotors[pos] = inc
-                target = pos[:-1] if inc == d else pos + (inc,)
+                inc = rot[pos] % d + 1
+                rot[pos] = inc
+                if inc == d:
+                    # up: every materialized vertex's parent is materialized
+                    pos = parent[pos]
+                    if not pos:
+                        return ChipResult(RETURNED, max_depth, steps, visited)
+                    depth -= 1
+                    if visited is not None:
+                        visited.append(self._address(pos))
+                    continue
             elif branch:
-                target = (1,)           # the origin edge carries no rotor
+                inc = 1                 # the origin edge carries no rotor
             else:
-                inc = rotors[pos] % origin_arity + 1
-                rotors[pos] = inc
-                target = (inc,)
-            if not target:
-                return ChipResult(RETURNED, max_depth, steps, visited)
-            if len(target) > max_depth:
-                max_depth = len(target)
+                inc = rot[0] % origin_arity + 1
+                rot[0] = inc
+            target = kids[first[pos] + inc]
+            if target < 0:
+                target = self._child(pos, inc)
+            t_depth = depth + 1
+            if t_depth > max_depth:
+                max_depth = t_depth
             if visited is not None:
-                visited.append(target)
+                visited.append(self._address(target))
 
-            if target in rotors:
+            if rot[target]:
                 pos = target
+                depth = t_depth
                 continue
 
             # entering unmaterialized territory
-            e = self.effective(target)
+            e = self._effective(target)
             if settle:
-                self._set_rotor(target, e)
-                return ChipResult(SETTLED, max_depth, steps, visited, target)
-            count = self.ray_counts.get(target, 0)
-            inc = self._cycle(e, 1, d)
+                self._materialize(target, e)
+                return ChipResult(SETTLED, max_depth, steps, visited,
+                                  self._address(target))
+            inc = e % d + 1
 
             if inc == d:
                 # bounce straight back to the parent
-                if count or not self.fast:
-                    self._set_rotor(target, d)
+                if target in self._rc or not self.fast:
+                    self._materialize(target, d)
                 else:
                     self._set_patch(target, 1)
-                if pos == ORIGIN:
+                if not pos:
                     return ChipResult(RETURNED, max_depth, steps, visited)
                 continue
 
@@ -714,32 +922,32 @@ class TreeState:
                 if i0 is not None:
                     # closed-form excursion: full turn down to level i0, return
                     self._set_patch(target, i0 + 1)
-                    if len(target) + i0 > max_depth:
-                        max_depth = len(target) + i0
-                    if pos == ORIGIN:
+                    if t_depth + i0 > max_depth:
+                        max_depth = t_depth + i0
+                    if not pos:
                         return ChipResult(RETURNED, max_depth, steps, visited)
                     continue
 
-            if count == 0 and self._descends_forever(target):
+            if target not in self._rc and self._descends_forever(target):
                 self._record_escape(target, e)
                 return ChipResult(ESCAPED, max_depth, steps, visited)
 
-            if len(target) > fresh_cap:
+            if t_depth > fresh_cap:
                 raise UnsupportedConfigError(
                     "walk keeps entering fresh territory without a "
                     "provable descent; configuration outside the "
                     "supported class")
 
             # step into the vertex and keep walking
-            self._set_rotor(target, e)
+            self._materialize(target, e)
             pos = target
+            depth = t_depth
+        raise StepBudgetExceededError(f"exceeded {cap} steps")
 
-    def matches_initial(self) -> bool:
-        """True iff the state equals the configured one bit for bit."""
-        if self.ray_tips or self.ray_counts or self.patches:
-            return False
-        return all(self.cfg.base_direction(a) == r
-                   for a, r in self.rotors.items())
+    def _materialize(self, x: int, dirn: int) -> None:
+        self._rot[x] = dirn
+        if self._depth[x] > self._max_materialized:
+            self._max_materialized = self._depth[x]
 
 
 @dataclass
@@ -812,6 +1020,7 @@ def _aggregate_run(cfg: LazyTreeConfig, n_chips: int, modified: bool,
     depth_counts: dict[int, int] = {0: 1}
     max_depth = 0
     stops: list[Address] = [ORIGIN]
+    occupied: set[Address] = {ORIGIN}
     ball_checks: list[tuple[int, bool]] = [(0, True)]   # A_1 = {origin} = B_0
     sandwich_ok = True
     d = cfg.d
@@ -825,7 +1034,7 @@ def _aggregate_run(cfg: LazyTreeConfig, n_chips: int, modified: bool,
 
     def note_size() -> None:
         nonlocal sandwich_ok
-        size = len(st.rotors)
+        size = len(occupied)
         rho = 0
         while ball_size(d, rho) < size:
             rho += 1
@@ -854,10 +1063,13 @@ def _aggregate_run(cfg: LazyTreeConfig, n_chips: int, modified: bool,
         if len(site) > max_depth:
             max_depth = len(site)
         stops.append(site)
+        # merging a one-element set grows the table 2x where add() grows
+        # it 4x, which halves the memory of a large cluster's set
+        occupied |= {site}
         note_size()
 
     return AggregationResult(
-        d=d, chips=n_chips, occupied=set(st.rotors),
+        d=d, chips=n_chips, occupied=occupied,
         depth_counts=depth_counts, max_depth=max_depth,
         ball_checks=ball_checks, sandwich_ok=sandwich_ok, state=st,
         stops=stops,
@@ -891,7 +1103,11 @@ class ModifiedAggregationResult:
                 and self.max_depth == rho)
 
     def rotors_restored(self) -> bool:
-        return self.state.matches_initial()
+        """True iff the state equals the configured one bit for bit."""
+        st = self.state
+        if st._tips or st._patch or st._rc:
+            return False
+        return all(r == kind.base for r, kind in zip(st._rot, st._kind) if r)
 
 
 def aggregate_modified(cfg: LazyTreeConfig, n_chips: int,

@@ -7,7 +7,6 @@ every module in the package.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
@@ -64,37 +63,10 @@ class WalkTrace:
     chip_stops: list[str] = field(default_factory=list)
     emitter_set: set[str] | None = None     # filled even without full steps
 
-    def segment_bounds(self) -> list[tuple[int, int]]:
-        ends = self.segments[1:] + [len(self.steps)]
-        return list(zip(self.segments, ends))
-
-    def check_chaining(self) -> bool:
-        """Consecutive steps chain within every segment."""
-        for lo, hi in self.segment_bounds():
-            for i in range(lo + 1, hi):
-                if self.steps[i][0] != self.steps[i - 1][1]:
-                    return False
-        return True
-
-    def replay(self, g: DirectedMultigraph) -> RotorConfiguration:
-        """Re-apply the recorded steps to the initial configuration."""
-        full = g.slots_to_full(self.initial)
-        for frm, _to in self.steps:
-            i = g.index[frm]
-            full[i] = (full[i] + 1) % g.deg_idx[i]
-        return g.full_to_slots(full)
-
     def emitters(self) -> set[str]:
         if self.emitter_set is not None:
             return self.emitter_set
         return {frm for frm, _ in self.steps}
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("step,from,to\n")
-        for k, (frm, to) in enumerate(self.steps):
-            buf.write(f"{k},{frm},{to}\n")
-        return buf.getvalue()
 
 
 def step(g: DirectedMultigraph, t: RotorConfiguration,

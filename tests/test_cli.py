@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotorlab.cli import main
+from rotorlab import cli
+from rotorlab.cli import MAX_CHIPS, main
 from rotorlab.graph import build_graph, graph_to_json
 
 
@@ -303,7 +304,31 @@ def _payload_argv(command, path):
 _PRESETS = ["alternating", "uniform-3-1", "uniform-4-0", "uniform-2-1",
             "uniform-3-9", "uniform-x-1", "uniform-3", "uniform-3-1-1",
             "uniform--3-1", "spiral"]
+# requests past the chip limit, which must exit 2 before any walking
+_OVER_LIMIT = [
+    ["aggregate", "--d", "3", "--radius", "40"],
+    ["aggregate", "--d", "3", "--radius", "21"],
+    ["aggregate", "--d", "3", "--radius", "1000000000"],
+    ["aggregate", "--d", "1000", "--radius", "5"],
+    ["aggregate", "--d", "1000", "--radius", "2"],
+    ["aggregate", "--d", "3", "--chips", str(MAX_CHIPS + 1)],
+    ["escape", "simulate", "--preset", "alternating", "--m", "1000000000"],
+    ["escape", "simulate", "--preset", "uniform-3-2", "--m",
+     str(MAX_CHIPS + 1)],
+]
+_HUGE = st.integers(MAX_CHIPS + 1, 10 ** 12)
 _FLAG_CASES = st.one_of(
+    st.sampled_from(_OVER_LIMIT),
+    st.builds(lambda d, c: ["aggregate", "--d", str(d), "--chips", str(c)],
+              st.integers(3, 5), _HUGE),
+    st.builds(lambda d, r: ["aggregate", "--d", str(d), "--radius", str(r)],
+              st.integers(3, 5), st.integers(21, 10 ** 9)),
+    st.builds(lambda d, r: ["aggregate", "--d", str(d), "--radius", str(r)],
+              st.integers(1001, 10 ** 6), st.integers(2, 20)),
+    st.builds(lambda p, m: ["escape", "simulate", "--preset", p,
+                            "--m", str(m)],
+              st.sampled_from(["alternating", "uniform-3-2", "uniform-4-1"]),
+              _HUGE),
     st.builds(lambda d, c: ["aggregate", "--d", str(d), "--chips", str(c)],
               st.integers(-2, 4), st.integers(-3, 6)),
     st.builds(lambda d, r: ["aggregate", "--d", str(d), "--radius", str(r)],
@@ -356,3 +381,16 @@ def test_fuzz_malformed_payloads_exit_cleanly(command, data):
 @given(_FLAG_CASES)
 def test_fuzz_bad_numeric_flags_exit_cleanly(argv):
     _assert_contract(argv)
+
+
+@pytest.mark.parametrize("argv", _OVER_LIMIT)
+def test_chip_limit_exits_2_before_walking(argv, monkeypatch):
+    def walk(*args, **kwargs):
+        raise AssertionError("walked past the chip limit")
+
+    monkeypatch.setattr(cli, "aggregate", walk)
+    monkeypatch.setattr(cli, "run_chips_infinite", walk)
+    code, err = _run_quietly(argv)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"chip limit {MAX_CHIPS}" in err

@@ -341,6 +341,17 @@ def test_order_of_generator_witness_independent():
         assert len(orders) == 1
 
 
+def test_order_of_generator_rejects_non_recurrent_witness():
+    # the 2-cycle o <-> r never returns under e_o; before the recurrence
+    # check, the default cap of 10^7 routings ran for seconds first
+    g = build_graph(["o", "r", "s"], "s",
+                    {"o": ["r"], "r": ["o", "s"], "s": ["r"]})
+    witness = RotorConfiguration.from_dict(g, {"o": 0, "r": 0})
+    for x in ("o", "r"):
+        with pytest.raises(NotRecurrentError):
+            order_of_generator(g, x, witness=witness)
+
+
 def test_order_divides_group_order():
     rng = random.Random(17)
     for _ in range(10):

@@ -3,6 +3,12 @@ import random
 
 import pytest
 
+from rotorlab.escape import (
+    descriptor_to_branch_config,
+    satisfies_all,
+    synthesize_branch,
+    synthesize_tree,
+)
 from rotorlab.graph import ResultCheckError
 from rotorlab.lazytree import (
     ORIGIN,
@@ -523,3 +529,51 @@ def test_ray_bounce_guard_raises_result_check(monkeypatch):
     monkeypatch.setitem(st.ray_seen, ray_id, cfg.d - 1)
     with pytest.raises(ResultCheckError):
         st.ensure_rays(tip + (1,))
+
+
+def _dense_valid_word(rng: random.Random, n: int, stride: int) -> str:
+    """A valid word (stride 1: branch word, 3: full-tree word) whose bits
+    are 1 with probability 0.7 unless that breaks a window.  Dense words
+    synthesize shallow level regions, whose literal walks stay short."""
+    out = ""
+    for _ in range(n):
+        w = out + "1"
+        ok = rng.random() < 0.7 and all(satisfies_all(w[r::stride])
+                                        for r in range(stride))
+        out = w if ok else out + "0"
+    return out
+
+
+def test_node_tables_match_oracles_after_every_chip():
+    # effective() is read on every vertex the explicit simulator touched
+    # and on every vertex of the first four levels, after every chip: a
+    # patch or a ray tip that failed to reach descendants which already
+    # have ids shows up as a wrong direction there
+    rng = random.Random(31)
+    cap = 45
+    for i in range(40):
+        n = rng.randrange(10, 41)
+        stride = 3 if i % 2 else 1
+        a = _dense_valid_word(rng, n, stride)
+        if stride == 3:
+            cfg = synthesize_tree(a)
+        else:
+            cfg = descriptor_to_branch_config(synthesize_branch(a))
+        probes = [()]
+        for _ in range(4):
+            probes += [p + (c,) for p in probes if len(p) == len(probes[-1])
+                       for c in range(1, cfg.num_children(p) + 1)]
+        fast, literal = TreeState(cfg), TreeState(cfg, fast_paths=False)
+        for k in range(1, n + 1):
+            res = [fast.walk_chip(), literal.walk_chip()]
+            nword, ndepths, nrotors = naive_run(cfg, k, cap)
+            assert nword == a[:k]
+            assert ["1" if r.outcome == "escaped" else "0" for r in res] \
+                == [a[k - 1]] * 2
+            if a[k - 1] == "0":
+                assert [r.max_depth for r in res] == [ndepths[-1]] * 2
+            for addr in set(nrotors) | set(probes):
+                if len(addr) <= cap:
+                    want = nrotors.get(addr) or cfg.base_direction(addr)
+                    assert fast.effective(addr) == want, (a, k, addr)
+                    assert literal.effective(addr) == want, (a, k, addr)
