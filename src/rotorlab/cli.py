@@ -222,14 +222,14 @@ def cmd_escape(args) -> int:
     if args.action == "simulate":
         try:
             cfg = _load_escape_config(args)
+            _check_chips(f"--m {args.m}", args.m)
         except (OSError, ValueError, LazyTreeError) as exc:
             return _fail(str(exc), INPUT_ERROR)
         if args.m < 0:
             return _fail("--m must be nonnegative", INPUT_ERROR)
         try:
-            _check_chips(f"--m {args.m}", args.m)
             res = run_chips_infinite(cfg, args.m)
-        except (ValueError, LazyTreeError) as exc:
+        except LazyTreeError as exc:
             return _fail(str(exc), INPUT_ERROR)
         payload = {
             "m": args.m,

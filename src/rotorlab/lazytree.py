@@ -30,17 +30,19 @@ materialized rotors:
 
 Inside ``TreeState`` every vertex the engine touches gets an integer id on
 first contact, and the state lives in flat per-id tables: parent, depth,
-rotor (0 while not materialized), a block of child-id slots, and the
+child index, rotor (0 while not materialized), sibling links, and the
 static ``NodeKind`` (base direction, config ray and offset, level region,
 the structure below), derived from the parent's kind when the id is made.
-Sparse maps keyed by id hold the pass count, the absolute depth reached by
-the deepest patch covering the vertex, and the number of pending ray tips
-on its ancestor chain.  Setting a patch or moving a tip updates these on
-every descendant that already has an id, so each lookup during a walk is a
-table read.  Addresses stay the currency of the API: ``effective(addr)``,
-``ensure_rays(addr)``, ``ChipResult.site`` and ``visited``, the
-address-keyed snapshots ``rotors``, ``patches``, ``ray_counts`` and
-``ray_tips``, aggregation ``stops`` and ``occupied``, JSON and DOT.
+A child's id is found in a block of child slots at small degree and in a
+dict at large degree.  Sparse maps keyed by id hold the pass count, the
+absolute depth reached by the deepest patch covering the vertex, and the
+number of pending ray tips on its ancestor chain.  Setting a patch or
+moving a tip updates these on every descendant that already has an id, so
+each lookup during a walk is a table read.  Addresses stay the currency of
+the API: ``effective(addr)``, ``ensure_rays(addr)``, ``ChipResult.site``
+and ``visited``, the address-keyed snapshots ``rotors``, ``patches``,
+``ray_counts`` and ``ray_tips``, aggregation ``stops`` and ``occupied``,
+JSON and DOT.
 
 Every shortcut is exact: the literal step-by-step engine (fast_paths=False)
 runs on the same tables and computes the same words, the same depths for
@@ -274,24 +276,12 @@ class LazyTreeConfig:
                                                           depth)
         return shared
 
-    @cached_property
-    def _kinds_at(self) -> dict[Address, NodeKind]:
-        return {}
-
     def kind_at(self, addr: Address) -> NodeKind:
-        """The kind of the vertex at an address, memoized: a query whose
-        parent was asked before costs one step."""
-        memo = self._kinds_at
-        kind = memo.get(addr)
-        if kind is None:
-            up = memo.get(addr[:-1]) if addr else None
-            if up is not None:
-                kind = self.child_kind(up, addr[-1], len(addr))
-            else:
-                kind = self.root_kind
-                for depth, c in enumerate(addr, 1):
-                    kind = self.child_kind(kind, c, depth)
-            memo[addr] = kind
+        """The kind of the vertex at an address: ``child_kind`` folded down
+        from ``root_kind``."""
+        kind = self.root_kind
+        for depth, c in enumerate(addr, 1):
+            kind = self.child_kind(kind, c, depth)
         return kind
 
     def base_direction(self, addr: Address) -> int:
@@ -419,10 +409,13 @@ def find_cyclic_pair(cfg: LazyTreeConfig) -> tuple[Address, Address] | None:
         if reg.h >= 1:
             child = reg.addr + tuple([d - 1] * reg.h)
             return (child[:-1], child)
-    for p in sorted(_mutual_probe_set(cfg)):
+    kinds: dict[Address, NodeKind] = {}
+    for p in sorted(_mutual_probe_set(cfg)):    # parents before children
+        up = kinds.get(p[:-1]) if p else None
+        kind = kinds[p] = (cfg.child_kind(up, p[-1], len(p)) if up
+                           else cfg.kind_at(p))
         if p == ORIGIN and cfg.mode == "branch":
             continue
-        kind = cfg.kind_at(p)
         bp = kind.base
         if bp > cfg.num_children(p):
             continue            # points at the parent, not a child
@@ -503,39 +496,52 @@ class ChipResult:
     site: Address | None = None   # the vertex a SETTLED chip stopped on
 
 
-MAX_DEGREE = 2 ** 16
+# The largest degree whose vertices keep their child ids in blocks.
+BLOCK_DEGREE = 16
 
 
 class TreeState:
     """Mutable rotor state of a lazy tree run, on per-vertex id tables.
 
     Id 0 is the origin; a vertex gets the next id on first contact.  Per
-    id: ``_parent``, ``_depth``, ``_rot`` (0 while the vertex is not
-    materialized), ``_kind`` and ``_first``: child c of x has its id, or -1,
-    at ``_kids[_first[x] + c]``.  A vertex gets a block of child slots with
-    its first child id; until then ``_first`` is -1, which points into the
-    shared block of -1s at the start of ``_kids``.  Sparse maps hold what
-    most vertices lack: ``_rc`` pass counts; ``_cover``, for each vertex a
-    patch covers, the largest ``depth(a) + k`` over the patches ``(a, k)``
-    at or above it; ``_tip``, the number of pending ray tips at or above
-    the vertex.  ``_addr`` memoizes the addresses handed out by the API.
-    Degrees above MAX_DEGREE are refused, since each block has d-1 slots
-    (d at a tree-mode origin).
+    id: ``_parent``, ``_depth``, ``_cidx`` (its child index under the
+    parent), ``_rot`` (0 while the vertex is not materialized), ``_kind``,
+    and ``_head``/``_next``, which list each vertex's children newest first
+    (0 ends a list: the origin is nobody's child).
+
+    Up to degree BLOCK_DEGREE, child c of x has its id, or -1, at
+    ``_kids[_first[x] + c]``: a vertex gets a block of d slots with its
+    first child, and until then ``_first`` is -1, which points into the
+    shared block of -1s at the start of ``_kids``.  Above it ``_first`` is
+    None and ``_kids`` is a dict keyed ``x * d + c``.  Either way memory is
+    within a constant of the number of vertices touched: a block is at most
+    64 bytes per vertex with a child, and a dict entry with its two int
+    objects costs about 110 bytes per child.
+
+    Sparse maps hold what most vertices lack: ``_rc`` pass counts;
+    ``_cover``, for each vertex a patch covers, the largest ``depth(a) + k``
+    over the patches ``(a, k)`` at or above it; ``_tip``, the number of
+    pending ray tips at or above the vertex.  ``_addr`` memoizes the
+    addresses handed out by the API.
     """
 
     def __init__(self, cfg: LazyTreeConfig, fast_paths: bool = True,
                  step_cap: int = 10 ** 9):
-        if cfg.d > MAX_DEGREE:
-            raise UnsupportedConfigError(
-                f"degree {cfg.d} is above the limit {MAX_DEGREE}")
         self.cfg = cfg
         self.fast = fast_paths
         self.step_cap = step_cap
         root = cfg.root_kind
         self._parent = array("i", [-1])
         self._depth = array("i", [0])
-        self._first = array("i", [-1])
-        self._kids = array("i", [-1]) * cfg.d
+        self._cidx = array("i", [0])
+        self._head = array("i", [0])
+        self._next = array("i", [0])
+        if cfg.d <= BLOCK_DEGREE:
+            self._first: array | None = array("i", [-1])
+            self._kids: array | dict[int, int] = array("i", [-1]) * cfg.d
+        else:
+            self._first = None
+            self._kids = {}
         self._rot: list[int] = [root.base if cfg.mode == "tree" else 0]
         self._kind: list[NodeKind] = [root]
         self._addr: list[Address | None] = [ORIGIN]
@@ -562,21 +568,27 @@ class TreeState:
             depth = max(depth, len(ray.start) + len(ray.pattern))
         return depth
 
-    def _slots(self, x: int) -> int:
-        return self.cfg.origin_arity() if x == 0 else self.cfg.d - 1
-
     def _child(self, x: int, c: int) -> int:
         """A fresh id for child c of x, covered and under tips as x is."""
-        b = self._first[x]
-        if b < 0:
-            b = self._first[x] = len(self._kids) - 1
-            self._kids.extend(array("i", [-1]) * self._slots(x))
         y = len(self._rot)
-        self._kids[b + c] = y
+        d = self.cfg.d
+        first = self._first
+        if first is None:
+            self._kids[x * d + c] = y
+        else:
+            b = first[x]
+            if b < 0:
+                b = first[x] = len(self._kids) - 1
+                self._kids.extend(self._kids[:d])    # d slots of -1
+            self._kids[b + c] = y
+            first.append(-1)
         depth = self._depth[x] + 1
         self._parent.append(x)
         self._depth.append(depth)
-        self._first.append(-1)
+        self._cidx.append(c)
+        self._next.append(self._head[x])
+        self._head[x] = y
+        self._head.append(0)
         self._rot.append(0)
         self._kind.append(self.cfg.child_kind(self._kind[x], c, depth))
         self._addr.append(None)
@@ -589,14 +601,19 @@ class TreeState:
 
     def _kid(self, x: int, c: int) -> int:
         """The id of child c of x, made if it has none yet."""
-        y = self._kids[self._first[x] + c]
-        return y if y >= 0 else self._child(x, c)
+        if self._first is None:
+            y = self._kids.get(x * self.cfg.d + c, -1)
+        else:
+            y = self._kids[self._first[x] + c]
+        return self._child(x, c) if y < 0 else y
 
     def _children(self, x: int) -> list[int]:
-        b = self._first[x] + 1
-        if not b:
-            return []
-        return [y for y in self._kids[b:b + self._slots(x)] if y > 0]
+        kids = []
+        y = self._head[x]
+        while y:
+            kids.append(y)
+            y = self._next[y]
+        return kids
 
     def _node(self, addr: Address) -> int:
         """The id of an address, making ids down its path as needed."""
@@ -614,14 +631,11 @@ class TreeState:
         addrs = self._addr
         path = []
         while addrs[x] is None:
-            p = self._parent[x]
-            b = self._first[p]
-            path.append((x, self._kids.index(x, b + 1, b + 1 + self._slots(p))
-                         - b))
-            x = p
+            path.append(x)
+            x = self._parent[x]
         addr = addrs[x]
-        for y, c in reversed(path):
-            addr = addrs[y] = addr + (c,)
+        for y in reversed(path):
+            addr = addrs[y] = addr + (self._cidx[y],)
         return addr
 
     # -- address-keyed snapshots ------------------------------------------------
@@ -885,7 +899,10 @@ class TreeState:
             else:
                 inc = rot[0] % origin_arity + 1
                 rot[0] = inc
-            target = kids[first[pos] + inc]
+            if first is None:
+                target = kids.get(pos * d + inc, -1)
+            else:
+                target = kids[first[pos] + inc]
             if target < 0:
                 target = self._child(pos, inc)
             t_depth = depth + 1

@@ -10,7 +10,12 @@ from hypothesis import strategies as st
 
 from rotorlab import cli
 from rotorlab.cli import MAX_CHIPS, main
-from rotorlab.graph import build_graph, graph_to_json
+from rotorlab.graph import (
+    ResultCheckError,
+    StepBudgetExceededError,
+    build_graph,
+    graph_to_json,
+)
 
 
 def run_cli(capsys, *argv):
@@ -394,3 +399,14 @@ def test_chip_limit_exits_2_before_walking(argv, monkeypatch):
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"chip limit {MAX_CHIPS}" in err
+
+
+@pytest.mark.parametrize("error", [ResultCheckError, StepBudgetExceededError])
+def test_engine_errors_in_simulate_are_not_bad_input(error, monkeypatch):
+    def walk(*args, **kwargs):
+        raise error("engine fault")
+
+    monkeypatch.setattr(cli, "run_chips_infinite", walk)
+    with pytest.raises(error):
+        _run_quietly(["escape", "simulate", "--preset", "alternating",
+                      "--m", "3"])

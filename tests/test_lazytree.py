@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -10,6 +11,7 @@ from rotorlab.escape import (
     synthesize_tree,
 )
 from rotorlab.graph import ResultCheckError
+from rotorlab import lazytree
 from rotorlab.lazytree import (
     ORIGIN,
     LazyTreeConfig,
@@ -577,3 +579,49 @@ def test_node_tables_match_oracles_after_every_chip():
                     want = nrotors.get(addr) or cfg.base_direction(addr)
                     assert fast.effective(addr) == want, (a, k, addr)
                     assert literal.effective(addr) == want, (a, k, addr)
+
+
+def _state_snapshot(st: TreeState) -> tuple:
+    return (st.rotors, st.patches, st.ray_counts, st.ray_tips, st.ray_seen)
+
+
+def test_dict_child_storage_matches_blocks(monkeypatch):
+    # the same runs with every degree above BLOCK_DEGREE, so children live
+    # in the dict keyed x * d + c instead of in blocks
+    rng = random.Random(37)
+    cfgs = [alternating_tree_config(), uniform_config(3, 2),
+            uniform_config(4, 3),
+            synthesize_tree(_dense_valid_word(rng, 12, 3)),
+            descriptor_to_branch_config(
+                synthesize_branch(_dense_valid_word(rng, 12, 1)))]
+    cfgs += [random_acyclic_config(rng.choice([3, 4]), rng)
+             for _ in range(12)]
+    runs = []
+    for block_degree in (lazytree.BLOCK_DEGREE, 2):
+        monkeypatch.setattr(lazytree, "BLOCK_DEGREE", block_degree)
+        out = []
+        for cfg in cfgs:
+            for fast in (True, False):
+                st = TreeState(cfg, fast_paths=fast, step_cap=10 ** 6)
+                assert (st._first is None) == (block_degree == 2)
+                res = [st.walk_chip(record_visits=True) for _ in range(10)]
+                out.append((res, _state_snapshot(st)))
+            if cfg.mode == "tree" and is_acyclic_config(cfg):
+                agg = aggregate(cfg, ball_size(cfg.d, 2) + 5)
+                out.append((agg.stops, _state_snapshot(agg.state)))
+        runs.append(out)
+    assert runs[0] == runs[1]
+
+
+def test_aggregate_memory_grows_with_touched_vertices():
+    # past b_1 every chip settles a child of a different depth-1 vertex; a
+    # table with d slots per vertex that has a child would take 64 MiB here
+    d = 4096
+    tracemalloc.start()
+    try:
+        res = aggregate(uniform_config(d, 1), 2 * d + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.depth_counts == {0: 1, 1: d, 2: d}
+    assert peak < 16 * 2 ** 20
