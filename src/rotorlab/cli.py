@@ -17,8 +17,6 @@ from rotorlab import acceptance
 from rotorlab.escape import (
     NotRealizableError,
     WordError,
-    is_escape_branch,
-    is_escape_tree,
     residues,
     simulate_config,
     synthesize_branch,
@@ -44,8 +42,9 @@ from rotorlab.trees import BadParametersError, build_wired_tree
 
 OK, VERDICT_FAIL, INPUT_ERROR, NOT_REALIZABLE = 0, 1, 2, 3
 
-# The most chips one command walks (aggregate, escape simulate).  Larger
-# requests exit 2 before any walking, so both end in bounded time.
+# The most chips one command walks (aggregate, escape simulate, and the
+# round trip of escape synthesize).  Larger requests exit 2 before any
+# walking, so all three end in bounded time.
 MAX_CHIPS = 10 ** 6
 
 
@@ -177,21 +176,22 @@ def cmd_escape(args) -> int:
         except WordError as exc:
             return _fail(str(exc), INPUT_ERROR)
         if args.tree:
-            valid = is_escape_tree(word)
-            parts = residues(word)
+            windows = [(r, violating_window(r)) for r in residues(word)]
+            valid = all(win is None for _, win in windows)
             payload = {
                 "word": word, "mode": "tree", "valid": valid,
                 "residues": [
-                    {"word": r, "valid": is_escape_branch(r),
-                     "violating_window": _window_dict(r)}
-                    for r in parts
+                    {"word": r, "valid": win is None,
+                     "violating_window": _window_dict(win)}
+                    for r, win in windows
                 ],
             }
         else:
-            valid = is_escape_branch(word)
+            win = violating_window(word)
+            valid = win is None
             payload = {
                 "word": word, "mode": "branch", "valid": valid,
-                "violating_window": _window_dict(word),
+                "violating_window": _window_dict(win),
             }
         _emit(payload, args.out)
         return OK if valid else NOT_REALIZABLE
@@ -199,7 +199,8 @@ def cmd_escape(args) -> int:
     if args.action == "synthesize":
         try:
             word = validate_word(args.word)
-        except WordError as exc:
+            _check_chips(f"a word of {len(word)} letters", len(word))
+        except ValueError as exc:
             return _fail(str(exc), INPUT_ERROR)
         try:
             if args.tree:
@@ -243,8 +244,7 @@ def cmd_escape(args) -> int:
     return _fail(f"unknown escape action {args.action!r}", INPUT_ERROR)
 
 
-def _window_dict(word: str) -> dict | None:
-    win = violating_window(word)
+def _window_dict(win: tuple[int, int, int] | None) -> dict | None:
     if win is None:
         return None
     k, start, end = win

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import sub
 
 from rotorlab.lazytree import (
     Address,
@@ -38,10 +40,31 @@ class NotRealizableError(WordError):
     pass
 
 
+_BINARY = frozenset("01")
+
+
 def validate_word(a: str) -> str:
-    if any(ch not in "01" for ch in a):
+    if not _BINARY.issuperset(a):
         raise WordError(f"not a binary word: {a!r}")
     return a
+
+
+def _first_violation(a: str, k: int = 2, last: int | None = None,
+                     ) -> tuple[int, int, int] | None:
+    """(k, start, end), 1-based inclusive, of the first window of length
+    2^k - 1 holding more than 2^{k-1} ones: k ascending from ``k`` up to
+    ``last`` (every k whose window fits, when None), then start ascending.
+    ``a`` must be binary."""
+    prefix = list(accumulate(map("1".__eq__, a), initial=0))
+    while 2 ** k - 1 <= len(a) and (last is None or k <= last):
+        w, limit = 2 ** k - 1, 2 ** (k - 1)
+        if prefix[-1] <= limit:     # no window, at this k or above, fails
+            return None
+        for i, ones in enumerate(map(sub, prefix[w:], prefix)):
+            if ones > limit:
+                return k, i + 1, i + w
+        k += 1
+    return None
 
 
 def satisfies_pk(a: str, k: int) -> bool:
@@ -53,40 +76,16 @@ def satisfies_pk(a: str, k: int) -> bool:
     validate_word(a)
     if k < 1:
         raise WordError("k must be at least 1")
-    w = 2 ** k - 1
-    limit = 2 ** (k - 1)
-    if len(a) < w:
-        return True
-    ones = a[:w].count("1")
-    if ones > limit:
-        return False
-    for i in range(w, len(a)):
-        ones += (a[i] == "1") - (a[i - w] == "1")
-        if ones > limit:
-            return False
-    return True
+    return _first_violation(a, k, k) is None
 
 
 def satisfies_all(a: str) -> bool:
-    k = 2
-    while 2 ** k - 1 <= len(a):
-        if not satisfies_pk(a, k):
-            return False
-        k += 1
-    return True
+    return violating_window(a) is None
 
 
 def violating_window(a: str) -> tuple[int, int, int] | None:
     """(k, start, end) of the first failing window, 1-based inclusive."""
-    k = 2
-    while 2 ** k - 1 <= len(a):
-        w = 2 ** k - 1
-        limit = 2 ** (k - 1)
-        for i in range(len(a) - w + 1):
-            if a[i:i + w].count("1") > limit:
-                return (k, i + 1, i + w)
-        k += 1
-    return None
+    return _first_violation(validate_word(a))
 
 
 @dataclass(frozen=True)
@@ -167,6 +166,8 @@ def phi(c: str, d: str) -> str:
 
 def extend_for_root(c: str, d: str, root: str) -> tuple[str, str]:
     """Extended sub-branch words when the root rotor is not pointing up."""
+    validate_word(c)
+    validate_word(d)
     if root == "up":
         return c, d
     if root == "left":
@@ -178,11 +179,11 @@ def extend_for_root(c: str, d: str, root: str) -> tuple[str, str]:
 
 def is_escape_branch(a: str) -> bool:
     """Is the word realizable as an escape sequence on a single branch?"""
-    validate_word(a)
     return satisfies_all(a)
 
 
 def residues(a: str) -> tuple[str, str, str]:
+    validate_word(a)
     return a[0::3], a[1::3], a[2::3]
 
 
@@ -192,8 +193,7 @@ def is_escape_tree(a: str) -> bool:
     Chips cycle through the three principal branches, so the word is
     realizable exactly when each residue subsequence is a branch word.
     """
-    validate_word(a)
-    return all(satisfies_all(r) for r in residues(a))
+    return all(_first_violation(r) is None for r in residues(a))
 
 
 # -- configuration descriptors ------------------------------------------------
@@ -251,9 +251,7 @@ class ConfigDescriptor:
 def _degenerate_height(a: str) -> int | None:
     """h when a is all zeros possibly ending in a single 1, else None."""
     body = a[:-1] if a.endswith("1") else a
-    if all(ch == "0" for ch in body):
-        return len(body)
-    return None
+    return None if "1" in body else len(body)
 
 
 def synthesize_branch(a: str) -> ConfigDescriptor:
@@ -261,9 +259,9 @@ def synthesize_branch(a: str) -> ConfigDescriptor:
 
     Valid words split through psi into strictly shorter valid sub-words
     until the all-zero tail case, which a level rule realizes directly.
+    Every sub-word is checked again before it is split.
     """
-    validate_word(a)
-    if not is_escape_branch(a):
+    if violating_window(a) is not None:
         raise NotRealizableError(f"{a!r} violates a window condition")
     h = _degenerate_height(a)
     if h is not None:
@@ -300,14 +298,12 @@ def synthesize_tree(a: str) -> LazyTreeConfig:
     j mod 3 (j = 1 entering branch 1); each branch carries the descriptor
     synthesized for its residue subsequence.
     """
-    validate_word(a)
     if not is_escape_tree(a):
         raise NotRealizableError(f"{a!r} has an invalid residue subsequence")
     overrides: list[tuple[Address, int]] = [((), 3)]
     regions: list[LevelRegion] = []
     for j, r in enumerate(residues(a), start=1):
-        desc = synthesize_branch(r)
-        expand_descriptor(desc, (j,), overrides, regions, 3)
+        expand_descriptor(synthesize_branch(r), (j,), overrides, regions, 3)
     return LazyTreeConfig(d=3, default=3, mode="tree",
                           overrides=tuple(overrides), regions=tuple(regions))
 

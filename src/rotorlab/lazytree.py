@@ -1042,26 +1042,9 @@ def _aggregate_run(cfg: LazyTreeConfig, n_chips: int, modified: bool,
     sandwich_ok = True
     d = cfg.d
     steps = 0
-
-    def full_prefix_radius() -> int:
-        k = 0
-        while depth_counts.get(k + 1, 0) == layer_size(d, k + 1):
-            k += 1
-        return k
-
-    def note_size() -> None:
-        nonlocal sandwich_ok
-        size = len(occupied)
-        rho = 0
-        while ball_size(d, rho) < size:
-            rho += 1
-        if ball_size(d, rho) == size:
-            ball_checks.append((rho, max_depth == rho))
-        else:
-            # strictly between b_{rho-1} and b_rho
-            inner = rho - 1
-            if not (full_prefix_radius() >= inner and max_depth <= rho):
-                sandwich_ok = False
+    # running checkpoint counters: rho is the least radius with
+    # b_rho >= |A|, and layers 1..full of the ball are fully occupied
+    rho, b_rho, full = 0, 1, 0
 
     for _ in range(n_chips - 1):
         while True:
@@ -1076,14 +1059,26 @@ def _aggregate_run(cfg: LazyTreeConfig, n_chips: int, modified: bool,
             stops.append(ORIGIN)
             continue
         site = res.site
-        depth_counts[len(site)] = depth_counts.get(len(site), 0) + 1
-        if len(site) > max_depth:
-            max_depth = len(site)
+        depth = len(site)
+        depth_counts[depth] = depth_counts.get(depth, 0) + 1
+        if depth > max_depth:
+            max_depth = depth
         stops.append(site)
         # merging a one-element set grows the table 2x where add() grows
         # it 4x, which halves the memory of a large cluster's set
         occupied |= {site}
-        note_size()
+        size = len(occupied)
+        while b_rho < size:
+            rho += 1
+            b_rho += layer_size(d, rho)
+        if depth == full + 1:
+            while depth_counts.get(full + 1, 0) == layer_size(d, full + 1):
+                full += 1
+        if b_rho == size:
+            ball_checks.append((rho, max_depth == rho))
+        elif not (full >= rho - 1 and max_depth <= rho):
+            # strictly between b_{rho-1} and b_rho
+            sandwich_ok = False
 
     return AggregationResult(
         d=d, chips=n_chips, occupied=occupied,

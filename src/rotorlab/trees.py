@@ -245,48 +245,34 @@ def _solve_harmonic(info: TreeInfo, boundary: dict[str, Fraction]) -> dict[str, 
     """Exact solve of the discrete Dirichlet problem on the hat tree.
 
     The function is harmonic at the root and every internal vertex, and
-    fixed on the leaves (o and the depth n-1 vertices).  Upward elimination
-    writes H(v) = alpha_v + beta_v * H(parent); the root equation then closes
-    the system and a downward pass fills in the values.
+    fixed on the leaves (o and the depth n-1 vertices).  Upward elimination,
+    deepest vertices first, writes H(v) = alpha_v + beta_v * H(parent), the
+    root's parent being the leaf o; a downward pass fills in the values.
     """
-    n = info.n
-    is_leaf = lambda v: info.depth[v] == n - 1
     alpha: dict[str, Fraction] = {}
     beta: dict[str, Fraction] = {}
-    order = sorted(info.internal, key=lambda v: -info.depth[v])
-    for v in order:
-        if v == "r":
-            continue
-        deg = Fraction(len(info.children[v]) + 1)
+    for v in reversed(info.internal):       # BFS order, reversed
         num = Fraction(0)
-        den = deg
+        den = Fraction(len(info.children[v]) + 1)
         for c in info.children[v]:
-            if is_leaf(c):
-                num += boundary[c]
-            else:
+            if c in alpha:              # internal, eliminated already
                 num += alpha[c]
                 den -= beta[c]
+            else:
+                num += boundary[c]
         alpha[v] = num / den
         beta[v] = Fraction(1) / den
-    deg_r = Fraction(len(info.children["r"]) + 1)
-    num = boundary["o"]
-    den = deg_r
-    for c in info.children["r"]:
-        if is_leaf(c):
-            num += boundary[c]
-        else:
-            num += alpha[c]
-            den -= beta[c]
-    H: dict[str, Fraction] = {}
-    H["r"] = num / den
-    H["o"] = boundary["o"]
-    for v in sorted(info.internal, key=lambda v: info.depth[v]):
-        if v != "r":
-            H[v] = alpha[v] + beta[v] * H[info.parent[v]]
-    for v in info.depth:
-        if is_leaf(v):
-            H[v] = boundary[v]
+    H = dict(boundary)
+    for v in info.internal:
+        H[v] = alpha[v] + beta[v] * H[info.parent.get(v, "o")]
     return H
+
+
+def _indicator_boundary(info: TreeInfo, target: str) -> dict[str, Fraction]:
+    """Boundary values 1 at ``target`` and 0 at every other hat-tree leaf."""
+    bnd = {v: Fraction(0) for v in ["o", *info.leaves]}
+    bnd[target] = Fraction(1)
+    return bnd
 
 
 def hitting_probabilities(d: int, n: int, verify: bool = True,
@@ -302,19 +288,9 @@ def hitting_probabilities(d: int, n: int, verify: bool = True,
     _check_params(d, n)
     info = _tree_skeleton(d, n)
     a = d - 1
-    tree_leaves = [v for v in info.depth if info.depth[v] == n - 1]
-
-    bnd_o = {v: Fraction(0) for v in tree_leaves}
-    bnd_o["o"] = Fraction(1)
-    H_o = _solve_harmonic(info, bnd_o)
-    p_o = H_o["r"]
-
-    z0 = tree_leaves[0]
-    bnd_z = {v: Fraction(0) for v in tree_leaves}
-    bnd_z["o"] = Fraction(0)
-    bnd_z[z0] = Fraction(1)
-    H_z = _solve_harmonic(info, bnd_z)
-    h_r = H_z["r"]
+    p_o = _solve_harmonic(info, _indicator_boundary(info, "o"))["r"]
+    z0 = info.leaves[0]
+    h_r = _solve_harmonic(info, _indicator_boundary(info, z0))["r"]
 
     if verify:
         closed_o = Fraction(a ** (n - 1) - 1, a ** n - 1)
@@ -323,15 +299,13 @@ def hitting_probabilities(d: int, n: int, verify: bool = True,
             raise ResultCheckError("harmonic solve disagrees with closed forms")
         if p_o + (a ** (n - 1)) * h_r != 1:
             raise ResultCheckError("leaf probabilities do not sum to 1")
-        z1 = tree_leaves[-1]
+        z1 = info.leaves[-1]
         if z1 != z0:
-            bnd2 = {v: Fraction(0) for v in tree_leaves}
-            bnd2["o"] = Fraction(0)
-            bnd2[z1] = Fraction(1)
-            if _solve_harmonic(info, bnd2)["r"] != h_r:
+            bnd = _indicator_boundary(info, z1)
+            if _solve_harmonic(info, bnd)["r"] != h_r:
                 raise ResultCheckError("leaf symmetry violated")
 
-    probs = {z: h_r for z in tree_leaves}
+    probs = {z: h_r for z in info.leaves}
     probs["o"] = p_o
     return probs, h_r
 
@@ -339,11 +313,7 @@ def hitting_probabilities(d: int, n: int, verify: bool = True,
 def harmonic_field_for_leaf(d: int, n: int, z: str) -> dict[str, Fraction]:
     """Full hitting-probability function H(x) = P_x(stop at z) on the hat tree."""
     info = _tree_skeleton(d, n)
-    tree_leaves = [v for v in info.depth if info.depth[v] == n - 1]
-    bnd = {v: Fraction(0) for v in tree_leaves}
-    bnd["o"] = Fraction(0)
-    bnd[z] = Fraction(1)
-    return _solve_harmonic(info, bnd)
+    return _solve_harmonic(info, _indicator_boundary(info, z))
 
 
 # -- exit measure (finite aggregation step) --------------------------------

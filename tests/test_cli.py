@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import tempfile
@@ -187,6 +188,42 @@ def test_escape_check_tree_residues(capsys):
     assert payload["valid"] is False
     assert payload["residues"][0]["word"] == "111"
     assert payload["residues"][0]["valid"] is False
+
+
+# sha256 of the stdout of `escape check WORD` and `escape check WORD --tree`,
+# with the exit codes: valid in both modes, failing at k = 2, at k = 3 (and
+# in one residue), valid but with one failing residue, failing at k = 4
+_CHECK_DIGESTS = [
+    ("0110101",
+     0, "39ccb7a2c82f77cc7dc196b88c243529ed5e968632fc2845a8ffda678fd5177f",
+     0, "1884f0e4558c6e3391374588e0fb9183b3f6c9cd62eb3822475e319fb4c39b90"),
+    ("10" * 20,
+     0, "449ff7a4c15de67de718abe09d8ffbc484f63ba61f0b269ef836e8a074b9d694",
+     0, "bed1893a1738aa4da2beb4fa23258950a0211eecacc5339498e6f950c463e9fe"),
+    ("0111",
+     3, "c582ed337669398acb203d4a87293ee546114367fc9653b79413b14b96a53b6f",
+     0, "c0e836a48233b9b72ac0ae13fdfa7790ba8ae7ea6f011b30239056d7cab61866"),
+    ("1101101",
+     3, "8208cca410711115366d982d1822b57147558fef698759bea8c663e73318f39b",
+     3, "12a21d2f434336e7198286adbdae9054af043b3e9b39f3bdd49f8eb158d516cc"),
+    ("001001001",
+     0, "a3d1db00816906f2bb7d78eb5961e1caf58b8c60b2791220efa65cbb14216c45",
+     3, "85d770a15e963a9ffda61153cac3752bff9ade5f1eba129c51e667c4e4d90b05"),
+    ("110101011010101",
+     3, "f35246faeb59e5179a162ea80d8a30edd9cdf241a74caf882cbadf983c918032",
+     0, "7d3ce37c310d764e55de3c009073678f32c62685742845c3dbffbd5fdaaf1c07"),
+]
+
+
+@pytest.mark.parametrize("word,branch_code,branch_sha,tree_code,tree_sha",
+                         _CHECK_DIGESTS)
+def test_escape_check_output_is_pinned(capsys, word, branch_code, branch_sha,
+                                       tree_code, tree_sha):
+    for argv, code, sha in [([], branch_code, branch_sha),
+                            (["--tree"], tree_code, tree_sha)]:
+        got, out, _ = run_cli(capsys, "escape", "check", word, *argv)
+        assert got == code, (word, argv)
+        assert hashlib.sha256(out.encode()).hexdigest() == sha, (word, argv)
 
 
 def test_escape_synthesize_and_simulate_round_trip(capsys, tmp_path):
@@ -388,13 +425,20 @@ def test_fuzz_bad_numeric_flags_exit_cleanly(argv):
     _assert_contract(argv)
 
 
-@pytest.mark.parametrize("argv", _OVER_LIMIT)
+# a word one letter past the chip limit: the argument is longer than one
+# command-line argument may be on Linux, so these run in process only
+_OVER_LIMIT_WORDS = [["escape", "synthesize", "0" * (MAX_CHIPS + 1), mode]
+                     for mode in ("--branch", "--tree")]
+
+
+@pytest.mark.parametrize("argv", _OVER_LIMIT + _OVER_LIMIT_WORDS)
 def test_chip_limit_exits_2_before_walking(argv, monkeypatch):
     def walk(*args, **kwargs):
         raise AssertionError("walked past the chip limit")
 
-    monkeypatch.setattr(cli, "aggregate", walk)
-    monkeypatch.setattr(cli, "run_chips_infinite", walk)
+    for name in ("aggregate", "run_chips_infinite", "simulate_config",
+                 "synthesize_branch", "synthesize_tree"):
+        monkeypatch.setattr(cli, name, walk)
     code, err = _run_quietly(argv)
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1

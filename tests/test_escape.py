@@ -7,7 +7,9 @@ from rotorlab.escape import (
     LengthMismatchError,
     NotRealizableError,
     ThreeConsecutiveOnesError,
+    WordError,
     descriptor_to_branch_config,
+    expand_descriptor,
     extend_for_root,
     factor_blocks,
     is_escape_branch,
@@ -21,6 +23,7 @@ from rotorlab.escape import (
     simulate_config,
     synthesize_branch,
     synthesize_tree,
+    validate_word,
     violating_window,
 )
 from rotorlab.lazytree import LazyTreeConfig, run_chips_infinite
@@ -49,6 +52,159 @@ def test_violating_window():
     assert violating_window("111") == (2, 1, 3)
     assert violating_window("0111") == (2, 2, 4)
     assert violating_window("10101") is None
+    assert violating_window("1101101") == (3, 1, 7)
+    assert violating_window("110101011010101") == (4, 1, 15)
+
+
+# -- literal oracles for the window scan ---------------------------------------
+
+def slicing_violating_window(a: str):
+    """First failing window, every window recounted from its slice."""
+    k = 2
+    while 2 ** k - 1 <= len(a):
+        w = 2 ** k - 1
+        limit = 2 ** (k - 1)
+        for i in range(len(a) - w + 1):
+            if a[i:i + w].count("1") > limit:
+                return (k, i + 1, i + w)
+        k += 1
+    return None
+
+
+def sliding_satisfies_pk(a: str, k: int) -> bool:
+    """(P_k) for one k by a sliding count over the windows."""
+    w = 2 ** k - 1
+    limit = 2 ** (k - 1)
+    if len(a) < w:
+        return True
+    ones = a[:w].count("1")
+    if ones > limit:
+        return False
+    for i in range(w, len(a)):
+        ones += (a[i] == "1") - (a[i - w] == "1")
+        if ones > limit:
+            return False
+    return True
+
+
+def oracle_is_branch(a: str) -> bool:
+    k = 2
+    while 2 ** k - 1 <= len(a):
+        if not sliding_satisfies_pk(a, k):
+            return False
+        k += 1
+    return True
+
+
+def oracle_synthesize_branch(a: str) -> ConfigDescriptor:
+    """Recursive synthesis that checks every sub-word with the oracles."""
+    if not oracle_is_branch(a):
+        raise NotRealizableError(a)
+    body = a[:-1] if a.endswith("1") else a
+    if "1" not in body:
+        return ConfigDescriptor.level(len(body))
+    c, d = psi(a)
+    return ConfigDescriptor.node(oracle_synthesize_branch(c),
+                                 oracle_synthesize_branch(d))
+
+
+def oracle_synthesize_tree(a: str) -> LazyTreeConfig:
+    if not all(oracle_is_branch(r) for r in residues(a)):
+        raise NotRealizableError(a)
+    overrides, regions = [((), 3)], []
+    for j, r in enumerate(residues(a), start=1):
+        expand_descriptor(oracle_synthesize_branch(r), (j,), overrides,
+                          regions, 3)
+    return LazyTreeConfig(d=3, default=3, mode="tree",
+                          overrides=tuple(overrides), regions=tuple(regions))
+
+
+def greedy_word(rng: random.Random, n: int, stride: int, p: float) -> str:
+    """A word whose ``stride`` residues are valid branch words: a 1 is kept
+    only when every window it closes stays within its bound."""
+    out: list[str] = []
+    for i in range(n):
+        out.append("1" if rng.random() < p else "0")
+        res = out[i % stride::stride]
+        k = 2
+        while out[-1] == "1" and 2 ** k - 1 <= len(res):
+            if res[len(res) - 2 ** k + 1:].count("1") > 2 ** (k - 1):
+                out[-1] = "0"
+            k += 1
+    return "".join(out)
+
+
+def assert_window_functions_match_oracles(a: str) -> None:
+    win = slicing_violating_window(a)
+    assert violating_window(a) == win, a
+    assert satisfies_all(a) is is_escape_branch(a) is (win is None), a
+    assert oracle_is_branch(a) is (win is None), a
+    for k in range(1, len(a).bit_length() + 2):
+        assert satisfies_pk(a, k) is sliding_satisfies_pk(a, k), (a, k)
+    tree_ok = all(slicing_violating_window(r) is None for r in residues(a))
+    assert is_escape_tree(a) is tree_ok, a
+
+
+def test_window_functions_match_oracles_on_every_short_word():
+    for a in all_words(12):
+        assert_window_functions_match_oracles(a)
+
+
+def _seeded_words(densities: tuple[float, ...]):
+    """240 words of length 50-400, half of them broken by a few flips."""
+    rng = random.Random(47)
+    for i in range(240):
+        n = rng.randrange(50, 401)
+        stride = 3 if i % 2 else 1
+        a = greedy_word(rng, n, stride, rng.choice(densities))
+        if i % 4 >= 2:                  # break it: flip a few zeros to ones
+            bits = list(a)
+            for _ in range(rng.randrange(1, 4)):
+                bits[rng.randrange(n)] = "1"
+            a = "".join(bits)
+        yield a
+
+
+def test_window_functions_match_oracles_on_seeded_words():
+    verdicts = set()
+    for a in _seeded_words((0.2, 0.3, 0.5, 0.7, 0.9)):
+        assert_window_functions_match_oracles(a)
+        verdicts.add((is_escape_branch(a), is_escape_tree(a)))
+    assert len(verdicts) == 4, verdicts
+
+
+def _descriptor_json(synthesize, a: str):
+    try:
+        return synthesize(a).to_json()
+    except NotRealizableError:
+        return None
+
+
+def test_synthesized_descriptors_match_oracles():
+    # sparse words split into very large descriptors, so the seeded words
+    # here are dense ones
+    realizable = 0
+    for a in [*all_words(10), *_seeded_words((0.7, 0.9))]:
+        branch = _descriptor_json(synthesize_branch, a)
+        assert branch == _descriptor_json(oracle_synthesize_branch, a), a
+        tree = _descriptor_json(synthesize_tree, a)
+        assert tree == _descriptor_json(oracle_synthesize_tree, a), a
+        realizable += len(a) >= 50 and (branch or tree) is not None
+    assert realizable >= 100
+
+
+@pytest.mark.parametrize("word", ["2", "1a1", "01 ", "0\n1", "x" * 7])
+def test_every_word_function_rejects_non_binary_input(word):
+    calls = [validate_word, satisfies_all, violating_window,
+             is_escape_branch, is_escape_tree, residues, factor_blocks, psi,
+             synthesize_branch, synthesize_tree,
+             lambda a: satisfies_pk(a, 1), lambda a: satisfies_pk(a, 3),
+             lambda a: phi(a, a), lambda a: phi("0" * len(a), a),
+             lambda a: extend_for_root(a, "0", "left"),
+             lambda a: extend_for_root("0", a, "up")]
+    for call in calls:
+        with pytest.raises(WordError):
+            call(word)
 
 
 def test_factor_blocks():

@@ -1,6 +1,7 @@
 import json
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -483,6 +484,107 @@ def test_aggregate_matches_naive_aggregator():
         assert mod.occupied == set(rotors)
         assert mod.max_depth == max(depth_counts)
         assert mod.state.rotors == rotors
+
+
+def replay_checkpoints(d: int, stops: list) -> tuple[list, bool]:
+    """ball_checks and sandwich_ok recomputed from the stops alone: after
+    every settled chip, rescan b_0, b_1, ... for the radius and the layer
+    counts for the full-layer prefix."""
+    ball_checks, sandwich_ok = [(0, True)], True
+    for i in range(1, len(stops)):
+        if stops[i] == ORIGIN:          # a modified chip back at the origin
+            continue
+        occupied = set(stops[:i + 1])
+        counts = Counter(len(a) for a in occupied)
+        size, max_depth = len(occupied), max(counts)
+        rho = 0
+        while ball_size(d, rho) < size:
+            rho += 1
+        if ball_size(d, rho) == size:
+            ball_checks.append((rho, max_depth == rho))
+            continue
+        full = 0
+        while counts[full + 1] == layer_size(d, full + 1):
+            full += 1
+        if not (full >= rho - 1 and max_depth <= rho):
+            sandwich_ok = False
+    return ball_checks, sandwich_ok
+
+
+def ball_vertices(d: int, rho: int) -> list:
+    """B_rho in breadth-first order."""
+    out, layer = [ORIGIN], [ORIGIN]
+    for _ in range(rho):
+        layer = [a + (c,) for a in layer
+                 for c in range(1, (d if a == ORIGIN else d - 1) + 1)]
+        out += layer
+    return out
+
+
+def run_scripted(monkeypatch, d: int, script: list, modified: bool):
+    """Aggregate with walk_chip settling on the scripted sites in order;
+    None is a chip back at the origin."""
+    results = iter(script)
+
+    def walk_chip(self, record_visits=False, settle=False):
+        site = next(results)
+        if site is None:
+            return lazytree.ChipResult(lazytree.RETURNED, 0, 1)
+        return lazytree.ChipResult(lazytree.SETTLED, len(site), 1, site=site)
+
+    monkeypatch.setattr(TreeState, "walk_chip", walk_chip)
+    chips = 1 + (len(script) if modified
+                 else sum(site is not None for site in script))
+    return lazytree._aggregate_run(uniform_config(d, 1), chips, modified,
+                                   check_acyclic=False, step_cap=10 ** 9)
+
+
+def _scripts():
+    b3 = ball_vertices(3, 3)
+    l1, l2, l3 = b3[1:4], b3[4:10], b3[10:22]
+    yield 3, "breadth-first", b3[1:]
+    yield 3, "deep site first", [l2[0]] + l1 + l2[1:] + l3
+    yield 3, "layer 2 skipped", l1 + l3 + l2
+    # layer 2 fills before layer 1 does: the full prefix jumps from 0 to 2
+    yield 3, "deeper layer filled first", l1[:2] + l2 + [l1[2]] + l3
+    yield 3, "layer 1 last", l2 + l3[:5] + l1 + l3[5:]
+    yield 4, "breadth-first", ball_vertices(4, 2)[1:]
+    rng = random.Random(41)
+    for i in range(60):
+        d = 3 if i % 2 else 4
+        sites = ball_vertices(d, 4 if d == 3 else 3)[1:]
+        if i % 3 == 0:
+            rng.shuffle(sites)          # any order, any subset
+            sites = sites[:rng.randrange(1, len(sites) + 1)]
+        else:                           # breadth-first with local swaps
+            for _ in range(rng.randrange(1, 6)):
+                j = rng.randrange(len(sites) - 1)
+                sites[j], sites[j + 1] = sites[j + 1], sites[j]
+        yield d, f"random {i}", sites
+
+
+def test_aggregation_checkpoints_match_replay_of_stops(monkeypatch):
+    # scripted sites reach checkpoints no acyclic configuration produces
+    seen = Counter()
+    rng = random.Random(43)
+    for d, name, sites in _scripts():
+        script = []
+        for site in sites:
+            script += [None] * (rng.random() < 0.2) + [site]
+        for modified in (False, True):
+            res = run_scripted(monkeypatch, d, script, modified)
+            stops = [ORIGIN] + [ORIGIN if site is None else site
+                                for site in script
+                                if modified or site is not None]
+            assert res.stops == stops, name
+            assert res.occupied == set(stops), name
+            assert res.depth_counts == Counter(len(a) for a in set(stops))
+            checks, sandwich_ok = replay_checkpoints(d, stops)
+            assert res.ball_checks == checks, (name, modified)
+            assert res.sandwich_ok == sandwich_ok, (name, modified)
+            seen[sandwich_ok, all(ok for _, ok in checks)] += 1
+    # every combination of verdicts occurs
+    assert len(seen) == 4, seen
 
 
 def test_step_budget_guard():

@@ -34,7 +34,12 @@ from rotorlab.trees import (
     recurrence_experiment,
     uniform_direction_config,
 )
-from rotorlab.walk import check_harmonic_invariant, route_all, route_to_sink
+from rotorlab.walk import (
+    check_harmonic_invariant,
+    is_harmonic_at,
+    route_all,
+    route_to_sink,
+)
 
 
 def test_bad_parameters():
@@ -228,6 +233,21 @@ def test_exit_measure_satisfies_harmonic_invariant():
     assert check_harmonic_invariant(g, H, {"r": m}, counts, trace)
     # the invariant value is exactly the count at z
     assert counts[z] == m * H["r"]
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_harmonic_field_is_harmonic_inside_with_leaf_boundary(d):
+    # harmonic at every internal vertex and 1 at z, 0 at the other leaves:
+    # that fixes the exact solution of the Dirichlet problem
+    for n in range(2, 7):
+        g, info = build_hat_tree(d, n)
+        for z in {info.leaves[1], info.leaves[-1]}:
+            H = harmonic_field_for_leaf(d, n, z)
+            assert set(H) == set(info.depth) | {"o"}
+            for v in info.leaves:
+                assert H[v] == (v == z)
+            for v in info.internal:
+                assert is_harmonic_at(g, H, v), (d, n, z, v)
 
 
 def test_alternation_base_case():
