@@ -205,6 +205,8 @@ class ConfigDescriptor:
     kind "level": the first h levels of the branch point in direction d-1
     and everything deeper points in direction d.  kind "node": the branch
     root points up and the two sub-branches carry their own descriptors.
+    Synthesized descriptors share equal sub-descriptors; equality, JSON and
+    expansion see the tree they unfold to.
     """
 
     kind: str                     # "level" | "node"
@@ -254,31 +256,61 @@ def _degenerate_height(a: str) -> int | None:
     return None if "1" in body else len(body)
 
 
-def synthesize_branch(a: str) -> ConfigDescriptor:
-    """A descriptor whose branch simulation reproduces the word exactly.
+def _synthesize(a: str, memo: dict[str, ConfigDescriptor]) -> ConfigDescriptor:
+    """The descriptor of a, built bottom-up through ``memo``.
 
     Valid words split through psi into strictly shorter valid sub-words
     until the all-zero tail case, which a level rule realizes directly.
-    Every sub-word is checked again before it is split.
-    """
-    if violating_window(a) is not None:
-        raise NotRealizableError(f"{a!r} violates a window condition")
-    h = _degenerate_height(a)
-    if h is not None:
-        return ConfigDescriptor.level(h)
-    c, d = psi(a)
-    return ConfigDescriptor.node(synthesize_branch(c), synthesize_branch(d))
+    psi maps blocks 0 and 110 alike on both sides, so sub-words repeat:
+    each distinct one is checked, split and built once, and repeats share
+    its descriptor.  Sub-words are checked in the preorder of the
+    expanded descriptor, on an explicit stack, so deep descriptors do not
+    recurse."""
+    split: dict[str, tuple[str, str]] = {}
+    stack = [a]
+    while stack:
+        w = stack[-1]
+        if w in memo:
+            stack.pop()
+        elif w in split:
+            c, d = split[w]
+            memo[w] = ConfigDescriptor.node(memo[c], memo[d])
+            stack.pop()
+        else:
+            if violating_window(w) is not None:
+                raise NotRealizableError(
+                    f"{w!r} violates a window condition")
+            h = _degenerate_height(w)
+            if h is not None:
+                memo[w] = ConfigDescriptor.level(h)
+                stack.pop()
+            else:
+                c, d = split[w] = psi(w)
+                stack += (d, c)
+    return memo[a]
+
+
+def synthesize_branch(a: str) -> ConfigDescriptor:
+    """A descriptor whose branch simulation reproduces the word exactly.
+
+    Every sub-word is checked before it is split.  The result is a DAG:
+    equal sub-words share one descriptor."""
+    return _synthesize(a, {})
 
 
 def expand_descriptor(desc: ConfigDescriptor, base: Address,
                       overrides: list[tuple[Address, int]],
                       regions: list[LevelRegion], d: int = 3) -> None:
-    if desc.kind == "level":
-        regions.append(LevelRegion(base, desc.h))
-    else:
-        overrides.append((base, d))
-        expand_descriptor(desc.left, base + (1,), overrides, regions, d)
-        expand_descriptor(desc.right, base + (2,), overrides, regions, d)
+    """Append the descriptor's overrides and regions, in preorder (a node,
+    then its left subtree, then its right), to the two lists."""
+    stack = [(desc, base)]
+    while stack:
+        desc, base = stack.pop()
+        if desc.kind == "level":
+            regions.append(LevelRegion(base, desc.h))
+        else:
+            overrides.append((base, d))
+            stack += ((desc.right, base + (2,)), (desc.left, base + (1,)))
 
 
 def descriptor_to_branch_config(desc: ConfigDescriptor,
@@ -296,14 +328,16 @@ def synthesize_tree(a: str) -> LazyTreeConfig:
 
     The origin rotor starts at direction 3, so chip j enters branch
     j mod 3 (j = 1 entering branch 1); each branch carries the descriptor
-    synthesized for its residue subsequence.
+    synthesized for its residue subsequence.  The three residues share
+    one table of sub-word descriptors.
     """
     if not is_escape_tree(a):
         raise NotRealizableError(f"{a!r} has an invalid residue subsequence")
     overrides: list[tuple[Address, int]] = [((), 3)]
     regions: list[LevelRegion] = []
+    memo: dict[str, ConfigDescriptor] = {}
     for j, r in enumerate(residues(a), start=1):
-        expand_descriptor(synthesize_branch(r), (j,), overrides, regions, 3)
+        expand_descriptor(_synthesize(r, memo), (j,), overrides, regions, 3)
     return LazyTreeConfig(d=3, default=3, mode="tree",
                           overrides=tuple(overrides), regions=tuple(regions))
 

@@ -229,27 +229,34 @@ class LazyTreeConfig:
 
     @cached_property
     def root_kind(self) -> NodeKind:
-        """The origin's kind, with the kinds of the structure below it."""
+        """The origin's kind, with the kinds of the structure below it.
+
+        Each marked address (override, region, ray start) is walked down
+        ``kids`` from the origin; a prefix gets its kind, from its parent's
+        and its own marks, the first time a walk reaches it."""
         overrides = dict(self.overrides)
         regions = {reg.addr: reg for reg in self.regions}
         starts: dict[Address, tuple[int, ...]] = {}
         for i, ray in enumerate(self.rays):
             starts[ray.start] = starts.get(ray.start, ()) + (i,)
-        marked = [*overrides, *regions, *starts]
-        made: dict[Address, NodeKind] = {}
-        for addr in sorted({a[:k] for a in marked for k in range(len(a) + 1)}
-                           | {ORIGIN}):
-            up = made.get(addr[:-1]) if addr else None
-            rays = self._step_rays(up.rays, addr[-1]) if up and up.rays \
-                else ()
-            rays += tuple((i, 0) for i in starts.get(addr, ()))
-            region = regions.get(addr, up.region if up else None)
-            kind = made[addr] = self._kind(overrides.get(addr), rays, region,
-                                           len(addr))
-            kind.kids = {}
-            if up:
-                up.kids[addr[-1]] = kind
-        return made[ORIGIN]
+        root = self._kind(overrides.get(ORIGIN), (), regions.get(ORIGIN), 0)
+        root.kids = {}
+        for marked in (overrides, regions, starts):
+            for addr in marked:
+                kind = root
+                for depth, c in enumerate(addr, 1):
+                    sub = kind.kids.get(c)
+                    if sub is None:
+                        prefix = addr[:depth]
+                        rays = self._step_rays(kind.rays, c) if kind.rays \
+                            else ()
+                        rays += tuple((i, 0) for i in starts.get(prefix, ()))
+                        sub = kind.kids[c] = self._kind(
+                            overrides.get(prefix), rays,
+                            regions.get(prefix, kind.region), depth)
+                        sub.kids = {}
+                    kind = sub
+        return root
 
     @cached_property
     def _shared_kinds(self) -> dict[tuple, NodeKind]:
@@ -674,7 +681,8 @@ class TreeState:
         r = self._rot[x]
         if r:
             return r
-        self._ensure_rays(x)
+        if x in self._tip:
+            self._ensure_rays(x)
         d = self.cfg.d
         base = d if x in self._cover else self._kind[x].base
         k = self._rc.get(x)
@@ -694,6 +702,8 @@ class TreeState:
         if cover.get(x, 0) >= end:
             return
         cover[x] = end
+        if not self._head[x]:           # no children yet
+            return
         depth = self._depth
         stack = self._children(x)
         while stack:

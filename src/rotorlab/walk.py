@@ -157,7 +157,10 @@ def reverse_walk(g: DirectedMultigraph, t_final: RotorConfiguration, x: str,
     state the chip is at its first visit, and the predecessor is found by
     walking the rotor path from x.  The configuration is validated once and
     then kept as a per-vertex slot list and a rotor-target list, each reverse
-    step decrementing one rotor in both.
+    step decrementing one rotor in both.  The whole rotor graph is checked
+    for cycles once, on the input; a state that passes is acyclic, and after
+    each step any cycle passes through the one vertex whose rotor changed,
+    so following rotors from it decides recurrence.
     """
     t_final.validate(g)
     if x not in g.index:
@@ -167,10 +170,10 @@ def reverse_walk(g: DirectedMultigraph, t_final: RotorConfiguration, x: str,
     full = g.slots_to_full(t_final)
     tgt = _rotor_targets(g, t_final)
     start = g.index[x]
-    chip = g.sink_index
+    sink = chip = g.sink_index
     count = 0
+    rec = _acyclic(g, tgt)
     while True:
-        rec = _acyclic(g, tgt)
         if rec and chip == start:
             return g.full_to_slots(full)
         if count >= step_budget:
@@ -186,6 +189,12 @@ def reverse_walk(g: DirectedMultigraph, t_final: RotorConfiguration, x: str,
         tgt[z] = out_idx[z][s]
         chip = z
         count += 1
+        # the step broke the only cycle (it ran through z) or left none, so
+        # the path from z ends at the sink or comes back to z
+        v = tgt[z]
+        while v != z and v != sink:
+            v = tgt[v]
+        rec = v == sink
 
 
 def _cycle_predecessor(g: DirectedMultigraph, tgt: list[int], chip: int) -> int:

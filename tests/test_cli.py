@@ -241,6 +241,19 @@ def test_escape_synthesize_and_simulate_round_trip(capsys, tmp_path):
     assert json.loads(out)["word"] == "10110"
 
 
+def test_escape_synthesize_deep_descriptor(capsys):
+    # psi peels one letter per level off 110 followed by zeros, so the
+    # descriptor is about 1,200 levels deep: deeper than Python's default
+    # recursion limit
+    word = "110" + "0" * 1200
+    code, out, _ = run_cli(capsys, "escape", "synthesize", word)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["round_trip_ok"] is True
+    config = payload["config"]
+    assert len(config["overrides"]) + len(config["regions"]) == 4803
+
+
 def test_escape_synthesize_not_realizable(capsys):
     code, _, err = run_cli(capsys, "escape", "synthesize", "111", "--branch")
     assert code == 3

@@ -9,7 +9,6 @@ from rotorlab.escape import (
     ThreeConsecutiveOnesError,
     WordError,
     descriptor_to_branch_config,
-    expand_descriptor,
     extend_for_root,
     factor_blocks,
     is_escape_branch,
@@ -26,7 +25,7 @@ from rotorlab.escape import (
     validate_word,
     violating_window,
 )
-from rotorlab.lazytree import LazyTreeConfig, run_chips_infinite
+from rotorlab.lazytree import LazyTreeConfig, LevelRegion, run_chips_infinite
 
 
 def all_words(max_len: int, min_len: int = 0):
@@ -97,7 +96,8 @@ def oracle_is_branch(a: str) -> bool:
 
 
 def oracle_synthesize_branch(a: str) -> ConfigDescriptor:
-    """Recursive synthesis that checks every sub-word with the oracles."""
+    """Recursive synthesis that checks every sub-word with the oracles and
+    builds every repeat of a sub-word again."""
     if not oracle_is_branch(a):
         raise NotRealizableError(a)
     body = a[:-1] if a.endswith("1") else a
@@ -108,13 +108,30 @@ def oracle_synthesize_branch(a: str) -> ConfigDescriptor:
                                  oracle_synthesize_branch(d))
 
 
+def oracle_expand(desc: ConfigDescriptor, base: tuple, overrides: list,
+                  regions: list) -> None:
+    """Recursive preorder expansion: node, left subtree, right subtree."""
+    if desc.kind == "level":
+        regions.append(LevelRegion(base, desc.h))
+    else:
+        overrides.append((base, 3))
+        oracle_expand(desc.left, base + (1,), overrides, regions)
+        oracle_expand(desc.right, base + (2,), overrides, regions)
+
+
+def oracle_branch_config(desc: ConfigDescriptor) -> LazyTreeConfig:
+    overrides, regions = [], []
+    oracle_expand(desc, (1,), overrides, regions)
+    return LazyTreeConfig(d=3, default=3, mode="branch",
+                          overrides=tuple(overrides), regions=tuple(regions))
+
+
 def oracle_synthesize_tree(a: str) -> LazyTreeConfig:
     if not all(oracle_is_branch(r) for r in residues(a)):
         raise NotRealizableError(a)
     overrides, regions = [((), 3)], []
     for j, r in enumerate(residues(a), start=1):
-        expand_descriptor(oracle_synthesize_branch(r), (j,), overrides,
-                          regions, 3)
+        oracle_expand(oracle_synthesize_branch(r), (j,), overrides, regions)
     return LazyTreeConfig(d=3, default=3, mode="tree",
                           overrides=tuple(overrides), regions=tuple(regions))
 
@@ -173,24 +190,46 @@ def test_window_functions_match_oracles_on_seeded_words():
     assert len(verdicts) == 4, verdicts
 
 
-def _descriptor_json(synthesize, a: str):
+def _outcome(synthesize, a: str):
     try:
-        return synthesize(a).to_json()
+        return synthesize(a)
     except NotRealizableError:
         return None
 
 
+def _valid_seeded_words(count: int):
+    """``count`` valid words of length 50-400, alternately branch words and
+    full-tree words, at densities 0.6-0.9: sparser words unfold into
+    descriptors of thousands of nodes, which the oracles build one by one."""
+    rng = random.Random(59)
+    words = []
+    while len(words) < count:
+        stride = 3 if len(words) % 2 else 1
+        a = greedy_word(rng, rng.randrange(50, 401), stride,
+                        rng.choice((0.6, 0.7, 0.8, 0.9)))
+        if all(oracle_is_branch(a[r::stride]) for r in range(stride)):
+            words.append(a)
+    return words
+
+
 def test_synthesized_descriptors_match_oracles():
-    # sparse words split into very large descriptors, so the seeded words
-    # here are dense ones
-    realizable = 0
-    for a in [*all_words(10), *_seeded_words((0.7, 0.9))]:
-        branch = _descriptor_json(synthesize_branch, a)
-        assert branch == _descriptor_json(oracle_synthesize_branch, a), a
-        tree = _descriptor_json(synthesize_tree, a)
-        assert tree == _descriptor_json(oracle_synthesize_tree, a), a
-        realizable += len(a) >= 50 and (branch or tree) is not None
-    assert realizable >= 100
+    # descriptor JSON and the expanded configs (their overrides and regions
+    # tuples, in order) equal those of the recursive oracles
+    realizable = {"branch": 0, "tree": 0}
+    words = [*all_words(12), *_seeded_words((0.7, 0.9)),
+             *_valid_seeded_words(200)]
+    for a in words:
+        desc = _outcome(synthesize_branch, a)
+        want = _outcome(oracle_synthesize_branch, a)
+        assert (desc and desc.to_json()) == (want and want.to_json()), a
+        if desc is not None:
+            assert descriptor_to_branch_config(desc) \
+                == oracle_branch_config(want), a
+        cfg = _outcome(synthesize_tree, a)
+        assert cfg == _outcome(oracle_synthesize_tree, a), a
+        realizable["branch"] += len(a) >= 50 and desc is not None
+        realizable["tree"] += len(a) >= 50 and cfg is not None
+    assert min(realizable.values()) >= 100, realizable
 
 
 @pytest.mark.parametrize("word", ["2", "1a1", "01 ", "0\n1", "x" * 7])

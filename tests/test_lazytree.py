@@ -380,6 +380,109 @@ def test_engines_agree_on_random_configs():
     assert ran >= 90
 
 
+# -- structure kinds -------------------------------------------------------------
+
+def oracle_root_kind(cfg: LazyTreeConfig):
+    """All-prefixes oracle for ``root_kind``: every prefix of every marked
+    address, sorted so that parents come first, gets its kind from its
+    parent's."""
+    overrides = dict(cfg.overrides)
+    regions = {reg.addr: reg for reg in cfg.regions}
+    starts = {}
+    for i, ray in enumerate(cfg.rays):
+        starts[ray.start] = starts.get(ray.start, ()) + (i,)
+    marked = [*overrides, *regions, *starts]
+    made = {}
+    for addr in sorted({a[:k] for a in marked for k in range(len(a) + 1)}
+                       | {ORIGIN}):
+        up = made.get(addr[:-1]) if addr else None
+        rays = cfg._step_rays(up.rays, addr[-1]) if up and up.rays else ()
+        rays += tuple((i, 0) for i in starts.get(addr, ()))
+        region = regions.get(addr, up.region if up else None)
+        kind = made[addr] = cfg._kind(overrides.get(addr), rays, region,
+                                      len(addr))
+        kind.kids = {}
+        if up:
+            up.kids[addr[-1]] = kind
+    return made[ORIGIN]
+
+
+def assert_kind_trees_equal(got, want) -> int:
+    """Same base, rays, region object and kids keys at every structure
+    vertex; returns the number of vertices compared."""
+    stack = [(got, want, ())]
+    seen = 0
+    while stack:
+        g, w, addr = stack.pop()
+        seen += 1
+        assert (g.base, g.ray, g.rays) == (w.base, w.ray, w.rays), addr
+        assert g.region is w.region, addr
+        assert g.kids.keys() == w.kids.keys(), addr
+        stack += ((g.kids[c], w.kids[c], addr + (c,)) for c in w.kids)
+    return seen
+
+
+def _random_structure_config(rng: random.Random) -> LazyTreeConfig:
+    """Overrides at random depths (their prefixes mostly unmarked), nested
+    level regions, and rays, some of them starting at one address."""
+    d = rng.choice([3, 3, 4, 5])
+    mode = rng.choice(["tree", "branch"])
+
+    def addr(lo: int, hi: int) -> tuple:
+        return tuple(rng.randrange(1, (d if mode == "tree" else 1) + 1)
+                     if lvl == 0 else rng.randrange(1, d)
+                     for lvl in range(rng.randrange(lo, hi)))
+
+    overrides = {}
+    for _ in range(rng.randrange(0, 8)):
+        a = addr(0, 7)
+        if a or mode == "tree":
+            overrides[a] = rng.randrange(1, d + 1)
+    regions = {}
+    for _ in range(rng.randrange(0, 4)):
+        a = addr(1, 5)
+        regions[a] = LevelRegion(a, rng.randrange(0, 4))
+        if rng.random() < 0.5:          # a region nested inside it
+            inner = a + tuple(rng.randrange(1, d)
+                              for _ in range(rng.randrange(1, 3)))
+            regions[inner] = LevelRegion(inner, rng.randrange(0, 4))
+    rays = []
+    for _ in range(rng.randrange(0, 3)):
+        start = addr(1, 4)
+        for _ in range(rng.choice([1, 1, 2])):      # two rays at one start
+            pattern = tuple(rng.randrange(1, d)
+                            for _ in range(rng.randrange(1, 4)))
+            rays.append(RayRule(start, pattern, rng.randrange(1, d + 1)))
+    return LazyTreeConfig(d=d, default=rng.randrange(1, d + 1), mode=mode,
+                          overrides=tuple(overrides.items()),
+                          rays=tuple(rays), regions=tuple(regions.values()))
+
+
+def test_root_kind_matches_all_prefixes_oracle():
+    rng = random.Random(53)
+    made = shared_start = nested = 0
+    while made < 300:
+        try:
+            cfg = _random_structure_config(rng)
+        except LazyTreeError:
+            continue
+        made += 1
+        assert_kind_trees_equal(cfg.root_kind, oracle_root_kind(cfg))
+        starts = [ray.start for ray in cfg.rays]
+        shared_start += len(set(starts)) < len(starts)
+        nested += any(a.addr != b.addr and b.addr[:len(a.addr)] == a.addr
+                      for a in cfg.regions for b in cfg.regions)
+    assert shared_start >= 20 and nested >= 20, (shared_start, nested)
+    for i in range(40):
+        n = rng.randrange(10, 120)
+        stride = 3 if i % 2 else 1
+        a = _dense_valid_word(rng, n, stride)
+        cfg = synthesize_tree(a) if stride == 3 else \
+            descriptor_to_branch_config(synthesize_branch(a))
+        seen = assert_kind_trees_equal(cfg.root_kind, oracle_root_kind(cfg))
+        assert seen > len(cfg.overrides)
+
+
 # -- aggregation ----------------------------------------------------------------
 
 def test_aggregate_first_ball():
