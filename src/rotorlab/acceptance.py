@@ -18,7 +18,6 @@ from rotorlab.escape import (
     is_escape_branch,
     phi,
     psi,
-    residues,
     satisfies_all,
     satisfies_pk,
     simulate_branch,
@@ -235,24 +234,17 @@ def descriptor_word_closure(m: int = 8, max_h: int = 8,
         reps.update(new)
 
 
-def random_valid_branch_word(rng: random.Random, n: int) -> str:
-    out: list[str] = []
+def random_valid_word(rng: random.Random, n: int, stride: int = 1) -> str:
+    """A seeded valid word: each bit is 1 with probability 0.55 unless that
+    breaks a window of some residue class mod stride (1: a branch word, 3:
+    a full-tree word)."""
+    out = ""
     for _ in range(n):
-        out.append("1")
-        if not (rng.random() < 0.55 and satisfies_all("".join(out))):
-            out[-1] = "0"
-    return "".join(out)
-
-
-def random_valid_tree_word(rng: random.Random, n: int) -> str:
-    out: list[str] = []
-    for _ in range(n):
-        out.append("1")
-        ok = rng.random() < 0.55 and all(
-            satisfies_all(r) for r in residues("".join(out)))
-        if not ok:
-            out[-1] = "0"
-    return "".join(out)
+        w = out + "1"
+        ok = rng.random() < 0.55 and all(satisfies_all(w[r::stride])
+                                         for r in range(stride))
+        out = w if ok else out + "0"
+    return out
 
 
 def criterion_8_escape_characterization(n_long_words: int = 200,
@@ -282,10 +274,10 @@ def criterion_8_escape_characterization(n_long_words: int = 200,
         # (c) long random words round-trip on the branch and the full tree
         rng = random.Random(7)
         for i in range(n_long_words):
-            a = random_valid_branch_word(rng, long_len)
+            a = random_valid_word(rng, long_len)
             if simulate_branch(synthesize_branch(a), long_len) != a:
                 return False, f"branch round trip failed at long word {i}"
-            b = random_valid_tree_word(rng, long_len)
+            b = random_valid_word(rng, long_len, stride=3)
             if simulate_config(synthesize_tree(b), long_len) != b:
                 return False, f"tree round trip failed at long word {i}"
         return True, (f"exhaustive |a|<=10; oracle {len(valid8)} words at "

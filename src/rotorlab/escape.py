@@ -225,25 +225,64 @@ class ConfigDescriptor:
              ) -> "ConfigDescriptor":
         return ConfigDescriptor("node", left=left, right=right)
 
+    def __eq__(self, other: object) -> bool:
+        """Equal when the JSON is: the unfolded trees are equal."""
+        if type(other) is not ConfigDescriptor:
+            return NotImplemented
+        return self is other or self.to_json() == other.to_json()
+
+    def __hash__(self) -> int:
+        return hash(self.to_json())
+
     def to_json_dict(self) -> dict:
-        if self.kind == "level":
-            return {"rule": "level", "h": self.h}
-        return {"rule": "node", "root": "up",
-                "left": self.left.to_json_dict(),
-                "right": self.right.to_json_dict()}
+        """The unfolded tree as nested dicts, on an explicit stack."""
+        root: dict = {}
+        stack = [(self, root)]
+        while stack:
+            x, out = stack.pop()
+            if x.kind == "level":
+                out.update(rule="level", h=x.h)
+            else:
+                out.update(rule="node", root="up", left={}, right={})
+                stack += [(x.right, out["right"]), (x.left, out["left"])]
+        return root
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
+        """``json.dumps(self.to_json_dict(), sort_keys=True)``, written in
+        preorder on an explicit stack: the json module recurses once per
+        level of nesting."""
+        parts = []
+        stack: list = [self]
+        while stack:
+            x = stack.pop()
+            if type(x) is str:
+                parts.append(x)
+            elif x.kind == "level":
+                parts.append(f'{{"h": {json.dumps(x.h)}, "rule": "level"}}')
+            else:
+                parts.append('{"left": ')
+                stack += [', "root": "up", "rule": "node"}', x.right,
+                          ', "right": ', x.left]
+        return "".join(parts)
 
     @staticmethod
     def from_json_dict(p: dict) -> "ConfigDescriptor":
-        if p["rule"] == "level":
-            return ConfigDescriptor.level(p["h"])
-        if p["rule"] == "node":
-            return ConfigDescriptor.node(
-                ConfigDescriptor.from_json_dict(p["left"]),
-                ConfigDescriptor.from_json_dict(p["right"]))
-        raise WordError(f"unknown descriptor rule {p.get('rule')!r}")
+        """The descriptor of a ``to_json_dict`` tree, built children first
+        on an explicit stack; rules are checked in preorder."""
+        built: list[ConfigDescriptor] = []
+        stack = [(p, False)]
+        while stack:
+            q, ready = stack.pop()
+            if ready:                 # both children are built
+                right = built.pop()
+                built.append(ConfigDescriptor.node(built.pop(), right))
+            elif q["rule"] == "level":
+                built.append(ConfigDescriptor.level(q["h"]))
+            elif q["rule"] == "node":
+                stack += [(q, True), (q["right"], False), (q["left"], False)]
+            else:
+                raise WordError(f"unknown descriptor rule {q.get('rule')!r}")
+        return built[0]
 
     @staticmethod
     def from_json(text: str) -> "ConfigDescriptor":

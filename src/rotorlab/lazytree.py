@@ -22,8 +22,9 @@ materialized rotors:
   the literal walk length is exponential in the chip index.
 
 * escape rays -- when a chip provably descends forever, the vertices along
-  its infinite path each advance once.  The path is expanded lazily, only
-  as deep as later walks actually probe.
+  its infinite path each advance once.  The path is expanded lazily: a
+  ray's pending tip waits on the last vertex of the path that has an id,
+  and moves down as the next vertex gets one.
 
 * pass counts -- how many escape rays have run through a vertex, which
   offsets its base direction.
@@ -34,15 +35,16 @@ child index, rotor (0 while not materialized), sibling links, and the
 static ``NodeKind`` (base direction, config ray and offset, level region,
 the structure below), derived from the parent's kind when the id is made.
 A child's id is found in a block of child slots at small degree and in a
-dict at large degree.  Sparse maps keyed by id hold the pass count, the
-absolute depth reached by the deepest patch covering the vertex, and the
-number of pending ray tips on its ancestor chain.  Setting a patch or
-moving a tip updates these on every descendant that already has an id, so
-each lookup during a walk is a table read.  Addresses stay the currency of
-the API: ``effective(addr)``, ``ensure_rays(addr)``, ``ChipResult.site``
-and ``visited``, the address-keyed snapshots ``rotors``, ``patches``,
-``ray_counts`` and ``ray_tips``, aggregation ``stops`` and ``occupied``,
-JSON and DOT.
+dict at large degree.  Sparse maps keyed by id hold the pass count and the
+absolute depth reached by the deepest patch covering the vertex; setting a
+patch updates the cover of every descendant that already has an id.  A
+pending ray tip always sits on a vertex whose next ray vertex has no id
+yet, and making that id moves the tip into it, so every ray has passed
+every vertex with an id that it will pass, and each lookup during a walk
+is a table read.  Addresses stay the currency of the API:
+``effective(addr)``, ``ChipResult.site`` and ``visited``, the
+address-keyed snapshots ``rotors``, ``patches``, ``ray_counts`` and
+``ray_tips``, aggregation ``stops`` and ``occupied``, JSON and DOT.
 
 Every shortcut is exact: the literal step-by-step engine (fast_paths=False)
 runs on the same tables and computes the same words, the same depths for
@@ -527,9 +529,10 @@ class TreeState:
 
     Sparse maps hold what most vertices lack: ``_rc`` pass counts;
     ``_cover``, for each vertex a patch covers, the largest ``depth(a) + k``
-    over the patches ``(a, k)`` at or above it; ``_tip``, the number of
-    pending ray tips at or above the vertex.  ``_addr`` memoizes the
-    addresses handed out by the API.
+    over the patches ``(a, k)`` at or above it; ``_tips``, the ids of the
+    rays whose pending tip sits on the vertex, in ray-id order.  Each tip
+    heads to child ``ray_seen[r] % d + 1``, which has no id yet.
+    ``_addr`` memoizes the addresses handed out by the API.
     """
 
     def __init__(self, cfg: LazyTreeConfig, fast_paths: bool = True,
@@ -554,7 +557,6 @@ class TreeState:
         self._addr: list[Address | None] = [ORIGIN]
         self._rc: dict[int, int] = {}
         self._cover: dict[int, int] = {}
-        self._tip: dict[int, int] = {}
         self._patch: dict[int, int] = {}
         self._tips: dict[int, list[int]] = {}
         self.ray_seen: dict[int, int] = {}
@@ -576,7 +578,8 @@ class TreeState:
         return depth
 
     def _child(self, x: int, c: int) -> int:
-        """A fresh id for child c of x, covered and under tips as x is."""
+        """A fresh id for child c of x, covered as x is.  The tips at x
+        that head to c move into it, in ray-id order."""
         y = len(self._rot)
         d = self.cfg.d
         first = self._first
@@ -602,16 +605,25 @@ class TreeState:
         cover = self._cover.get(x, 0)
         if cover > depth:
             self._cover[y] = cover
-        if x in self._tip:
-            self._tip[y] = self._tip[x]
+        tips = self._tips.pop(x, None)
+        if tips:
+            for r in tips:
+                if self._heading(r) == c:
+                    self._advance_ray(r, y)
+                    self._tips.setdefault(y, []).append(r)
+                else:
+                    self._tips.setdefault(x, []).append(r)
         return y
+
+    def _id(self, x: int, c: int) -> int:
+        """The id of child c of x, or -1 if it has none yet."""
+        if self._first is None:
+            return self._kids.get(x * self.cfg.d + c, -1)
+        return self._kids[self._first[x] + c]
 
     def _kid(self, x: int, c: int) -> int:
         """The id of child c of x, made if it has none yet."""
-        if self._first is None:
-            y = self._kids.get(x * self.cfg.d + c, -1)
-        else:
-            y = self._kids[self._first[x] + c]
+        y = self._id(x, c)
         return self._child(x, c) if y < 0 else y
 
     def _children(self, x: int) -> list[int]:
@@ -674,15 +686,14 @@ class TreeState:
     # -- dynamic direction lookups -------------------------------------------
 
     def effective(self, addr: Address) -> int:
-        """Current rotor direction at an address, rays expanded as needed."""
+        """Current rotor direction at an address; making ids down to it
+        moves the ray tips that pass them."""
         return self._effective(self._node(addr))
 
     def _effective(self, x: int) -> int:
         r = self._rot[x]
         if r:
             return r
-        if x in self._tip:
-            self._ensure_rays(x)
         d = self.cfg.d
         base = d if x in self._cover else self._kind[x].base
         k = self._rc.get(x)
@@ -714,77 +725,37 @@ class TreeState:
                 cover[y] = end
                 stack += self._children(y)
 
-    def _move_tips(self, x: int, delta: int, skip: int = -1) -> None:
-        """Add delta to the tip counts of x's subtree, except skip's."""
-        tip = self._tip
-        stack = [x]
-        while stack:
-            y = stack.pop()
-            if y != skip:
-                n = tip.get(y, 0) + delta
-                if n:
-                    tip[y] = n
-                else:
-                    del tip[y]
-                stack += self._children(y)
+    # -- escape rays ----------------------------------------------------------
 
-    # -- escape-ray expansion -------------------------------------------------
-
-    def ensure_rays(self, addr: Address) -> None:
-        """Advance every pending ray tip off the ancestor chain of addr."""
-        self._ensure_rays(self._node(addr))
-
-    def _ensure_rays(self, x: int) -> None:
-        """Tips advance earliest-recorded first, which keeps per-vertex pass
-        counts chronological.  A tip on the chain only moves down it, so
-        the earliest one keeps going until it leaves the chain."""
-        left = self._tip.get(x)
-        if not left:
-            return
-        chain = []                      # x and its ancestors up to the top tip
-        pending = []
-        while True:
-            chain.append(x)
-            ids = self._tips.get(x)
-            if ids:
-                pending += ((r, x) for r in ids)
-                left -= len(ids)
-                if not left:
-                    break
-            x = self._parent[x]
-        chain.reverse()
-        top = self._depth[chain[0]]     # chain[k] sits at depth top + k
-        for r, y in sorted(pending):
-            while True:
-                y = self._advance_ray(r, y)
-                k = self._depth[y] - top
-                if k >= len(chain) or chain[k] != y:
-                    break
-
-    def _advance_ray(self, ray_id: int, at: int) -> int:
-        d = self.cfg.d
-        inc = self.ray_seen[ray_id] % d + 1
-        if inc >= d:
+    def _heading(self, ray_id: int) -> int:
+        """The child that a ray's tip goes to next."""
+        inc = self.ray_seen[ray_id] % self.cfg.d + 1
+        if inc == self.cfg.d:
             raise ResultCheckError("escape ray tried to bounce; engine bug")
-        nxt = self._kid(at, inc)
-        k = self._rc[nxt] = self._rc.get(nxt, 0) + 1
-        base = d if nxt in self._cover else self._kind[nxt].base
+        return inc
+
+    def _advance_ray(self, ray_id: int, y: int) -> None:
+        """The ray passes y, its tip's next vertex: y's pass count grows by
+        one, and ``ray_seen`` becomes the direction y showed the ray."""
+        d = self.cfg.d
+        k = self._rc[y] = self._rc.get(y, 0) + 1
+        base = d if y in self._cover else self._kind[y].base
         self.ray_seen[ray_id] = (base - 2 + k) % d + 1
-        ids = self._tips[at]
-        ids.remove(ray_id)
-        if not ids:
-            del self._tips[at]
-        self._tips.setdefault(nxt, []).append(ray_id)
-        self._move_tips(at, -1, skip=nxt)
-        return nxt
 
     def _record_escape(self, x: int, seen_dir: int) -> None:
+        """A new ray through x.  Its tip walks down the ids that already
+        exist (the path the escape probe made) and stops on the first
+        vertex whose next one has none."""
         self._rc[x] = self._rc.get(x, 0) + 1
         ray_id = self.n_rays
         self.n_rays += 1
         self.ray_seen[ray_id] = seen_dir
+        y = self._id(x, self._heading(ray_id))
+        while y >= 0:
+            self._advance_ray(ray_id, y)
+            x = y
+            y = self._id(x, self._heading(ray_id))
         self._tips.setdefault(x, []).append(ray_id)
-        self._move_tips(x, 1)
 
     # -- excursion classification ---------------------------------------------
 
@@ -829,7 +800,6 @@ class TreeState:
         guard = 4 * (self._static_depth + self._depth[x]) + 64
         while guard:
             guard -= 1
-            self._ensure_rays(w)
             if w in self._rc or self._rot[w]:
                 return False
             kind = self._kind[w]
@@ -1022,10 +992,20 @@ class AggregationResult:
     stops: list[Address]                    # where each chip stopped, in order
 
     def is_exact_ball(self, rho: int) -> bool:
-        return (len(self.occupied) == ball_size(self.d, rho)
-                and self.max_depth == rho
+        return (self.occupied_is_ball(rho)
                 and all(self.depth_counts.get(k, 0) == layer_size(self.d, k)
                         for k in range(rho + 1)))
+
+    def occupied_is_ball(self, rho: int) -> bool:
+        return (len(self.occupied) == ball_size(self.d, rho)
+                and self.max_depth == rho)
+
+    def rotors_restored(self) -> bool:
+        """True iff the state equals the configured one bit for bit."""
+        st = self.state
+        if st._tips or st._patch or st._rc:
+            return False
+        return all(r == kind.base for r, kind in zip(st._rot, st._kind) if r)
 
 
 def _aggregate_run(cfg: LazyTreeConfig, n_chips: int, modified: bool,
@@ -1111,40 +1091,15 @@ def aggregate(cfg: LazyTreeConfig, n_chips: int,
                           check_acyclic=check_acyclic, step_cap=step_cap)
 
 
-@dataclass
-class ModifiedAggregationResult:
-    d: int
-    chips: int
-    stops: list[Address]
-    occupied: set[Address]
-    max_depth: int
-    state: TreeState
-
-    def occupied_is_ball(self, rho: int) -> bool:
-        return (len(self.occupied) == ball_size(self.d, rho)
-                and self.max_depth == rho)
-
-    def rotors_restored(self) -> bool:
-        """True iff the state equals the configured one bit for bit."""
-        st = self.state
-        if st._tips or st._patch or st._rc:
-            return False
-        return all(r == kind.base for r, kind in zip(st._rot, st._kind) if r)
-
-
 def aggregate_modified(cfg: LazyTreeConfig, n_chips: int,
                        check_acyclic: bool = True,
-                       step_cap: int = 10 ** 9) -> ModifiedAggregationResult:
+                       step_cap: int = 10 ** 9) -> AggregationResult:
     """Time-changed aggregation: chips also stop on returning to the origin.
 
     ``step_cap`` is one budget for the whole run, as in :func:`aggregate`.
     """
-    result = _aggregate_run(cfg, n_chips, modified=True,
-                            check_acyclic=check_acyclic, step_cap=step_cap)
-    return ModifiedAggregationResult(
-        d=cfg.d, chips=n_chips, stops=result.stops, occupied=result.occupied,
-        max_depth=result.max_depth, state=result.state,
-    )
+    return _aggregate_run(cfg, n_chips, modified=True,
+                          check_acyclic=check_acyclic, step_cap=step_cap)
 
 
 # -- DOT export ---------------------------------------------------------------

@@ -178,12 +178,11 @@ def reverse_walk(g: DirectedMultigraph, t_final: RotorConfiguration, x: str,
             return g.full_to_slots(full)
         if count >= step_budget:
             raise StepBudgetExceededError(f"exceeded {step_budget} reverse steps")
-        if not rec:
-            # chip sits on the unique rotor cycle; predecessor precedes it there
-            z = _cycle_predecessor(g, tgt, chip)
-        else:
-            # first visit to chip: last exit from the rotor path out of x
-            z = _path_predecessor(g, tgt, start, chip)
+        # a cyclic state has the chip on its unique rotor cycle, and the
+        # predecessor precedes it there; in a recurrent one it is the chip's
+        # first visit, and the predecessor is the last exit from the rotor
+        # path out of x
+        z = _path_predecessor(g, tgt, start if rec else chip, chip)
         s = (full[z] - 1) % deg[z]
         full[z] = s
         tgt[z] = out_idx[z][s]
@@ -197,28 +196,15 @@ def reverse_walk(g: DirectedMultigraph, t_final: RotorConfiguration, x: str,
         rec = v == sink
 
 
-def _cycle_predecessor(g: DirectedMultigraph, tgt: list[int], chip: int) -> int:
-    """Vertex preceding the chip on the rotor cycle through it."""
-    v = chip
-    seen = set()
-    while True:
-        if v in seen or v == g.sink_index:
-            raise WalkError("rotor cycle does not pass through the chip")
-        seen.add(v)
-        w = tgt[v]
-        if w == chip:
-            return v
-        v = w
-
-
-def _path_predecessor(g: DirectedMultigraph, tgt: list[int], x: int,
+def _path_predecessor(g: DirectedMultigraph, tgt: list[int], start: int,
                       chip: int) -> int:
-    """Vertex before the first occurrence of chip on the rotor path from x."""
-    v = x
+    """Vertex before the first occurrence of chip on the rotor path from
+    start; started at the chip, its predecessor on the rotor cycle."""
+    v = start
     seen = set()
     while True:
         if v in seen or v == g.sink_index:
-            raise WalkError(f"rotor path from {g.vertices[x]!r} misses "
+            raise WalkError(f"rotor path from {g.vertices[start]!r} misses "
                             f"{g.vertices[chip]!r}")
         seen.add(v)
         w = tgt[v]

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -317,6 +318,60 @@ def test_descriptor_json_roundtrip():
                                      ConfigDescriptor.level(0),
                                      ConfigDescriptor.level(1)))
     assert ConfigDescriptor.from_json(desc.to_json()) == desc
+
+
+def oracle_json_dict(desc: ConfigDescriptor) -> dict:
+    """The recursive JSON tree of a descriptor."""
+    if desc.kind == "level":
+        return {"rule": "level", "h": desc.h}
+    return {"rule": "node", "root": "up",
+            "left": oracle_json_dict(desc.left),
+            "right": oracle_json_dict(desc.right)}
+
+
+def test_descriptor_json_equality_and_hash_match_recursive_oracle():
+    # JSON, == and hash are those of the unfolded tree, shared
+    # sub-descriptors or not
+    rng = random.Random(61)
+    descs = []
+    while len(descs) < 120:
+        a = greedy_word(rng, rng.randrange(0, 60), 1,
+                        rng.choice((0.3, 0.6, 0.9)))
+        descs.append(synthesize_branch(a))
+        if len(descs) % 10 == 0:
+            descs.append(synthesize_branch(a))  # equal, built apart
+    lv = ConfigDescriptor.level
+    descs += [ConfigDescriptor.node(lv(1), lv(1)),
+              ConfigDescriptor.node(*[lv(1)] * 2)]
+    trees = [oracle_json_dict(desc) for desc in descs]
+    for desc, tree in zip(descs, trees):
+        assert desc.to_json_dict() == tree
+        assert desc.to_json() == json.dumps(tree, sort_keys=True)
+        copy = ConfigDescriptor.from_json_dict(tree)
+        assert copy == desc and hash(copy) == hash(desc)
+    n = len(descs)
+    equal_pairs = 0
+    for i in range(n):
+        for j in ((i + 1) % n, rng.randrange(n)):
+            same = trees[i] == trees[j]
+            assert (descs[i] == descs[j]) is same
+            assert not same or hash(descs[i]) == hash(descs[j])
+            equal_pairs += same and i != j
+    assert equal_pairs >= 13
+
+
+def test_deep_descriptor_json_equality_and_hash():
+    # 1,202 levels: recursing once per level raises RecursionError
+    a = "110" + "0" * 1200
+    desc, again = synthesize_branch(a), synthesize_branch(a)
+    assert desc is not again
+    assert desc == again and hash(desc) == hash(again)
+    assert desc != ConfigDescriptor.node(desc.left, desc.left.left)
+    copy = ConfigDescriptor.from_json_dict(desc.to_json_dict())
+    assert copy == desc and hash(copy) == hash(desc)
+    text = desc.to_json()
+    assert copy.to_json() == text
+    assert text.count('"rule": "node"') + 1 == text.count('"level"') == 2402
 
 
 def test_synthesize_degenerate_cases():

@@ -732,10 +732,12 @@ def test_ray_bounce_guard_raises_result_check(monkeypatch):
     st = TreeState(cfg)
     assert st.walk_chip().outcome == "escaped"
     (tip, (ray_id,)), = st.ray_tips.items()
-    # a ray tip that last saw direction d-1 would have to bounce next
+    nxt = tip + (st.ray_seen[ray_id] % cfg.d + 1,)      # has no id yet
+    # a ray tip that last saw direction d-1 would have to bounce next;
+    # making the id of a child of its vertex reads where it heads
     monkeypatch.setitem(st.ray_seen, ray_id, cfg.d - 1)
     with pytest.raises(ResultCheckError):
-        st.ensure_rays(tip + (1,))
+        st.effective(nxt)
 
 
 def _dense_valid_word(rng: random.Random, n: int, stride: int) -> str:
@@ -784,6 +786,39 @@ def test_node_tables_match_oracles_after_every_chip():
                     want = nrotors.get(addr) or cfg.base_direction(addr)
                     assert fast.effective(addr) == want, (a, k, addr)
                     assert literal.effective(addr) == want, (a, k, addr)
+
+
+def assert_no_tip_waits_above_an_id(st: TreeState) -> None:
+    """Every ray has one pending tip, kept in ray-id order per vertex, and
+    no tip heads to a child that already has an id."""
+    d = st.cfg.d
+    assert sum(len(ids) for ids in st._tips.values()) == st.n_rays
+    for x, ids in st._tips.items():
+        assert ids == sorted(ids)
+        for r in ids:
+            c = st.ray_seen[r] % d + 1
+            assert c < d and st._id(x, c) < 0, (st._address(x), r)
+
+
+def test_ray_tips_wait_only_above_vertices_without_ids():
+    rng = random.Random(43)
+    runs = [(alternating_tree_config(), 3000, True),
+            (uniform_config(3, 2), 300, True),
+            (uniform_config(4, 3), 300, True)]
+    for i in range(20):
+        n = rng.randrange(10, 41)
+        a = _dense_valid_word(rng, n, 3 if i % 2 else 1)
+        cfg = (synthesize_tree(a) if i % 2
+               else descriptor_to_branch_config(synthesize_branch(a)))
+        runs += [(cfg, n, True), (cfg, n, False)]
+    escapes = 0
+    for cfg, m, fast in runs:
+        st = TreeState(cfg, fast_paths=fast)
+        for _ in range(m):
+            escapes += st.walk_chip().outcome == "escaped"
+            assert_no_tip_waits_above_an_id(st)
+        assert st.n_rays > 0 or cfg.default == cfg.d - 1
+    assert escapes > 1700               # 1,500 in the alternating run
 
 
 def _state_snapshot(st: TreeState) -> tuple:

@@ -168,12 +168,12 @@ def reverse_walk_oracle(g, t_final, x, step_budget=10 ** 9):
         # the predecessor precedes the chip on the rotor cycle through it
         # or, at a first visit, on the rotor path from x
         goal = g.index[chip]
-        v = g.index[x] if rec else goal
+        start = x if rec else chip
+        v = g.index[start]
         seen = set()
         while True:
             if v in seen or v == g.sink_index:
-                raise WalkError(f"rotor path from {x!r} misses {chip!r}" if rec
-                                else "rotor cycle does not pass through the chip")
+                raise WalkError(f"rotor path from {start!r} misses {chip!r}")
             seen.add(v)
             if tgt[v] == goal:
                 break
