@@ -12,6 +12,7 @@ sub-branch words through the block maps psi and phi.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import sub
@@ -286,7 +287,89 @@ class ConfigDescriptor:
 
     @staticmethod
     def from_json(text: str) -> "ConfigDescriptor":
-        return ConfigDescriptor.from_json_dict(json.loads(text))
+        return ConfigDescriptor.from_json_dict(_json_loads(text))
+
+    def __repr__(self) -> str:
+        """The dataclass repr, written in preorder on an explicit stack."""
+        parts = []
+        stack: list = [self]
+        while stack:
+            x = stack.pop()
+            if type(x) is str:
+                parts.append(x)
+            elif x is None:
+                parts.append("None")
+            else:
+                parts.append(f"ConfigDescriptor(kind={x.kind!r}, h={x.h!r}, "
+                             "left=")
+                stack += [")", x.right, ", right=", x.left]
+        return "".join(parts)
+
+
+_JSON_SPACE = re.compile(r"[ \t\n\r]*")
+_JSON_SCALAR = json.JSONDecoder()
+
+
+def _json_key(text: str, pos: int, frame: list) -> int:
+    """Read '"key" :' at pos into the open object's frame; return the
+    position of its value."""
+    if text[pos:pos + 1] != '"':
+        raise json.JSONDecodeError(
+            "Expecting property name enclosed in double quotes", text, pos)
+    frame[1], pos = json.decoder.scanstring(text, pos + 1)
+    pos = _JSON_SPACE.match(text, pos).end()
+    if text[pos:pos + 1] != ":":
+        raise json.JSONDecodeError("Expecting ':' delimiter", text, pos)
+    return _JSON_SPACE.match(text, pos + 1).end()
+
+
+def _json_loads(text: str):
+    """``json.loads(text)`` with the open objects and arrays on an explicit
+    stack, since the json module recurses once per level of nesting: the
+    same value, or a JSONDecodeError where json.loads raises one.  Scalars
+    are read by the json module."""
+    space = _JSON_SPACE.match
+    stack: list[list] = []              # [container, key of the next value]
+    pos = space(text, 0).end()
+    while True:
+        ch = text[pos:pos + 1]
+        if ch == "{" or ch == "[":
+            value = {} if ch == "{" else []
+            pos = space(text, pos + 1).end()
+            if text[pos:pos + 1] == ("}" if ch == "{" else "]"):
+                pos += 1
+            else:
+                stack.append([value, None])
+                if ch == "{":
+                    pos = _json_key(text, pos, stack[-1])
+                continue
+        else:
+            value, pos = _JSON_SCALAR.raw_decode(text, pos)
+        while True:                     # value is complete: store it
+            pos = space(text, pos).end()
+            if not stack:
+                if pos != len(text):
+                    raise json.JSONDecodeError("Extra data", text, pos)
+                return value
+            frame = stack[-1]
+            container = frame[0]
+            is_object = type(container) is dict
+            if is_object:
+                container[frame[1]] = value
+            else:
+                container.append(value)
+            ch = text[pos:pos + 1]
+            if ch == ",":
+                pos = space(text, pos + 1).end()
+                if is_object:
+                    pos = _json_key(text, pos, frame)
+                break
+            if ch != ("}" if is_object else "]"):
+                raise json.JSONDecodeError("Expecting ',' delimiter", text,
+                                           pos)
+            stack.pop()
+            value = container
+            pos += 1
 
 
 def _degenerate_height(a: str) -> int | None:

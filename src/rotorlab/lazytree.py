@@ -42,9 +42,9 @@ pending ray tip always sits on a vertex whose next ray vertex has no id
 yet, and making that id moves the tip into it, so every ray has passed
 every vertex with an id that it will pass, and each lookup during a walk
 is a table read.  Addresses stay the currency of the API:
-``effective(addr)``, ``ChipResult.site`` and ``visited``, the
-address-keyed snapshots ``rotors``, ``patches``, ``ray_counts`` and
-``ray_tips``, aggregation ``stops`` and ``occupied``, JSON and DOT.
+``effective(addr)`` and ``visited``, the address-keyed snapshots
+``rotors``, ``patches``, ``ray_counts`` and ``ray_tips``, aggregation
+``stops`` and ``occupied``, JSON and DOT.
 
 Every shortcut is exact: the literal step-by-step engine (fast_paths=False)
 runs on the same tables and computes the same words, the same depths for
@@ -53,8 +53,19 @@ cross-checks the two.  The depth reported for an escaped chip is the depth
 at which that engine proved the escape, so the two engines can report
 different depths for the same chip.
 
-Aggregation runs on the same walk: ``walk_chip(settle=True)`` also stops a
-chip on the first vertex whose rotor is not yet materialized.
+Aggregation (a chip stops on the first unoccupied vertex it enters) does
+not walk its chips.  A subtree is entered only from its root's parent, so
+what the k-th chip to enter it does depends only on its initial rotors and
+on k: it settles at some address relative to the root, or comes back up
+after a fixed number of steps.  Subtrees with the same rotors below them
+(the same ``NodeKind``, and for a kind in a level region the same relative
+depth up to the region's height) share one response table, whose element k
+is built once from the child tables while the root's rotor turns.  Element
+k reads only elements below k of the child tables: the rotor points at the
+parent between any two departures to one child, and that ends an entry
+into the root.  The tables are built on an explicit stack, and the state
+and the final rotors are read from them; the literal oracle in the test
+suite checks every result field against a step-by-step walk.
 """
 
 from __future__ import annotations
@@ -62,9 +73,9 @@ from __future__ import annotations
 import json
 import random
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from rotorlab.graph import (
     GraphError,
@@ -493,16 +504,14 @@ def modified_count(d: int, rho: int) -> int:
 
 RETURNED = "returned"
 ESCAPED = "escaped"
-SETTLED = "settled"
 
 
 @dataclass
 class ChipResult:
-    outcome: str                  # RETURNED | ESCAPED | SETTLED
+    outcome: str                  # RETURNED | ESCAPED
     max_depth: int                # deepest level reached (escape: peel depth)
     steps: int
     visited: list[Address] | None = None
-    site: Address | None = None   # the vertex a SETTLED chip stopped on
 
 
 # The largest degree whose vertices keep their child ids in blocks.
@@ -834,15 +843,8 @@ class TreeState:
 
     # -- chip walks -------------------------------------------------------------
 
-    def walk_chip(self, record_visits: bool = False,
-                  settle: bool = False) -> ChipResult:
+    def walk_chip(self, record_visits: bool = False) -> ChipResult:
         """One chip from the origin: walk until it returns or escapes.
-
-        With ``settle`` the chip also stops on entering a vertex whose rotor
-        is not materialized yet: that vertex is materialized with its
-        effective direction and returned as ``site`` (outcome SETTLED).
-        This is the aggregation stop.  It comes before every shortcut, so a
-        settling walk never escapes.
 
         The state's ``step_cap`` bounds each walk on its own:
         StepBudgetExceededError is raised before step ``step_cap + 1``.
@@ -898,10 +900,6 @@ class TreeState:
 
             # entering unmaterialized territory
             e = self._effective(target)
-            if settle:
-                self._materialize(target, e)
-                return ChipResult(SETTLED, max_depth, steps, visited,
-                                  self._address(target))
             inc = e % d + 1
 
             if inc == d:
@@ -979,6 +977,223 @@ def run_chips_infinite(cfg: LazyTreeConfig, m: int,
 
 # -- aggregation --------------------------------------------------------------
 
+class _Subtree:
+    """The response table of one subtree type.
+
+    Element k is what the k-th chip to enter the root from its parent
+    (counting from 0) does.  ``steps[k]`` counts its literal steps, from
+    the move into the root to the move that settles it or takes it back
+    up.  ``dep[k]`` is how many chips the root's rotor has sent on after
+    the first k + 1 entries.  ``site[k]`` is None when the chip goes back
+    up; otherwise the chip settles on ``site[k][off[k]:]``, relative to the
+    root.  ``site[k]`` is the absolute address where the chip that built
+    the element settled, already held by the stops, so an element costs no
+    address of its own.  Element 0 is the same for every type: the first
+    chip settles on the root.
+
+    ``kids`` maps the child indices entered so far to the indices of their
+    types in ``_ResponseTables.types`` (indices, not the types themselves,
+    so that the tables hold no reference cycle and are freed as soon as
+    the result is), and ``depth`` is the depth of the first vertex of this
+    type met."""
+
+    __slots__ = ("kind", "depth", "kids", "site", "off", "steps", "dep")
+
+    def __init__(self, kind: NodeKind, depth: int) -> None:
+        self.kind = kind
+        self.depth = depth
+        self.kids: dict[int, int] = {}
+        self.site: list[Address | None] = [ORIGIN]
+        self.off = array("i", [0])
+        self.steps = array("q", [1])
+        self.dep = array("q", [0])
+
+
+class _ResponseTables:
+    """Aggregation on the tree of a config, one response table per
+    subtree type (see the module docstring).
+
+    A subtree is entered only from its root's parent, so what the k-th chip
+    entering it does depends only on the subtree's initial rotors and on k.
+    Those rotors follow from the root's ``NodeKind``; only a level region
+    makes them depend on depth, through where the region's tail begins.  So
+    a type is a kind together with, for a kind in a region, its relative
+    depth capped at the region's height, and every subtree of one type
+    shares one table.  ``types[0]`` holds the origin's kind and child
+    types (its table is unused), ``origin_dep`` counts the chips the
+    origin's rotor has sent on, and ``steps`` is the literal step total."""
+
+    def __init__(self, cfg: LazyTreeConfig, step_cap: int) -> None:
+        self.cfg = cfg
+        self.step_cap = step_cap
+        self.types = [_Subtree(cfg.root_kind, 0)]
+        self._index: dict[tuple[NodeKind, int], int] = {}
+        self.origin_dep = 0
+        self.steps = 0
+
+    def _kid(self, t: _Subtree, c: int) -> int:
+        """The index of the type of child c of a vertex of type t, recorded
+        in t.kids."""
+        depth = t.depth + 1
+        kind = self.cfg.child_kind(t.kind, c, depth)
+        reg = kind.region
+        key = (kind, 0 if reg is None else min(depth - len(reg.addr), reg.h))
+        u = self._index.get(key)
+        if u is None:
+            u = self._index[key] = len(self.types)
+            self.types.append(_Subtree(kind, depth))
+        t.kids[c] = u
+        return u
+
+    def _build(self, t: _Subtree, prefix: Address) -> Address | None:
+        """Append the next element to t's table, for a chip entering the
+        vertex at ``prefix``, of type t; return the address the chip
+        settles on, or None when it goes back up.
+
+        The root's rotor turns and each child it points at answers from its
+        own table, until the rotor points at the parent or a child's chip
+        settles.  Departure j goes to direction (base - 1 + j) % d + 1, and
+        child c's entries before it are (j - 1) // d, as every d-th
+        departure goes to c.  Between two entries into c the rotor passes
+        the parent, which ends an entry into t, so element k reads only
+        elements below k of the child tables.  When one of them is missing,
+        t's element waits on a stack, with the child it went to, while that
+        one is built.  A chip that goes back up ends only the innermost
+        element; one that settles ends every element on the stack, whose
+        roots lie on its path."""
+        d = self.cfg.d
+        types = self.types
+        stack: list[tuple[_Subtree, int, int, int]] = []
+        b, kids = t.kind.base - 1, t.kids
+        dep = t.dep[-1]                 # departures so far
+        s = 1                           # steps so far: the move into t
+        while True:
+            dep += 1
+            c = (b + dep) % d + 1
+            if c == d:                  # back up to the parent
+                s += 1
+                t.site.append(None)
+                t.off.append(0)
+                t.steps.append(s)
+                t.dep.append(dep)
+                if not stack:
+                    return None
+                inner = s
+                t, dep, s, c = stack.pop()
+                s += inner              # and the waiting element walks on
+                b, kids = t.kind.base - 1, t.kids
+                continue
+            k = kids.get(c)
+            u = types[self._kid(t, c) if k is None else k]
+            j = (dep - 1) // d
+            if j == len(u.steps):       # build u's element j first
+                stack.append((t, dep, s, c))
+                t, dep, s = u, u.dep[-1], 1
+                b, kids = t.kind.base - 1, t.kids
+                continue
+            s += u.steps[j]
+            site = u.site[j]
+            if site is not None:
+                break
+        # the chip settles, in u: every element on the stack ends with it
+        path = [frame[3] for frame in stack]
+        off = len(prefix) + len(path)
+        path.append(c)
+        site = prefix + tuple(path) + site[u.off[j]:]
+        while True:
+            t.site.append(site)
+            t.off.append(off)
+            t.steps.append(s)
+            t.dep.append(dep)
+            if not stack:
+                return site
+            inner = s
+            t, dep, s, c = stack.pop()
+            s += inner
+            off -= 1
+
+    def chip_stops(self, n: int, modified: bool) -> Iterator[Address]:
+        """Where each of n chips from the origin stops, in order: the
+        vertex it settles on or, when ``modified``, ORIGIN for a chip that
+        comes back.  A plain chip that comes back walks on as a fresh chip
+        would.  StepBudgetExceededError is raised once the step total
+        passes ``step_cap``."""
+        d = self.cfg.d
+        types = self.types
+        o = types[0]
+        base = o.kind.base
+        kids = o.kids
+        dep = steps = 0
+        for _ in range(n):
+            while True:
+                dep += 1
+                c = (base - 1 + dep) % d + 1
+                u = kids.get(c)
+                u = types[self._kid(o, c) if u is None else u]
+                j = (dep - 1) // d
+                if j == len(u.steps):
+                    site = self._build(u, (c,))
+                else:
+                    site = u.site[j]
+                    if site is not None:
+                        site = (c,) + site[u.off[j]:]
+                steps += u.steps[j]
+                if steps > self.step_cap:
+                    raise StepBudgetExceededError(
+                        f"exceeded {self.step_cap} steps")
+                if site is not None:
+                    yield site
+                    break
+                if modified:
+                    yield ORIGIN
+                    break
+        self.origin_dep = dep
+        self.steps = steps
+
+    def tree_state(self, stops: list[Address]) -> TreeState:
+        """The walk state the run leaves: ids in settle order, as the
+        step-by-step walk makes them, and every rotor its base direction
+        advanced by the chips its vertex sent on.  A vertex that sent on
+        dep chips sent the first to child c at departure
+        (c - base - 1) % d + 1, and then one every d departures."""
+        d = self.cfg.d
+        st = TreeState(self.cfg, step_cap=self.step_cap)
+        for site in stops:
+            if site:
+                st._addr[st._node(site)] = site
+        types = [self.types[0]]
+        deps = [self.origin_dep]
+        for y in range(1, len(st._rot)):
+            x, c = st._parent[y], st._cidx[y]
+            t = types[x]
+            u = self.types[t.kids[c]]
+            types.append(u)
+            deps.append(u.dep[(deps[x] - (c - t.kind.base - 1) % d - 1) // d])
+        for y, t in enumerate(types):
+            st._rot[y] = (t.kind.base - 1 + deps[y]) % d + 1
+        st._max_materialized = max(st._depth)
+        return st
+
+    def rotors_restored(self) -> bool:
+        """True iff every vertex has sent on a multiple of d chips, so its
+        rotor is back at its base direction.  Child c has (dep - j) // d + 1
+        entries when departure j <= dep went to it; only the children that
+        were entered are visited."""
+        d = self.cfg.d
+        origin = self.types[0]
+        stack = [(origin, self.origin_dep)]
+        while stack:
+            t, dep = stack.pop()
+            if dep % d:
+                return False
+            for j in range(1, min(dep, d) + 1):
+                c = (t.kind.base - 1 + j) % d + 1
+                if c < d or t is origin:
+                    u = self.types[t.kids[c]]
+                    stack.append((u, u.dep[(dep - j) // d]))
+        return True
+
+
 @dataclass
 class AggregationResult:
     d: int
@@ -988,8 +1203,14 @@ class AggregationResult:
     max_depth: int
     ball_checks: list[tuple[int, bool]]     # (rho, occupied == B_rho) at b_rho
     sandwich_ok: bool
-    state: TreeState
     stops: list[Address]                    # where each chip stopped, in order
+    steps: int                              # literal steps of all chips
+    _tables: _ResponseTables = field(repr=False, compare=False)
+
+    @cached_property
+    def state(self) -> TreeState:
+        """The walk state after the run, built on first access."""
+        return self._tables.tree_state(self.stops)
 
     def is_exact_ball(self, rho: int) -> bool:
         return (self.occupied_is_ball(rho)
@@ -1001,19 +1222,17 @@ class AggregationResult:
                 and self.max_depth == rho)
 
     def rotors_restored(self) -> bool:
-        """True iff the state equals the configured one bit for bit."""
-        st = self.state
-        if st._tips or st._patch or st._rc:
-            return False
-        return all(r == kind.base for r, kind in zip(st._rot, st._kind) if r)
+        """True iff every rotor is back at its configured direction."""
+        return self._tables.rotors_restored()
 
 
 def _aggregate_run(cfg: LazyTreeConfig, n_chips: int, modified: bool,
                    check_acyclic: bool, step_cap: int) -> AggregationResult:
-    """Chip 1 occupies the origin; every later chip walks with
-    ``walk_chip(settle=True)`` until it settles on a fresh vertex or, when
-    ``modified``, returns to the origin.  The occupied cluster is exactly
-    the materialized region of the walk state."""
+    """Chip 1 occupies the origin; every later chip walks until it enters
+    an unoccupied vertex, which it occupies, or, when ``modified``, until
+    it returns to the origin.  The walks come from the response tables
+    (``_ResponseTables.chip_stops``), which give each chip's stop and
+    literal steps without walking it."""
     if cfg.mode != "tree":
         raise LazyTreeError("aggregation runs on the full tree")
     if check_acyclic:
@@ -1023,7 +1242,7 @@ def _aggregate_run(cfg: LazyTreeConfig, n_chips: int, modified: bool,
     if n_chips < 1:
         raise LazyTreeError("need at least one chip")
 
-    st = TreeState(cfg, fast_paths=True, step_cap=step_cap)
+    tables = _ResponseTables(cfg, step_cap)
     depth_counts: dict[int, int] = {0: 1}
     max_depth = 0
     stops: list[Address] = [ORIGIN]
@@ -1031,29 +1250,18 @@ def _aggregate_run(cfg: LazyTreeConfig, n_chips: int, modified: bool,
     ball_checks: list[tuple[int, bool]] = [(0, True)]   # A_1 = {origin} = B_0
     sandwich_ok = True
     d = cfg.d
-    steps = 0
     # running checkpoint counters: rho is the least radius with
     # b_rho >= |A|, and layers 1..full of the ball are fully occupied
     rho, b_rho, full = 0, 1, 0
 
-    for _ in range(n_chips - 1):
-        while True:
-            res = st.walk_chip(settle=True)
-            steps += res.steps
-            if steps > step_cap:
-                raise StepBudgetExceededError(f"exceeded {step_cap} steps")
-            # a plain chip back at the origin walks on as a fresh chip would
-            if res.outcome == SETTLED or modified:
-                break
-        if res.outcome == RETURNED:
-            stops.append(ORIGIN)
+    for site in tables.chip_stops(n_chips - 1, modified):
+        stops.append(site)
+        if not site:                    # a modified chip back at the origin
             continue
-        site = res.site
         depth = len(site)
         depth_counts[depth] = depth_counts.get(depth, 0) + 1
         if depth > max_depth:
             max_depth = depth
-        stops.append(site)
         # merging a one-element set grows the table 2x where add() grows
         # it 4x, which halves the memory of a large cluster's set
         occupied |= {site}
@@ -1073,8 +1281,8 @@ def _aggregate_run(cfg: LazyTreeConfig, n_chips: int, modified: bool,
     return AggregationResult(
         d=d, chips=n_chips, occupied=occupied,
         depth_counts=depth_counts, max_depth=max_depth,
-        ball_checks=ball_checks, sandwich_ok=sandwich_ok, state=st,
-        stops=stops,
+        ball_checks=ball_checks, sandwich_ok=sandwich_ok,
+        stops=stops, steps=tables.steps, _tables=tables,
     )
 
 
@@ -1083,9 +1291,12 @@ def aggregate(cfg: LazyTreeConfig, n_chips: int,
               step_cap: int = 10 ** 9) -> AggregationResult:
     """Rotor-router aggregation: chip n stops on first exiting the cluster.
 
-    ``step_cap`` is one budget for the whole run: the steps of every chip
-    are summed, and StepBudgetExceededError is raised once the sum passes
-    it.
+    Each chip's stop and literal steps are read from the response tables
+    of the subtrees below the origin (see the module docstring), built
+    element by element as chips first need them; no chip is walked step
+    by step.  ``step_cap`` is one budget for the whole run: the literal
+    steps of every chip are summed, and StepBudgetExceededError is raised
+    once the sum passes it.
     """
     return _aggregate_run(cfg, n_chips, modified=False,
                           check_acyclic=check_acyclic, step_cap=step_cap)
@@ -1096,7 +1307,8 @@ def aggregate_modified(cfg: LazyTreeConfig, n_chips: int,
                        step_cap: int = 10 ** 9) -> AggregationResult:
     """Time-changed aggregation: chips also stop on returning to the origin.
 
-    ``step_cap`` is one budget for the whole run, as in :func:`aggregate`.
+    Chips are answered from the response tables and ``step_cap`` is one
+    budget for the whole run, as in :func:`aggregate`.
     """
     return _aggregate_run(cfg, n_chips, modified=True,
                           check_acyclic=check_acyclic, step_cap=step_cap)

@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -372,6 +373,69 @@ def test_deep_descriptor_json_equality_and_hash():
     text = desc.to_json()
     assert copy.to_json() == text
     assert text.count('"rule": "node"') + 1 == text.count('"level"') == 2402
+
+
+def test_deep_descriptor_from_json_and_repr():
+    # 1,202 levels: json.loads and the dataclass repr recurse once per
+    # level and raise RecursionError
+    desc = synthesize_branch("110" + "0" * 1200)
+    copy = ConfigDescriptor.from_json(desc.to_json())
+    assert copy == desc
+    text = repr(copy)
+    assert text == repr(desc)
+    assert text.count("kind='level'") == 2402
+    assert text.count("kind='node'") == 2401
+
+
+def oracle_repr(desc) -> str:
+    """The repr that @dataclass writes, recursively."""
+    if desc is None:
+        return "None"
+    return (f"ConfigDescriptor(kind={desc.kind!r}, h={desc.h!r}, "
+            f"left={oracle_repr(desc.left)}, right={oracle_repr(desc.right)})")
+
+
+def _parse_outcome(parse, text: str):
+    try:
+        return "ok", parse(text).to_json()
+    except Exception as exc:            # the exception type is compared
+        return "raised", type(exc)
+
+
+def test_descriptor_from_json_matches_json_module():
+    # the same descriptor, or the same exception type, as json.loads
+    # followed by from_json_dict, on well-formed and mutated texts
+    rng = random.Random(67)
+    texts = ['{"rule": "level", "h": -1}', '{"rule": "leaf", "h": 1}',
+             '{"rule": "level"}', '[]', '{"rule": "level", "h": 2} x',
+             '{"rule": "node", "left": {"rule": "level", "h": 0}}',
+             '{"h": 1, "rule": "level", "h": 2}', ' {"rule":"level","h":0} ']
+    for _ in range(60):
+        desc = synthesize_branch(greedy_word(rng, rng.randrange(0, 30), 1,
+                                             0.6))
+        assert repr(desc) == oracle_repr(desc)
+        text = json.dumps(json.loads(desc.to_json()),
+                          indent=rng.choice([None, 0, 2]))
+        texts.append(text)
+        for _ in range(5):
+            chars = list(text)
+            k = rng.randrange(len(chars))
+            op = rng.randrange(3)
+            if op == 0:
+                del chars[k]
+            else:
+                chars[k:k + (op == 2)] = rng.choice('{}[],:" -1ax')
+            texts.append("".join(chars))
+    outcomes = Counter()
+    for text in texts:
+        want = _parse_outcome(
+            lambda t: ConfigDescriptor.from_json_dict(json.loads(t)), text)
+        assert _parse_outcome(ConfigDescriptor.from_json, text) == want, text
+        outcomes[want[0] if want[0] == "ok" else want[1]] += 1
+    assert outcomes["ok"] >= 70 and outcomes[json.JSONDecodeError] >= 100
+    # well-formed JSON that is no descriptor
+    assert outcomes.total() - outcomes["ok"] \
+        - outcomes[json.JSONDecodeError] >= 4
 
 
 def test_synthesize_degenerate_cases():

@@ -11,7 +11,7 @@ from rotorlab.escape import (
     synthesize_branch,
     synthesize_tree,
 )
-from rotorlab.graph import ResultCheckError
+from rotorlab.graph import ResultCheckError, StepBudgetExceededError
 from rotorlab import lazytree
 from rotorlab.lazytree import (
     ORIGIN,
@@ -88,14 +88,17 @@ def naive_aggregate(cfg: LazyTreeConfig, n_chips: int, modified: bool):
 
     Chip 1 occupies the origin; every later chip steps literally until it
     enters an unoccupied vertex, which it occupies, or, when ``modified``,
-    until it returns to the origin.
+    until it returns to the origin.  Returns the stops, the layer counts,
+    the rotors and the number of steps taken.
     """
     d = cfg.d
     rotors = {ORIGIN: cfg.base_direction(ORIGIN)}
     stops = [ORIGIN]
+    steps = 0
     for _ in range(n_chips - 1):
         pos = ORIGIN
         while True:
+            steps += 1
             inc = rotors[pos] % d + 1
             rotors[pos] = inc
             if pos != ORIGIN and inc == d:
@@ -113,7 +116,7 @@ def naive_aggregate(cfg: LazyTreeConfig, n_chips: int, modified: bool):
     depth_counts = {}
     for addr in rotors:
         depth_counts[len(addr)] = depth_counts.get(len(addr), 0) + 1
-    return stops, depth_counts, rotors
+    return stops, depth_counts, rotors, steps
 
 
 def assert_engines_agree(cfg: LazyTreeConfig, m: int, depth_cap: int = 40):
@@ -563,30 +566,85 @@ def test_aggregate_modified_random_configs():
         assert mod.rotors_restored()
 
 
-def test_aggregate_matches_naive_aggregator():
-    rng = random.Random(29)
-    for trial in range(60):
-        d = 3 if trial % 2 == 0 else 4
-        cfg = random_acyclic_config(d, rng)
-        rho = 4 if d == 3 else 3
-        chips = rng.choice([ball_size(d, rho),
-                            rng.randrange(1, ball_size(d, rho) + 1)])
-        stops, depth_counts, rotors = naive_aggregate(cfg, chips, False)
-        res = aggregate(cfg, chips)
-        assert res.stops == stops, cfg
-        assert res.occupied == set(rotors)
-        assert res.depth_counts == depth_counts
-        assert res.max_depth == max(depth_counts)
-        assert res.state.rotors == rotors
+def _mutual_pair_config(rng: random.Random, d: int) -> LazyTreeConfig:
+    """A random config in which a parent and its child point at each
+    other: the parent at the child, the child at the parent."""
+    while True:
+        cfg = random_acyclic_config(d, rng, allow_ray=False)
+        parent = ORIGIN
+        for level in range(rng.randrange(0, 3)):
+            parent += (rng.randrange(1, (d if level == 0 else d - 1) + 1),)
+        c = rng.randrange(1, (d if parent == ORIGIN else d - 1) + 1)
+        overrides = dict(cfg.overrides)
+        overrides[parent] = c
+        overrides[parent + (c,)] = d
+        cfg = LazyTreeConfig(d=d, default=cfg.default,
+                             overrides=tuple(overrides.items()))
+        if find_cyclic_pair(cfg) is not None:
+            return cfg
 
-        chips = rng.choice([modified_count(d, rho),
-                            rng.randrange(1, modified_count(d, rho) + 1)])
-        stops, depth_counts, rotors = naive_aggregate(cfg, chips, True)
-        mod = aggregate_modified(cfg, chips)
-        assert mod.stops == stops, cfg
-        assert mod.occupied == set(rotors)
-        assert mod.max_depth == max(depth_counts)
-        assert mod.state.rotors == rotors
+
+def _aggregation_oracle_configs(rng: random.Random) -> list:
+    """Random acyclic configs at d = 3, 4, 5 with and without rays, mutual
+    pairs, synthesized tree configs with level regions, and degrees above
+    BLOCK_DEGREE."""
+    cfgs = [random_acyclic_config((3, 4, 5)[i % 3], rng,
+                                  allow_ray=i % 2 == 0) for i in range(150)]
+    cfgs += [_mutual_pair_config(rng, (3, 4)[i % 2]) for i in range(60)]
+    cfgs += [synthesize_tree(_dense_valid_word(rng, rng.randrange(3, 25), 3))
+             for _ in range(70)]
+    d = lazytree.BLOCK_DEGREE + 1
+    cfgs += [random_acyclic_config(d + i % 4, rng, max_depth=2)
+             for i in range(20)]
+    return cfgs
+
+
+def test_aggregate_matches_naive_aggregator():
+    # every result field, the state built on demand and the step total
+    # against the literal walk, plain and modified, on 300 configs
+    rng = random.Random(29)
+    radius = {3: 4, 4: 3, 5: 2}
+    restored = Counter()
+    region_sites = 0
+    cfgs = _aggregation_oracle_configs(rng)
+    assert len(cfgs) == 300
+    for i, cfg in enumerate(cfgs):
+        d = cfg.d
+        # deep enough that the chips reach region tails
+        rho = 6 if cfg.regions else radius.get(d, 1)
+        for modified in (False, True):
+            full = modified_count(d, rho) if modified else ball_size(d, rho)
+            chips = rng.choice([full, rng.randrange(1, full + 1)])
+            stops, depth_counts, rotors, steps = naive_aggregate(
+                cfg, chips, modified)
+            run = aggregate_modified if modified else aggregate
+            res = run(cfg, chips, check_acyclic=False)
+            assert res.stops == stops, (cfg, modified)
+            assert res.occupied == set(rotors)
+            assert res.depth_counts == depth_counts
+            assert res.max_depth == max(depth_counts)
+            checks, sandwich_ok = replay_checkpoints(d, stops)
+            assert res.ball_checks == checks
+            assert res.sandwich_ok == sandwich_ok
+            assert res.steps == steps
+            st = res.state
+            assert st.rotors == rotors
+            # ids in settle order, as the step-by-step walk makes them
+            assert [st._address(x) for x in range(len(st._rot))] == \
+                [ORIGIN] + [a for a in stops[1:] if a != ORIGIN]
+            assert st._max_materialized == res.max_depth
+            want = all(r == cfg.base_direction(a) for a, r in rotors.items())
+            assert res.rotors_restored() is want
+            restored[want] += 1
+            region_sites += sum(cfg.kind_at(a).region is not None
+                                for a in rotors)
+            if i % 10 == 0 and steps:
+                with pytest.raises(StepBudgetExceededError):
+                    run(cfg, chips, check_acyclic=False, step_cap=steps - 1)
+                assert run(cfg, chips, check_acyclic=False,
+                           step_cap=steps).stops == stops
+    assert min(restored[True], restored[False]) >= 50, restored
+    assert region_sites >= 500, region_sites
 
 
 def replay_checkpoints(d: int, stops: list) -> tuple[list, bool]:
@@ -625,17 +683,17 @@ def ball_vertices(d: int, rho: int) -> list:
 
 
 def run_scripted(monkeypatch, d: int, script: list, modified: bool):
-    """Aggregate with walk_chip settling on the scripted sites in order;
-    None is a chip back at the origin."""
-    results = iter(script)
+    """Aggregate with the chips settling on the scripted sites in order;
+    None is a chip back at the origin, which walks on unless ``modified``."""
 
-    def walk_chip(self, record_visits=False, settle=False):
-        site = next(results)
-        if site is None:
-            return lazytree.ChipResult(lazytree.RETURNED, 0, 1)
-        return lazytree.ChipResult(lazytree.SETTLED, len(site), 1, site=site)
+    def chip_stops(self, n, modified):
+        for site in script:
+            if site is not None:
+                yield site
+            elif modified:
+                yield ORIGIN
 
-    monkeypatch.setattr(TreeState, "walk_chip", walk_chip)
+    monkeypatch.setattr(lazytree._ResponseTables, "chip_stops", chip_stops)
     chips = 1 + (len(script) if modified
                  else sum(site is not None for site in script))
     return lazytree._aggregate_run(uniform_config(d, 1), chips, modified,
