@@ -269,7 +269,8 @@ class ConfigDescriptor:
     @staticmethod
     def from_json_dict(p: dict) -> "ConfigDescriptor":
         """The descriptor of a ``to_json_dict`` tree, built children first
-        on an explicit stack; rules are checked in preorder."""
+        on an explicit stack; nodes are checked in preorder, and a
+        malformed one raises WordError."""
         built: list[ConfigDescriptor] = []
         stack = [(p, False)]
         while stack:
@@ -277,9 +278,18 @@ class ConfigDescriptor:
             if ready:                 # both children are built
                 right = built.pop()
                 built.append(ConfigDescriptor.node(built.pop(), right))
-            elif q["rule"] == "level":
-                built.append(ConfigDescriptor.level(q["h"]))
-            elif q["rule"] == "node":
+            elif not isinstance(q, dict):
+                raise WordError("descriptor node is not an object: "
+                                f"{type(q).__name__}")
+            elif q.get("rule") == "level":
+                h = q.get("h")
+                if type(h) is not int:          # bool is no height either
+                    raise WordError("level rule needs an integer h, not "
+                                    f"{type(h).__name__}")
+                built.append(ConfigDescriptor.level(h))
+            elif q.get("rule") == "node":
+                if "left" not in q or "right" not in q:
+                    raise WordError("node rule needs left and right")
                 stack += [(q, True), (q["right"], False), (q["left"], False)]
             else:
                 raise WordError(f"unknown descriptor rule {q.get('rule')!r}")

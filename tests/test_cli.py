@@ -68,6 +68,21 @@ def test_aggregate_dot_export(capsys, tmp_path):
     assert dot.read_text().startswith("digraph")
 
 
+# sha256 of the DOT file of `aggregate --d D --chips N --dot FILE`: the
+# README example, and a cluster of more than two blocks of 1,024 lines
+@pytest.mark.parametrize("d, chips, sha", [
+    (3, 190, "4344e130343faafaacc192f3dfb9e01fc0696c559ff1c69a9b54d48d317c3892"),
+    (4, 2500, "b08578c8cd86b0e4779e9dbb9b07e8a4de41e2c8935be7532ae96e6e56d821ed"),
+])
+def test_aggregate_dot_bytes_match_pinned_digest(capsys, tmp_path, d, chips,
+                                                 sha):
+    dot = tmp_path / "cluster.dot"
+    code, _, _ = run_cli(capsys, "aggregate", "--d", str(d), "--chips",
+                         str(chips), "--dot", str(dot))
+    assert code == 0
+    assert hashlib.sha256(dot.read_bytes()).hexdigest() == sha
+
+
 def test_aggregate_bad_config_rejected(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"d": 3, "default": 3, "mode": "tree",

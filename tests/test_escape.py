@@ -438,6 +438,22 @@ def test_descriptor_from_json_matches_json_module():
         - outcomes[json.JSONDecodeError] >= 4
 
 
+@pytest.mark.parametrize("text", [
+    '{"rule": "level"}',
+    '{"rule": "node", "left": {"rule": "level", "h": 0}}',
+    '[]',
+    '5',
+    '{"rule": "level", "h": "2"}',
+    '{"rule": "node", "left": {"rule": "level", "h": true},'
+    ' "right": {"rule": "level", "h": 0}}',
+])
+def test_malformed_descriptor_json_raises_word_error(text):
+    with pytest.raises(WordError):
+        ConfigDescriptor.from_json(text)
+    with pytest.raises(WordError):
+        ConfigDescriptor.from_json_dict(json.loads(text))
+
+
 def test_synthesize_degenerate_cases():
     assert synthesize_branch("0") == ConfigDescriptor.level(1)
     assert synthesize_branch("0000") == ConfigDescriptor.level(4)

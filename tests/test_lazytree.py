@@ -1,5 +1,7 @@
+import hashlib
 import json
 import random
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -748,6 +750,27 @@ def test_aggregation_checkpoints_match_replay_of_stops(monkeypatch):
     assert len(seen) == 4, seen
 
 
+def test_aggregation_guard_rejects_two_chips_on_one_site(monkeypatch):
+    # every chip settles on an unoccupied vertex, so the cluster size is a
+    # count; a run that breaks that fails its guard
+    l1 = ball_vertices(3, 1)[1:]
+    for script in (l1 + [l1[0]], [(1, 1)] * 40):
+        for modified in (False, True):
+            with pytest.raises(ResultCheckError):
+                run_scripted(monkeypatch, 3, script, modified)
+
+
+def test_occupied_set_is_no_larger_than_one_element_merges():
+    # a set merge grows the table 2x where add() and set(stops) grow it 4x
+    res = aggregate(uniform_config(3, 1), ball_size(3, 13))
+    merged = {ORIGIN}
+    for site in res.stops[1:]:
+        merged |= {site}
+    assert merged == res.occupied
+    assert sys.getsizeof(res.occupied) <= sys.getsizeof(merged)
+    assert sys.getsizeof(res.occupied) < sys.getsizeof(set(res.stops))
+
+
 def test_step_budget_guard():
     from rotorlab.lazytree import StepBudgetExceededError
     # the literal engine really walks the exponential bouncy excursions
@@ -764,6 +787,11 @@ def test_dot_snapshot():
     dot = dot_snapshot(res.state, cluster=res.occupied)
     assert dot.startswith("digraph")
     assert '"o"' in dot
+    # no cluster, and edges up to parents: the alternating run's state
+    st = run_chips_infinite(alternating_tree_config(), 3000).state
+    assert len(st.rotors) > 1024
+    assert hashlib.sha256(dot_snapshot(st).encode()).hexdigest() == \
+        "ec5f2805eef30251ffb7da083d285c246215dee00d0c3ab4de0943f657c5615d"
 
 
 @pytest.mark.parametrize("payload", [
