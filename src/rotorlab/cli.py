@@ -33,7 +33,7 @@ from rotorlab.lazytree import (
     NotAcyclicError,
     aggregate,
     ball_size,
-    dot_snapshot,
+    dot_blocks,
     alternating_tree_config,
     run_chips_infinite,
     uniform_config,
@@ -119,7 +119,8 @@ def cmd_aggregate(args) -> int:
     _emit(payload, args.out)
     if args.dot:
         with open(args.dot, "w") as fh:
-            fh.write(dot_snapshot(res.state, cluster=res.occupied) + "\n")
+            for block in dot_blocks(res.state, cluster=res.occupied):
+                fh.write(block + "\n")
     all_ok = (res.sandwich_ok and all(ok for _, ok in res.ball_checks)
               and payload.get("final_exact_ball", True))
     return OK if all_ok else VERDICT_FAIL

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable, Mapping, Sequence
 
 
@@ -306,17 +305,61 @@ DEFAULT_ENUM_LIMIT = 10_000_000
 
 def enumerate_recurrent(g: DirectedMultigraph,
                         limit: int = DEFAULT_ENUM_LIMIT) -> list[RotorConfiguration]:
-    """All recurrent configurations, lexicographic in rotor-vertex order."""
+    """All recurrent configurations, lexicographic in rotor-vertex order.
+
+    Depth-first over the rotor vertices in order, slots in order, on an
+    explicit stack.  The rotors set so far form an in-forest whose trees
+    are kept in a union-find (union by size, no path compression, undone
+    on backtrack); a rotor v -> w closes a cycle exactly when w already
+    lies in v's tree, and such a slot is skipped with everything below it.
+    """
     total = 1
     for v in g.rotor_vertices:
         total *= g.outdeg(v)
         if total > limit:
             raise TooLargeError(f"{total}+ configurations exceed limit {limit}")
+    rotor = [g.index[v] for v in g.rotor_vertices]
+    m = len(rotor)
+    if not m:
+        return [RotorConfiguration(())]
+    outs = [g.out_idx[v] for v in rotor]
+    parent = list(range(len(g.vertices)))
+    size = [1] * len(g.vertices)
+    slots = [-1] * m
+    joined = [-1] * m        # the root that level k's rotor attached
     result = []
-    for slots in product(*(range(g.outdeg(v)) for v in g.rotor_vertices)):
-        t = RotorConfiguration(slots)
-        if is_recurrent(g, t):
-            result.append(t)
+    k = 0
+    while k >= 0:
+        a = joined[k]
+        if a >= 0:
+            size[parent[a]] -= size[a]
+            parent[a] = a
+        a = rotor[k]
+        while parent[a] != a:
+            a = parent[a]
+        out = outs[k]
+        s = slots[k] + 1
+        while s < len(out):
+            b = out[s]
+            while parent[b] != b:
+                b = parent[b]
+            if a != b:
+                break
+            s += 1
+        else:
+            slots[k] = joined[k] = -1
+            k -= 1
+            continue
+        slots[k] = s
+        if size[a] > size[b]:
+            a, b = b, a
+        parent[a] = b
+        size[b] += size[a]
+        joined[k] = a
+        if k + 1 < m:
+            k += 1
+        else:
+            result.append(RotorConfiguration(tuple(slots)))
     return result
 
 

@@ -18,18 +18,14 @@ from rotorlab.graph import (
     GraphError,
     ResultCheckError,
     RotorConfiguration,
+    _rotor_targets,
     enumerate_recurrent,
     is_recurrent,
     rank_and_minor,
     reduced_laplacian,
     spanning_tree_count,
 )
-from rotorlab.walk import (
-    DEFAULT_STEP_BUDGET,
-    _route,
-    reverse_walk,
-    route_to_sink,
-)
+from rotorlab.walk import DEFAULT_STEP_BUDGET, _reverse, _route
 
 
 class NotRecurrentError(GraphError):
@@ -42,17 +38,31 @@ class BudgetExceededError(GraphError):
 
 def apply_generator(g: DirectedMultigraph, t: RotorConfiguration, x: str,
                     exponent: int = 1) -> RotorConfiguration:
-    """e_x^exponent(t); negative exponents run the inverse via reverse_walk."""
+    """e_x^exponent(t); negative exponents run the inverse as reverse walks.
+
+    The configuration is validated and checked for recurrence once; every
+    power then runs on one per-vertex slot list, through ``_route`` or
+    ``_reverse``.
+    """
     if not is_recurrent(g, t):
         raise NotRecurrentError("generators act on recurrent configurations")
-    if x == g.sink:
-        return t           # e_s is the identity
-    for _ in range(abs(exponent)):
-        if exponent > 0:
-            t, _ = route_to_sink(g, t, x)
-        else:
-            t = reverse_walk(g, t, x)
-    return t
+    if x == g.sink or not exponent:
+        return t           # e_s and e_x^0 are the identity
+    if x not in g.index:
+        raise GraphError(f"unknown vertex {x!r}")
+    full = g.slots_to_full(t)
+    v = g.index[x]
+    if exponent > 0:
+        stops = (g.sink_index,)
+        emitters: set[int] = set()
+        for _ in range(exponent):
+            _route(g, full, v, stops, emitters, None, 0, DEFAULT_STEP_BUDGET)
+    else:
+        # each reverse walk ends on a recurrent state
+        tgt = _rotor_targets(g, t)
+        for _ in range(-exponent):
+            _reverse(g, full, tgt, v, True, DEFAULT_STEP_BUDGET)
+    return g.full_to_slots(full)
 
 
 def order_of_generator(g: DirectedMultigraph, x: str,
@@ -311,12 +321,14 @@ def verify_transitivity(g: DirectedMultigraph,
                         limit: int = 1_000_000) -> bool:
     """The generators reach every recurrent state from every other."""
     recs = enumerate_recurrent(g, limit)
-    return _transitive(g, recs, _generator_tables(g, recs))
+    return _transitive(g, [g.slots_to_full(t) for t in recs],
+                       _generator_tables(g, recs))
 
 
-def _transitive(g: DirectedMultigraph, recs: list[RotorConfiguration],
+def _transitive(g: DirectedMultigraph, fulls: list[list[int]],
                 perm: list[list[int]]) -> bool:
-    """Transitivity of the action given by the generator tables.
+    """Transitivity of the action given by the generator tables, on the
+    states' per-vertex slot lists.
 
     Applies the constructive group element prod e_x^{u(x)-v(x)} of the
     transitivity proof to the first state, aiming at each other state: u(x)
@@ -326,7 +338,7 @@ def _transitive(g: DirectedMultigraph, recs: list[RotorConfiguration],
     breadth-first search over the tables as an independent route.  False
     when a table is not a permutation.
     """
-    n = len(recs)
+    n = len(fulls)
     inv = []
     for row in perm:
         back = [-1] * n
@@ -340,9 +352,9 @@ def _transitive(g: DirectedMultigraph, recs: list[RotorConfiguration],
     movers = [v for v in range(len(g.vertices)) if v != g.sink_index]
     out_idx = g.out_idx
     deg = g.deg_idx
-    t1 = g.slots_to_full(recs[0])
+    t1 = fulls[0]
     for k in range(1, n):
-        t2 = g.slots_to_full(recs[k])
+        t2 = fulls[k]
         turns = {y: (t2[y] - t1[y]) % deg[y] for y in movers}
         landed = [0] * len(g.vertices)
         for y, u in turns.items():
@@ -415,35 +427,50 @@ def verify_isomorphism(g: DirectedMultigraph,
     e_x^{d_x} = prod_y e_y^{d_xy} holds as a map, that generators commute
     pairwise, that every e_x is injective and that the action is
     transitive.  It also verifies that the recurrent-state count equals the
-    Smith normal form group order, that route_to_sink from the sink is the
-    identity, and that reverse_walk, run literally, maps every e_x(t) back
-    to t.
+    Smith normal form group order.  Each state's per-vertex slot list is
+    built once, and three checks run on those lists: transitivity, routing
+    a chip from the sink with ``_route`` being the identity, and the literal
+    reverse walk, step by step in ``_reverse``, mapping every e_x(t) back
+    to t.  Every state comes from the enumeration, so each reverse walk
+    starts as recurrent.
     """
     recs = enumerate_recurrent(g, limit)
     structure = sandpile_structure(g)
     perm = _generator_tables(g, recs)
     n = len(recs)
-    movers = [v for v in range(len(g.vertices)) if v != g.sink_index]
+    sink = g.sink_index
+    movers = [v for v in range(len(g.vertices)) if v != sink]
+    fulls = [g.slots_to_full(t) for t in recs]
+    tgts = [_rotor_targets(g, t) for t in recs]
 
     relations_ok = all(
         _apply([perm[x]] * g.deg_idx[x], i)
         == _apply([perm[y] for y in g.out_idx[x]], i)
         for x in movers for i in range(n))
 
-    sink_identity_ok = all(route_to_sink(g, t, g.sink)[0] == t for t in recs)
+    def routed_from_sink(full: list[int]) -> list[int]:
+        full = full[:]
+        _route(g, full, sink, (sink,), set(), None, 0, DEFAULT_STEP_BUDGET)
+        return full
+
+    sink_identity_ok = all(routed_from_sink(full) == full for full in fulls)
 
     commutes_ok = all(
         perm[x][perm[y][i]] == perm[y][perm[x][i]]
         for xi, x in enumerate(movers) for y in movers[xi + 1:]
         for i in range(n))
 
+    def reversed_to(x: int, j: int) -> list[int]:
+        full = fulls[j][:]
+        _reverse(g, full, tgts[j][:], x, True, DEFAULT_STEP_BUDGET)
+        return full
+
     bijective_ok = all(
         len(set(perm[x])) == n
-        and all(reverse_walk(g, recs[perm[x][i]], name) == recs[i]
-                for i in range(n))
-        for x, name in enumerate(g.vertices))
+        and all(reversed_to(x, perm[x][i]) == fulls[i] for i in range(n))
+        for x in range(len(g.vertices)))
 
-    transitive_ok = _transitive(g, recs, perm)
+    transitive_ok = _transitive(g, fulls, perm)
 
     report = IsomorphismReport(
         rec_count=len(recs),

@@ -1317,25 +1317,37 @@ def aggregate_modified(cfg: LazyTreeConfig, n_chips: int,
 
 # -- DOT export ---------------------------------------------------------------
 
+def dot_blocks(state: TreeState, cluster: Iterable[Address] | None = None,
+               ) -> Iterator[str]:
+    """Materialized region as a DOT digraph; rotor directions as edge labels.
+    Lines come in blocks of up to 1,024, every node before the first edge,
+    so a writer holds one block at a time."""
+    if cluster is not None and not isinstance(cluster, (set, frozenset)):
+        cluster = set(cluster)
+
+    def node(addr: Address) -> str:
+        name = addr_to_str(addr) or "o"
+        if cluster is None:
+            return f'  "{name}" [label="{name}"];'
+        fill = "lightblue" if addr in cluster else "white"
+        return f'  "{name}" [label="{name}",style=filled,fillcolor="{fill}"];'
+
+    def edge(addr: Address) -> str:
+        dirn = rotors[addr]
+        tgt = addr[:-1] if addr and dirn == state.cfg.d else addr + (dirn,)
+        return (f'  "{addr_to_str(addr) or "o"}" -> '
+                f'"{addr_to_str(tgt) or "o"}" [label="{dirn}"];')
+
+    rotors = state.rotors
+    order = sorted(rotors)
+    yield "digraph rotors {"
+    for line in (node, edge):
+        for k in range(0, len(order), 1024):
+            yield "\n".join(map(line, order[k:k + 1024]))
+    yield "}"
+
+
 def dot_snapshot(state: TreeState, cluster: Iterable[Address] | None = None,
                  ) -> str:
-    """Materialized region as a DOT digraph; rotor directions as edge labels.
-    Lines are joined in blocks of 1,024: half the memory of one per line."""
-    cset = set(cluster) if cluster is not None else None
-    nodes, edges, node_blocks, edge_blocks = [], [], [], []
-    for addr, dirn in sorted(state.rotors.items()):
-        name = addr_to_str(addr) or "o"
-        attrs = f'label="{name}"'
-        if cset is not None:
-            fill = "lightblue" if addr in cset else "white"
-            attrs += f',style=filled,fillcolor="{fill}"'
-        nodes.append(f'  "{name}" [{attrs}];')
-        tgt = addr[:-1] if addr and dirn == state.cfg.d else addr + (dirn,)
-        edges.append(f'  "{name}" -> "{addr_to_str(tgt) or "o"}" '
-                     f'[label="{dirn}"];')
-        if len(nodes) == 1024:
-            node_blocks.append("\n".join(nodes))
-            edge_blocks.append("\n".join(edges))
-            nodes, edges = [], []
-    return "\n".join(["digraph rotors {", *node_blocks, *nodes,
-                      *edge_blocks, *edges, "}"])
+    """The blocks of :func:`dot_blocks`, joined."""
+    return "\n".join(dot_blocks(state, cluster))

@@ -155,33 +155,41 @@ def reverse_walk(g: DirectedMultigraph, t_final: RotorConfiguration, x: str,
     Each reverse step picks the unique legal predecessor.  In a cyclic state
     the predecessor lies on the rotor cycle through the chip; in a recurrent
     state the chip is at its first visit, and the predecessor is found by
-    walking the rotor path from x.  The configuration is validated once and
-    then kept as a per-vertex slot list and a rotor-target list, each reverse
-    step decrementing one rotor in both.  The whole rotor graph is checked
-    for cycles once, on the input; a state that passes is acyclic, and after
-    each step any cycle passes through the one vertex whose rotor changed,
-    so following rotors from it decides recurrence.
+    walking the rotor path from x.  The configuration is validated and its
+    whole rotor graph checked for cycles once; the steps run in ``_reverse``.
     """
     t_final.validate(g)
     if x not in g.index:
         raise GraphError(f"unknown vertex {x!r}")
-    out_idx = g.out_idx
-    deg = g.deg_idx
     full = g.slots_to_full(t_final)
     tgt = _rotor_targets(g, t_final)
-    start = g.index[x]
+    _reverse(g, full, tgt, g.index[x], _acyclic(g, tgt), step_budget)
+    return g.full_to_slots(full)
+
+
+def _reverse(g: DirectedMultigraph, full: list[int], tgt: list[int],
+             start: int, rec: bool, step_budget: int) -> None:
+    """Reverse-walk the chip from the sink back to vertex index start.
+
+    ``full`` holds the slots and ``tgt`` the rotor targets, per vertex
+    index; each reverse step decrements one rotor in both, in place.
+    ``rec`` says whether the rotor graph of the input is acyclic.  After
+    each step any cycle passes through the one vertex whose rotor changed,
+    so following rotors from it decides recurrence.
+    """
+    out_idx = g.out_idx
+    deg = g.deg_idx
     sink = chip = g.sink_index
     count = 0
-    rec = _acyclic(g, tgt)
     while True:
         if rec and chip == start:
-            return g.full_to_slots(full)
+            return
         if count >= step_budget:
             raise StepBudgetExceededError(f"exceeded {step_budget} reverse steps")
         # a cyclic state has the chip on its unique rotor cycle, and the
         # predecessor precedes it there; in a recurrent one it is the chip's
         # first visit, and the predecessor is the last exit from the rotor
-        # path out of x
+        # path out of start
         z = _path_predecessor(g, tgt, start if rec else chip, chip)
         s = (full[z] - 1) % deg[z]
         full[z] = s
@@ -199,18 +207,20 @@ def reverse_walk(g: DirectedMultigraph, t_final: RotorConfiguration, x: str,
 def _path_predecessor(g: DirectedMultigraph, tgt: list[int], start: int,
                       chip: int) -> int:
     """Vertex before the first occurrence of chip on the rotor path from
-    start; started at the chip, its predecessor on the rotor cycle."""
+    start; started at the chip, its predecessor on the rotor cycle.  A path
+    that misses the chip reaches the sink or closes a cycle within as many
+    steps as there are vertices."""
     v = start
-    seen = set()
-    while True:
-        if v in seen or v == g.sink_index:
-            raise WalkError(f"rotor path from {g.vertices[start]!r} misses "
-                            f"{g.vertices[chip]!r}")
-        seen.add(v)
+    sink = g.sink_index
+    for _ in tgt:
+        if v == sink:
+            break
         w = tgt[v]
         if w == chip:
             return v
         v = w
+    raise WalkError(f"rotor path from {g.vertices[start]!r} misses "
+                    f"{g.vertices[chip]!r}")
 
 
 ChipDistribution = dict[str, int]

@@ -154,6 +154,25 @@ def test_group_wired(capsys):
     assert payload["ok"] is True
 
 
+# sha256 of the stdout of `group --wired 3 N`
+@pytest.mark.parametrize("n, sha", [
+    (3, "46d727f44b7b8aead2ff21f05fff2f00507c2e10a4911a37c3b2e7bc235c1779"),
+    (4, "9aa82c74e5328dd7448676ccd27873ca41d74ff3009ec67935b7c472cd3c4259"),
+])
+def test_group_wired_output_matches_pinned_digest(capsys, n, sha):
+    code, out, _ = run_cli(capsys, "group", "--wired", "3", str(n))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha
+
+
+def test_group_wired_past_enumeration_limit_exits_2(capsys):
+    code, out, err = run_cli(capsys, "group", "--wired", "3", "5")
+    assert code == 2
+    assert out == ""
+    assert err == ("error: graph too large to check exhaustively: "
+                   "1594323+ configurations exceed limit 1000000\n")
+
+
 def test_group_graph_file(capsys, tmp_path):
     g = build_graph(["a", "b", "s"], "s",
                     {"a": ["b", "s"], "b": ["a", "s"], "s": ["a", "b"]})

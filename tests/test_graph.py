@@ -1,11 +1,13 @@
 import json
 import random
+import time
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 
 from rotorlab.graph import (
+    DirectedMultigraph,
     EmptyOutListError,
     GraphError,
     LoopEdgeError,
@@ -27,6 +29,7 @@ from rotorlab.graph import (
     spanning_tree_count,
 )
 from rotorlab.sampling import random_multigraph
+from rotorlab.trees import build_wired_tree
 
 
 def two_cycle():
@@ -133,6 +136,64 @@ def test_enumerate_matches_matrix_tree():
         # no duplicates, all recurrent
         assert len({t.slots for t in recs}) == len(recs)
         assert all(is_recurrent(g, t) for t in recs)
+
+
+def enumerate_oracle(g):
+    """Literal oracle for enumerate_recurrent: every slot tuple, in product
+    order, kept when is_recurrent holds."""
+    return [RotorConfiguration(slots)
+            for slots in product(*(range(g.outdeg(v))
+                                   for v in g.rotor_vertices))
+            if is_recurrent(g, RotorConfiguration(slots))]
+
+
+def random_unchecked_multigraph(rng, n):
+    """Random loop-free multigraph in which every non-sink vertex has 1 to 4
+    out-edges, parallel ones allowed, and the sink has none half the time.
+    Built without build_graph, which requires strong connectivity: the
+    enumeration does not."""
+    names = [f"v{i}" for i in range(n)]
+    out = {}
+    for v in names:
+        k = rng.randrange(0, 3) if v == names[0] else rng.randrange(1, 5)
+        out[v] = tuple(rng.choice([w for w in names if w != v])
+                       for _ in range(k))
+    return DirectedMultigraph(tuple(names), names[0], out)
+
+
+def test_enumerate_matches_product_oracle_on_random_multigraphs():
+    rng = random.Random(61)
+    seen = {"out-degree 1": 0, "parallel edges": 0, "sink without out-edges": 0}
+    lone = build_graph(["s"], "s", {})
+    assert enumerate_recurrent(lone) == enumerate_oracle(lone)
+    for _ in range(320):
+        g = random_unchecked_multigraph(rng, rng.randrange(2, 8))
+        seen["out-degree 1"] += any(g.outdeg(v) == 1 for v in g.rotor_vertices)
+        seen["parallel edges"] += any(len(set(g.out[v])) < g.outdeg(v)
+                                      for v in g.vertices)
+        seen["sink without out-edges"] += not g.out[g.sink]
+        assert enumerate_recurrent(g) == enumerate_oracle(g), g.out
+    assert min(seen.values()) >= 100, seen
+
+
+@pytest.mark.parametrize("d, n", [(3, 3), (3, 4), (4, 3)])
+def test_enumerate_matches_product_oracle_on_wired_trees(d, n):
+    g, _ = build_wired_tree(d, n)
+    assert enumerate_recurrent(g) == enumerate_oracle(g)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_enumerate_long_directed_cycle(reverse):
+    # a rotor per vertex and one configuration; in the reversed listing each
+    # new rotor points at the tree of all the rotors set before it
+    n = 5000
+    names = [f"v{i}" for i in range(n)]
+    out = {v: [names[(i + 1) % n]] for i, v in enumerate(names)}
+    g = build_graph(names[::-1] if reverse else names, "v0", out)
+    start = time.perf_counter()
+    recs = enumerate_recurrent(g)
+    assert time.perf_counter() - start < 0.5
+    assert recs == [RotorConfiguration((0,) * (n - 1))]
 
 
 def _leibniz_det(mat):

@@ -56,6 +56,21 @@ def test_apply_generator_inverse():
         assert apply_generator(g, apply_generator(g, t, x, -1), x, 1) == t
 
 
+def test_apply_generator_matches_per_power_calls():
+    # each power through route_to_sink or reverse_walk, call by call
+    rng = random.Random(67)
+    for _ in range(12):
+        g = random_multigraph(rng, rng.randrange(2, 7))
+        t = random_recurrent_config(g, rng)
+        for x in g.vertices:
+            for exponent in range(-4, 5):
+                want = t
+                for _ in range(abs(exponent)):
+                    want = (route_to_sink(g, want, x)[0] if exponent > 0
+                            else reverse_walk(g, want, x))
+                assert apply_generator(g, t, x, exponent) == want
+
+
 def test_apply_generator_laplacian_relation():
     rng = random.Random(5)
     for _ in range(10):
