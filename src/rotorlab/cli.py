@@ -25,8 +25,9 @@ from rotorlab.escape import (
     validate_word,
     violating_window,
 )
-from rotorlab.graph import GraphError, TooLargeError, graph_from_json
-from rotorlab.group import order_of_generator, verify_isomorphism
+from rotorlab.graph import (GraphError, TooLargeError, check_enumeration_limit,
+                            graph_from_json)
+from rotorlab.group import CHECK_LIMIT, order_of_generator, verify_isomorphism
 from rotorlab.lazytree import (
     LazyTreeConfig,
     LazyTreeError,
@@ -38,7 +39,7 @@ from rotorlab.lazytree import (
     run_chips_infinite,
     uniform_config,
 )
-from rotorlab.trees import BadParametersError, build_wired_tree
+from rotorlab.trees import build_wired_tree
 
 OK, VERDICT_FAIL, INPUT_ERROR, NOT_REALIZABLE = 0, 1, 2, 3
 
@@ -119,7 +120,7 @@ def cmd_aggregate(args) -> int:
     _emit(payload, args.out)
     if args.dot:
         with open(args.dot, "w") as fh:
-            for block in dot_blocks(res.state, cluster=res.occupied):
+            for block in dot_blocks(res.rotors, cfg.d, cluster=res.occupied):
                 fh.write(block + "\n")
     all_ok = (res.sandwich_ok and all(ok for _, ok in res.ball_checks)
               and payload.get("final_exact_ball", True))
@@ -134,19 +135,23 @@ def cmd_group(args) -> int:
     try:
         if args.wired:
             d, n = args.wired
+            if d >= 3 and n >= 2:   # (d-1)^k rotors of degree d on level k
+                check_enumeration_limit(
+                    (d for k in range(n - 1) for _ in range((d - 1) ** k)),
+                    CHECK_LIMIT)
             g, _ = build_wired_tree(d, n)
         else:
             with open(path) as fh:
                 g = graph_from_json(fh.read())
-    except (OSError, json.JSONDecodeError, GraphError,
-            BadParametersError) as exc:
-        return _fail(str(exc), INPUT_ERROR)
-
-    try:
-        report = verify_isomorphism(g)
+            check_enumeration_limit(map(g.outdeg, g.rotor_vertices),
+                                    CHECK_LIMIT)
     except TooLargeError as exc:
         return _fail(f"graph too large to check exhaustively: {exc}",
                      INPUT_ERROR)
+    except (OSError, json.JSONDecodeError, GraphError) as exc:
+        return _fail(str(exc), INPUT_ERROR)
+
+    report = verify_isomorphism(g)
     payload = report.to_json_dict()
     if args.wired:
         root_order = order_of_generator(g, "r", verify_witnesses=1)

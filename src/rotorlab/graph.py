@@ -303,6 +303,16 @@ def classify(g: DirectedMultigraph, t: RotorConfiguration, chip: str) -> StateCl
 DEFAULT_ENUM_LIMIT = 10_000_000
 
 
+def check_enumeration_limit(degrees: Iterable[int], limit: int) -> None:
+    """Raise TooLargeError once the product of the rotor vertices'
+    out-degrees (the configuration count) passes ``limit``."""
+    total = 1
+    for deg in degrees:
+        total *= deg
+        if total > limit:
+            raise TooLargeError(f"{total}+ configurations exceed limit {limit}")
+
+
 def enumerate_recurrent(g: DirectedMultigraph,
                         limit: int = DEFAULT_ENUM_LIMIT) -> list[RotorConfiguration]:
     """All recurrent configurations, lexicographic in rotor-vertex order.
@@ -313,11 +323,7 @@ def enumerate_recurrent(g: DirectedMultigraph,
     on backtrack); a rotor v -> w closes a cycle exactly when w already
     lies in v's tree, and such a slot is skipped with everything below it.
     """
-    total = 1
-    for v in g.rotor_vertices:
-        total *= g.outdeg(v)
-        if total > limit:
-            raise TooLargeError(f"{total}+ configurations exceed limit {limit}")
+    check_enumeration_limit(map(g.outdeg, g.rotor_vertices), limit)
     rotor = [g.index[v] for v in g.rotor_vertices]
     m = len(rotor)
     if not m:

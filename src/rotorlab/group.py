@@ -28,6 +28,10 @@ from rotorlab.graph import (
 from rotorlab.walk import DEFAULT_STEP_BUDGET, _reverse, _route
 
 
+# The most rotor configurations the exhaustive checks enumerate by default.
+CHECK_LIMIT = 1_000_000
+
+
 class NotRecurrentError(GraphError):
     pass
 
@@ -280,14 +284,14 @@ def sandpile_structure(g: DirectedMultigraph) -> SandpileGroupStructure:
 
 
 def _generator_tables(g: DirectedMultigraph,
-                      recs: list[RotorConfiguration]) -> list[list[int]]:
-    """Each generator's action as a table over the recurrent states.
+                      fulls: list[list[int]]) -> list[list[int]]:
+    """Each generator's action as a table over the recurrent states, given
+    as per-vertex slot lists.
 
-    ``perm[v][i]`` is the index in ``recs`` of e_x(recs[i]), x being the
+    ``perm[v][i]`` is the index in ``fulls`` of e_x(fulls[i]), x being the
     vertex with index v; the chip is routed by ``_route``, the kernel of
     ``route_to_sink``.  The sink's table is the identity.
     """
-    fulls = [g.slots_to_full(t) for t in recs]
     # keyed on whole lists: the sink is a stop, so its unused entry stays 0
     where = {tuple(full): i for i, full in enumerate(fulls)}
     stops = (g.sink_index,)
@@ -295,7 +299,7 @@ def _generator_tables(g: DirectedMultigraph,
     perm = []
     for v in range(len(g.vertices)):
         if v == g.sink_index:
-            perm.append(list(range(len(recs))))
+            perm.append(list(range(len(fulls))))
             continue
         row = []
         for full in fulls:
@@ -318,11 +322,10 @@ def _apply(tables: list[list[int]], i: int) -> int:
 
 
 def verify_transitivity(g: DirectedMultigraph,
-                        limit: int = 1_000_000) -> bool:
+                        limit: int = CHECK_LIMIT) -> bool:
     """The generators reach every recurrent state from every other."""
-    recs = enumerate_recurrent(g, limit)
-    return _transitive(g, [g.slots_to_full(t) for t in recs],
-                       _generator_tables(g, recs))
+    fulls = [g.slots_to_full(t) for t in enumerate_recurrent(g, limit)]
+    return _transitive(g, fulls, _generator_tables(g, fulls))
 
 
 def _transitive(g: DirectedMultigraph, fulls: list[list[int]],
@@ -419,7 +422,7 @@ class IsomorphismReport:
 
 
 def verify_isomorphism(g: DirectedMultigraph,
-                       limit: int = 1_000_000) -> IsomorphismReport:
+                       limit: int = CHECK_LIMIT) -> IsomorphismReport:
     """Check the group isomorphism exhaustively on the recurrent states.
 
     Each e_x is computed once per recurrent state, as a table of state
@@ -436,11 +439,11 @@ def verify_isomorphism(g: DirectedMultigraph,
     """
     recs = enumerate_recurrent(g, limit)
     structure = sandpile_structure(g)
-    perm = _generator_tables(g, recs)
+    fulls = [g.slots_to_full(t) for t in recs]
+    perm = _generator_tables(g, fulls)
     n = len(recs)
     sink = g.sink_index
     movers = [v for v in range(len(g.vertices)) if v != sink]
-    fulls = [g.slots_to_full(t) for t in recs]
     tgts = [_rotor_targets(g, t) for t in recs]
 
     relations_ok = all(

@@ -11,7 +11,7 @@ overrides, infinite rays with a repeating child pattern, and level regions
 (subtrees whose first h levels point in direction d-1 and the rest in
 direction d; this is how synthesized configurations are expressed).
 
-The walk engine keeps three kinds of dynamic state besides explicitly
+The escape-run engine keeps three kinds of dynamic state besides explicitly
 materialized rotors:
 
 * patches -- a subtree prefix known to point entirely in direction d.  A
@@ -44,7 +44,7 @@ every vertex with an id that it will pass, and each lookup during a walk
 is a table read.  Addresses stay the currency of the API:
 ``effective(addr)`` and ``visited``, the address-keyed snapshots
 ``rotors``, ``patches``, ``ray_counts`` and ``ray_tips``, aggregation
-``stops`` and ``occupied``, JSON and DOT.
+``stops``, ``occupied`` and ``rotors``, JSON and DOT.
 
 Every shortcut is exact: the literal step-by-step engine (fast_paths=False)
 runs on the same tables and computes the same words, the same depths for
@@ -63,9 +63,10 @@ depth up to the region's height) share one response table, whose element k
 is built once from the child tables while the root's rotor turns.  Element
 k reads only elements below k of the child tables: the rotor points at the
 parent between any two departures to one child, and that ends an entry
-into the root.  The tables are built on an explicit stack, and the state
-and the final rotors are read from them; the literal oracle in the test
-suite checks every result field against a step-by-step walk.
+into the root.  The tables are built on an explicit stack; a final rotor is
+its base direction advanced by the chips it sent on, read from the tables
+in one pass over the stops.  The literal oracle in the test suite checks
+every result field against a step-by-step walk.
 """
 
 from __future__ import annotations
@@ -965,8 +966,11 @@ def run_chips_infinite(cfg: LazyTreeConfig, m: int,
                        fast_paths: bool = True,
                        step_cap: int = 10 ** 9,
                        state: TreeState | None = None) -> EscapeRunResult:
-    """Run m chips from the origin; 1 per escape, 0 per return."""
+    """Run m chips from the origin; 1 per escape, 0 per return.  A given
+    ``state`` goes on, and must have been made with the same arguments."""
     st = state if state is not None else TreeState(cfg, fast_paths, step_cap)
+    if (st.cfg, st.fast, st.step_cap) != (cfg, fast_paths, step_cap):
+        raise LazyTreeError("state was made with other arguments")
     bits = []
     depths = []
     for _ in range(m):
@@ -1151,48 +1155,25 @@ class _ResponseTables:
         self.origin_dep = dep
         self.steps = steps
 
-    def tree_state(self, stops: list[Address]) -> TreeState:
-        """The walk state the run leaves: ids in settle order, as the
-        step-by-step walk makes them, and every rotor its base direction
-        advanced by the chips its vertex sent on.  A vertex that sent on
-        dep chips sent the first to child c at departure
-        (c - base - 1) % d + 1, and then one every d departures."""
+    def final_rotors(self, stops: list[Address]) -> tuple[dict, bool]:
+        """Each site's final rotor, keyed by the stops' own addresses, and
+        whether every site sent on a multiple of d chips.  One pass in settle
+        order (parents first) gives a site its type and departures; child c
+        gets departure (c - base - 1) % d + 1 and every d-th after it."""
         d = self.cfg.d
-        st = TreeState(self.cfg, step_cap=self.step_cap)
+        types = self.types
+        sites: dict = {ORIGIN: (types[0], self.origin_dep)}
         for site in stops:
             if site:
-                st._addr[st._node(site)] = site
-        types = [self.types[0]]
-        deps = [self.origin_dep]
-        for y in range(1, len(st._rot)):
-            x, c = st._parent[y], st._cidx[y]
-            t = types[x]
-            u = self.types[t.kids[c]]
-            types.append(u)
-            deps.append(u.dep[(deps[x] - (c - t.kind.base - 1) % d - 1) // d])
-        for y, t in enumerate(types):
-            st._rot[y] = (t.kind.base - 1 + deps[y]) % d + 1
-        st._max_materialized = max(st._depth)
-        return st
-
-    def rotors_restored(self) -> bool:
-        """True iff every vertex has sent on a multiple of d chips, so its
-        rotor is back at its base direction.  Child c has (dep - j) // d + 1
-        entries when departure j <= dep went to it; only the children that
-        were entered are visited."""
-        d = self.cfg.d
-        origin = self.types[0]
-        stack = [(origin, self.origin_dep)]
-        while stack:
-            t, dep = stack.pop()
-            if dep % d:
-                return False
-            for j in range(1, min(dep, d) + 1):
-                c = (t.kind.base - 1 + j) % d + 1
-                if c < d or t is origin:
-                    u = self.types[t.kids[c]]
-                    stack.append((u, u.dep[(dep - j) // d]))
-        return True
+                t, dep = sites[site[:-1]]
+                c = site[-1]
+                u = types[t.kids[c]]
+                k = (dep - (c - t.kind.base - 1) % d - 1) // d
+                sites[site] = u, u.dep[k]       # after c's last entry
+        restored = all(dep % d == 0 for _, dep in sites.values())
+        for site, (t, dep) in sites.items():    # in place: no second dict
+            sites[site] = (t.kind.base - 1 + dep) % d + 1
+        return sites, restored
 
 
 @dataclass
@@ -1209,9 +1190,13 @@ class AggregationResult:
     _tables: _ResponseTables = field(repr=False, compare=False)
 
     @cached_property
-    def state(self) -> TreeState:
-        """The walk state after the run, built on first access."""
-        return self._tables.tree_state(self.stops)
+    def _final(self) -> tuple[dict[Address, int], bool]:
+        return self._tables.final_rotors(self.stops)
+
+    @property
+    def rotors(self) -> dict[Address, int]:
+        """Final rotor direction per cluster vertex, built on first access."""
+        return self._final[0]
 
     def is_exact_ball(self, rho: int) -> bool:
         return (self.occupied_is_ball(rho)
@@ -1223,8 +1208,8 @@ class AggregationResult:
                 and self.max_depth == rho)
 
     def rotors_restored(self) -> bool:
-        """True iff every rotor is back at its configured direction."""
-        return self._tables.rotors_restored()
+        """True iff every vertex sent on a multiple of d chips."""
+        return self._final[1]
 
 
 def _aggregate_run(cfg: LazyTreeConfig, n_chips: int, modified: bool,
@@ -1317,11 +1302,11 @@ def aggregate_modified(cfg: LazyTreeConfig, n_chips: int,
 
 # -- DOT export ---------------------------------------------------------------
 
-def dot_blocks(state: TreeState, cluster: Iterable[Address] | None = None,
-               ) -> Iterator[str]:
-    """Materialized region as a DOT digraph; rotor directions as edge labels.
-    Lines come in blocks of up to 1,024, every node before the first edge,
-    so a writer holds one block at a time."""
+def dot_blocks(rotors: dict[Address, int], d: int,
+               cluster: Iterable[Address] | None = None) -> Iterator[str]:
+    """Rotors on the tree of degree d as a DOT digraph, directions as edge
+    labels.  Lines come in blocks of up to 1,024, every node before the
+    first edge, so a writer holds one block at a time."""
     if cluster is not None and not isinstance(cluster, (set, frozenset)):
         cluster = set(cluster)
 
@@ -1334,11 +1319,10 @@ def dot_blocks(state: TreeState, cluster: Iterable[Address] | None = None,
 
     def edge(addr: Address) -> str:
         dirn = rotors[addr]
-        tgt = addr[:-1] if addr and dirn == state.cfg.d else addr + (dirn,)
+        tgt = addr[:-1] if addr and dirn == d else addr + (dirn,)
         return (f'  "{addr_to_str(addr) or "o"}" -> '
                 f'"{addr_to_str(tgt) or "o"}" [label="{dirn}"];')
 
-    rotors = state.rotors
     order = sorted(rotors)
     yield "digraph rotors {"
     for line in (node, edge):
@@ -1347,7 +1331,7 @@ def dot_blocks(state: TreeState, cluster: Iterable[Address] | None = None,
     yield "}"
 
 
-def dot_snapshot(state: TreeState, cluster: Iterable[Address] | None = None,
-                 ) -> str:
+def dot_snapshot(rotors: dict[Address, int], d: int,
+                 cluster: Iterable[Address] | None = None) -> str:
     """The blocks of :func:`dot_blocks`, joined."""
-    return "\n".join(dot_blocks(state, cluster))
+    return "\n".join(dot_blocks(rotors, d, cluster))

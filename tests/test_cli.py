@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -169,6 +170,16 @@ def test_group_wired_past_enumeration_limit_exits_2(capsys):
     code, out, err = run_cli(capsys, "group", "--wired", "3", "5")
     assert code == 2
     assert out == ""
+    assert err == ("error: graph too large to check exhaustively: "
+                   "1594323+ configurations exceed limit 1000000\n")
+
+
+def test_group_wired_is_refused_before_it_is_built(capsys):
+    # wired(3, 40) has 2^39 - 1 rotor vertices
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "group", "--wired", "3", "40")
+    assert time.perf_counter() - t0 < 1
+    assert (code, out) == (2, "")
     assert err == ("error: graph too large to check exhaustively: "
                    "1594323+ configurations exceed limit 1000000\n")
 

@@ -550,8 +550,8 @@ def test_verify_isomorphism_matches_literal_oracle():
 def test_swapped_generator_images_fail_the_check(monkeypatch):
     real = group._generator_tables
 
-    def swapped(g, recs):
-        perm = real(g, recs)
+    def swapped(g, fulls):
+        perm = real(g, fulls)
         row = perm[g.index["a"]]
         row[0], row[1] = row[1], row[0]
         return perm
@@ -568,7 +568,7 @@ def test_generator_image_outside_recurrent_states_raises(monkeypatch):
     # then land outside the index
     real = group._generator_tables
     monkeypatch.setattr(group, "_generator_tables",
-                        lambda g, recs: real(g, recs[:-1]))
+                        lambda g, fulls: real(g, fulls[:-1]))
     with pytest.raises(NotRecurrentError):
         verify_isomorphism(triangle())
 

@@ -294,6 +294,21 @@ def test_state_continuation():
     assert first.word + second.word == full.word
 
 
+def test_state_from_another_run_is_refused():
+    st = TreeState(uniform_config(3, 2))
+    with pytest.raises(LazyTreeError):
+        run_chips_infinite(alternating_tree_config(), 6, state=st)
+    cfg = alternating_tree_config()
+    for kwargs in ({"fast_paths": False}, {"step_cap": 100}):
+        with pytest.raises(LazyTreeError):
+            run_chips_infinite(cfg, 6, state=TreeState(cfg), **kwargs)
+        st = TreeState(cfg, **kwargs)
+        assert run_chips_infinite(cfg, 6, state=st, **kwargs).word == "101010"
+    # an equal config made separately is the same config
+    st = TreeState(alternating_tree_config())
+    assert run_chips_infinite(cfg, 6, state=st).word == "101010"
+
+
 def test_branch_confinement():
     cfg = alternating_tree_config()
     st = TreeState(cfg)
@@ -602,7 +617,7 @@ def _aggregation_oracle_configs(rng: random.Random) -> list:
 
 
 def test_aggregate_matches_naive_aggregator():
-    # every result field, the state built on demand and the step total
+    # every result field, the final rotors and the step total
     # against the literal walk, plain and modified, on 300 configs
     rng = random.Random(29)
     radius = {3: 4, 4: 3, 5: 2}
@@ -629,12 +644,7 @@ def test_aggregate_matches_naive_aggregator():
             assert res.ball_checks == checks
             assert res.sandwich_ok == sandwich_ok
             assert res.steps == steps
-            st = res.state
-            assert st.rotors == rotors
-            # ids in settle order, as the step-by-step walk makes them
-            assert [st._address(x) for x in range(len(st._rot))] == \
-                [ORIGIN] + [a for a in stops[1:] if a != ORIGIN]
-            assert st._max_materialized == res.max_depth
+            assert res.rotors == rotors
             want = all(r == cfg.base_direction(a) for a, r in rotors.items())
             assert res.rotors_restored() is want
             restored[want] += 1
@@ -784,13 +794,14 @@ def test_step_budget_guard():
 def test_dot_snapshot():
     cfg = uniform_config(3, 1)
     res = aggregate(cfg, 10)
-    dot = dot_snapshot(res.state, cluster=res.occupied)
+    dot = dot_snapshot(res.rotors, cfg.d, cluster=res.occupied)
     assert dot.startswith("digraph")
     assert '"o"' in dot
     # no cluster, and edges up to parents: the alternating run's state
     st = run_chips_infinite(alternating_tree_config(), 3000).state
     assert len(st.rotors) > 1024
-    assert hashlib.sha256(dot_snapshot(st).encode()).hexdigest() == \
+    dot = dot_snapshot(st.rotors, st.cfg.d)
+    assert hashlib.sha256(dot.encode()).hexdigest() == \
         "ec5f2805eef30251ffb7da083d285c246215dee00d0c3ab4de0943f657c5615d"
 
 
@@ -934,7 +945,7 @@ def test_dict_child_storage_matches_blocks(monkeypatch):
                 out.append((res, _state_snapshot(st)))
             if cfg.mode == "tree" and is_acyclic_config(cfg):
                 agg = aggregate(cfg, ball_size(cfg.d, 2) + 5)
-                out.append((agg.stops, _state_snapshot(agg.state)))
+                out.append((agg.stops, agg.rotors))
         runs.append(out)
     assert runs[0] == runs[1]
 
@@ -951,3 +962,17 @@ def test_aggregate_memory_grows_with_touched_vertices():
         tracemalloc.stop()
     assert res.depth_counts == {0: 1, 1: d, 2: d}
     assert peak < 16 * 2 ** 20
+
+
+def test_final_rotors_cost_about_the_cluster():
+    # the rotors come from one pass over the stops and the tables; building
+    # a walk state for this cluster took 1.5 MiB
+    res = aggregate(uniform_config(4096, 1), 8193)
+    tracemalloc.start()
+    try:
+        rotors = res.rotors
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rotors) == 8193 and set(rotors) == res.occupied
+    assert peak < 2 ** 20
