@@ -188,9 +188,11 @@ def criterion_7_extremal_configs() -> CriterionResult:
             rr = run_chips_infinite(uniform_config(d, d - 1), mm)
             if rr.word != "0" * mm:
                 return False, f"d={d}: some chip escaped"
-            for n in range(1, mm + 1):
-                if rr.depths[n - 1] > n:
-                    return False, f"d={d}: chip {n} reached depth {rr.depths[n-1]}"
+            for n, depth in enumerate(rr.depths, start=1):
+                if depth is None:
+                    return False, f"d={d}: chip {n} has no returning depth"
+                if depth > n:
+                    return False, f"d={d}: chip {n} reached depth {depth}"
         return True, "R(10^4)=5000 with |E-R|<=1/2 everywhere; all-(d-1) returns"
     return _timed(7, "extremal configurations", run)
 

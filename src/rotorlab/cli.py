@@ -27,7 +27,8 @@ from rotorlab.escape import (
 )
 from rotorlab.graph import (GraphError, TooLargeError, check_enumeration_limit,
                             graph_from_json)
-from rotorlab.group import CHECK_LIMIT, order_of_generator, verify_isomorphism
+from rotorlab.group import (CHECK_LIMIT, check_work_limit, order_of_generator,
+                            verify_isomorphism)
 from rotorlab.lazytree import (
     LazyTreeConfig,
     LazyTreeError,
@@ -139,12 +140,14 @@ def cmd_group(args) -> int:
                 check_enumeration_limit(
                     (d for k in range(n - 1) for _ in range((d - 1) ** k)),
                     CHECK_LIMIT)
+                check_work_limit([d] * (((d - 1) ** (n - 1) - 1) // (d - 2)))
             g, _ = build_wired_tree(d, n)
         else:
             with open(path) as fh:
                 g = graph_from_json(fh.read())
-            check_enumeration_limit(map(g.outdeg, g.rotor_vertices),
-                                    CHECK_LIMIT)
+            degrees = list(map(g.outdeg, g.rotor_vertices))
+            check_enumeration_limit(degrees, CHECK_LIMIT)
+            check_work_limit(degrees)
     except TooLargeError as exc:
         return _fail(f"graph too large to check exhaustively: {exc}",
                      INPUT_ERROR)

@@ -18,6 +18,7 @@ from rotorlab.graph import (
     GraphError,
     ResultCheckError,
     RotorConfiguration,
+    TooLargeError,
     _rotor_targets,
     enumerate_recurrent,
     is_recurrent,
@@ -30,6 +31,10 @@ from rotorlab.walk import DEFAULT_STEP_BUDGET, _reverse, _route
 
 # The most rotor configurations the exhaustive checks enumerate by default.
 CHECK_LIMIT = 1_000_000
+# The most check work the CLI takes on: configurations times the sum of
+# the out-degrees, as the relation check applies d_x generators per vertex
+# and state.  wired(3, 4) takes 45,927.
+CHECK_WORK_LIMIT = 10_000_000
 
 
 class NotRecurrentError(GraphError):
@@ -38,6 +43,16 @@ class NotRecurrentError(GraphError):
 
 class BudgetExceededError(GraphError):
     pass
+
+
+def check_work_limit(degrees: list[int]) -> None:
+    """Raise TooLargeError when the rotor vertices' out-degrees give more
+    check work than CHECK_WORK_LIMIT.  Run it after the configuration
+    limit, which keeps their product small."""
+    work = math.prod(degrees) * sum(degrees)
+    if work > CHECK_WORK_LIMIT:
+        raise TooLargeError(
+            f"{work} check steps exceed limit {CHECK_WORK_LIMIT}")
 
 
 def apply_generator(g: DirectedMultigraph, t: RotorConfiguration, x: str,

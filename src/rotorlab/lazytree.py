@@ -17,9 +17,11 @@ materialized rotors:
 * patches -- a subtree prefix known to point entirely in direction d.  A
   chip entering such a subtree whose profile is uniform per level performs
   one full turn of every vertex down to the first direction-(d-1) level and
-  comes back, leaving the prefix one level deeper.  Recording that as a
-  patch keeps runs like the all-(d-1) configuration polynomial even though
-  the literal walk length is exponential in the chip index.
+  comes back, leaving the prefix one level deeper.  The vertex's kind
+  carries a bounce limit, so the excursion test is one comparison of that
+  level with it.  Recording the excursion as a patch keeps runs like the
+  all-(d-1) configuration polynomial even though the literal walk length
+  is exponential in the chip index.
 
 * escape rays -- when a chip provably descends forever, the vertices along
   its infinite path each advance once.  The path is expanded lazily: a
@@ -32,8 +34,9 @@ materialized rotors:
 Inside ``TreeState`` every vertex the engine touches gets an integer id on
 first contact, and the state lives in flat per-id tables: parent, depth,
 child index, rotor (0 while not materialized), sibling links, and the
-static ``NodeKind`` (base direction, config ray and offset, level region,
-the structure below), derived from the parent's kind when the id is made.
+static ``NodeKind`` (base direction, bounce limit, config ray and offset,
+level region, the structure below), derived from the parent's kind when
+the id is made.
 A child's id is found in a block of child slots at small degree and in a
 dict at large degree.  Sparse maps keyed by id hold the pass count and the
 absolute depth reached by the deepest patch covering the vertex; setting a
@@ -47,11 +50,9 @@ is a table read.  Addresses stay the currency of the API:
 ``stops``, ``occupied`` and ``rotors``, JSON and DOT.
 
 Every shortcut is exact: the literal step-by-step engine (fast_paths=False)
-runs on the same tables and computes the same words, the same depths for
-chips that return, and the same effective directions, and the test suite
-cross-checks the two.  The depth reported for an escaped chip is the depth
-at which that engine proved the escape, so the two engines can report
-different depths for the same chip.
+runs on the same tables and computes the same words, depths and effective
+directions, and the test suite cross-checks the two.  An escaped chip has
+no depth: ``run_chips_infinite`` reports None for it.
 
 Aggregation (a chip stops on the first unoccupied vertex it enters) does
 not walk its chips.  A subtree is entered only from its root's parent, so
@@ -72,6 +73,7 @@ every result field against a step-by-step walk.
 from __future__ import annotations
 
 import json
+import math
 import random
 from array import array
 from dataclasses import dataclass, field
@@ -133,15 +135,21 @@ class NodeKind:
     ``rays``, and the deepest level region at or above it.  ``kids`` maps
     child indices to the kinds of the structure addresses (overrides,
     regions, ray starts and their prefixes) just below; it is None off the
-    structure and nonempty exactly on proper prefixes of it."""
+    structure and nonempty exactly on proper prefixes of it.  ``limit`` is
+    the bounce limit: every level below the vertex and above that depth
+    points in direction d-1 by its base, so an excursion bounces at the
+    first level under the vertex's patch when that level is above it.  It
+    is the end of the level region, unbounded under default d-1 with no
+    region, and 0 otherwise or with a config ray or structure below."""
 
-    __slots__ = ("base", "kids", "ray", "region", "rays")
+    __slots__ = ("base", "kids", "limit", "ray", "region", "rays")
 
-    def __init__(self, base: int, ray: tuple[int, int] | None,
-                 region: LevelRegion | None,
+    def __init__(self, base: int, limit: int | float,
+                 ray: tuple[int, int] | None, region: LevelRegion | None,
                  rays: tuple[tuple[int, int], ...]) -> None:
         self.base = base
         self.kids: dict[int, NodeKind] | None = None
+        self.limit = limit
         self.ray = ray
         self.region = region
         self.rays = rays
@@ -233,7 +241,13 @@ class LazyTreeConfig:
             base = 1
         else:
             base = self.default
-        return NodeKind(base, ray, region, rays)
+        if ray is not None:
+            limit = 0
+        elif region is not None:
+            limit = len(region.addr) + region.h
+        else:
+            limit = math.inf if self.default == self.d - 1 else 0
+        return NodeKind(base, limit, ray, region, rays)
 
     def _step_rays(self, rays: tuple[tuple[int, int], ...],
                    c: int) -> tuple[tuple[int, int], ...]:
@@ -270,6 +284,7 @@ class LazyTreeConfig:
                             overrides.get(prefix), rays,
                             regions.get(prefix, kind.region), depth)
                         sub.kids = {}
+                        kind.limit = 0      # structure below
                     kind = sub
         return root
 
@@ -699,9 +714,7 @@ class TreeState:
     def effective(self, addr: Address) -> int:
         """Current rotor direction at an address; making ids down to it
         moves the ray tips that pass them."""
-        return self._effective(self._node(addr))
-
-    def _effective(self, x: int) -> int:
+        x = self._node(addr)
         r = self._rot[x]
         if r:
             return r
@@ -713,19 +726,10 @@ class TreeState:
             return (base - 1 + k) % arity + 1
         return base
 
-    def _set_patch(self, x: int, k: int) -> None:
-        if k <= self._patch.get(x, 0):
-            return
-        self._patch[x] = k
-        end = self._depth[x] + k
-        if end > self._max_patch_end:
-            self._max_patch_end = end
+    def _cover_below(self, x: int, end: int) -> None:
+        """A patch at x now reaches absolute depth ``end``: the descendants
+        of x that have ids are covered that deep too."""
         cover = self._cover
-        if cover.get(x, 0) >= end:
-            return
-        cover[x] = end
-        if not self._head[x]:           # no children yet
-            return
         depth = self._depth
         stack = self._children(x)
         while stack:
@@ -768,34 +772,6 @@ class TreeState:
             y = self._id(x, self._heading(ray_id))
         self._tips.setdefault(x, []).append(ray_id)
 
-    # -- excursion classification ---------------------------------------------
-
-    def _uniform_bounce_level(self, x: int) -> int | None:
-        """First bouncing level below x in a pure-profile subtree.
-
-        Applies when the subtree below x is pure profile: no overrides,
-        regions starting below, config rays, or escape-ray passes.  Returns
-        the relative depth i0 >= 1 of the first level, below the patched
-        prefix, whose rotors point in direction d-1, or None when the
-        subtree is not pure profile or no such level exists.
-
-        A chip entering x with direction d then performs a full turn of
-        every vertex down to level i0 and returns; the subtree becomes
-        direction d one level deeper.
-        """
-        if x in self._rc:
-            return None
-        kind = self._kind[x]
-        if kind.kids or kind.ray is not None:
-            return None
-        depth = self._depth[x]
-        i0 = max(self._cover.get(x, 0) - depth, 1)
-        reg = kind.region
-        if reg is not None:
-            t = depth - len(reg.addr)
-            return i0 if t + i0 < reg.h else None
-        return i0 if self.cfg.default == self.cfg.d - 1 else None
-
     def _descends_forever(self, x: int) -> bool:
         """Exact escape decision for a chip about to descend from x.
 
@@ -819,8 +795,9 @@ class TreeState:
             if inc == d:
                 return False
             if not kind.kids:
-                if kind.ray is None:
-                    return self._uniform_bounce_level(w) is None
+                if kind.ray is None:    # no bounce above the limit
+                    return (self._cover.get(w, 0)
+                            or self._depth[w] + 1) >= kind.limit
                 i, offset = kind.ray
                 if (self.cfg.rays[i].pattern[offset] == inc and self._depth[w]
                         > self._static_depth + self._max_patch_end):
@@ -858,6 +835,12 @@ class TreeState:
         first = self._first
         kids = self._kids
         rot = self._rot
+        head = self._head
+        kinds = self._kind
+        cover = self._cover
+        patch = self._patch
+        rc = self._rc
+        fast = self.fast
         cap = self.step_cap
         pos = 0
         depth = 0                       # of pos
@@ -900,45 +883,50 @@ class TreeState:
                 depth = t_depth
                 continue
 
-            # entering unmaterialized territory
-            e = self._effective(target)
-            inc = e % d + 1
+            # entering unmaterialized territory: cover, base, pass count
+            cov = cover.get(target, 0)
+            kind = kinds[target]
+            k = rc.get(target)
+            e = d if cov else kind.base
+            if k:
+                e = (e - 1 + k) % d + 1
 
-            if inc == d:
+            if e == d - 1 and (k or not fast):
                 # bounce straight back to the parent
-                if target in self._rc or not self.fast:
-                    self._materialize(target, d)
-                else:
-                    self._set_patch(target, 1)
-                if not pos:
-                    return ChipResult(RETURNED, max_depth, steps, visited)
+                self._materialize(target, d)
+            elif e == d - 1 or (e == d and fast and not k
+                                and (cov or t_depth + 1) < kind.limit):
+                # a bounce, kept as a one-level patch, or a closed-form
+                # excursion: a full turn of every vertex down to level lvl,
+                # the first under the patch (a cover lies below its
+                # vertex), and back up.  The patch then passes level lvl,
+                # deeper than the vertex's patch and cover reached.
+                lvl = t_depth if e < d else cov or t_depth + 1
+                if lvl > max_depth:
+                    max_depth = lvl
+                end = lvl + 1
+                patch[target] = end - t_depth
+                cover[target] = end
+                if end > self._max_patch_end:
+                    self._max_patch_end = end
+                if head[target]:
+                    self._cover_below(target, end)
+            else:
+                if not k and self._descends_forever(target):
+                    self._record_escape(target, e)
+                    return ChipResult(ESCAPED, max_depth, steps, visited)
+                if t_depth > fresh_cap:
+                    raise UnsupportedConfigError(
+                        "walk keeps entering fresh territory without a "
+                        "provable descent; configuration outside the "
+                        "supported class")
+                # step into the vertex and keep walking
+                self._materialize(target, e)
+                pos = target
+                depth = t_depth
                 continue
-
-            if e == d and self.fast:
-                i0 = self._uniform_bounce_level(target)
-                if i0 is not None:
-                    # closed-form excursion: full turn down to level i0, return
-                    self._set_patch(target, i0 + 1)
-                    if t_depth + i0 > max_depth:
-                        max_depth = t_depth + i0
-                    if not pos:
-                        return ChipResult(RETURNED, max_depth, steps, visited)
-                    continue
-
-            if target not in self._rc and self._descends_forever(target):
-                self._record_escape(target, e)
-                return ChipResult(ESCAPED, max_depth, steps, visited)
-
-            if t_depth > fresh_cap:
-                raise UnsupportedConfigError(
-                    "walk keeps entering fresh territory without a "
-                    "provable descent; configuration outside the "
-                    "supported class")
-
-            # step into the vertex and keep walking
-            self._materialize(target, e)
-            pos = target
-            depth = t_depth
+            if not pos:
+                return ChipResult(RETURNED, max_depth, steps, visited)
         raise StepBudgetExceededError(f"exceeded {cap} steps")
 
     def _materialize(self, x: int, dirn: int) -> None:
@@ -950,7 +938,7 @@ class TreeState:
 @dataclass
 class EscapeRunResult:
     word: str
-    depths: list[int]
+    depths: list[int | None]      # per chip: deepest level, None if escaped
     state: TreeState
 
     @property
@@ -975,8 +963,9 @@ def run_chips_infinite(cfg: LazyTreeConfig, m: int,
     depths = []
     for _ in range(m):
         res = st.walk_chip()
-        bits.append("1" if res.outcome == ESCAPED else "0")
-        depths.append(res.max_depth)
+        escaped = res.outcome == ESCAPED
+        bits.append("1" if escaped else "0")
+        depths.append(None if escaped else res.max_depth)
     return EscapeRunResult("".join(bits), depths, st)
 
 

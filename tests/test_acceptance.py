@@ -43,3 +43,20 @@ def test_criterion_8_escape_characterization():
 
 def test_criterion_9_word_calculus():
     _check(acceptance.criterion_9_word_calculus())
+
+
+def test_criterion_7_fails_on_a_missing_depth(monkeypatch):
+    # a run whose word says every chip returned but one depth is None (as
+    # for an escaped chip) fails with a verdict, not with a TypeError
+    real = acceptance.run_chips_infinite
+
+    def run(cfg, m, **kw):
+        res = real(cfg, m, **kw)
+        if cfg.default == cfg.d - 1:
+            res.depths[5] = None
+        return res
+
+    monkeypatch.setattr(acceptance, "run_chips_infinite", run)
+    result = acceptance.criterion_7_extremal_configs()
+    assert not result.ok
+    assert result.details == "d=3: chip 6 has no returning depth"

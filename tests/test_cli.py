@@ -184,6 +184,24 @@ def test_group_wired_is_refused_before_it_is_built(capsys):
                    "1594323+ configurations exceed limit 1000000\n")
 
 
+def test_group_is_refused_by_its_check_work(capsys, tmp_path):
+    # wired(D, 2) has one rotor vertex of out-degree D: D configurations,
+    # but D generators per state in the relation check
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "group", "--wired", "4000", "2")
+    assert time.perf_counter() - t0 < 1
+    assert (code, out) == (2, "")
+    assert err == ("error: graph too large to check exhaustively: "
+                   "16000000 check steps exceed limit 10000000\n")
+    g = build_graph(["a", "s"], "s", {"a": ["s"] * 4000, "s": ["a"]})
+    path = tmp_path / "g.json"
+    path.write_text(graph_to_json(g))
+    assert run_cli(capsys, "group", str(path)) == (2, "", err)
+    code, out, _ = run_cli(capsys, "group", "--wired", "1000", "2")
+    assert code == 0
+    assert json.loads(out)["ok"] is True
+
+
 def test_group_graph_file(capsys, tmp_path):
     g = build_graph(["a", "b", "s"], "s",
                     {"a": ["b", "s"], "b": ["a", "s"], "s": ["a", "b"]})

@@ -540,9 +540,8 @@ def test_synthesized_configs_agree_with_literal_engine():
         fast = run_chips_infinite(cfg, len(a), fast_paths=True)
         lit = run_chips_infinite(cfg, len(a), fast_paths=False)
         assert fast.word == lit.word == a
-        for i, ch in enumerate(a):
-            if ch == "0":      # escape depths are where each engine declared
-                assert fast.depths[i] == lit.depths[i]
+        assert fast.depths == lit.depths
+        assert [d is None for d in fast.depths] == [c == "1" for c in a]
 
 
 def test_compositionality_of_node_descriptors():

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 import sys
@@ -122,28 +123,28 @@ def naive_aggregate(cfg: LazyTreeConfig, n_chips: int, modified: bool):
 
 
 def assert_engines_agree(cfg: LazyTreeConfig, m: int, depth_cap: int = 40):
-    """Fast and literal engines and the explicit simulator must coincide.
+    """Fast and literal engines and the explicit simulator must coincide;
+    returns the fast and the literal state.
 
     Configurations that escape without a pure descent are refused by both
-    engines (UnsupportedConfigError); those count as agreement too.
+    engines (UnsupportedConfigError); those count as agreement too, and
+    return None.
     """
     try:
         fast = run_chips_infinite(cfg, m, fast_paths=True)
     except UnsupportedConfigError:
         with pytest.raises(UnsupportedConfigError):
             run_chips_infinite(cfg, m, fast_paths=False)
-        return "unsupported"
+        return None
     literal = run_chips_infinite(cfg, m, fast_paths=False)
     nword, ndepths, nrotors = naive_run(cfg, m, depth_cap)
     assert fast.word == literal.word == nword
-    for i, ch in enumerate(nword):
-        if ch == "0":
-            assert fast.depths[i] == literal.depths[i] == ndepths[i]
+    assert fast.depths == literal.depths == ndepths
     for addr, dirn in nrotors.items():
         if len(addr) <= depth_cap:
             assert fast.state.effective(addr) == dirn, addr
             assert literal.state.effective(addr) == dirn, addr
-    return "ok"
+    return fast.state, literal.state
 
 
 # -- configuration ------------------------------------------------------------
@@ -294,6 +295,32 @@ def test_state_continuation():
     assert first.word + second.word == full.word
 
 
+def test_walk_chip_wrapped_on_the_instance_is_called_per_chip():
+    # a caller may wrap the state's walk_chip on the instance, to count
+    # what each chip did, and read the state's snapshots after the run
+    a = "110101001010010"
+    cfg = descriptor_to_branch_config(synthesize_branch(a))
+    st = TreeState(cfg)
+    inner = st.walk_chip
+    calls = []
+
+    def walk_chip(record_visits: bool = False):
+        res = inner(record_visits)
+        calls.append(res)
+        return res
+
+    st.walk_chip = walk_chip
+    res = run_chips_infinite(cfg, len(a), state=st)
+    assert res.word == a and len(calls) == len(a)
+    assert [r.outcome for r in calls] == \
+        ["escaped" if c == "1" else "returned" for c in a]
+    assert st.n_rays == a.count("1")
+    assert sum(map(len, st.ray_tips.values())) == st.n_rays
+    for snapshot in (st.rotors, st.patches, st.ray_counts):
+        assert snapshot and all(type(k) is tuple and v > 0
+                                for k, v in snapshot.items())
+
+
 def test_state_from_another_run_is_refused():
     st = TreeState(uniform_config(3, 2))
     with pytest.raises(LazyTreeError):
@@ -395,9 +422,54 @@ def test_engines_agree_on_random_configs():
         # the naive reference walks bouncy configurations literally, at
         # (d-1)^m steps per chip; keep its load bounded
         m = {3: 10, 4: 8, 5: 6}[d]
-        if assert_engines_agree(cfg, m, depth_cap=45) == "ok":
+        if assert_engines_agree(cfg, m, depth_cap=45) is not None:
             ran += 1
     assert ran >= 90
+
+
+def bounce_level_oracle(cfg: LazyTreeConfig, kind, depth: int,
+                        i0: int) -> bool:
+    """The excursion rule written out per case.  A chip entering, in
+    direction d, a vertex of ``kind`` at ``depth`` whose patched prefix
+    ends i0 >= 1 levels below it turns every vertex down to level i0 and
+    comes back when the subtree has no structure below and no config ray,
+    and level i0 points in direction d-1: inside the region's first h
+    levels, or anywhere under default d-1 with no region."""
+    if kind.kids or kind.ray is not None:
+        return False
+    reg = kind.region
+    if reg is not None:
+        return depth - len(reg.addr) + i0 < reg.h
+    return cfg.default == cfg.d - 1
+
+
+def test_bounce_limit_at_level_region_boundaries():
+    # level regions of every small height at every small depth, with the
+    # default pointing in direction d-1, d or 1 around them, and with the
+    # root's parent overridden to direction d (below the origin, a kind
+    # with structure below that a chip enters in direction d) or not; every
+    # kind the engines met has the limit that the per-case rule gives at
+    # every first bouncing level up to h + 2
+    kinds = 0
+    for d in (3, 4, 5):
+        m = {3: 10, 4: 8, 5: 6}[d]
+        for default, r, h in itertools.product((d - 1, d, 1), range(1, 5),
+                                                range(5)):
+            root = tuple(1 + i % (d - 1) for i in range(r))
+            for over in ((), ((root[:-1], d),)):
+                cfg = LazyTreeConfig(d=d, default=default, overrides=over,
+                                     regions=(LevelRegion(root, h),))
+                states = assert_engines_agree(cfg, m, depth_cap=30)
+                assert states is not None, cfg
+                for st in states:
+                    for x, kind in enumerate(st._kind):
+                        depth = st._depth[x]
+                        kinds += 1
+                        for i0 in range(1, h + 3):
+                            assert (depth + i0 < kind.limit) == \
+                                bounce_level_oracle(cfg, kind, depth, i0), \
+                                (cfg, st._address(x), i0)
+    assert kinds > 10_000
 
 
 # -- structure kinds -------------------------------------------------------------
