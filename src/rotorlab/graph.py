@@ -49,6 +49,10 @@ class StepBudgetExceededError(GraphError):
     signals a bug or a tiny budget."""
 
 
+# The step budget a walk gets when its caller names none.
+DEFAULT_STEP_BUDGET = 10 ** 9
+
+
 class ResultCheckError(GraphError):
     """A computed result failed the internal check that guards it; this
     signals a bug."""

@@ -11,6 +11,15 @@ overrides, infinite rays with a repeating child pattern, and level regions
 (subtrees whose first h levels point in direction d-1 and the rest in
 direction d; this is how synthesized configurations are expressed).
 
+A ``NodeKind`` is the type of the subtree below a vertex: its base
+direction, the config rays through it, the region levels left at and below
+it and, on the structure, the kinds of the structure children.  It fixes
+every base rotor of the subtree, and a child's kind follows from its
+parent's.  Off the structure kinds are shared by content, so a config has
+finitely many.  The escape walk reads a kind's bounce limit, the response
+tables keep one table per kind, and ``find_cyclic_pair`` checks each kind
+once, which makes the acyclicity check exact.
+
 The escape-run engine keeps three kinds of dynamic state besides explicitly
 materialized rotors:
 
@@ -34,9 +43,7 @@ materialized rotors:
 Inside ``TreeState`` every vertex the engine touches gets an integer id on
 first contact, and the state lives in flat per-id tables: parent, depth,
 child index, rotor (0 while not materialized), sibling links, and the
-static ``NodeKind`` (base direction, bounce limit, config ray and offset,
-level region, the structure below), derived from the parent's kind when
-the id is made.
+static ``NodeKind``, derived from the parent's kind when the id is made.
 A child's id is found in a block of child slots at small degree and in a
 dict at large degree.  Sparse maps keyed by id hold the pass count and the
 absolute depth reached by the deepest patch covering the vertex; setting a
@@ -58,10 +65,9 @@ Aggregation (a chip stops on the first unoccupied vertex it enters) does
 not walk its chips.  A subtree is entered only from its root's parent, so
 what the k-th chip to enter it does depends only on its initial rotors and
 on k: it settles at some address relative to the root, or comes back up
-after a fixed number of steps.  Subtrees with the same rotors below them
-(the same ``NodeKind``, and for a kind in a level region the same relative
-depth up to the region's height) share one response table, whose element k
-is built once from the child tables while the root's rotor turns.  Element
+after a fixed number of steps.  Subtrees of one ``NodeKind`` have the
+same rotors below them and share one response table, whose element k is
+built once from the child tables while the root's rotor turns.  Element
 k reads only elements below k of the child tables: the rotor points at the
 parent between any two departures to one child, and that ends an entry
 into the root.  The tables are built on an explicit stack; a final rotor is
@@ -82,6 +88,7 @@ from itertools import islice
 from typing import Iterable, Iterator
 
 from rotorlab.graph import (
+    DEFAULT_STEP_BUDGET,
     GraphError,
     NotAcyclicError,
     ResultCheckError,
@@ -130,28 +137,31 @@ class LevelRegion:
 
 
 class NodeKind:
-    """What a config fixes about one vertex: its base direction, the first
-    config ray through it as (index, offset mod period) and all of them in
-    ``rays``, and the deepest level region at or above it.  ``kids`` maps
-    child indices to the kinds of the structure addresses (overrides,
-    regions, ray starts and their prefixes) just below; it is None off the
-    structure and nonempty exactly on proper prefixes of it.  ``limit`` is
-    the bounce limit: every level below the vertex and above that depth
-    points in direction d-1 by its base, so an excursion bounces at the
-    first level under the vertex's patch when that level is above it.  It
-    is the end of the level region, unbounded under default d-1 with no
-    region, and 0 otherwise or with a config ray or structure below."""
+    """The type of the subtree below a vertex: what a config fixes there.
+    ``base`` is the vertex's base direction, ``ray`` the first config ray
+    through it as (index, offset mod period) and ``rays`` all of them, and
+    ``left`` the number of direction-(d-1) levels that the nearest level
+    region at or above it still has at and below it (None outside every
+    region).  ``kids`` maps child indices to the kinds of the structure
+    addresses (overrides, regions, ray starts and their prefixes) just
+    below; it is None off the structure and nonempty exactly on proper
+    prefixes of it.  ``limit`` is the bounce limit, relative to the
+    vertex: the levels fewer than ``limit`` below the vertex point in
+    direction d-1 by their base, so an excursion bounces at the first level
+    under the vertex's patch when that level is one of them.  It is
+    ``left`` in a region, unbounded under default d-1 with no region, and
+    0 otherwise or with a config ray or structure below."""
 
-    __slots__ = ("base", "kids", "limit", "ray", "region", "rays")
+    __slots__ = ("base", "kids", "left", "limit", "ray", "rays")
 
     def __init__(self, base: int, limit: int | float,
-                 ray: tuple[int, int] | None, region: LevelRegion | None,
+                 ray: tuple[int, int] | None, left: int | None,
                  rays: tuple[tuple[int, int], ...]) -> None:
         self.base = base
         self.kids: dict[int, NodeKind] | None = None
+        self.left = left
         self.limit = limit
         self.ray = ray
-        self.region = region
         self.rays = rays
 
 
@@ -225,29 +235,25 @@ class LazyTreeConfig:
     # -- base directions ----------------------------------------------------
 
     def _kind(self, override: int | None, rays: tuple[tuple[int, int], ...],
-              region: LevelRegion | None, depth: int) -> NodeKind:
+              left: int | None) -> NodeKind:
         """The base direction is the override, else the first config ray's
-        direction, else the level region's, else 1 at a branch-mode origin,
-        else the default."""
+        direction, else the level region's, else the default."""
         ray = min(rays) if rays else None
         if override is not None:
             base = override
         elif ray is not None:
             base = self.rays[ray[0]].direction
-        elif region is not None:
-            rel = depth - len(region.addr)
-            base = self.d - 1 if rel < region.h else self.d
-        elif depth == 0 and self.mode == "branch":
-            base = 1
+        elif left is not None:
+            base = self.d - 1 if left else self.d
         else:
             base = self.default
         if ray is not None:
             limit = 0
-        elif region is not None:
-            limit = len(region.addr) + region.h
+        elif left is not None:
+            limit = left
         else:
             limit = math.inf if self.default == self.d - 1 else 0
-        return NodeKind(base, limit, ray, region, rays)
+        return NodeKind(base, limit, ray, left, rays)
 
     def _step_rays(self, rays: tuple[tuple[int, int], ...],
                    c: int) -> tuple[tuple[int, int], ...]:
@@ -260,65 +266,64 @@ class LazyTreeConfig:
     def root_kind(self) -> NodeKind:
         """The origin's kind, with the kinds of the structure below it.
 
-        Each marked address (override, region, ray start) is walked down
-        ``kids`` from the origin; a prefix gets its kind, from its parent's
-        and its own marks, the first time a walk reaches it."""
+        Each prefix of a marked address (override, region, ray start) gets
+        its kind once, from its parent's, found in a dict of the prefixes
+        made so far, and from its own marks."""
         overrides = dict(self.overrides)
-        regions = {reg.addr: reg for reg in self.regions}
+        regions = {reg.addr: reg.h for reg in self.regions}
         starts: dict[Address, tuple[int, ...]] = {}
         for i, ray in enumerate(self.rays):
             starts[ray.start] = starts.get(ray.start, ()) + (i,)
-        root = self._kind(overrides.get(ORIGIN), (), regions.get(ORIGIN), 0)
-        root.kids = {}
+        origin = overrides.get(ORIGIN)
+        if origin is None and ORIGIN not in regions and self.mode == "branch":
+            origin = 1          # the origin edge carries no rotor
+        made = {ORIGIN: self._kind(origin, (), regions.get(ORIGIN))}
+        made[ORIGIN].kids = {}
         for marked in (overrides, regions, starts):
             for addr in marked:
-                kind = root
-                for depth, c in enumerate(addr, 1):
-                    sub = kind.kids.get(c)
-                    if sub is None:
-                        prefix = addr[:depth]
-                        rays = self._step_rays(kind.rays, c) if kind.rays \
-                            else ()
-                        rays += tuple((i, 0) for i in starts.get(prefix, ()))
-                        sub = kind.kids[c] = self._kind(
-                            overrides.get(prefix), rays,
-                            regions.get(prefix, kind.region), depth)
-                        sub.kids = {}
-                        kind.limit = 0      # structure below
+                missing = []
+                while addr not in made:
+                    missing.append(addr)
+                    addr = addr[:-1]
+                kind = made[addr]
+                for prefix in reversed(missing):
+                    c = prefix[-1]
+                    rays = self._step_rays(kind.rays, c) if kind.rays else ()
+                    rays += tuple((i, 0) for i in starts.get(prefix, ()))
+                    left = regions.get(prefix, kind.left and kind.left - 1)
+                    sub = kind.kids[c] = made[prefix] = self._kind(
+                        overrides.get(prefix), rays, left)
+                    sub.kids = {}
+                    kind.limit = 0      # structure below
                     kind = sub
-        return root
+        return made[ORIGIN]
 
     @cached_property
     def _shared_kinds(self) -> dict[tuple, NodeKind]:
         return {}
 
-    def child_kind(self, kind: NodeKind, c: int, depth: int) -> NodeKind:
-        """Kind of child ``c`` (at ``depth``) of a vertex of kind ``kind``.
+    def child_kind(self, kind: NodeKind, c: int) -> NodeKind:
+        """Kind of child ``c`` of a vertex of kind ``kind``.
 
         Off the structure a kind depends only on the config rays through
-        the vertex, its region and whether it lies in the region's tail, so
-        those kinds are shared."""
+        the vertex and the region levels left, so those kinds are shared."""
         if kind.kids:
             sub = kind.kids.get(c)
             if sub is not None:
                 return sub
         rays = self._step_rays(kind.rays, c) if kind.rays else ()
-        region = kind.region
-        tail = (region is not None and not rays
-                and depth - len(region.addr) >= region.h)
-        key = (rays, id(region), tail)
+        key = (rays, kind.left and kind.left - 1)
         shared = self._shared_kinds.get(key)
         if shared is None:
-            shared = self._shared_kinds[key] = self._kind(None, rays, region,
-                                                          depth)
+            shared = self._shared_kinds[key] = self._kind(None, *key)
         return shared
 
     def kind_at(self, addr: Address) -> NodeKind:
         """The kind of the vertex at an address: ``child_kind`` folded down
         from ``root_kind``."""
         kind = self.root_kind
-        for depth, c in enumerate(addr, 1):
-            kind = self.child_kind(kind, c, depth)
+        for c in addr:
+            kind = self.child_kind(kind, c)
         return kind
 
     def base_direction(self, addr: Address) -> int:
@@ -414,50 +419,38 @@ def alternating_tree_config() -> LazyTreeConfig:
 
 # -- acyclicity of a finite description -------------------------------------
 
-def _mutual_probe_set(cfg: LazyTreeConfig) -> set[Address]:
-    probes: set[Address] = {ORIGIN}
-    for i in range(1, cfg.origin_arity() + 1):
-        probes.add((i,))
-    for addr, _ in cfg.overrides:
-        probes.add(addr)
-    for reg in cfg.regions:
-        probes.add(reg.addr)
-    for ray in cfg.rays:
-        probe = ray.start
-        probes.add(probe)
-        for i in range(2 * len(ray.pattern) + 2):
-            probe = probe + (ray.pattern[i % len(ray.pattern)],)
-            probes.add(probe)
-    for addr in list(probes):
-        if addr != ORIGIN:
-            probes.add(addr[:-1])
-    return probes
-
-
 def find_cyclic_pair(cfg: LazyTreeConfig) -> tuple[Address, Address] | None:
     """A parent/child pair whose base rotors point at each other, if any.
 
-    Probes every address near the finite description; the only unbounded
-    family of candidate pairs lives inside a level region, where relative
-    levels h-1 and h always form a mutual pair once h >= 1.
-    """
+    A vertex's kind fixes the kinds of its children, so whether a vertex
+    and the child it points at form a pair depends on its kind alone, and
+    each kind is checked once, at the first vertex of it met depth-first
+    from the origin.  The walk enters a kind's structure children, the
+    children its config rays head to, and the least other child: the
+    remaining children share that one's kind."""
     d = cfg.d
-    for reg in cfg.regions:
-        if reg.h >= 1:
-            child = reg.addr + tuple([d - 1] * reg.h)
-            return (child[:-1], child)
-    kinds: dict[Address, NodeKind] = {}
-    for p in sorted(_mutual_probe_set(cfg)):    # parents before children
-        up = kinds.get(p[:-1]) if p else None
-        kind = kinds[p] = (cfg.child_kind(up, p[-1], len(p)) if up
-                           else cfg.kind_at(p))
-        if p == ORIGIN and cfg.mode == "branch":
+    rays = cfg.rays
+    seen: set[NodeKind] = set()
+    stack = [(cfg.root_kind, ORIGIN)]
+    while stack:
+        kind, addr = stack.pop()
+        if kind in seen:
             continue
+        seen.add(kind)
+        arity = cfg.num_children(addr)
         bp = kind.base
-        if bp > cfg.num_children(p):
-            continue            # points at the parent, not a child
-        if cfg.child_kind(kind, bp, len(p) + 1).base == cfg.d:
-            return (p, p + (bp,))
+        if (bp <= arity and (addr or cfg.mode == "tree")
+                and cfg.child_kind(kind, bp).base == d):
+            return (addr, addr + (bp,))
+        cs = set(kind.kids or ())
+        cs.update(rays[i].pattern[o] for i, o in kind.rays)
+        c = 1
+        while c in cs:
+            c += 1
+        if c <= arity:
+            cs.add(c)
+        for c in sorted(cs, reverse=True):      # preorder: least on top
+            stack.append((cfg.child_kind(kind, c), addr + (c,)))
     return None
 
 
@@ -562,7 +555,7 @@ class TreeState:
     """
 
     def __init__(self, cfg: LazyTreeConfig, fast_paths: bool = True,
-                 step_cap: int = 10 ** 9):
+                 step_cap: int = DEFAULT_STEP_BUDGET):
         self.cfg = cfg
         self.fast = fast_paths
         self.step_cap = step_cap
@@ -626,7 +619,7 @@ class TreeState:
         self._head[x] = y
         self._head.append(0)
         self._rot.append(0)
-        self._kind.append(self.cfg.child_kind(self._kind[x], c, depth))
+        self._kind.append(self.cfg.child_kind(self._kind[x], c))
         self._addr.append(None)
         cover = self._cover.get(x, 0)
         if cover > depth:
@@ -796,8 +789,9 @@ class TreeState:
                 return False
             if not kind.kids:
                 if kind.ray is None:    # no bounce above the limit
+                    depth = self._depth[w]
                     return (self._cover.get(w, 0)
-                            or self._depth[w] + 1) >= kind.limit
+                            or depth + 1) >= depth + kind.limit
                 i, offset = kind.ray
                 if (self.cfg.rays[i].pattern[offset] == inc and self._depth[w]
                         > self._static_depth + self._max_patch_end):
@@ -894,8 +888,8 @@ class TreeState:
             if e == d - 1 and (k or not fast):
                 # bounce straight back to the parent
                 self._materialize(target, d)
-            elif e == d - 1 or (e == d and fast and not k
-                                and (cov or t_depth + 1) < kind.limit):
+            elif e == d - 1 or (e == d and fast and not k and (
+                    cov or t_depth + 1) < t_depth + kind.limit):
                 # a bounce, kept as a one-level patch, or a closed-form
                 # excursion: a full turn of every vertex down to level lvl,
                 # the first under the patch (a cover lies below its
@@ -952,7 +946,7 @@ class EscapeRunResult:
 
 def run_chips_infinite(cfg: LazyTreeConfig, m: int,
                        fast_paths: bool = True,
-                       step_cap: int = 10 ** 9,
+                       step_cap: int = DEFAULT_STEP_BUDGET,
                        state: TreeState | None = None) -> EscapeRunResult:
     """Run m chips from the origin; 1 per escape, 0 per return.  A given
     ``state`` goes on, and must have been made with the same arguments."""
@@ -985,17 +979,16 @@ class _Subtree:
     address of its own.  Element 0 is the same for every type: the first
     chip settles on the root.
 
-    ``kids`` maps the child indices entered so far to the indices of their
-    types in ``_ResponseTables.types`` (indices, not the types themselves,
-    so that the tables hold no reference cycle and are freed as soon as
-    the result is), and ``depth`` is the depth of the first vertex of this
-    type met."""
+    ``kind`` is the type: the ``NodeKind`` of the root, which fixes every
+    rotor below it.  ``kids`` maps the child indices entered so far to the
+    indices of their types in ``_ResponseTables.types`` (indices, not the
+    types themselves, so that the tables hold no reference cycle and are
+    freed as soon as the result is)."""
 
-    __slots__ = ("kind", "depth", "kids", "site", "off", "steps", "dep")
+    __slots__ = ("kind", "kids", "site", "off", "steps", "dep")
 
-    def __init__(self, kind: NodeKind, depth: int) -> None:
+    def __init__(self, kind: NodeKind) -> None:
         self.kind = kind
-        self.depth = depth
         self.kids: dict[int, int] = {}
         self.site: list[Address | None] = [ORIGIN]
         self.off = array("i", [0])
@@ -1009,33 +1002,27 @@ class _ResponseTables:
 
     A subtree is entered only from its root's parent, so what the k-th chip
     entering it does depends only on the subtree's initial rotors and on k.
-    Those rotors follow from the root's ``NodeKind``; only a level region
-    makes them depend on depth, through where the region's tail begins.  So
-    a type is a kind together with, for a kind in a region, its relative
-    depth capped at the region's height, and every subtree of one type
-    shares one table.  ``types[0]`` holds the origin's kind and child
+    Those rotors follow from the root's ``NodeKind``, the type of the
+    subtree, so every subtree of one kind shares one table.  ``types[0]`` holds the origin's kind and child
     types (its table is unused), ``origin_dep`` counts the chips the
     origin's rotor has sent on, and ``steps`` is the literal step total."""
 
     def __init__(self, cfg: LazyTreeConfig, step_cap: int) -> None:
         self.cfg = cfg
         self.step_cap = step_cap
-        self.types = [_Subtree(cfg.root_kind, 0)]
-        self._index: dict[tuple[NodeKind, int], int] = {}
+        self.types = [_Subtree(cfg.root_kind)]
+        self._index: dict[NodeKind, int] = {}
         self.origin_dep = 0
         self.steps = 0
 
     def _kid(self, t: _Subtree, c: int) -> int:
         """The index of the type of child c of a vertex of type t, recorded
         in t.kids."""
-        depth = t.depth + 1
-        kind = self.cfg.child_kind(t.kind, c, depth)
-        reg = kind.region
-        key = (kind, 0 if reg is None else min(depth - len(reg.addr), reg.h))
-        u = self._index.get(key)
+        kind = self.cfg.child_kind(t.kind, c)
+        u = self._index.get(kind)
         if u is None:
-            u = self._index[key] = len(self.types)
-            self.types.append(_Subtree(kind, depth))
+            u = self._index[kind] = len(self.types)
+            self.types.append(_Subtree(kind))
         t.kids[c] = u
         return u
 
@@ -1263,7 +1250,7 @@ def _aggregate_run(cfg: LazyTreeConfig, n_chips: int, modified: bool,
 
 def aggregate(cfg: LazyTreeConfig, n_chips: int,
               check_acyclic: bool = True,
-              step_cap: int = 10 ** 9) -> AggregationResult:
+              step_cap: int = DEFAULT_STEP_BUDGET) -> AggregationResult:
     """Rotor-router aggregation: chip n stops on first exiting the cluster.
 
     Each chip's stop and literal steps are read from the response tables
@@ -1279,7 +1266,8 @@ def aggregate(cfg: LazyTreeConfig, n_chips: int,
 
 def aggregate_modified(cfg: LazyTreeConfig, n_chips: int,
                        check_acyclic: bool = True,
-                       step_cap: int = 10 ** 9) -> AggregationResult:
+                       step_cap: int = DEFAULT_STEP_BUDGET,
+                       ) -> AggregationResult:
     """Time-changed aggregation: chips also stop on returning to the origin.
 
     Chips are answered from the response tables and ``step_cap`` is one

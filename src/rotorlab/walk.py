@@ -13,6 +13,7 @@ from numbers import Rational
 from typing import Collection, Iterable, Mapping
 
 from rotorlab.graph import (
+    DEFAULT_STEP_BUDGET,
     DirectedMultigraph,
     GraphError,
     RotorConfiguration,
@@ -40,9 +41,6 @@ class RotorsNotRestoredError(WalkError):
 
 class NotHarmonicAtEmitterError(WalkError):
     pass
-
-
-DEFAULT_STEP_BUDGET = 10 ** 9
 
 
 @dataclass

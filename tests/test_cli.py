@@ -347,6 +347,19 @@ def test_aggregate_with_good_config_file(capsys, tmp_path):
     assert json.loads(out)["final_exact_ball"] is True
 
 
+def test_aggregate_region_under_upward_override(capsys, tmp_path):
+    # a region whose root points up and whose tail starts one level below
+    # has no mutual pair, and its ball is exact
+    cfg = tmp_path / "region.json"
+    cfg.write_text(json.dumps({"d": 3, "default": 2,
+                               "overrides": [{"addr": "1", "dir": 3}],
+                               "regions": [{"addr": "1", "h": 1}]}))
+    code, out, err = run_cli(capsys, "aggregate", "--d", "3", "--radius",
+                             "6", "--config", str(cfg))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["final_exact_ball"] is True
+
+
 def test_verify_all_wiring(capsys, monkeypatch):
     from rotorlab import acceptance
 

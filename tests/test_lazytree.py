@@ -214,7 +214,8 @@ def test_acyclicity_checks():
     pair = find_cyclic_pair(uniform_config(3, 3))
     assert pair == ((), (3,))
     assert is_acyclic_config(alternating_tree_config())
-    # level regions with h >= 1 always carry a mutual pair at the boundary
+    # a level region's last direction-(d-1) level points at its first
+    # direction-d level, unless overrides or rays change either
     cfg = LazyTreeConfig(d=3, default=1, mode="branch",
                          regions=(LevelRegion((1,), 2),))
     assert not is_acyclic_config(cfg)
@@ -222,6 +223,19 @@ def test_acyclicity_checks():
     cfg2 = LazyTreeConfig(d=3, default=1,
                           overrides=(((1,), 1), ((1, 1), 3)))
     assert not is_acyclic_config(cfg2)
+    # a region whose root is overridden to point up, with its tail below:
+    # no vertex there points at a child, so the config is acyclic
+    cfg3 = LazyTreeConfig(d=3, default=2, overrides=(((1,), 3),),
+                          regions=(LevelRegion((1,), 1),))
+    assert find_cyclic_pair(cfg3) is None
+    # (1, 2) is overridden to point at child 1, so the region's last
+    # direction-(d-1) level has its pairs at (1, 1) and (1, 2), not at
+    # (1, 2) and its child 2
+    cfg4 = LazyTreeConfig(d=3, default=1, overrides=(((1, 2), 1),),
+                          regions=(LevelRegion((1,), 2),))
+    assert find_cyclic_pair(cfg4) == ((1, 1), (1, 1, 2))
+    assert brute_mutual_pairs(cfg4) == {((1, 1), (1, 1, 2)),
+                                        ((1, 2), (1, 2, 1))}
 
 
 def test_random_acyclic_config_sampler():
@@ -427,19 +441,21 @@ def test_engines_agree_on_random_configs():
     assert ran >= 90
 
 
-def bounce_level_oracle(cfg: LazyTreeConfig, kind, depth: int,
+def bounce_level_oracle(cfg: LazyTreeConfig, kind, addr: tuple,
                         i0: int) -> bool:
     """The excursion rule written out per case.  A chip entering, in
-    direction d, a vertex of ``kind`` at ``depth`` whose patched prefix
+    direction d, a vertex of ``kind`` at ``addr`` whose patched prefix
     ends i0 >= 1 levels below it turns every vertex down to level i0 and
     comes back when the subtree has no structure below and no config ray,
-    and level i0 points in direction d-1: inside the region's first h
-    levels, or anywhere under default d-1 with no region."""
+    and level i0 points in direction d-1: inside the first h levels of the
+    deepest region at or above the vertex, or anywhere under default d-1
+    with no region."""
     if kind.kids or kind.ray is not None:
         return False
-    reg = kind.region
-    if reg is not None:
-        return depth - len(reg.addr) + i0 < reg.h
+    regs = [r for r in cfg.regions if addr[:len(r.addr)] == r.addr]
+    if regs:
+        reg = max(regs, key=lambda r: len(r.addr))
+        return len(addr) - len(reg.addr) + i0 < reg.h
     return cfg.default == cfg.d - 1
 
 
@@ -463,12 +479,12 @@ def test_bounce_limit_at_level_region_boundaries():
                 assert states is not None, cfg
                 for st in states:
                     for x, kind in enumerate(st._kind):
-                        depth = st._depth[x]
+                        addr = st._address(x)
                         kinds += 1
                         for i0 in range(1, h + 3):
-                            assert (depth + i0 < kind.limit) == \
-                                bounce_level_oracle(cfg, kind, depth, i0), \
-                                (cfg, st._address(x), i0)
+                            assert (i0 < kind.limit) == \
+                                bounce_level_oracle(cfg, kind, addr, i0), \
+                                (cfg, addr, i0)
     assert kinds > 10_000
 
 
@@ -479,7 +495,7 @@ def oracle_root_kind(cfg: LazyTreeConfig):
     address, sorted so that parents come first, gets its kind from its
     parent's."""
     overrides = dict(cfg.overrides)
-    regions = {reg.addr: reg for reg in cfg.regions}
+    regions = {reg.addr: reg.h for reg in cfg.regions}
     starts = {}
     for i, ray in enumerate(cfg.rays):
         starts[ray.start] = starts.get(ray.start, ()) + (i,)
@@ -490,9 +506,13 @@ def oracle_root_kind(cfg: LazyTreeConfig):
         up = made.get(addr[:-1]) if addr else None
         rays = cfg._step_rays(up.rays, addr[-1]) if up and up.rays else ()
         rays += tuple((i, 0) for i in starts.get(addr, ()))
-        region = regions.get(addr, up.region if up else None)
-        kind = made[addr] = cfg._kind(overrides.get(addr), rays, region,
-                                      len(addr))
+        left = up.left if up else None
+        left = regions.get(addr, None if left is None else max(left - 1, 0))
+        override = overrides.get(addr)
+        if not addr and override is None and left is None \
+                and cfg.mode == "branch":
+            override = 1
+        kind = made[addr] = cfg._kind(override, rays, left)
         kind.kids = {}
         if up:
             up.kids[addr[-1]] = kind
@@ -500,15 +520,15 @@ def oracle_root_kind(cfg: LazyTreeConfig):
 
 
 def assert_kind_trees_equal(got, want) -> int:
-    """Same base, rays, region object and kids keys at every structure
-    vertex; returns the number of vertices compared."""
+    """Same base, rays, region levels left and kids keys at every
+    structure vertex; returns the number of vertices compared."""
     stack = [(got, want, ())]
     seen = 0
     while stack:
         g, w, addr = stack.pop()
         seen += 1
         assert (g.base, g.ray, g.rays) == (w.base, w.ray, w.rays), addr
-        assert g.region is w.region, addr
+        assert g.left == w.left, addr
         assert g.kids.keys() == w.kids.keys(), addr
         stack += ((g.kids[c], w.kids[c], addr + (c,)) for c in w.kids)
     return seen
@@ -573,6 +593,74 @@ def test_root_kind_matches_all_prefixes_oracle():
             descriptor_to_branch_config(synthesize_branch(a))
         seen = assert_kind_trees_equal(cfg.root_kind, oracle_root_kind(cfg))
         assert seen > len(cfg.overrides)
+
+
+def brute_mutual_pairs(cfg: LazyTreeConfig) -> set:
+    """Every parent/child pair whose base rotors point at each other, found
+    by visiting vertices from the origin with ``base_direction``, down to a
+    depth below which a ray only repeats its period and every region is in
+    its tail.  A visited vertex's children are visited when the vertex lies
+    on a marked address's path, on a config ray, or at most h levels below
+    a region root; below any other vertex every base is the default, or d
+    in a region's tail, and no such pair lies there."""
+    d = cfg.d
+    bound = 2
+    for a, _ in cfg.overrides:
+        bound = max(bound, len(a) + 2)
+    for reg in cfg.regions:
+        bound = max(bound, len(reg.addr) + reg.h + 2)
+    for ray in cfg.rays:
+        bound = max(bound, len(ray.start) + 2 * len(ray.pattern) + 3)
+    marked = ([a for a, _ in cfg.overrides] + [r.addr for r in cfg.regions]
+              + [r.start for r in cfg.rays])
+
+    def on_ray(a, ray):
+        n = len(ray.start)
+        return a[:n] == ray.start and all(
+            c == ray.pattern[i % len(ray.pattern)]
+            for i, c in enumerate(a[n:]))
+
+    def expand(a) -> bool:
+        return (any(m[:len(a)] == a for m in marked)
+                or any(on_ray(a, ray) for ray in cfg.rays)
+                or any(a[:len(r.addr)] == r.addr
+                       and len(a) - len(r.addr) <= r.h for r in cfg.regions))
+
+    pairs = set()
+    stack = [ORIGIN]
+    while stack:
+        a = stack.pop()
+        arity = cfg.num_children(a)
+        bp = cfg.base_direction(a)
+        if (bp <= arity and (a or cfg.mode == "tree")
+                and cfg.base_direction(a + (bp,)) == d):
+            pairs.add((a, a + (bp,)))
+        if len(a) < bound and expand(a):
+            stack += (a + (c,) for c in range(1, arity + 1))
+    return pairs
+
+
+def test_find_cyclic_pair_matches_brute_force():
+    # find_cyclic_pair is None exactly when no mutual pair exists, and a
+    # pair it reports points both ways
+    rng = random.Random(7)
+    made = cyclic = 0
+    while made < 400:
+        try:
+            cfg = _random_structure_config(rng)
+        except LazyTreeError:
+            continue
+        made += 1
+        pair = find_cyclic_pair(cfg)
+        pairs = brute_mutual_pairs(cfg)
+        assert (pair is None) == (not pairs), (cfg, pair)
+        if pair is not None:
+            cyclic += 1
+            p, c = pair
+            assert c[:-1] == p and (p or cfg.mode == "tree"), (cfg, pair)
+            assert cfg.base_direction(p) == c[-1], (cfg, pair)
+            assert cfg.base_direction(c) == cfg.d, (cfg, pair)
+    assert 50 <= cyclic <= made - 50, cyclic
 
 
 # -- aggregation ----------------------------------------------------------------
@@ -720,7 +808,7 @@ def test_aggregate_matches_naive_aggregator():
             want = all(r == cfg.base_direction(a) for a, r in rotors.items())
             assert res.rotors_restored() is want
             restored[want] += 1
-            region_sites += sum(cfg.kind_at(a).region is not None
+            region_sites += sum(cfg.kind_at(a).left is not None
                                 for a in rotors)
             if i % 10 == 0 and steps:
                 with pytest.raises(StepBudgetExceededError):
