@@ -61,9 +61,10 @@ def _first_violation(a: str, k: int = 2, last: int | None = None,
         w, limit = 2 ** k - 1, 2 ** (k - 1)
         if prefix[-1] <= limit:     # no window, at this k or above, fails
             return None
-        for i, ones in enumerate(map(sub, prefix[w:], prefix)):
-            if ones > limit:
-                return k, i + 1, i + w
+        if max(map(sub, prefix[w:], prefix)) > limit:    # then find it
+            for i, ones in enumerate(map(sub, prefix[w:], prefix)):
+                if ones > limit:
+                    return k, i + 1, i + w
         k += 1
     return None
 
@@ -95,6 +96,9 @@ class BlockFactorization:
     appended_zero: bool
 
 
+_THREE_ONES = "words with three consecutive ones are not factorable"
+
+
 def factor_blocks(a: str) -> BlockFactorization:
     """Greedy factorization into blocks {0, 10, 110}.
 
@@ -109,8 +113,7 @@ def factor_blocks(a: str) -> BlockFactorization:
         if ch == "1":
             run += 1
             if run > 2:
-                raise ThreeConsecutiveOnesError(
-                    "words with three consecutive ones are not factorable")
+                raise ThreeConsecutiveOnesError(_THREE_ONES)
         else:
             blocks.append("1" * run + "0")
             run = 0
@@ -123,28 +126,32 @@ def factor_blocks(a: str) -> BlockFactorization:
 def psi(a: str) -> tuple[str, str]:
     """Split a branch word into the two sub-branch words, blockwise.
 
-    Block 0 maps to (0,0), block 110 to (1,1), and the 10 blocks alternate
-    (1,0), (0,1), (1,0), ... in order of appearance.
+    The blocks are those of ``factor_blocks``.  Block 0 maps to (0,0),
+    block 110 to (1,1), and the 10 blocks alternate (1,0), (0,1), (1,0),
+    ... in order of appearance.
     """
-    fact = factor_blocks(a)
+    validate_word(a)
+    if "111" in a:
+        raise ThreeConsecutiveOnesError(_THREE_ONES)
+    return _split(a)
+
+
+def _split(a: str) -> tuple[str, str]:
+    """psi of a binary word without 111, whose blocks are the runs of ones
+    that ``str.split`` finds before each 0."""
+    blocks = (a + "0" if a.endswith("1") else a).split("0")
+    blocks.pop()                        # the empty run after the last 0
     c: list[str] = []
     d: list[str] = []
     tens = 0
-    for b in fact.blocks:
-        if b == "0":
-            c.append("0")
-            d.append("0")
-        elif b == "110":
-            c.append("1")
-            d.append("1")
+    for ones in blocks:
+        if ones == "1":
+            c.append("10"[tens])
+            d.append("01"[tens])
+            tens ^= 1
         else:
-            if tens % 2 == 0:
-                c.append("1")
-                d.append("0")
-            else:
-                c.append("0")
-                d.append("1")
-            tens += 1
+            c.append("1" if ones else "0")
+            d.append(c[-1])
     return "".join(c), "".join(d)
 
 
@@ -395,9 +402,11 @@ def _synthesize(a: str, memo: dict[str, ConfigDescriptor]) -> ConfigDescriptor:
     until the all-zero tail case, which a level rule realizes directly.
     psi maps blocks 0 and 110 alike on both sides, so sub-words repeat:
     each distinct one is checked, split and built once, and repeats share
-    its descriptor.  Sub-words are checked in the preorder of the
-    expanded descriptor, on an explicit stack, so deep descriptors do not
-    recurse."""
+    its descriptor.  Sub-words of a binary word are binary, so only ``a``
+    has its alphabet checked, and a valid word has no 111 to refuse.
+    Sub-words are checked in the preorder of the expanded descriptor, on
+    an explicit stack, so deep descriptors do not recurse."""
+    validate_word(a)
     split: dict[str, tuple[str, str]] = {}
     stack = [a]
     while stack:
@@ -409,7 +418,7 @@ def _synthesize(a: str, memo: dict[str, ConfigDescriptor]) -> ConfigDescriptor:
             memo[w] = ConfigDescriptor.node(memo[c], memo[d])
             stack.pop()
         else:
-            if violating_window(w) is not None:
+            if _first_violation(w) is not None:
                 raise NotRealizableError(
                     f"{w!r} violates a window condition")
             h = _degenerate_height(w)
@@ -417,7 +426,7 @@ def _synthesize(a: str, memo: dict[str, ConfigDescriptor]) -> ConfigDescriptor:
                 memo[w] = ConfigDescriptor.level(h)
                 stack.pop()
             else:
-                c, d = split[w] = psi(w)
+                c, d = split[w] = _split(w)
                 stack += (d, c)
     return memo[a]
 

@@ -18,7 +18,10 @@ every base rotor of the subtree, and a child's kind follows from its
 parent's.  Off the structure kinds are shared by content, so a config has
 finitely many.  The escape walk reads a kind's bounce limit, the response
 tables keep one table per kind, and ``find_cyclic_pair`` checks each kind
-once, which makes the acyclicity check exact.
+once, which makes the acyclicity check exact.  One pass over the marked
+addresses validates a config and types its structure when it is made: each
+prefix of an override, region or ray start has its child index
+range-checked and gets its kind, from its parent's, once.
 
 The escape-run engine keeps three kinds of dynamic state besides explicitly
 materialized rotors:
@@ -167,15 +170,21 @@ class NodeKind:
 
 @dataclass(frozen=True)
 class LazyTreeConfig:
+    """A finite rotor configuration on the tree of degree d (see the module
+    docstring).  Making one validates it and types its structure, in one
+    pass: ``root_kind`` is the origin's kind, with the kinds of the
+    structure below it, and ``_static_depth`` the depth the structure
+    reaches: the largest of 1, the override depths, ``len(addr) + h`` over
+    the regions and ``len(start) + len(pattern)`` over the rays."""
+
     d: int
     default: int
     mode: str = "tree"                    # "tree" | "branch"
     overrides: tuple[tuple[Address, int], ...] = ()
     rays: tuple[RayRule, ...] = ()
     regions: tuple[LevelRegion, ...] = ()
-
-    def __post_init__(self):
-        self.validate()
+    root_kind: NodeKind = field(init=False, repr=False, compare=False)
+    _static_depth: int = field(init=False, repr=False, compare=False)
 
     # -- structure ---------------------------------------------------------
 
@@ -187,7 +196,14 @@ class LazyTreeConfig:
             return self.origin_arity()
         return self.d - 1
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        """Check the scalars, then the overrides, rays and regions in
+        order, each as it puts its address into the map of structure
+        prefixes.  A prefix new to the map gets its child index
+        range-checked and its kind, from its parent's, once; the region
+        heights and ray starts it reads are gathered first, and an override
+        sets the base of its kind when the loop reaches it.  The first
+        fault found in that order raises LazyTreeError."""
         d = self.d
         if d < 3:
             raise LazyTreeError("degree d must be at least 3")
@@ -195,19 +211,59 @@ class LazyTreeConfig:
             raise LazyTreeError(f"unknown mode {self.mode!r}")
         if not 1 <= self.default <= d:
             raise LazyTreeError("default direction out of range")
+        arity = self.origin_arity()
+        regions = {reg.addr: reg.h for reg in self.regions}
+        starts: dict[Address, tuple[tuple[int, int], ...]] = {}
+        for i, ray in enumerate(self.rays):
+            if ray.pattern:     # an empty one is refused below, unstepped
+                starts[ray.start] = starts.get(ray.start, ()) + ((i, 0),)
+        root = self._kind(
+            1 if self.mode == "branch" and ORIGIN not in regions else None,
+            (), regions.get(ORIGIN))    # the branch origin edge: no rotor
+        made = {ORIGIN: root}
+
+        def place(addr: Address) -> NodeKind:
+            """The kind of a marked address, made with its missing
+            prefixes, parents first."""
+            kind = made.get(addr)
+            if kind is not None:
+                return kind
+            missing = [addr]
+            addr = addr[:-1]
+            while (kind := made.get(addr)) is None:
+                missing.append(addr)
+                addr = addr[:-1]
+            for prefix in reversed(missing):
+                c = prefix[-1]
+                if not 1 <= c <= (arity if kind is root else d - 1):
+                    raise LazyTreeError(f"bad address {missing[0]}")
+                rays = self._step_rays(kind.rays, c) if kind.rays else ()
+                if starts and prefix in starts:
+                    rays += starts[prefix]
+                left = kind.left
+                sub = made[prefix] = self._kind(
+                    None, rays, regions.get(prefix, left and left - 1))
+                kids = kind.kids
+                if kids is None:
+                    kids = kind.kids = {}
+                    kind.limit = 0      # structure below
+                kids[c] = sub
+                kind = sub
+            return kind
+
         seen: set[Address] = set()
         for addr, dirn in self.overrides:
-            hi = self.origin_arity() if addr == ORIGIN else d
-            if not 1 <= dirn <= hi:
+            if not 1 <= dirn <= (d if addr else arity):
                 raise LazyTreeError(f"override direction {dirn} out of range")
             if addr in seen:
                 raise LazyTreeError(f"address {addr} assigned twice")
             seen.add(addr)
-            self._check_addr(addr)
+            place(addr).base = dirn
+        depth = max(1, max(map(len, made)))     # the deepest override
         for ray in self.rays:
             if ray.start == ORIGIN:
                 raise LazyTreeError("rays must start below the origin")
-            self._check_addr(ray.start)
+            place(ray.start)
             if not ray.pattern:
                 raise LazyTreeError("ray pattern must be nonempty")
             if any(not 1 <= c <= d - 1 for c in ray.pattern):
@@ -219,18 +275,16 @@ class LazyTreeConfig:
                 if probe in seen:
                     raise LazyTreeError(f"address {probe} assigned twice")
                 probe = probe + (ray.pattern[i % len(ray.pattern)],)
+            depth = max(depth, len(ray.start) + len(ray.pattern))
         for reg in self.regions:
-            self._check_addr(reg.addr)
+            place(reg.addr)
             if reg.addr == ORIGIN and self.mode == "tree":
                 raise LazyTreeError("level regions must sit inside a branch")
             if reg.h < 0:
                 raise LazyTreeError("region height must be nonnegative")
-
-    def _check_addr(self, addr: Address) -> None:
-        for i, c in enumerate(addr):
-            hi = self.origin_arity() if i == 0 else self.d - 1
-            if not 1 <= c <= hi:
-                raise LazyTreeError(f"bad address {addr}")
+            depth = max(depth, len(reg.addr) + reg.h)
+        object.__setattr__(self, "root_kind", root)
+        object.__setattr__(self, "_static_depth", depth)
 
     # -- base directions ----------------------------------------------------
 
@@ -261,42 +315,6 @@ class LazyTreeConfig:
         pattern = [ray.pattern for ray in self.rays]
         return tuple((i, (o + 1) % len(pattern[i]))
                      for i, o in rays if pattern[i][o] == c)
-
-    @cached_property
-    def root_kind(self) -> NodeKind:
-        """The origin's kind, with the kinds of the structure below it.
-
-        Each prefix of a marked address (override, region, ray start) gets
-        its kind once, from its parent's, found in a dict of the prefixes
-        made so far, and from its own marks."""
-        overrides = dict(self.overrides)
-        regions = {reg.addr: reg.h for reg in self.regions}
-        starts: dict[Address, tuple[int, ...]] = {}
-        for i, ray in enumerate(self.rays):
-            starts[ray.start] = starts.get(ray.start, ()) + (i,)
-        origin = overrides.get(ORIGIN)
-        if origin is None and ORIGIN not in regions and self.mode == "branch":
-            origin = 1          # the origin edge carries no rotor
-        made = {ORIGIN: self._kind(origin, (), regions.get(ORIGIN))}
-        made[ORIGIN].kids = {}
-        for marked in (overrides, regions, starts):
-            for addr in marked:
-                missing = []
-                while addr not in made:
-                    missing.append(addr)
-                    addr = addr[:-1]
-                kind = made[addr]
-                for prefix in reversed(missing):
-                    c = prefix[-1]
-                    rays = self._step_rays(kind.rays, c) if kind.rays else ()
-                    rays += tuple((i, 0) for i in starts.get(prefix, ()))
-                    left = regions.get(prefix, kind.left and kind.left - 1)
-                    sub = kind.kids[c] = made[prefix] = self._kind(
-                        overrides.get(prefix), rays, left)
-                    sub.kids = {}
-                    kind.limit = 0      # structure below
-                    kind = sub
-        return made[ORIGIN]
 
     @cached_property
     def _shared_kinds(self) -> dict[tuple, NodeKind]:
@@ -580,21 +598,10 @@ class TreeState:
         self._tips: dict[int, list[int]] = {}
         self.ray_seen: dict[int, int] = {}
         self.n_rays = 0
-        self._static_depth = self._max_static_depth()
         self._max_materialized = 0
         self._max_patch_end = 0
 
     # -- ids and addresses ----------------------------------------------------
-
-    def _max_static_depth(self) -> int:
-        depth = 1
-        for addr, _ in self.cfg.overrides:
-            depth = max(depth, len(addr))
-        for reg in self.cfg.regions:
-            depth = max(depth, len(reg.addr) + reg.h)
-        for ray in self.cfg.rays:
-            depth = max(depth, len(ray.start) + len(ray.pattern))
-        return depth
 
     def _child(self, x: int, c: int) -> int:
         """A fresh id for child c of x, covered as x is.  The tips at x
@@ -775,30 +782,40 @@ class TreeState:
         territory back to the stepwise walk one level at a time.
         """
         d = self.cfg.d
+        static = self.cfg._static_depth
+        first = self._first
+        kids = self._kids
+        rot = self._rot
+        kinds = self._kind
+        depths = self._depth
+        cover = self._cover
+        rc = self._rc
         w = x
         ride_seen: set[tuple[int, int]] = set()
-        guard = 4 * (self._static_depth + self._depth[x]) + 64
+        guard = 4 * (static + depths[x]) + 64
         while guard:
             guard -= 1
-            if w in self._rc or self._rot[w]:
+            if w in rc or rot[w]:
                 return False
-            kind = self._kind[w]
-            e = d if w in self._cover else kind.base
+            kind = kinds[w]
+            e = d if w in cover else kind.base
             inc = e % d + 1
             if inc == d:
                 return False
             if not kind.kids:
                 if kind.ray is None:    # no bounce above the limit
-                    depth = self._depth[w]
-                    return (self._cover.get(w, 0)
-                            or depth + 1) >= depth + kind.limit
+                    depth = depths[w]
+                    return (cover.get(w, 0) or depth + 1) >= depth + kind.limit
                 i, offset = kind.ray
-                if (self.cfg.rays[i].pattern[offset] == inc and self._depth[w]
-                        > self._static_depth + self._max_patch_end):
+                if (self.cfg.rays[i].pattern[offset] == inc and depths[w]
+                        > static + self._max_patch_end):
                     if kind.ray in ride_seen:
                         return True     # periodic ride along the ray
                     ride_seen.add(kind.ray)
-            w = self._kid(w, inc)       # along the ray, or off it
+            # along the ray, or off it
+            y = kids.get(w * d + inc, -1) if first is None else \
+                kids[first[w] + inc]
+            w = y if y >= 0 else self._child(w, inc)
         raise UnsupportedConfigError("escape decision did not converge")
 
     def _fresh_depth_cap(self) -> int:
@@ -811,7 +828,7 @@ class TreeState:
         no finite advanced-ray description, so they are refused rather than
         simulated; none of the supported experiments produce them.
         """
-        return (self._static_depth + self._max_patch_end
+        return (self.cfg._static_depth + self._max_patch_end
                 + self._max_materialized + 64)
 
     # -- chip walks -------------------------------------------------------------

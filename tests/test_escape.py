@@ -268,6 +268,47 @@ def test_psi_examples():
     assert psi("1010") == ("10", "01")
 
 
+def psi_by_block_map(a: str) -> tuple[str, str]:
+    """Reference psi: the block map applied to ``factor_blocks``, block by
+    block."""
+    c, d = [], []
+    tens = 0
+    for b in factor_blocks(a).blocks:
+        if b == "0":
+            c.append("0")
+            d.append("0")
+        elif b == "110":
+            c.append("1")
+            d.append("1")
+        else:
+            c.append("10"[tens % 2])
+            d.append("01"[tens % 2])
+            tens += 1
+    return "".join(c), "".join(d)
+
+
+def test_psi_matches_block_map_oracle():
+    words = 0
+    for a in all_words(14):
+        if "111" in a:
+            with pytest.raises(ThreeConsecutiveOnesError) as err:
+                psi(a)
+            with pytest.raises(ThreeConsecutiveOnesError) as want:
+                factor_blocks(a)
+            assert str(err.value) == str(want.value)
+            continue
+        assert psi(a) == psi_by_block_map(a), a
+        words += 1
+    assert words > 5000
+    for bad in ("012", "1101x", "1112", " 0", "\u0661"):
+        with pytest.raises(WordError) as err:
+            psi(bad)
+        assert type(err.value) is WordError
+        with pytest.raises(WordError) as want:
+            factor_blocks(bad)
+        assert str(err.value) == str(want.value)
+
+
 def test_phi_examples():
     assert phi("110", "100") == "110100"
     assert phi("000", "000") == "000"

@@ -190,21 +190,83 @@ def test_base_direction_precedence():
 
 
 def test_overlapping_override_and_ray_rejected():
-    with pytest.raises(Exception):
+    with pytest.raises(LazyTreeError):
         LazyTreeConfig(d=3, default=1,
                        overrides=(((3,), 3),),
                        rays=(RayRule((3,), (2,), 2),))
 
 
 def test_config_validation():
-    with pytest.raises(Exception):
+    with pytest.raises(LazyTreeError):
         LazyTreeConfig(d=2, default=1)
-    with pytest.raises(Exception):
+    with pytest.raises(LazyTreeError):
         LazyTreeConfig(d=3, default=5)
-    with pytest.raises(Exception):
+    with pytest.raises(LazyTreeError):
         LazyTreeConfig(d=3, default=1, overrides=(((1,), 1), ((1,), 2)))
-    with pytest.raises(Exception):
+    with pytest.raises(LazyTreeError):
         LazyTreeConfig(d=3, default=1, rays=(RayRule((), (1,), 1),))
+
+
+DEEP = (1, 2, 1, 2, 1, 2, 1, 3, 1)      # index 3 is out of range at d = 3
+
+MALFORMED_CONFIGS = [
+    (dict(d=2, default=1), "degree d must be at least 3"),
+    (dict(d=3, default=1, mode="forest"), "unknown mode 'forest'"),
+    (dict(d=3, default=4), "default direction out of range"),
+    (dict(d=3, default=0), "default direction out of range"),
+    (dict(d=3, default=1, overrides=(((), 4),)),
+     "override direction 4 out of range"),
+    (dict(d=3, default=1, mode="branch", overrides=(((), 2),)),
+     "override direction 2 out of range"),
+    (dict(d=3, default=1, overrides=(((2, 1), 0),)),
+     "override direction 0 out of range"),
+    (dict(d=3, default=1, overrides=(((2, 1), 4),)),
+     "override direction 4 out of range"),
+    (dict(d=3, default=1, overrides=(((1, 2), 1), ((2,), 1), ((1, 2), 3))),
+     "address (1, 2) assigned twice"),
+    (dict(d=3, default=1, overrides=(((4,), 1),)), "bad address (4,)"),
+    (dict(d=3, default=1, overrides=(((0, 1), 1),)), "bad address (0, 1)"),
+    (dict(d=3, default=1, mode="branch", overrides=(((2,), 1),)),
+     "bad address (2,)"),
+    (dict(d=3, default=1, overrides=((DEEP[:7], 1), (DEEP, 1))),
+     f"bad address {DEEP}"),
+    (dict(d=3, default=1, rays=(RayRule((), (1,), 1),)),
+     "rays must start below the origin"),
+    (dict(d=3, default=1, rays=(RayRule((1, 3), (1,), 1),)),
+     "bad address (1, 3)"),
+    (dict(d=3, default=1, rays=(RayRule((1,), (), 1),)),
+     "ray pattern must be nonempty"),
+    (dict(d=3, default=1, rays=(RayRule((1, 2), (1,), 1),
+                                RayRule((1,), (), 1))),
+     "ray pattern must be nonempty"),
+    (dict(d=3, default=1, rays=(RayRule((1,), (1, 3), 1),)),
+     "ray pattern uses invalid child indices"),
+    (dict(d=3, default=1, rays=(RayRule((1,), (1,), 4),)),
+     "ray direction out of range"),
+    (dict(d=3, default=1, overrides=(((3, 2, 2), 3),),
+          rays=(RayRule((3,), (2,), 2),)),
+     "address (3, 2, 2) assigned twice"),
+    (dict(d=3, default=1, regions=(LevelRegion((), 2),)),
+     "level regions must sit inside a branch"),
+    (dict(d=3, default=1, regions=(LevelRegion((1, 3), 2),)),
+     "bad address (1, 3)"),
+    (dict(d=3, default=1, regions=(LevelRegion((1,), -1),)),
+     "region height must be nonnegative"),
+    # two faults: overrides are checked before rays, rays before regions
+    (dict(d=3, default=1, overrides=(((1, 2, 1), 2), ((2,), 5)),
+          rays=(RayRule((1,), (), 1),)),
+     "override direction 5 out of range"),
+    (dict(d=3, default=1, rays=(RayRule((1, 2), (), 2),),
+          regions=(LevelRegion((1, 2, 1), -1),)),
+     "ray pattern must be nonempty"),
+]
+
+
+@pytest.mark.parametrize("fields, message", MALFORMED_CONFIGS)
+def test_validation_messages(fields, message):
+    with pytest.raises(LazyTreeError) as err:
+        LazyTreeConfig(**fields)
+    assert str(err.value) == message
 
 
 def test_acyclicity_checks():
@@ -513,15 +575,18 @@ def oracle_root_kind(cfg: LazyTreeConfig):
                 and cfg.mode == "branch":
             override = 1
         kind = made[addr] = cfg._kind(override, rays, left)
-        kind.kids = {}
         if up:
+            if up.kids is None:
+                up.kids = {}
             up.kids[addr[-1]] = kind
     return made[ORIGIN]
 
 
 def assert_kind_trees_equal(got, want) -> int:
-    """Same base, rays, region levels left and kids keys at every
-    structure vertex; returns the number of vertices compared."""
+    """Same base, rays, region levels left and kids at every structure
+    vertex, where ``kids`` is None on a structure leaf and nonempty above
+    one, as the ``NodeKind`` docstring says; returns the number of
+    vertices compared."""
     stack = [(got, want, ())]
     seen = 0
     while stack:
@@ -529,6 +594,10 @@ def assert_kind_trees_equal(got, want) -> int:
         seen += 1
         assert (g.base, g.ray, g.rays) == (w.base, w.ray, w.rays), addr
         assert g.left == w.left, addr
+        assert g.kids is None or g.kids, addr
+        if w.kids is None:
+            assert g.kids is None, addr
+            continue
         assert g.kids.keys() == w.kids.keys(), addr
         stack += ((g.kids[c], w.kids[c], addr + (c,)) for c in w.kids)
     return seen
@@ -570,6 +639,13 @@ def _random_structure_config(rng: random.Random) -> LazyTreeConfig:
                           rays=tuple(rays), regions=tuple(regions.values()))
 
 
+def static_depth_oracle(cfg: LazyTreeConfig) -> int:
+    """The deepest level the structure fixes, mark by mark."""
+    return max([1] + [len(a) for a, _ in cfg.overrides]
+               + [len(r.addr) + r.h for r in cfg.regions]
+               + [len(r.start) + len(r.pattern) for r in cfg.rays])
+
+
 def test_root_kind_matches_all_prefixes_oracle():
     rng = random.Random(53)
     made = shared_start = nested = 0
@@ -580,6 +656,7 @@ def test_root_kind_matches_all_prefixes_oracle():
             continue
         made += 1
         assert_kind_trees_equal(cfg.root_kind, oracle_root_kind(cfg))
+        assert cfg._static_depth == static_depth_oracle(cfg)
         starts = [ray.start for ray in cfg.rays]
         shared_start += len(set(starts)) < len(starts)
         nested += any(a.addr != b.addr and b.addr[:len(a.addr)] == a.addr
@@ -593,6 +670,7 @@ def test_root_kind_matches_all_prefixes_oracle():
             descriptor_to_branch_config(synthesize_branch(a))
         seen = assert_kind_trees_equal(cfg.root_kind, oracle_root_kind(cfg))
         assert seen > len(cfg.overrides)
+        assert cfg._static_depth == static_depth_oracle(cfg)
 
 
 def brute_mutual_pairs(cfg: LazyTreeConfig) -> set:
@@ -651,6 +729,7 @@ def test_find_cyclic_pair_matches_brute_force():
         except LazyTreeError:
             continue
         made += 1
+        assert_kind_trees_equal(cfg.root_kind, oracle_root_kind(cfg))
         pair = find_cyclic_pair(cfg)
         pairs = brute_mutual_pairs(cfg)
         assert (pair is None) == (not pairs), (cfg, pair)
