@@ -2,13 +2,15 @@
 
 Exit codes: 0 success, 1 a verified property failed (that would be a bug),
 2 bad input, 3 word not realizable.  Output is deterministic JSON: same
-request, same bytes.  A request for more than MAX_CHIPS chips exits 2
-before any walking.
+request, same bytes.  A request for more than MAX_CHIPS chips, or a word
+longer than MAX_SYNTHESIS_LETTERS to ``escape synthesize``, exits 2 before
+any work.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -48,6 +50,12 @@ OK, VERDICT_FAIL, INPUT_ERROR, NOT_REALIZABLE = 0, 1, 2, 3
 # round trip of escape synthesize).  Larger requests exit 2 before any
 # walking, so all three end in bounded time.
 MAX_CHIPS = 10 ** 6
+
+# The longest word ``escape synthesize`` takes.  The configuration of a
+# sparse valid word grows about quadratically with its length, so the chip
+# limit does not bound that command's time; this does.  It keeps the
+# 1,203-letter word 110 0^1200 (a 1,200-level descriptor) accepted.
+MAX_SYNTHESIS_LETTERS = 1_250
 
 
 def _emit(payload: dict, out_path: str | None) -> None:
@@ -209,6 +217,9 @@ def cmd_escape(args) -> int:
         try:
             word = validate_word(args.word)
             _check_chips(f"a word of {len(word)} letters", len(word))
+            if len(word) > MAX_SYNTHESIS_LETTERS:
+                raise ValueError(f"a word of {len(word)} letters is above the "
+                                 f"synthesis limit {MAX_SYNTHESIS_LETTERS}")
         except ValueError as exc:
             return _fail(str(exc), INPUT_ERROR)
         try:
@@ -268,7 +279,11 @@ def cmd_verify_all(args) -> int:
     return OK if not failed else VERDICT_FAIL
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: argparse objects form
+    reference cycles, so a parser per call would leave garbage for the
+    cyclic collector."""
     parser = argparse.ArgumentParser(
         prog="rotorlab",
         description="rotor-router walks, groups, and escape sequences",
@@ -298,7 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_esc = sub.add_parser("escape", help="escape-sequence calculus")
     p_esc.add_argument("action", choices=["check", "synthesize", "simulate"])
-    p_esc.add_argument("word", nargs="?", help="binary word")
+    p_esc.add_argument("word", nargs="?",
+                       help="binary word (synthesize: at most "
+                            f"{MAX_SYNTHESIS_LETTERS} letters)")
     kind = p_esc.add_mutually_exclusive_group()
     kind.add_argument("--branch", action="store_true",
                       help="single branch (default)")

@@ -73,10 +73,16 @@ same rotors below them and share one response table, whose element k is
 built once from the child tables while the root's rotor turns.  Element
 k reads only elements below k of the child tables: the rotor points at the
 parent between any two departures to one child, and that ends an entry
-into the root.  The tables are built on an explicit stack; a final rotor is
-its base direction advanced by the chips it sent on, read from the tables
-in one pass over the stops.  The literal oracle in the test suite checks
-every result field against a step-by-step walk.
+into the root.  One loop builds and reads every table, on an explicit
+stack whose bottom frame is the origin: there the rotor cycles over the d
+children, and a chip that comes back walks on, or stops at the origin in
+the modified process; above it direction d pops a frame.  Each frame
+carries its root's address, so a settling chip's site is that address,
+the child index and the tail of the element read.  The tables sit in flat
+lists indexed by type id.  A final rotor is its base direction advanced by
+the chips it sent on, read from the tables in one pass over the stops.
+The literal oracle in the test suite checks every result field against a
+step-by-step walk.
 """
 
 from __future__ import annotations
@@ -982,171 +988,144 @@ def run_chips_infinite(cfg: LazyTreeConfig, m: int,
 
 # -- aggregation --------------------------------------------------------------
 
-class _Subtree:
-    """The response table of one subtree type.
-
-    Element k is what the k-th chip to enter the root from its parent
-    (counting from 0) does.  ``steps[k]`` counts its literal steps, from
-    the move into the root to the move that settles it or takes it back
-    up.  ``dep[k]`` is how many chips the root's rotor has sent on after
-    the first k + 1 entries.  ``site[k]`` is None when the chip goes back
-    up; otherwise the chip settles on ``site[k][off[k]:]``, relative to the
-    root.  ``site[k]`` is the absolute address where the chip that built
-    the element settled, already held by the stops, so an element costs no
-    address of its own.  Element 0 is the same for every type: the first
-    chip settles on the root.
-
-    ``kind`` is the type: the ``NodeKind`` of the root, which fixes every
-    rotor below it.  ``kids`` maps the child indices entered so far to the
-    indices of their types in ``_ResponseTables.types`` (indices, not the
-    types themselves, so that the tables hold no reference cycle and are
-    freed as soon as the result is)."""
-
-    __slots__ = ("kind", "kids", "site", "off", "steps", "dep")
-
-    def __init__(self, kind: NodeKind) -> None:
-        self.kind = kind
-        self.kids: dict[int, int] = {}
-        self.site: list[Address | None] = [ORIGIN]
-        self.off = array("i", [0])
-        self.steps = array("q", [1])
-        self.dep = array("q", [0])
-
-
 class _ResponseTables:
-    """Aggregation on the tree of a config, one response table per
-    subtree type (see the module docstring).
+    """Aggregation on the tree of a config: one response table per subtree
+    type, all built and read by one loop, ``chip_stops``.
 
     A subtree is entered only from its root's parent, so what the k-th chip
     entering it does depends only on the subtree's initial rotors and on k.
     Those rotors follow from the root's ``NodeKind``, the type of the
-    subtree, so every subtree of one kind shares one table.  ``types[0]`` holds the origin's kind and child
-    types (its table is unused), ``origin_dep`` counts the chips the
-    origin's rotor has sent on, and ``steps`` is the literal step total."""
+    subtree, so every subtree of one kind shares one table.  Types are ids
+    in order of first entry; 0 is the origin's.  Flat lists indexed by id
+    hold each type's ``kind``, its ``base`` direction, its ``kids`` (the
+    child indices entered so far, mapped to their type ids), ``sent``, the
+    chips the root's rotor has sent on after the last element, and the
+    table's columns.  Element k is what the k-th chip to enter the root
+    from its parent (counting from 0) does.  ``steps[t][k]`` counts its
+    literal steps, from the move into the root to the move that settles it
+    or takes it back up.  ``dep[t][k]`` is how many chips the root's rotor
+    has sent on after the first k + 1 entries.  ``site[t][k]`` is None when
+    the chip goes back up; otherwise the chip settles on
+    ``site[t][k][off[t][k]:]``, relative to the root.  ``site[t][k]`` is
+    the absolute address where the chip that built the element settled,
+    already held by the stops, so an element costs no address of its own.
+    Element 0 is the same for every type: the first chip settles on the
+    root.  The origin's table stays empty, and its ``sent`` counts the
+    chips sent on by the origin itself.  ``total_steps`` is the literal
+    step total of the chips so far."""
 
     def __init__(self, cfg: LazyTreeConfig, step_cap: int) -> None:
         self.cfg = cfg
         self.step_cap = step_cap
-        self.types = [_Subtree(cfg.root_kind)]
         self._index: dict[NodeKind, int] = {}
-        self.origin_dep = 0
-        self.steps = 0
+        self.kind = [cfg.root_kind]
+        self.base = [cfg.root_kind.base]
+        self.kids: list[dict[int, int]] = [{}]
+        self.sent = [0]
+        self.site: list[list[Address | None]] = [[]]
+        self.steps: list[list[int]] = [[]]
+        self.off = [array("i")]
+        self.dep = [array("q")]
+        self.total_steps = 0
 
-    def _kid(self, t: _Subtree, c: int) -> int:
-        """The index of the type of child c of a vertex of type t, recorded
-        in t.kids."""
-        kind = self.cfg.child_kind(t.kind, c)
+    def _kid(self, t: int, c: int) -> int:
+        """The id of the type of child c of a vertex of type t, recorded in
+        ``kids[t]``."""
+        kind = self.cfg.child_kind(self.kind[t], c)
         u = self._index.get(kind)
         if u is None:
-            u = self._index[kind] = len(self.types)
-            self.types.append(_Subtree(kind))
-        t.kids[c] = u
+            u = self._index[kind] = len(self.kind)
+            self.kind.append(kind)
+            self.base.append(kind.base)
+            self.kids.append({})
+            self.sent.append(0)
+            self.site.append([ORIGIN])
+            self.steps.append([1])
+            self.off.append(array("i", [0]))
+            self.dep.append(array("q", [0]))
+        self.kids[t][c] = u
         return u
-
-    def _build(self, t: _Subtree, prefix: Address) -> Address | None:
-        """Append the next element to t's table, for a chip entering the
-        vertex at ``prefix``, of type t; return the address the chip
-        settles on, or None when it goes back up.
-
-        The root's rotor turns and each child it points at answers from its
-        own table, until the rotor points at the parent or a child's chip
-        settles.  Departure j goes to direction (base - 1 + j) % d + 1, and
-        child c's entries before it are (j - 1) // d, as every d-th
-        departure goes to c.  Between two entries into c the rotor passes
-        the parent, which ends an entry into t, so element k reads only
-        elements below k of the child tables.  When one of them is missing,
-        t's element waits on a stack, with the child it went to, while that
-        one is built.  A chip that goes back up ends only the innermost
-        element; one that settles ends every element on the stack, whose
-        roots lie on its path."""
-        d = self.cfg.d
-        types = self.types
-        stack: list[tuple[_Subtree, int, int, int]] = []
-        b, kids = t.kind.base - 1, t.kids
-        dep = t.dep[-1]                 # departures so far
-        s = 1                           # steps so far: the move into t
-        while True:
-            dep += 1
-            c = (b + dep) % d + 1
-            if c == d:                  # back up to the parent
-                s += 1
-                t.site.append(None)
-                t.off.append(0)
-                t.steps.append(s)
-                t.dep.append(dep)
-                if not stack:
-                    return None
-                inner = s
-                t, dep, s, c = stack.pop()
-                s += inner              # and the waiting element walks on
-                b, kids = t.kind.base - 1, t.kids
-                continue
-            k = kids.get(c)
-            u = types[self._kid(t, c) if k is None else k]
-            j = (dep - 1) // d
-            if j == len(u.steps):       # build u's element j first
-                stack.append((t, dep, s, c))
-                t, dep, s = u, u.dep[-1], 1
-                b, kids = t.kind.base - 1, t.kids
-                continue
-            s += u.steps[j]
-            site = u.site[j]
-            if site is not None:
-                break
-        # the chip settles, in u: every element on the stack ends with it
-        path = [frame[3] for frame in stack]
-        off = len(prefix) + len(path)
-        path.append(c)
-        site = prefix + tuple(path) + site[u.off[j]:]
-        while True:
-            t.site.append(site)
-            t.off.append(off)
-            t.steps.append(s)
-            t.dep.append(dep)
-            if not stack:
-                return site
-            inner = s
-            t, dep, s, c = stack.pop()
-            s += inner
-            off -= 1
 
     def chip_stops(self, n: int, modified: bool) -> Iterator[Address]:
         """Where each of n chips from the origin stops, in order: the
         vertex it settles on or, when ``modified``, ORIGIN for a chip that
         comes back.  A plain chip that comes back walks on as a fresh chip
         would.  StepBudgetExceededError is raised once the step total
-        passes ``step_cap``."""
+        passes ``step_cap``, checked whenever a chip is back at the origin.
+
+        The loop runs on an explicit stack of frames whose bottom is the
+        origin.  A frame is a vertex whose rotor turns: its type t, its
+        address, the chips its rotor has sent on, and the steps of the
+        element being built (at the origin: of the whole run).  Departure j
+        goes to direction (base - 1 + j) % d + 1.  At the origin that is
+        one of its d children; below it direction d is the parent, which
+        ends t's element and pops the frame.  Child c's entries before
+        departure j are (j - 1) // d, as every d-th departure goes to c.
+        Between two entries into c the rotor passes the parent, which ends
+        an entry into t, so an element reads only elements below it of the
+        child tables.  The child answers from its table, or a new frame on
+        top builds its next element first.  A chip that settles ends the
+        element of every frame above the origin, whose roots lie on its
+        path, and is yielded."""
         d = self.cfg.d
-        types = self.types
-        o = types[0]
-        base = o.kind.base
-        kids = o.kids
-        dep = steps = 0
+        cap = self.step_cap
+        bases, kids, sent, sites, steps, offs, deps = (
+            self.base, self.kids, self.sent, self.site, self.steps,
+            self.off, self.dep)
+        stack: list[tuple[int, Address, int, int]] = []
+        t, addr, dep, s = 0, ORIGIN, 0, 0       # the origin frame
+        b, kt = bases[0] - 1, kids[0]
         for _ in range(n):
             while True:
                 dep += 1
-                c = (base - 1 + dep) % d + 1
-                u = kids.get(c)
-                u = types[self._kid(o, c) if u is None else u]
-                j = (dep - 1) // d
-                if j == len(u.steps):
-                    site = self._build(u, (c,))
+                c = (b + dep) % d + 1
+                if c == d and t:        # back up: t's element ends
+                    s += 1
+                    sites[t].append(None)
+                    steps[t].append(s)
+                    offs[t].append(0)
+                    deps[t].append(dep)
+                    sent[t] = dep
+                    inner = s
+                    t, addr, dep, s = stack.pop()
+                    s += inner          # and the waiting element walks on
+                    b, kt = bases[t] - 1, kids[t]
+                    site = None
                 else:
-                    site = u.site[j]
+                    try:
+                        u = kt[c]
+                    except KeyError:
+                        u = self._kid(t, c)
+                    j = (dep - 1) // d
+                    su = steps[u]
+                    if j == len(su):    # build u's element j first
+                        stack.append((t, addr, dep, s))
+                        t, addr, dep, s = u, addr + (c,), sent[u], 1
+                        b, kt = bases[t] - 1, kids[t]
+                        continue
+                    s += su[j]
+                    site = sites[u][j]
                     if site is not None:
-                        site = (c,) + site[u.off[j]:]
-                steps += u.steps[j]
-                if steps > self.step_cap:
-                    raise StepBudgetExceededError(
-                        f"exceeded {self.step_cap} steps")
-                if site is not None:
-                    yield site
+                        site = addr + (c,) + site[offs[u][j]:]
+                        while t:        # every element on the stack ends
+                            sites[t].append(site)
+                            steps[t].append(s)
+                            offs[t].append(len(addr))
+                            deps[t].append(dep)
+                            sent[t] = dep
+                            inner = s
+                            t, addr, dep, s = stack.pop()
+                            s += inner
+                        b, kt = bases[0] - 1, kids[0]
+                if t:
+                    continue
+                if s > cap:             # back at the origin
+                    raise StepBudgetExceededError(f"exceeded {cap} steps")
+                if site is not None or modified:
                     break
-                if modified:
-                    yield ORIGIN
-                    break
-        self.origin_dep = dep
-        self.steps = steps
+            yield ORIGIN if site is None else site
+        sent[0] = dep
+        self.total_steps = s
 
     def final_rotors(self, stops: list[Address]) -> tuple[dict, bool]:
         """Each site's final rotor, keyed by the stops' own addresses, and
@@ -1154,18 +1133,18 @@ class _ResponseTables:
         order (parents first) gives a site its type and departures; child c
         gets departure (c - base - 1) % d + 1 and every d-th after it."""
         d = self.cfg.d
-        types = self.types
-        sites: dict = {ORIGIN: (types[0], self.origin_dep)}
+        bases, kids, deps = self.base, self.kids, self.dep
+        sites: dict = {ORIGIN: (0, self.sent[0])}
         for site in stops:
             if site:
                 t, dep = sites[site[:-1]]
                 c = site[-1]
-                u = types[t.kids[c]]
-                k = (dep - (c - t.kind.base - 1) % d - 1) // d
-                sites[site] = u, u.dep[k]       # after c's last entry
+                u = kids[t][c]
+                k = (dep - (c - bases[t] - 1) % d - 1) // d
+                sites[site] = u, deps[u][k]     # after c's last entry
         restored = all(dep % d == 0 for _, dep in sites.values())
         for site, (t, dep) in sites.items():    # in place: no second dict
-            sites[site] = (t.kind.base - 1 + dep) % d + 1
+            sites[site] = (bases[t] - 1 + dep) % d + 1
         return sites, restored
 
 
@@ -1261,7 +1240,7 @@ def _aggregate_run(cfg: LazyTreeConfig, n_chips: int, modified: bool,
         d=cfg.d, chips=n_chips, occupied=occupied,
         depth_counts=depth_counts, max_depth=max_depth,
         ball_checks=ball_checks, sandwich_ok=sandwich_ok,
-        stops=stops, steps=tables.steps, _tables=tables,
+        stops=stops, steps=tables.total_steps, _tables=tables,
     )
 
 

@@ -1,5 +1,7 @@
+import argparse
 import contextlib
 import copy
+import gc
 import hashlib
 import io
 import json
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotorlab import cli
-from rotorlab.cli import MAX_CHIPS, main
+from rotorlab.cli import MAX_CHIPS, MAX_SYNTHESIS_LETTERS, main
 from rotorlab.graph import (
     ResultCheckError,
     StepBudgetExceededError,
@@ -315,6 +317,42 @@ def test_escape_synthesize_deep_descriptor(capsys):
     assert payload["round_trip_ok"] is True
     config = payload["config"]
     assert len(config["overrides"]) + len(config["regions"]) == 4803
+
+
+@pytest.mark.parametrize("mode", ["--branch", "--tree"])
+def test_escape_synthesize_refuses_words_past_the_length_limit(mode,
+                                                               monkeypatch):
+    def synthesize(*args, **kwargs):
+        raise AssertionError("synthesized past the length limit")
+
+    for name in ("synthesize_branch", "synthesize_tree", "simulate_config"):
+        monkeypatch.setattr(cli, name, synthesize)
+    word = "110" + "0" * (MAX_SYNTHESIS_LETTERS - 2)
+    code, err = _run_quietly(["escape", "synthesize", word, mode])
+    assert code == 2
+    assert err == (f"error: a word of {MAX_SYNTHESIS_LETTERS + 1} letters is "
+                   f"above the synthesis limit {MAX_SYNTHESIS_LETTERS}\n")
+
+
+def test_main_leaves_no_parser_for_the_cyclic_collector(capsys):
+    # argparse objects form reference cycles: a parser built per call
+    # would be freed only by a full collection
+    main(["escape", "check", "101"])
+    flags = gc.get_debug()
+    gc.collect()
+    gc.garbage.clear()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for _ in range(2):
+            assert main(["escape", "check", "101"]) == 0
+        gc.collect()
+        parsers = [obj for obj in gc.garbage
+                   if isinstance(obj, argparse.ArgumentParser)]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    capsys.readouterr()
+    assert parsers == []
 
 
 def test_escape_synthesize_not_realizable(capsys):

@@ -1215,3 +1215,16 @@ def test_final_rotors_cost_about_the_cluster():
         tracemalloc.stop()
     assert len(rotors) == 8193 and set(rotors) == res.occupied
     assert peak < 2 ** 20
+
+
+def test_aggregate_memory_stays_near_the_stops():
+    # the stops and the occupied set take most of it; the tables store an
+    # element in a few machine words, and about 4.9 MiB is the whole peak
+    tracemalloc.start()
+    try:
+        res = aggregate(uniform_config(3, 1), ball_size(3, 13))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.is_exact_ball(13)
+    assert peak < 5.5 * 2 ** 20
