@@ -181,7 +181,7 @@ def criterion_7_extremal_configs() -> CriterionResult:
         returns = 0
         for j, ch in enumerate(res.word, start=1):
             returns += ch == "0"
-            if abs(Fraction(j, 2) - returns) > Fraction(1, 2):
+            if abs(j - 2 * returns) > 1:           # |j/2 - R| > 1/2
                 return False, f"|E - R| > 1/2 at prefix {j}"
         for d in (3, 4):
             mm = 1000

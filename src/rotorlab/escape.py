@@ -106,21 +106,24 @@ def factor_blocks(a: str) -> BlockFactorization:
     factorization is unique; a dangling 1 or 11 at the end is closed by
     appending a single 0.
     """
+    return BlockFactorization(tuple(ones + "0" for ones in _runs(_checked(a))),
+                              a.endswith("1"))
+
+
+def _checked(a: str) -> str:
+    """a, if it is a binary word without 111."""
     validate_word(a)
-    blocks: list[str] = []
-    run = 0
-    for ch in a:
-        if ch == "1":
-            run += 1
-            if run > 2:
-                raise ThreeConsecutiveOnesError(_THREE_ONES)
-        else:
-            blocks.append("1" * run + "0")
-            run = 0
-    appended = run > 0
-    if appended:
-        blocks.append("1" * run + "0")
-    return BlockFactorization(tuple(blocks), appended)
+    if "111" in a:
+        raise ThreeConsecutiveOnesError(_THREE_ONES)
+    return a
+
+
+def _runs(a: str) -> list[str]:
+    """The runs of ones before each 0 of a, with a dangling 1 or 11 closed
+    by a 0: the blocks of ``factor_blocks`` without their 0."""
+    runs = (a + "0" if a.endswith("1") else a).split("0")
+    runs.pop()                          # the empty run after the last 0
+    return runs
 
 
 def psi(a: str) -> tuple[str, str]:
@@ -130,21 +133,15 @@ def psi(a: str) -> tuple[str, str]:
     block 110 to (1,1), and the 10 blocks alternate (1,0), (0,1), (1,0),
     ... in order of appearance.
     """
-    validate_word(a)
-    if "111" in a:
-        raise ThreeConsecutiveOnesError(_THREE_ONES)
-    return _split(a)
+    return _split(_checked(a))
 
 
 def _split(a: str) -> tuple[str, str]:
-    """psi of a binary word without 111, whose blocks are the runs of ones
-    that ``str.split`` finds before each 0."""
-    blocks = (a + "0" if a.endswith("1") else a).split("0")
-    blocks.pop()                        # the empty run after the last 0
+    """psi of a binary word without 111."""
     c: list[str] = []
     d: list[str] = []
     tens = 0
-    for ones in blocks:
+    for ones in _runs(a):
         if ones == "1":
             c.append("10"[tens])
             d.append("01"[tens])
@@ -441,26 +438,26 @@ def synthesize_branch(a: str) -> ConfigDescriptor:
 
 def expand_descriptor(desc: ConfigDescriptor, base: Address,
                       overrides: list[tuple[Address, int]],
-                      regions: list[LevelRegion], d: int = 3) -> None:
-    """Append the descriptor's overrides and regions, in preorder (a node,
-    then its left subtree, then its right), to the two lists."""
+                      regions: list[LevelRegion]) -> None:
+    """Append the descriptor's overrides (a node's root points up, which is
+    direction 3 on the ternary tree) and regions, in preorder (a node, then
+    its left subtree, then its right), to the two lists."""
     stack = [(desc, base)]
     while stack:
         desc, base = stack.pop()
         if desc.kind == "level":
             regions.append(LevelRegion(base, desc.h))
         else:
-            overrides.append((base, d))
+            overrides.append((base, 3))
             stack += ((desc.right, base + (2,)), (desc.left, base + (1,)))
 
 
-def descriptor_to_branch_config(desc: ConfigDescriptor,
-                                d: int = 3) -> LazyTreeConfig:
+def descriptor_to_branch_config(desc: ConfigDescriptor) -> LazyTreeConfig:
     """Expand a descriptor into a branch-mode lazy configuration."""
     overrides: list[tuple[Address, int]] = []
     regions: list[LevelRegion] = []
-    expand_descriptor(desc, (1,), overrides, regions, d)
-    return LazyTreeConfig(d=d, default=d, mode="branch",
+    expand_descriptor(desc, (1,), overrides, regions)
+    return LazyTreeConfig(d=3, default=3, mode="branch",
                           overrides=tuple(overrides), regions=tuple(regions))
 
 
@@ -478,15 +475,14 @@ def synthesize_tree(a: str) -> LazyTreeConfig:
     regions: list[LevelRegion] = []
     memo: dict[str, ConfigDescriptor] = {}
     for j, r in enumerate(residues(a), start=1):
-        expand_descriptor(_synthesize(r, memo), (j,), overrides, regions, 3)
+        expand_descriptor(_synthesize(r, memo), (j,), overrides, regions)
     return LazyTreeConfig(d=3, default=3, mode="tree",
                           overrides=tuple(overrides), regions=tuple(regions))
 
 
-def simulate_branch(desc: ConfigDescriptor, m: int, d: int = 3) -> str:
+def simulate_branch(desc: ConfigDescriptor, m: int) -> str:
     """Realized escape word of a descriptor for m chips."""
-    cfg = descriptor_to_branch_config(desc, d)
-    return run_chips_infinite(cfg, m).word
+    return run_chips_infinite(descriptor_to_branch_config(desc), m).word
 
 
 def simulate_config(cfg: LazyTreeConfig, m: int) -> str:

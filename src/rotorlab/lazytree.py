@@ -91,6 +91,7 @@ import json
 import math
 import random
 from array import array
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
@@ -1188,8 +1189,16 @@ def _aggregate_run(cfg: LazyTreeConfig, n_chips: int, modified: bool,
                    check_acyclic: bool, step_cap: int) -> AggregationResult:
     """Chip 1 occupies the origin; every later chip walks until it enters
     an unoccupied vertex, which it occupies, or, when ``modified``, until
-    it returns to the origin.  The stops come from the response tables,
-    and the checkpoints from one pass over their depths."""
+    it returns to the origin.  The stops come from the response tables.
+
+    The checkpoints are read at two sizes per radius.  A_s, the cluster
+    after s settles, only grows, and so does its deepest settle.  So for
+    b_{rho-1} < s < b_rho, A_s in B_rho holds at every such s iff it does
+    at s = min(b_rho - 1, N), N the number of settles; and B_{rho-1} in A_s
+    holds at every such s iff it does at s = b_{rho-1} + 1, that is, iff
+    b_{rho-1} of the first b_{rho-1} + 1 settles lie at depth <= rho - 1
+    (the guard checks that settles are on distinct sites).  At s = b_rho,
+    A_s = B_rho iff the deepest of the first b_rho settles is at depth rho."""
     if cfg.mode != "tree":
         raise LazyTreeError("aggregation runs on the full tree")
     if check_acyclic:
@@ -1208,37 +1217,31 @@ def _aggregate_run(cfg: LazyTreeConfig, n_chips: int, modified: bool,
     while block := list(islice(chips, 1024)):
         stops += block
         occupied |= set(block)
-    sizes = [layer_size(cfg.d, k) for k in range(max(map(len, stops)) + 2)]
-    depth_counts: dict[int, int] = {0: 1}
+    settles = filter(None, map(len, stops))     # depths of settles 2, 3, ...
+    counts = Counter((0,))                      # chip 1 settles at depth 0
     ball_checks: list[tuple[int, bool]] = [(0, True)]   # A_1 = {origin} = B_0
     sandwich_ok = True
-    # size = |A| is a count, as each chip settles on an unoccupied vertex;
-    # rho is the least radius with b_rho >= size; layers 1..full are full
-    size, b_rho, max_depth, rho, full = 1, 1, 0, 0, 0
-    for depth in map(len, stops):
-        if not depth:               # chip 1, or a modified return
-            continue
-        size += 1
-        count = depth_counts[depth] = depth_counts.get(depth, 0) + 1
-        if depth > max_depth:
-            max_depth = depth
-        if b_rho < size:
-            rho += 1
-            b_rho += layer_size(cfg.d, rho)
-        if depth == full + 1 and count == sizes[depth]:
-            while depth_counts.get(full + 1, 0) == sizes[full + 1]:
-                full += 1
-        if b_rho == size:
-            ball_checks.append((rho, max_depth == rho))
-        elif not (full >= rho - 1 and max_depth <= rho):
-            # strictly between b_{rho-1} and b_rho
-            sandwich_ok = False
-
+    rho, b = 0, 1                   # counts holds the first b_rho settles
+    while True:
+        rho += 1
+        b_next = b + layer_size(cfg.d, rho)
+        counts.update(islice(settles, 1))       # settle b_{rho-1} + 1
+        if counts.total() == b:
+            break
+        lower = sum(map(counts.__getitem__, range(rho))) == b  # B_{rho-1} in A
+        counts.update(islice(settles, b_next - b - 2))  # to b_rho - 1
+        sandwich_ok = sandwich_ok and lower and max(counts) <= rho
+        counts.update(islice(settles, 1))       # settle b_rho
+        if counts.total() < b_next:
+            break
+        ball_checks.append((rho, max(counts) == rho))
+        b = b_next
+    size = counts.total()
     if len(occupied) != size:
         raise ResultCheckError(f"{size} settled chips, {len(occupied)} sites")
     return AggregationResult(
         d=cfg.d, chips=n_chips, occupied=occupied,
-        depth_counts=depth_counts, max_depth=max_depth,
+        depth_counts=dict(counts), max_depth=max(counts),
         ball_checks=ball_checks, sandwich_ok=sandwich_ok,
         stops=stops, steps=tables.total_steps, _tables=tables,
     )

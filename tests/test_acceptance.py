@@ -60,3 +60,20 @@ def test_criterion_7_fails_on_a_missing_depth(monkeypatch):
     result = acceptance.criterion_7_extremal_configs()
     assert not result.ok
     assert result.details == "d=3: chip 6 has no returning depth"
+
+
+def test_criterion_7_fails_on_a_prefix_past_the_bound(monkeypatch):
+    # m/2 returns in all, but the prefix 00 has E - R = -2
+    real = acceptance.run_chips_infinite
+
+    def run(cfg, m, **kw):
+        res = real(cfg, m, **kw)
+        if cfg.rays:                    # the alternating configuration
+            assert res.word.startswith("1010")
+            res.word = "0011" + res.word[4:]
+        return res
+
+    monkeypatch.setattr(acceptance, "run_chips_infinite", run)
+    result = acceptance.criterion_7_extremal_configs()
+    assert not result.ok
+    assert result.details == "|E - R| > 1/2 at prefix 2"

@@ -960,6 +960,14 @@ def _scripts():
     # layer 2 fills before layer 1 does: the full prefix jumps from 0 to 2
     yield 3, "deeper layer filled first", l1[:2] + l2 + [l1[2]] + l3
     yield 3, "layer 1 last", l2 + l3[:5] + l1 + l3[5:]
+    # the sandwich's two ends for rho = 2, settles b_1 + 1 = 5 and b_2 - 1 = 9
+    # ("deep site first" fills the hole at b_1 + 1)
+    yield 3, "hole open at b_1 + 1", l1[:2] + l2[:2] + [l1[2]] + l2[2:] + l3
+    yield 3, "layer 3 only at b_2 - 1", l1 + l2[:4] + [l3[0]] + l2[4:] + l3[1:]
+    yield 3, "layer 3 first at b_2", l1 + l2[:5] + [l3[0], l2[5]] + l3[1:]
+    # runs that stop inside an interval, at its two ends
+    yield 3, "stops at b_1 + 1, hole open", l1[:2] + l2[:2]
+    yield 3, "stops at b_2 - 1, layer 3 reached", l1 + l2[:4] + [l3[0]]
     yield 4, "breadth-first", ball_vertices(4, 2)[1:]
     rng = random.Random(41)
     for i in range(60):
