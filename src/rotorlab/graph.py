@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import getitem
 from typing import Iterable, Mapping, Sequence
 
 
@@ -73,16 +74,21 @@ class DirectedMultigraph:
     )
 
     def __init__(self, vertices: tuple[str, ...], sink: str,
-                 out: dict[str, tuple[str, ...]]):
+                 out: dict[str, tuple[str, ...]],
+                 index: dict[str, int] | None = None,
+                 out_idx: list[tuple[int, ...]] | None = None):
+        index = index or {v: i for i, v in enumerate(vertices)}
+        out_idx = out_idx or [tuple(index[t] for t in out[v]) for v in vertices]
         self.vertices = vertices
         self.sink = sink
         self.out = out
-        self.index = {v: i for i, v in enumerate(vertices)}
-        self.sink_index = self.index[sink]
-        self.out_idx = [tuple(self.index[t] for t in out[v]) for v in vertices]
-        self.deg_idx = [len(lst) for lst in self.out_idx]
-        self.rotor_vertices = tuple(v for v in vertices if v != sink)
-        self.rotor_index = {v: i for i, v in enumerate(self.rotor_vertices)}
+        self.index = index
+        self.sink_index = si = index[sink]
+        self.out_idx = out_idx
+        self.deg_idx = list(map(len, out_idx))
+        self.rotor_vertices = vertices[:si] + vertices[si + 1:]
+        self.rotor_index = dict(zip(self.rotor_vertices,
+                                    range(len(vertices) - 1)))
 
     def outdeg(self, x: str) -> int:
         return len(self.out[x])
@@ -94,15 +100,13 @@ class DirectedMultigraph:
     # -- conversions between rotor-vertex slots and full index arrays -----
 
     def slots_to_full(self, t: "RotorConfiguration") -> list[int]:
-        """Expand config slots into a per-vertex list (sink entry unused)."""
-        full = [0] * len(self.vertices)
-        for v, s in zip(self.rotor_vertices, t.slots):
-            full[self.index[v]] = s
-        return full
+        """Expand config slots into a per-vertex list (sink entry 0, unused)."""
+        si = self.sink_index
+        return [*t.slots[:si], 0, *t.slots[si:]]
 
     def full_to_slots(self, full: Sequence[int]) -> "RotorConfiguration":
-        return RotorConfiguration(tuple(full[self.index[v]]
-                                        for v in self.rotor_vertices))
+        si = self.sink_index
+        return RotorConfiguration((*full[:si], *full[si + 1:]))
 
     def __repr__(self) -> str:
         return (f"DirectedMultigraph({len(self.vertices)} vertices, "
@@ -130,16 +134,16 @@ class RotorConfiguration:
     def validate(self, g: DirectedMultigraph) -> None:
         if len(self.slots) != len(g.rotor_vertices):
             raise ConfigError("configuration does not match graph vertex set")
-        for v, s in zip(g.rotor_vertices, self.slots):
-            if not 0 <= s < g.outdeg(v):
+        degs = g.deg_idx[:g.sink_index] + g.deg_idx[g.sink_index + 1:]
+        for v, s, deg in zip(g.rotor_vertices, self.slots, degs):
+            if not 0 <= s < deg:
                 raise ConfigError(f"rotor index {s} out of range at {v!r}")
 
     @staticmethod
     def uniform(g: DirectedMultigraph, s: int = 0) -> "RotorConfiguration":
-        for v in g.rotor_vertices:
-            if not 0 <= s < g.outdeg(v):
-                raise ConfigError(f"rotor index {s} out of range at {v!r}")
-        return RotorConfiguration(tuple(s for _ in g.rotor_vertices))
+        t = RotorConfiguration((s,) * len(g.rotor_vertices))
+        t.validate(g)
+        return t
 
     def to_dict(self, g: DirectedMultigraph) -> dict[str, int]:
         return {v: s for v, s in zip(g.rotor_vertices, self.slots)}
@@ -182,33 +186,38 @@ class StateClass:
 
 def build_graph(vertices: Iterable[str], sink: str,
                 out: Mapping[str, Sequence[str]]) -> DirectedMultigraph:
-    """Validate and build a graph from named out-edge lists.
+    """Validate and build a graph from named out-edge lists, in one pass
+    that also turns each out-list into vertex indices.
 
     Raises LoopEdgeError, EmptyOutListError or NotStronglyConnectedError
     when the corresponding invariant fails.
     """
     verts = tuple(vertices)
-    vset = set(verts)
-    if len(vset) != len(verts):
+    index = {v: i for i, v in enumerate(verts)}
+    if len(index) != len(verts):
         raise GraphError("duplicate vertex names")
-    if sink not in vset:
+    if sink not in index:
         raise GraphError(f"sink {sink!r} is not a vertex")
     out_t: dict[str, tuple[str, ...]] = {}
-    for v in verts:
+    out_idx: list[tuple[int, ...]] = []
+    for i, v in enumerate(verts):
         lst = tuple(out.get(v, ()))
-        for tgt in lst:
-            if tgt not in vset:
-                raise GraphError(f"edge {v!r}->{tgt!r} targets unknown vertex")
-            if tgt == v:
-                raise LoopEdgeError(f"loop edge at {v!r}")
+        idx = tuple(map(index.get, lst))
+        if None in idx or i in idx:
+            for tgt, j in zip(lst, idx):
+                if j is None:
+                    raise GraphError(f"edge {v!r}->{tgt!r} targets unknown vertex")
+                if j == i:
+                    raise LoopEdgeError(f"loop edge at {v!r}")
         if v != sink and not lst:
             raise EmptyOutListError(f"non-sink vertex {v!r} has no out-edges")
         out_t[v] = lst
-    unknown = set(out) - vset
+        out_idx.append(idx)
+    unknown = set(out).difference(index)
     if unknown:
         raise GraphError(f"out-lists for unknown vertices: {sorted(unknown)}")
 
-    g = DirectedMultigraph(verts, sink, out_t)
+    g = DirectedMultigraph(verts, sink, out_t, index, out_idx)
     if not _strongly_connected(g):
         raise NotStronglyConnectedError("graph is not strongly connected")
     return g
@@ -244,12 +253,9 @@ def _strongly_connected(g: DirectedMultigraph) -> bool:
 
 def _rotor_targets(g: DirectedMultigraph, t: RotorConfiguration) -> list[int]:
     """Rotor target index per vertex index; sink maps to itself."""
-    tgt = [0] * len(g.vertices)
-    tgt[g.sink_index] = g.sink_index
-    for v, s in zip(g.rotor_vertices, t.slots):
-        i = g.index[v]
-        tgt[i] = g.out_idx[i][s]
-    return tgt
+    si = g.sink_index
+    return [*map(getitem, g.out_idx[:si], t.slots[:si]), si,
+            *map(getitem, g.out_idx[si + 1:], t.slots[si:])]
 
 
 def _acyclic(g: DirectedMultigraph, tgt: list[int], skip: int = -1) -> bool:
@@ -457,13 +463,8 @@ def shortest_path_config(g: DirectedMultigraph) -> RotorConfiguration:
                     dist[v] = dist[w] + 1
                     nxt.append(v)
         frontier = nxt
-    slots = []
-    for v in g.rotor_vertices:
-        i = g.index[v]
-        slot = min(range(g.deg_idx[i]),
-                   key=lambda s: dist[g.out_idx[i][s]])
-        slots.append(slot)
-    return RotorConfiguration(tuple(slots))
+    return g.full_to_slots([min(range(len(out)), key=lambda s: dist[out[s]],
+                                default=0) for out in g.out_idx])
 
 
 # -- serialization --------------------------------------------------------

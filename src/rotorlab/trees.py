@@ -15,6 +15,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, islice
+from operator import add
+from typing import Iterable
 
 from rotorlab.graph import (
     DirectedMultigraph,
@@ -52,7 +55,7 @@ class TreeInfo:
     parent: dict[str, str] = field(default_factory=dict)
     children: dict[str, list[str]] = field(default_factory=dict)
     internal: list[str] = field(default_factory=list)   # rotor-bearing tree vertices
-    leaves: list[str] = field(default_factory=list)     # hat tree only
+    leaves: list[str] = field(default_factory=list)     # depth n-1 (hat: o first)
 
 
 def _check_params(d: int, n: int) -> None:
@@ -63,25 +66,22 @@ def _check_params(d: int, n: int) -> None:
 
 
 def _tree_skeleton(d: int, n: int) -> TreeInfo:
-    """Names, depths, parents and children of T_n, in BFS order."""
+    """Names, depths, parents and children of T_n, built level by level."""
     a = d - 1
+    suffixes = [f"/{i}" for i in range(1, d)]
+    levels = [["r"]]
+    for _ in range(1, n):
+        levels.append([p + x for p in levels[-1] for x in suffixes])
     info = TreeInfo(d=d, n=n, variant="skeleton")
-    info.depth["r"] = 0
-    info.children["r"] = []
-    level = ["r"]
-    for dep in range(1, n):
-        nxt = []
-        for p in level:
-            for i in range(1, a + 1):
-                name = f"{p}/{i}" if p != "r" else f"r/{i}"
-                info.depth[name] = dep
-                info.parent[name] = p
-                info.children[p].append(name)
-                info.children[name] = []
-                nxt.append(name)
-        level = nxt
-    info.internal = [v for v, dep in info.depth.items() if dep <= n - 2]
-    info.leaves = [v for v, dep in info.depth.items() if dep == n - 1]
+    for dep, level in enumerate(levels):
+        info.depth.update(dict.fromkeys(level, dep))
+    for up, level in zip(levels, levels[1:]):
+        info.parent.update(zip(level, [p for p in up for _ in suffixes]))
+        info.children.update(zip(up, (level[i:i + a]
+                                      for i in range(0, len(level), a))))
+    info.children.update((v, []) for v in levels[-1])
+    info.internal = [v for level in levels[:-1] for v in level]
+    info.leaves = levels[-1]
     return info
 
 
@@ -98,22 +98,23 @@ def _tree_graph(d: int, n: int, variant: str, up: str | None,
     _check_params(d, n)
     info = _tree_skeleton(d, n)
     info.variant = variant
-    tree = info.internal if merge else list(info.depth)
-    out: dict[str, list[str]] = {}
-    for v in tree:
-        out[v] = [merge if merge and info.depth[c] == n - 1 else c
-                  for c in info.children[v]]
-        parent = info.parent.get(v, up)
-        if parent is not None:
-            out[v].append(parent)
-    vertices = list(tree)
+    a = d - 1
+    kids = list(map(tuple, info.children.values()))
+    last = len(info.internal) - a ** (n - 2)    # the last internal level
+    if merge is not None:   # points at merge, and the leaves are dropped
+        kids[last:] = [(merge,) * a] * a ** (n - 2)
+    # zip over one iterable yields its items as 1-tuples
+    ups = chain([() if up is None else (up,)], zip(info.parent.values()))
+    out = dict(zip(info.depth, map(add, kids, ups)))
+    vertices = list(out)
     if up is not None and up != merge:
-        out[up] = ["r"]
+        out[up] = ("r",)
         vertices.insert(0, up)
         if merge is None:
             info.leaves = [up] + info.leaves
     if merge is not None:
-        out[merge] = [v for v in tree for t in out[v] if t == merge]
+        out[merge] = (("r",) if up == merge else ()) + tuple(
+            v for v in info.internal[last:] for _ in range(a))
         vertices.append(merge)
     g = build_graph(vertices, up if up is not None else "r", out)
     return g, info
@@ -159,6 +160,16 @@ def build_tree(spec: TreeSpec) -> tuple[DirectedMultigraph, TreeInfo]:
     return builders[spec.variant](spec.d, spec.n)
 
 
+def _internal_config(g: DirectedMultigraph, info: TreeInfo,
+                     slots: Iterable[int]) -> RotorConfiguration:
+    """``slots`` at the internal tree vertices, in BFS order, which every
+    builder places in one run of the vertex order; slot 0 elsewhere."""
+    full = [0] * len(g.vertices)
+    lo = g.index[info.root]
+    full[lo:lo + len(info.internal)] = slots
+    return g.full_to_slots(full)
+
+
 def uniform_direction_config(g: DirectedMultigraph, info: TreeInfo,
                              direction: int) -> RotorConfiguration:
     """All internal tree rotors set to one direction (1-based); rest slot 0.
@@ -166,17 +177,12 @@ def uniform_direction_config(g: DirectedMultigraph, info: TreeInfo,
     Only the internal vertices carry meaningful rotors; leaf and boundary
     rotors never fire in any experiment here.
     """
-    internal = set(info.internal)
-    slots = []
-    for v in g.rotor_vertices:
-        if v in internal:
-            deg = g.outdeg(v)
-            if not 1 <= direction <= deg:
-                raise BadParametersError(f"direction {direction} out of range at {v!r}")
-            slots.append(direction - 1)
-        else:
-            slots.append(0)
-    return RotorConfiguration(tuple(slots))
+    lo = g.index[info.root]
+    degs = g.deg_idx[lo:lo + len(info.internal)]
+    for v, deg in zip(info.internal, degs):
+        if not 1 <= direction <= deg and v != g.sink:
+            raise BadParametersError(f"direction {direction} out of range at {v!r}")
+    return _internal_config(g, info, [direction - 1] * len(degs))
 
 
 def internal_slots(g: DirectedMultigraph, info: TreeInfo,
@@ -185,9 +191,9 @@ def internal_slots(g: DirectedMultigraph, info: TreeInfo,
     return tuple(t.slot(g, v) for v in info.internal)
 
 
-def _mutual_pair(g: DirectedMultigraph, info: TreeInfo,
-                 t: RotorConfiguration) -> tuple[str, str] | None:
-    """A parent/child pair of internal tree vertices pointing at each other.
+def is_acyclic_tree_config(g: DirectedMultigraph, info: TreeInfo,
+                           t: RotorConfiguration) -> bool:
+    """No parent/child pair of internal tree vertices points at each other.
 
     Leaf rotors never fire and are ignored, matching the quotient in which
     the configuration lives on the wired tree.
@@ -195,18 +201,10 @@ def _mutual_pair(g: DirectedMultigraph, info: TreeInfo,
     internal = set(info.internal)
     for v in info.internal:
         for i, c in enumerate(info.children.get(v, [])):
-            if c not in internal:
-                continue
-            v_points_c = t.slot(g, v) == i
-            c_points_v = t.slot(g, c) == g.outdeg(c) - 1
-            if v_points_c and c_points_v:
-                return v, c
-    return None
-
-
-def is_acyclic_tree_config(g: DirectedMultigraph, info: TreeInfo,
-                           t: RotorConfiguration) -> bool:
-    return _mutual_pair(g, info, t) is None
+            if (c in internal and t.slot(g, v) == i
+                    and t.slot(g, c) == g.outdeg(c) - 1):
+                return False
+    return True
 
 
 def random_acyclic_tree_config(g: DirectedMultigraph, info: TreeInfo,
@@ -217,23 +215,15 @@ def random_acyclic_tree_config(g: DirectedMultigraph, info: TreeInfo,
     parent slot when the parent's rotor already points at it; leaf slots are
     fixed.  Every acyclic configuration has positive probability.
     """
-    slot_of: dict[str, int] = {}
-    for v in info.internal:      # BFS order: parents precede children
+    a = info.d - 1
+    slots: list[int] = []
+    for j, v in enumerate(info.internal):   # BFS: parents precede children
         deg = g.outdeg(v)
         choices = list(range(deg))
-        p = info.parent.get(v)
-        if p is not None and p in slot_of:
-            kid_pos = info.children[p].index(v)
-            if slot_of[p] == kid_pos:
-                choices.remove(deg - 1)
-        slot_of[v] = rng.choice(choices)
-    slots = []
-    for v in g.rotor_vertices:
-        if v in slot_of:
-            slots.append(slot_of[v])
-        else:
-            slots.append(0)
-    t = RotorConfiguration(tuple(slots))
+        if j and slots[(j - 1) // a] == (j - 1) % a:    # the parent points at v
+            choices.remove(deg - 1)
+        slots.append(rng.choice(choices))
+    t = _internal_config(g, info, slots)
     if not is_acyclic_tree_config(g, info, t):
         raise ResultCheckError("sampled tree configuration is not acyclic")
     return t
@@ -246,33 +236,44 @@ def _solve_harmonic(info: TreeInfo, boundary: dict[str, Fraction]) -> dict[str, 
 
     The function is harmonic at the root and every internal vertex, and
     fixed on the leaves (o and the depth n-1 vertices).  Upward elimination,
-    deepest vertices first, writes H(v) = alpha_v + beta_v * H(parent), the
-    root's parent being the leaf o; a downward pass fills in the values.
+    deepest level first, writes H(v) = alpha + beta * H(parent), the root's
+    parent being the leaf o.  alpha and beta depend only on v's subtree
+    type: a leaf's boundary value, or the tuple of the children's types.
+    So the Fraction work is done once per type going up, and once per
+    (type, parent value) going down.
     """
-    alpha: dict[str, Fraction] = {}
-    beta: dict[str, Fraction] = {}
-    for v in reversed(info.internal):       # BFS order, reversed
-        num = Fraction(0)
-        den = Fraction(len(info.children[v]) + 1)
-        for c in info.children[v]:
-            if c in alpha:              # internal, eliminated already
-                num += alpha[c]
-                den -= beta[c]
-            else:
-                num += boundary[c]
-        alpha[v] = num / den
-        beta[v] = Fraction(1) / den
+    a = info.d - 1
+    kinds: dict = {}        # type -> type id
+    leaves = islice(info.depth, len(info.internal), None)   # in BFS order
+    ids = [kinds.setdefault(boundary[z], len(kinds)) for z in leaves]
+    alpha = list(kinds)     # a leaf's H is its value + 0 * H(parent)
+    beta = [Fraction(0)] * len(alpha)
+    typed = []
+    for _ in range(info.n - 1):     # a level up: a key per run of a child ids
+        ids = [kinds.setdefault(key, len(kinds)) for key in zip(*[iter(ids)] * a)]
+        for key in list(kinds)[len(alpha):]:
+            den = a + 1 - sum(map(beta.__getitem__, key))
+            alpha.append(sum(map(alpha.__getitem__, key)) / den)
+            beta.append(1 / den)
+        typed.append(ids)
+    values = [boundary["o"]]    # value id 0: o, the root's parent
+    down: dict[tuple[int, int], int] = {}     # (type, parent value) -> value
+    vids = [0]
+    placed: list[int] = []      # value ids of the internal vertices, BFS
+    for ids in reversed(typed):
+        parents = [p for p in vids for _ in range(a)]
+        vids = [down.setdefault(key, len(down) + 1) for key in zip(ids, parents)]
+        for t, p in list(down)[len(values) - 1:]:
+            values.append(alpha[t] + beta[t] * values[p])
+        placed += vids
     H = dict(boundary)
-    for v in info.internal:
-        H[v] = alpha[v] + beta[v] * H[info.parent.get(v, "o")]
+    H.update(zip(info.internal, map(values.__getitem__, placed)))
     return H
 
 
 def _indicator_boundary(info: TreeInfo, target: str) -> dict[str, Fraction]:
     """Boundary values 1 at ``target`` and 0 at every other hat-tree leaf."""
-    bnd = {v: Fraction(0) for v in ["o", *info.leaves]}
-    bnd[target] = Fraction(1)
-    return bnd
+    return {v: Fraction(v == target) for v in ["o", *info.leaves]}
 
 
 def hitting_probabilities(d: int, n: int, verify: bool = True,
@@ -299,11 +300,9 @@ def hitting_probabilities(d: int, n: int, verify: bool = True,
             raise ResultCheckError("harmonic solve disagrees with closed forms")
         if p_o + (a ** (n - 1)) * h_r != 1:
             raise ResultCheckError("leaf probabilities do not sum to 1")
-        z1 = info.leaves[-1]
-        if z1 != z0:
-            bnd = _indicator_boundary(info, z1)
-            if _solve_harmonic(info, bnd)["r"] != h_r:
-                raise ResultCheckError("leaf symmetry violated")
+        bnd = _indicator_boundary(info, info.leaves[-1])     # another leaf
+        if _solve_harmonic(info, bnd)["r"] != h_r:
+            raise ResultCheckError("leaf symmetry violated")
 
     probs = {z: h_r for z in info.leaves}
     probs["o"] = p_o

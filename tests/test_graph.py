@@ -7,6 +7,7 @@ from itertools import combinations, permutations, product
 import pytest
 
 from rotorlab.graph import (
+    ConfigError,
     DirectedMultigraph,
     EmptyOutListError,
     GraphError,
@@ -29,7 +30,7 @@ from rotorlab.graph import (
     spanning_tree_count,
 )
 from rotorlab.sampling import random_multigraph
-from rotorlab.trees import build_wired_tree
+from rotorlab.trees import build_branch, build_hat_tree, build_wired_tree
 
 
 def two_cycle():
@@ -71,6 +72,106 @@ def test_not_strongly_connected_rejected():
     with pytest.raises(NotStronglyConnectedError):
         build_graph(["a", "b", "s"], "s",
                     {"a": ["b"], "b": ["a"], "s": ["a"]})
+
+
+# (vertices, sink, out, error type, message); the cases are ordered so that
+# each input also carries the errors that the checks after its own would
+# report, which pins the order of the checks
+BUILD_ERRORS = [
+    (["a", "a"], "s", {"a": ["a"]}, GraphError, "duplicate vertex names"),
+    (["a", "b"], "s", {"a": ["x"], "z": []}, GraphError,
+     "sink 's' is not a vertex"),
+    (["a", "s"], "s", {"a": ["x", "a"], "s": ["s"]}, GraphError,
+     "edge 'a'->'x' targets unknown vertex"),
+    (["a", "s"], "s", {"a": ["s", "a", "x"], "s": ["y"]}, LoopEdgeError,
+     "loop edge at 'a'"),
+    (["a", "s"], "s", {"a": ["s"], "s": ["s"]}, LoopEdgeError,
+     "loop edge at 's'"),
+    (["a", "b", "s"], "s", {"a": ["s"], "b": [], "s": ["x"]}, EmptyOutListError,
+     "non-sink vertex 'b' has no out-edges"),
+    (["a", "b", "s"], "s", {"a": ["s"], "b": ["a"], "s": ["x"]}, GraphError,
+     "edge 's'->'x' targets unknown vertex"),
+    (["a", "b", "s"], "s", {"a": [], "b": ["b"], "z": ["a"]},
+     EmptyOutListError, "non-sink vertex 'a' has no out-edges"),
+    (["a", "b", "s"], "s", {"a": ["s"], "b": ["a"], "z": ["a"], "y": []},
+     GraphError, "out-lists for unknown vertices: ['y', 'z']"),
+    (["a", "b", "s"], "s", {"a": ["b"], "b": ["a"], "s": ["a"]},
+     NotStronglyConnectedError, "graph is not strongly connected"),
+    (["a", "s"], "s", {"a": ["s"]}, NotStronglyConnectedError,
+     "graph is not strongly connected"),
+]
+
+
+@pytest.mark.parametrize("vertices, sink, out, error, message", BUILD_ERRORS)
+def test_build_graph_error_messages_and_precedence(vertices, sink, out, error,
+                                                   message):
+    with pytest.raises(GraphError) as info:
+        build_graph(vertices, sink, out)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_direct_construction_matches_build_graph():
+    # the fields DirectedMultigraph derives from names equal the ones
+    # build_graph hands it, with the sink first, in the middle and last
+    out = {"a": ("b", "s", "b"), "b": ("a", "s"), "s": ("a", "b", "b")}
+    for vertices in (("s", "a", "b"), ("a", "s", "b"), ("a", "b", "s")):
+        built = build_graph(vertices, "s", out)
+        direct = DirectedMultigraph(vertices, "s", out)
+        for name in DirectedMultigraph.__slots__:
+            assert getattr(direct, name) == getattr(built, name), name
+
+
+def sink_in_middle():
+    # no tree builder puts the sink between other vertices
+    return build_graph(
+        ["a", "b", "s", "c", "e"], "s",
+        {"a": ["b", "s", "c"], "b": ["a", "s"], "s": ["a", "c", "e"],
+         "c": ["e", "b", "s", "a"], "e": ["c"]},
+    )
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_hat_tree(3, 4)[0],       # sink first
+    lambda: build_branch(4, 3)[0],         # sink first
+    lambda: build_wired_tree(3, 4)[0],     # sink last
+    sink_in_middle,
+])
+def test_slot_conversions_match_the_index_mapping(make):
+    g = make()
+    assert g.rotor_vertices == tuple(v for v in g.vertices if v != g.sink)
+    rng = random.Random(len(g.vertices))
+    for _ in range(20):
+        t = RotorConfiguration(tuple(rng.randrange(g.outdeg(v))
+                                     for v in g.rotor_vertices))
+        full = g.slots_to_full(t)
+        assert len(full) == len(g.vertices)
+        assert full[g.index[g.sink]] == 0
+        assert all(full[g.index[v]] == t.slot(g, v) for v in g.rotor_vertices)
+        assert g.full_to_slots(full) == t
+        full[g.index[g.sink]] = 7       # the sink entry is ignored
+        assert g.full_to_slots(full) == t
+        other = [rng.randrange(5) for _ in g.vertices]
+        assert g.full_to_slots(other).slots == tuple(
+            other[g.index[v]] for v in g.rotor_vertices)
+
+
+def test_validate_names_the_first_bad_rotor():
+    g = sink_in_middle()        # rotor order a, b, c, e; degrees 3, 2, 4, 1
+    with pytest.raises(ConfigError, match="does not match"):
+        RotorConfiguration((0, 0, 0)).validate(g)
+    for slots, message in [((0, 2, 0, 1), "rotor index 2 out of range at 'b'"),
+                           ((0, 1, 4, 0), "rotor index 4 out of range at 'c'"),
+                           ((0, 1, 3, -1), "rotor index -1 out of range at 'e'"),
+                           ((3, 5, 0, 0), "rotor index 3 out of range at 'a'")]:
+        with pytest.raises(ConfigError) as info:
+            RotorConfiguration(slots).validate(g)
+        assert str(info.value) == message
+    RotorConfiguration((2, 1, 3, 0)).validate(g)
+    assert RotorConfiguration.uniform(g) == RotorConfiguration((0, 0, 0, 0))
+    with pytest.raises(ConfigError) as info:
+        RotorConfiguration.uniform(g, 1)
+    assert str(info.value) == "rotor index 1 out of range at 'e'"
 
 
 def test_is_recurrent_two_cycle():

@@ -187,6 +187,54 @@ def test_hitting_probabilities_grid():
             assert h_r == Fraction(a - 1, a ** n - 1)
 
 
+def solve_harmonic_oracle(info, boundary):
+    """Per-vertex elimination: deepest internal vertices first, H(v) =
+    alpha_v + beta_v * H(parent) with the root's parent the leaf o, then a
+    downward pass in BFS order."""
+    alpha = {}
+    beta = {}
+    for v in reversed(info.internal):
+        num = Fraction(0)
+        den = Fraction(len(info.children[v]) + 1)
+        for c in info.children[v]:
+            if c in alpha:
+                num += alpha[c]
+                den -= beta[c]
+            else:
+                num += boundary[c]
+        alpha[v] = num / den
+        beta[v] = Fraction(1) / den
+    H = dict(boundary)
+    for v in info.internal:
+        H[v] = alpha[v] + beta[v] * H[info.parent.get(v, "o")]
+    return H
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_solve_harmonic_matches_per_vertex_oracle(d):
+    # values and dict order, on indicator boundaries and on random rational
+    # ones drawn from pools of 2, 3 and 50 values, so that subtrees of equal
+    # boundary data are common, rare and absent
+    rng = random.Random(d)
+    for n in range(2, 7):
+        info = trees._tree_skeleton(d, n)
+        names = ["o", *info.leaves]
+        boundaries = [{v: Fraction(v == z) for v in names}
+                      for z in ("o", info.leaves[0], info.leaves[-1])]
+        for size in (2, 3, 50):
+            pool = [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                    for _ in range(size)]
+            boundaries.append({v: rng.choice(pool) for v in names})
+        for bnd in boundaries:
+            want = solve_harmonic_oracle(info, bnd)
+            assert list(trees._solve_harmonic(info, bnd).items()) == \
+                list(want.items()), (d, n)
+        for z in ("o", info.leaves[0], info.leaves[-1]):
+            want = solve_harmonic_oracle(info, trees._indicator_boundary(info, z))
+            assert list(harmonic_field_for_leaf(d, n, z).items()) == \
+                list(want.items()), (d, n, z)
+
+
 def test_exit_measure_smallest():
     res = exit_measure_experiment(3, 2, rng=random.Random(0))
     assert res.chips == 3
@@ -289,6 +337,28 @@ def test_uniform_direction_config_directions():
     t3 = uniform_direction_config(g, info, 3)
     assert t3.target(g, "r") == "o"
     assert t3.target(g, "r/1") == "r"
+
+
+@pytest.mark.parametrize("build", [build_plain_tree, build_hat_tree,
+                                   build_wired_tree, build_branch])
+def test_uniform_direction_config_per_vertex(build):
+    for d, n in [(3, 2), (3, 4), (4, 3)]:
+        g, info = build(d, n)
+        internal = set(info.internal)
+        for direction in range(1, d + 1):
+            t = uniform_direction_config(g, info, direction)
+            assert t.slots == tuple(direction - 1 if v in internal else 0
+                                    for v in g.rotor_vertices)
+        # the plain tree's root is its sink and carries no rotor
+        bad = [v for v in info.internal if v != g.sink][:1]
+        for direction in (0, d + 1):
+            if not bad:
+                uniform_direction_config(g, info, direction)
+                continue
+            with pytest.raises(BadParametersError) as exc:
+                uniform_direction_config(g, info, direction)
+            assert str(exc.value) == \
+                f"direction {direction} out of range at {bad[0]!r}"
 
 
 def test_branch_root_rotor_cycle_step_by_step():
