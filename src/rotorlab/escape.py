@@ -11,8 +11,6 @@ sub-branch words through the block maps psi and phi.
 
 from __future__ import annotations
 
-import json
-import re
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import sub
@@ -203,15 +201,17 @@ def is_escape_tree(a: str) -> bool:
 
 # -- configuration descriptors ------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class ConfigDescriptor:
     """Finite recursive description of a branch rotor configuration.
 
     kind "level": the first h levels of the branch point in direction d-1
     and everything deeper points in direction d.  kind "node": the branch
     root points up and the two sub-branches carry their own descriptors.
-    Synthesized descriptors share equal sub-descriptors; equality, JSON and
-    expansion see the tree they unfold to.
+    A descriptor is a DAG node, compared by identity: synthesized
+    descriptors share equal sub-descriptors.  Two descriptors realize the
+    same configuration exactly when ``descriptor_to_branch_config`` gives
+    equal configs, and that config's JSON is a descriptor's text form.
     """
 
     kind: str                     # "level" | "node"
@@ -229,161 +229,6 @@ class ConfigDescriptor:
     def node(left: "ConfigDescriptor", right: "ConfigDescriptor",
              ) -> "ConfigDescriptor":
         return ConfigDescriptor("node", left=left, right=right)
-
-    def __eq__(self, other: object) -> bool:
-        """Equal when the JSON is: the unfolded trees are equal."""
-        if type(other) is not ConfigDescriptor:
-            return NotImplemented
-        return self is other or self.to_json() == other.to_json()
-
-    def __hash__(self) -> int:
-        return hash(self.to_json())
-
-    def to_json_dict(self) -> dict:
-        """The unfolded tree as nested dicts, on an explicit stack."""
-        root: dict = {}
-        stack = [(self, root)]
-        while stack:
-            x, out = stack.pop()
-            if x.kind == "level":
-                out.update(rule="level", h=x.h)
-            else:
-                out.update(rule="node", root="up", left={}, right={})
-                stack += [(x.right, out["right"]), (x.left, out["left"])]
-        return root
-
-    def to_json(self) -> str:
-        """``json.dumps(self.to_json_dict(), sort_keys=True)``, written in
-        preorder on an explicit stack: the json module recurses once per
-        level of nesting."""
-        parts = []
-        stack: list = [self]
-        while stack:
-            x = stack.pop()
-            if type(x) is str:
-                parts.append(x)
-            elif x.kind == "level":
-                parts.append(f'{{"h": {json.dumps(x.h)}, "rule": "level"}}')
-            else:
-                parts.append('{"left": ')
-                stack += [', "root": "up", "rule": "node"}', x.right,
-                          ', "right": ', x.left]
-        return "".join(parts)
-
-    @staticmethod
-    def from_json_dict(p: dict) -> "ConfigDescriptor":
-        """The descriptor of a ``to_json_dict`` tree, built children first
-        on an explicit stack; nodes are checked in preorder, and a
-        malformed one raises WordError."""
-        built: list[ConfigDescriptor] = []
-        stack = [(p, False)]
-        while stack:
-            q, ready = stack.pop()
-            if ready:                 # both children are built
-                right = built.pop()
-                built.append(ConfigDescriptor.node(built.pop(), right))
-            elif not isinstance(q, dict):
-                raise WordError("descriptor node is not an object: "
-                                f"{type(q).__name__}")
-            elif q.get("rule") == "level":
-                h = q.get("h")
-                if type(h) is not int:          # bool is no height either
-                    raise WordError("level rule needs an integer h, not "
-                                    f"{type(h).__name__}")
-                built.append(ConfigDescriptor.level(h))
-            elif q.get("rule") == "node":
-                if "left" not in q or "right" not in q:
-                    raise WordError("node rule needs left and right")
-                stack += [(q, True), (q["right"], False), (q["left"], False)]
-            else:
-                raise WordError(f"unknown descriptor rule {q.get('rule')!r}")
-        return built[0]
-
-    @staticmethod
-    def from_json(text: str) -> "ConfigDescriptor":
-        return ConfigDescriptor.from_json_dict(_json_loads(text))
-
-    def __repr__(self) -> str:
-        """The dataclass repr, written in preorder on an explicit stack."""
-        parts = []
-        stack: list = [self]
-        while stack:
-            x = stack.pop()
-            if type(x) is str:
-                parts.append(x)
-            elif x is None:
-                parts.append("None")
-            else:
-                parts.append(f"ConfigDescriptor(kind={x.kind!r}, h={x.h!r}, "
-                             "left=")
-                stack += [")", x.right, ", right=", x.left]
-        return "".join(parts)
-
-
-_JSON_SPACE = re.compile(r"[ \t\n\r]*")
-_JSON_SCALAR = json.JSONDecoder()
-
-
-def _json_key(text: str, pos: int, frame: list) -> int:
-    """Read '"key" :' at pos into the open object's frame; return the
-    position of its value."""
-    if text[pos:pos + 1] != '"':
-        raise json.JSONDecodeError(
-            "Expecting property name enclosed in double quotes", text, pos)
-    frame[1], pos = json.decoder.scanstring(text, pos + 1)
-    pos = _JSON_SPACE.match(text, pos).end()
-    if text[pos:pos + 1] != ":":
-        raise json.JSONDecodeError("Expecting ':' delimiter", text, pos)
-    return _JSON_SPACE.match(text, pos + 1).end()
-
-
-def _json_loads(text: str):
-    """``json.loads(text)`` with the open objects and arrays on an explicit
-    stack, since the json module recurses once per level of nesting: the
-    same value, or a JSONDecodeError where json.loads raises one.  Scalars
-    are read by the json module."""
-    space = _JSON_SPACE.match
-    stack: list[list] = []              # [container, key of the next value]
-    pos = space(text, 0).end()
-    while True:
-        ch = text[pos:pos + 1]
-        if ch == "{" or ch == "[":
-            value = {} if ch == "{" else []
-            pos = space(text, pos + 1).end()
-            if text[pos:pos + 1] == ("}" if ch == "{" else "]"):
-                pos += 1
-            else:
-                stack.append([value, None])
-                if ch == "{":
-                    pos = _json_key(text, pos, stack[-1])
-                continue
-        else:
-            value, pos = _JSON_SCALAR.raw_decode(text, pos)
-        while True:                     # value is complete: store it
-            pos = space(text, pos).end()
-            if not stack:
-                if pos != len(text):
-                    raise json.JSONDecodeError("Extra data", text, pos)
-                return value
-            frame = stack[-1]
-            container = frame[0]
-            is_object = type(container) is dict
-            if is_object:
-                container[frame[1]] = value
-            else:
-                container.append(value)
-            ch = text[pos:pos + 1]
-            if ch == ",":
-                pos = space(text, pos + 1).end()
-                if is_object:
-                    pos = _json_key(text, pos, frame)
-                break
-            if ch != ("}" if is_object else "]"):
-                raise json.JSONDecodeError("Expecting ',' delimiter", text,
-                                           pos)
-            stack.pop()
-            value = container
-            pos += 1
 
 
 def _degenerate_height(a: str) -> int | None:

@@ -479,8 +479,12 @@ def graph_to_json(g: DirectedMultigraph) -> str:
 
 
 def graph_from_json(text: str) -> DirectedMultigraph:
-    """Parse and build a graph; a malformed payload raises GraphError."""
-    payload = json.loads(text)
+    """Parse and build a graph; a malformed payload, or one nested too deep
+    for the json module, raises GraphError."""
+    try:
+        payload = json.loads(text)
+    except RecursionError:
+        raise GraphError("graph JSON is nested too deeply") from None
     if not isinstance(payload, dict):
         raise GraphError("graph JSON must be an object")
     vertices, sink, out = (payload.get(k) for k in ("vertices", "sink", "out"))

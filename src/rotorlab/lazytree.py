@@ -209,8 +209,10 @@ class LazyTreeConfig:
         prefixes.  A prefix new to the map gets its child index
         range-checked and its kind, from its parent's, once; the region
         heights and ray starts it reads are gathered first, and an override
-        sets the base of its kind when the loop reaches it.  The first
-        fault found in that order raises LazyTreeError."""
+        sets the base of its kind when the loop reaches it, and notes the
+        config rays through it: an override on a ray, at any depth, is
+        refused at that ray's turn.  The first fault found in that order
+        raises LazyTreeError."""
         d = self.d
         if d < 3:
             raise LazyTreeError("degree d must be at least 3")
@@ -259,15 +261,20 @@ class LazyTreeConfig:
             return kind
 
         seen: set[Address] = set()
+        on_ray: dict[int, Address] = {}     # ray index: shallowest override
         for addr, dirn in self.overrides:
             if not 1 <= dirn <= (d if addr else arity):
                 raise LazyTreeError(f"override direction {dirn} out of range")
             if addr in seen:
                 raise LazyTreeError(f"address {addr} assigned twice")
             seen.add(addr)
-            place(addr).base = dirn
+            kind = place(addr)
+            kind.base = dirn
+            for i, _ in kind.rays:
+                if i not in on_ray or len(addr) < len(on_ray[i]):
+                    on_ray[i] = addr
         depth = max(1, max(map(len, made)))     # the deepest override
-        for ray in self.rays:
+        for i, ray in enumerate(self.rays):
             if ray.start == ORIGIN:
                 raise LazyTreeError("rays must start below the origin")
             place(ray.start)
@@ -277,11 +284,8 @@ class LazyTreeConfig:
                 raise LazyTreeError("ray pattern uses invalid child indices")
             if not 1 <= ray.direction <= d:
                 raise LazyTreeError("ray direction out of range")
-            probe = ray.start
-            for i in range(2 * len(ray.pattern) + 2):
-                if probe in seen:
-                    raise LazyTreeError(f"address {probe} assigned twice")
-                probe = probe + (ray.pattern[i % len(ray.pattern)],)
+            if i in on_ray:
+                raise LazyTreeError(f"address {on_ray[i]} assigned twice")
             depth = max(depth, len(ray.start) + len(ray.pattern))
         for reg in self.regions:
             place(reg.addr)
@@ -377,9 +381,12 @@ class LazyTreeConfig:
 
     @staticmethod
     def from_json(text: str) -> "LazyTreeConfig":
-        """Parse a config; a missing field or a wrong JSON type raises
-        LazyTreeError."""
-        p = json.loads(text)
+        """Parse a config; a missing field, a wrong JSON type or nesting
+        too deep for the json module raises LazyTreeError."""
+        try:
+            p = json.loads(text)
+        except RecursionError:
+            raise LazyTreeError("config JSON is nested too deeply") from None
         return LazyTreeConfig(
             d=_json_field(p, "d", int),
             default=_json_field(p, "default", int),

@@ -14,12 +14,14 @@ from hypothesis import strategies as st
 
 from rotorlab import cli
 from rotorlab.cli import MAX_CHIPS, MAX_SYNTHESIS_LETTERS, main
+from rotorlab.escape import descriptor_to_branch_config, synthesize_branch
 from rotorlab.graph import (
     ResultCheckError,
     StepBudgetExceededError,
     build_graph,
     graph_to_json,
 )
+from rotorlab.lazytree import LazyTreeConfig
 
 
 def run_cli(capsys, *argv):
@@ -317,6 +319,12 @@ def test_escape_synthesize_deep_descriptor(capsys):
     assert payload["round_trip_ok"] is True
     config = payload["config"]
     assert len(config["overrides"]) + len(config["regions"]) == 4803
+    # the printed config is the descriptor's text form: it reads back as
+    # the expanded descriptor, and the descriptor's repr does not recurse
+    desc = synthesize_branch(word)
+    assert LazyTreeConfig.from_json(json.dumps(config)) \
+        == descriptor_to_branch_config(desc)
+    assert "ConfigDescriptor" in repr(desc)
 
 
 @pytest.mark.parametrize("mode", ["--branch", "--tree"])
@@ -544,6 +552,15 @@ def test_fuzz_malformed_payloads_exit_cleanly(command, data):
         with open(path, "w") as fh:
             json.dump(payload, fh)
         _assert_contract(_payload_argv(command, path))
+
+
+@pytest.mark.parametrize("command", ["aggregate", "simulate", "group"])
+def test_deeply_nested_payload_exits_cleanly(command, tmp_path):
+    # the json module recurses once per level: 100,000 open brackets raise
+    # RecursionError inside json.loads
+    path = tmp_path / "input.json"
+    path.write_text("[" * 100_000)
+    _assert_contract(_payload_argv(command, str(path)))
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)

@@ -1,6 +1,4 @@
-import json
 import random
-from collections import Counter
 
 import pytest
 
@@ -215,15 +213,15 @@ def _valid_seeded_words(count: int):
 
 
 def test_synthesized_descriptors_match_oracles():
-    # descriptor JSON and the expanded configs (their overrides and regions
-    # tuples, in order) equal those of the recursive oracles
+    # the same words are refused, and the expanded configs (their overrides
+    # and regions tuples, in order) equal those of the recursive oracles
     realizable = {"branch": 0, "tree": 0}
     words = [*all_words(12), *_seeded_words((0.7, 0.9)),
              *_valid_seeded_words(200)]
     for a in words:
         desc = _outcome(synthesize_branch, a)
         want = _outcome(oracle_synthesize_branch, a)
-        assert (desc and desc.to_json()) == (want and want.to_json()), a
+        assert (desc is None) == (want is None), a
         if desc is not None:
             assert descriptor_to_branch_config(desc) \
                 == oracle_branch_config(want), a
@@ -354,153 +352,10 @@ def test_is_escape_tree():
     assert not is_escape_tree(bad)
 
 
-def test_descriptor_json_roundtrip():
-    desc = ConfigDescriptor.node(ConfigDescriptor.level(2),
-                                 ConfigDescriptor.node(
-                                     ConfigDescriptor.level(0),
-                                     ConfigDescriptor.level(1)))
-    assert ConfigDescriptor.from_json(desc.to_json()) == desc
-
-
-def oracle_json_dict(desc: ConfigDescriptor) -> dict:
-    """The recursive JSON tree of a descriptor."""
-    if desc.kind == "level":
-        return {"rule": "level", "h": desc.h}
-    return {"rule": "node", "root": "up",
-            "left": oracle_json_dict(desc.left),
-            "right": oracle_json_dict(desc.right)}
-
-
-def test_descriptor_json_equality_and_hash_match_recursive_oracle():
-    # JSON, == and hash are those of the unfolded tree, shared
-    # sub-descriptors or not
-    rng = random.Random(61)
-    descs = []
-    while len(descs) < 120:
-        a = greedy_word(rng, rng.randrange(0, 60), 1,
-                        rng.choice((0.3, 0.6, 0.9)))
-        descs.append(synthesize_branch(a))
-        if len(descs) % 10 == 0:
-            descs.append(synthesize_branch(a))  # equal, built apart
-    lv = ConfigDescriptor.level
-    descs += [ConfigDescriptor.node(lv(1), lv(1)),
-              ConfigDescriptor.node(*[lv(1)] * 2)]
-    trees = [oracle_json_dict(desc) for desc in descs]
-    for desc, tree in zip(descs, trees):
-        assert desc.to_json_dict() == tree
-        assert desc.to_json() == json.dumps(tree, sort_keys=True)
-        copy = ConfigDescriptor.from_json_dict(tree)
-        assert copy == desc and hash(copy) == hash(desc)
-    n = len(descs)
-    equal_pairs = 0
-    for i in range(n):
-        for j in ((i + 1) % n, rng.randrange(n)):
-            same = trees[i] == trees[j]
-            assert (descs[i] == descs[j]) is same
-            assert not same or hash(descs[i]) == hash(descs[j])
-            equal_pairs += same and i != j
-    assert equal_pairs >= 13
-
-
-def test_deep_descriptor_json_equality_and_hash():
-    # 1,202 levels: recursing once per level raises RecursionError
-    a = "110" + "0" * 1200
-    desc, again = synthesize_branch(a), synthesize_branch(a)
-    assert desc is not again
-    assert desc == again and hash(desc) == hash(again)
-    assert desc != ConfigDescriptor.node(desc.left, desc.left.left)
-    copy = ConfigDescriptor.from_json_dict(desc.to_json_dict())
-    assert copy == desc and hash(copy) == hash(desc)
-    text = desc.to_json()
-    assert copy.to_json() == text
-    assert text.count('"rule": "node"') + 1 == text.count('"level"') == 2402
-
-
-def test_deep_descriptor_from_json_and_repr():
-    # 1,202 levels: json.loads and the dataclass repr recurse once per
-    # level and raise RecursionError
-    desc = synthesize_branch("110" + "0" * 1200)
-    copy = ConfigDescriptor.from_json(desc.to_json())
-    assert copy == desc
-    text = repr(copy)
-    assert text == repr(desc)
-    assert text.count("kind='level'") == 2402
-    assert text.count("kind='node'") == 2401
-
-
-def oracle_repr(desc) -> str:
-    """The repr that @dataclass writes, recursively."""
-    if desc is None:
-        return "None"
-    return (f"ConfigDescriptor(kind={desc.kind!r}, h={desc.h!r}, "
-            f"left={oracle_repr(desc.left)}, right={oracle_repr(desc.right)})")
-
-
-def _parse_outcome(parse, text: str):
-    try:
-        return "ok", parse(text).to_json()
-    except Exception as exc:            # the exception type is compared
-        return "raised", type(exc)
-
-
-def test_descriptor_from_json_matches_json_module():
-    # the same descriptor, or the same exception type, as json.loads
-    # followed by from_json_dict, on well-formed and mutated texts
-    rng = random.Random(67)
-    texts = ['{"rule": "level", "h": -1}', '{"rule": "leaf", "h": 1}',
-             '{"rule": "level"}', '[]', '{"rule": "level", "h": 2} x',
-             '{"rule": "node", "left": {"rule": "level", "h": 0}}',
-             '{"h": 1, "rule": "level", "h": 2}', ' {"rule":"level","h":0} ']
-    for _ in range(60):
-        desc = synthesize_branch(greedy_word(rng, rng.randrange(0, 30), 1,
-                                             0.6))
-        assert repr(desc) == oracle_repr(desc)
-        text = json.dumps(json.loads(desc.to_json()),
-                          indent=rng.choice([None, 0, 2]))
-        texts.append(text)
-        for _ in range(5):
-            chars = list(text)
-            k = rng.randrange(len(chars))
-            op = rng.randrange(3)
-            if op == 0:
-                del chars[k]
-            else:
-                chars[k:k + (op == 2)] = rng.choice('{}[],:" -1ax')
-            texts.append("".join(chars))
-    outcomes = Counter()
-    for text in texts:
-        want = _parse_outcome(
-            lambda t: ConfigDescriptor.from_json_dict(json.loads(t)), text)
-        assert _parse_outcome(ConfigDescriptor.from_json, text) == want, text
-        outcomes[want[0] if want[0] == "ok" else want[1]] += 1
-    assert outcomes["ok"] >= 70 and outcomes[json.JSONDecodeError] >= 100
-    # well-formed JSON that is no descriptor
-    assert outcomes.total() - outcomes["ok"] \
-        - outcomes[json.JSONDecodeError] >= 4
-
-
-@pytest.mark.parametrize("text", [
-    '{"rule": "level"}',
-    '{"rule": "node", "left": {"rule": "level", "h": 0}}',
-    '[]',
-    '5',
-    '{"rule": "level", "h": "2"}',
-    '{"rule": "node", "left": {"rule": "level", "h": true},'
-    ' "right": {"rule": "level", "h": 0}}',
-])
-def test_malformed_descriptor_json_raises_word_error(text):
-    with pytest.raises(WordError):
-        ConfigDescriptor.from_json(text)
-    with pytest.raises(WordError):
-        ConfigDescriptor.from_json_dict(json.loads(text))
-
-
 def test_synthesize_degenerate_cases():
-    assert synthesize_branch("0") == ConfigDescriptor.level(1)
-    assert synthesize_branch("0000") == ConfigDescriptor.level(4)
-    assert synthesize_branch("0001") == ConfigDescriptor.level(3)
-    assert synthesize_branch("1") == ConfigDescriptor.level(0)
-    assert synthesize_branch("") == ConfigDescriptor.level(0)
+    for word, h in [("0", 1), ("0000", 4), ("0001", 3), ("1", 0), ("", 0)]:
+        desc = synthesize_branch(word)
+        assert (desc.kind, desc.h) == ("level", h), word
 
 
 def test_synthesize_rejects_invalid():

@@ -259,6 +259,13 @@ MALFORMED_CONFIGS = [
     (dict(d=3, default=1, rays=(RayRule((1, 2), (), 2),),
           regions=(LevelRegion((1, 2, 1), -1),)),
      "ray pattern must be nonempty"),
+    # an override on a ray is refused at any depth, and the shallowest is
+    # named
+    (dict(d=3, default=1,
+          overrides=(((3,) + (2,) * 9, 3), ((3,) + (2,) * 6, 1),
+                     ((3,) + (2,) * 12, 2)),
+          rays=(RayRule((3,), (2,), 2),)),
+     f"address {(3,) + (2,) * 6} assigned twice"),
 ]
 
 
