@@ -37,10 +37,12 @@ from rotorlab.lazytree import (
 )
 from rotorlab.sampling import random_multigraph
 from rotorlab.trees import (
+    _exit_measure,
     alternation_experiment,
+    build_hat_tree,
     build_wired_tree,
-    exit_measure_experiment,
     hitting_probabilities,
+    random_acyclic_tree_config,
 )
 
 
@@ -97,8 +99,10 @@ def criterion_2_exit_measure(runs_per_case: int = 50) -> CriterionResult:
         for d in (3, 4, 5):
             for n in range(2, 7):
                 rng = random.Random(1000 * d + n)
+                g, info = build_hat_tree(d, n)
                 for _ in range(runs_per_case):
-                    res = exit_measure_experiment(d, n, rng=rng)
+                    res = _exit_measure(
+                        g, info, random_acyclic_tree_config(g, info, rng))
                     if not res.ok:
                         return False, f"failed at d={d} n={n}"
                     total += 1

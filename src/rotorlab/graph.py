@@ -500,10 +500,3 @@ def graph_from_json(text: str) -> DirectedMultigraph:
         raise GraphError("'out' must map vertices to lists of strings")
     return build_graph(vertices, sink, out)
 
-
-def config_to_json(g: DirectedMultigraph, t: RotorConfiguration) -> str:
-    return json.dumps(t.to_dict(g), indent=2)
-
-
-def config_from_json(g: DirectedMultigraph, text: str) -> RotorConfiguration:
-    return RotorConfiguration.from_dict(g, json.loads(text))

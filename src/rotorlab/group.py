@@ -32,8 +32,9 @@ from rotorlab.walk import DEFAULT_STEP_BUDGET, _reverse, _route
 # The most rotor configurations the exhaustive checks enumerate by default.
 CHECK_LIMIT = 1_000_000
 # The most check work the CLI takes on: configurations times the sum of
-# the out-degrees, as the relation check applies d_x generators per vertex
-# and state.  wired(3, 4) takes 45,927.
+# the out-degrees, as the relation check composes d_x - 1 whole tables on
+# each side for vertex x, about 2 d_x table reads per vertex and state.
+# wired(3, 4) takes 45,927.
 CHECK_WORK_LIMIT = 10_000_000
 
 
@@ -329,11 +330,13 @@ def _generator_tables(g: DirectedMultigraph,
     return perm
 
 
-def _apply(tables: list[list[int]], i: int) -> int:
-    """Index of the state reached from state i through ``tables`` in turn."""
-    for table in tables:
-        i = table[i]
-    return i
+def _composed(tables: list[list[int]]) -> list[int]:
+    """The table of ``tables`` applied in turn, first to last: one list per
+    composition."""
+    table = tables[0]
+    for t in tables[1:]:
+        table = [t[i] for i in table]
+    return table
 
 
 def verify_transitivity(g: DirectedMultigraph,
@@ -349,10 +352,10 @@ def _transitive(g: DirectedMultigraph, fulls: list[list[int]],
     states' per-vertex slot lists.
 
     Applies the constructive group element prod e_x^{u(x)-v(x)} of the
-    transitivity proof to the first state, aiming at each other state: u(x)
-    counts rotor turns from t1(x) to t2(x), v(x) counts chips landing at x
-    when u(y) chips at each y take a single step from t1.  Negative
-    exponents use the inverse tables.  Then confirms orbit closure by
+    transitivity proof to the first state, one table lookup per power,
+    aiming at each other state: u(x) counts rotor turns from t1(x) to
+    t2(x), v(x) counts chips landing at x when u(y) chips at each y take a
+    single step from t1.  Negative exponents use the inverse tables.  Then confirms orbit closure by
     breadth-first search over the tables as an independent route.  False
     when a table is not a permutation.
     """
@@ -368,20 +371,34 @@ def _transitive(g: DirectedMultigraph, fulls: list[list[int]],
     if n <= 1:
         return True
     movers = [v for v in range(len(g.vertices)) if v != g.sink_index]
-    out_idx = g.out_idx
-    deg = g.deg_idx
     t1 = fulls[0]
+    # per mover: its index, t1's slot and degree there, and where t1's
+    # rotor points after 1, 2, ... turns
+    rows = []
+    for y in movers:
+        out, s, d = g.out_idx[y], t1[y], g.deg_idx[y]
+        rows.append((y, s, d, [out[(s + j) % d] for j in range(1, d)]))
     for k in range(1, n):
         t2 = fulls[k]
-        turns = {y: (t2[y] - t1[y]) % deg[y] for y in movers}
-        landed = [0] * len(g.vertices)
-        for y, u in turns.items():
-            for j in range(1, u + 1):
-                landed[out_idx[y][(t1[y] + j) % deg[y]]] += 1
+        # e[x] = u(x) - v(x)
+        e = [0] * len(g.vertices)
+        for y, s, d, targets in rows:
+            u = (t2[y] - s) % d
+            if u:
+                e[y] += u
+                for w in targets[:u]:
+                    e[w] -= 1
         i = 0
         for x in movers:
-            e = turns[x] - landed[x]
-            i = _apply([perm[x] if e > 0 else inv[x]] * abs(e), i)
+            ex = e[x]
+            if ex > 0:
+                table = perm[x]
+            elif ex:
+                table, ex = inv[x], -ex
+            else:
+                continue
+            for _ in range(ex):
+                i = table[i]
         if i != k:
             return False
     # independent confirmation: BFS orbit of the first state
@@ -397,6 +414,28 @@ def _transitive(g: DirectedMultigraph, fulls: list[list[int]],
                     nxt.append(j)
         frontier = nxt
     return len(seen) == n
+
+
+def _round_trips(g: DirectedMultigraph, fulls: list[list[int]],
+                 perm: list[list[int]]) -> bool:
+    """Every generator table is injective, and the literal reverse walk in
+    ``_reverse`` maps each image e_x(t) back to t; False at the first
+    failure."""
+    n = len(fulls)
+    # each state's rotor targets, from its slot list; the sink's entry
+    # points at the sink
+    outs = [*g.out_idx]
+    outs[g.sink_index] = (g.sink_index,)
+    tgts = [[out[s] for out, s in zip(outs, full)] for full in fulls]
+    for x, row in enumerate(perm):
+        if len(set(row)) != n:
+            return False
+        for i, j in enumerate(row):
+            full = fulls[j][:]
+            _reverse(g, full, tgts[j][:], x, True, DEFAULT_STEP_BUDGET)
+            if full != fulls[i]:
+                return False
+    return True
 
 
 @dataclass
@@ -441,30 +480,29 @@ def verify_isomorphism(g: DirectedMultigraph,
     """Check the group isomorphism exhaustively on the recurrent states.
 
     Each e_x is computed once per recurrent state, as a table of state
-    indices.  On those tables it verifies that each Laplacian relation
-    e_x^{d_x} = prod_y e_y^{d_xy} holds as a map, that generators commute
-    pairwise, that every e_x is injective and that the action is
-    transitive.  It also verifies that the recurrent-state count equals the
+    indices, by routing the chip literally with ``_route``.  The checks
+    then compose those tables whole: each Laplacian relation
+    e_x^{d_x} = prod_{y in out(x)} e_y is one equality of two composed
+    tables, and each pair of generators commutes when e_x e_y and e_y e_x
+    are equal tables.  It also verifies that every e_x is injective, that
+    the action is transitive, and that the recurrent-state count equals the
     Smith normal form group order.  Each state's per-vertex slot list is
-    built once, and three checks run on those lists: transitivity, routing
-    a chip from the sink with ``_route`` being the identity, and the literal
-    reverse walk, step by step in ``_reverse``, mapping every e_x(t) back
-    to t.  Every state comes from the enumeration, so each reverse walk
-    starts as recurrent.
+    built once, and two checks stay literal on those lists: routing a chip
+    from the sink with ``_route`` is the identity, and the reverse walk,
+    step by step in ``_reverse``, maps every e_x(t) back to t.  Every state
+    comes from the enumeration, so each reverse walk starts as recurrent.
     """
     recs = enumerate_recurrent(g, limit)
     structure = sandpile_structure(g)
     fulls = [g.slots_to_full(t) for t in recs]
     perm = _generator_tables(g, fulls)
-    n = len(recs)
     sink = g.sink_index
     movers = [v for v in range(len(g.vertices)) if v != sink]
-    tgts = [_rotor_targets(g, t) for t in recs]
 
     relations_ok = all(
-        _apply([perm[x]] * g.deg_idx[x], i)
-        == _apply([perm[y] for y in g.out_idx[x]], i)
-        for x in movers for i in range(n))
+        _composed([perm[x]] * g.deg_idx[x])
+        == _composed([perm[y] for y in g.out_idx[x]])
+        for x in movers)
 
     def routed_from_sink(full: list[int]) -> list[int]:
         full = full[:]
@@ -474,20 +512,10 @@ def verify_isomorphism(g: DirectedMultigraph,
     sink_identity_ok = all(routed_from_sink(full) == full for full in fulls)
 
     commutes_ok = all(
-        perm[x][perm[y][i]] == perm[y][perm[x][i]]
-        for xi, x in enumerate(movers) for y in movers[xi + 1:]
-        for i in range(n))
+        _composed([perm[x], perm[y]]) == _composed([perm[y], perm[x]])
+        for xi, x in enumerate(movers) for y in movers[xi + 1:])
 
-    def reversed_to(x: int, j: int) -> list[int]:
-        full = fulls[j][:]
-        _reverse(g, full, tgts[j][:], x, True, DEFAULT_STEP_BUDGET)
-        return full
-
-    bijective_ok = all(
-        len(set(perm[x])) == n
-        and all(reversed_to(x, perm[x][i]) == fulls[i] for i in range(n))
-        for x in range(len(g.vertices)))
-
+    bijective_ok = _round_trips(g, fulls, perm)
     transitive_ok = _transitive(g, fulls, perm)
 
     report = IsomorphismReport(

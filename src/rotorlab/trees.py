@@ -351,6 +351,14 @@ def exit_measure_experiment(d: int, n: int,
         t0.validate(g)
         if not is_acyclic_tree_config(g, info, t0):
             raise NotAcyclicError("initial configuration has an oriented 2-cycle")
+    return _exit_measure(g, info, t0)
+
+
+def _exit_measure(g: DirectedMultigraph, info: TreeInfo,
+                  t0: RotorConfiguration) -> ExitMeasureResult:
+    """``exit_measure_experiment`` on a hat tree already built by
+    ``build_hat_tree``, from the acyclic state t0."""
+    d, n = info.d, info.n
     a = d - 1
     m = (a ** n - 1) // (a - 1)
     counts, t1, _ = route_all(g, t0, {"r": m}, set(info.leaves))

@@ -18,8 +18,6 @@ from rotorlab.graph import (
     TooLargeError,
     build_graph,
     classify,
-    config_from_json,
-    config_to_json,
     enumerate_recurrent,
     graph_from_json,
     graph_to_json,
@@ -410,11 +408,3 @@ def test_graph_json_roundtrip():
 def test_graph_from_json_rejects_malformed_payload(payload):
     with pytest.raises(GraphError):
         graph_from_json(json.dumps(payload))
-
-
-def test_config_json_roundtrip():
-    g = triangle()
-    t = RotorConfiguration.from_dict(g, {"a": 1, "b": 0})
-    text = config_to_json(g, t)
-    assert config_from_json(g, text) == t
-    assert json.loads(text) == {"a": 1, "b": 0}

@@ -561,6 +561,10 @@ def test_swapped_generator_images_fail_the_check(monkeypatch):
     assert rep.ok is False
     # the literal reverse walk returns the other preimage
     assert rep.bijective_ok is False
+    # and every check on the whole tables sees the swap
+    assert rep.relations_ok is False
+    assert rep.commutes_ok is False
+    assert rep.transitive_ok is False
 
 
 def test_generator_image_outside_recurrent_states_raises(monkeypatch):
