@@ -33,12 +33,10 @@ from rotorlab.group import (
     verify_transitivity,
 )
 from rotorlab.trees import (
-    TreeSpec,
     alternation_experiment,
     build_branch,
     build_hat_tree,
     build_plain_tree,
-    build_tree,
     build_wired_tree,
     exit_measure_experiment,
     expected_returns,
@@ -53,7 +51,6 @@ from rotorlab.lazytree import (
     aggregate,
     aggregate_modified,
     ball_size,
-    dot_snapshot,
     is_acyclic_config,
     alternating_tree_config,
     run_chips_infinite,
@@ -87,12 +84,11 @@ __all__ = [
     "GroupElement", "IsomorphismReport", "SandpileGroupStructure",
     "apply_generator", "order_of_generator", "sandpile_structure",
     "verify_isomorphism", "verify_transitivity",
-    "TreeSpec", "alternation_experiment", "build_branch", "build_hat_tree",
-    "build_plain_tree", "build_tree", "build_wired_tree",
-    "exit_measure_experiment", "expected_returns", "hitting_probabilities",
-    "recurrence_experiment",
+    "alternation_experiment", "build_branch", "build_hat_tree",
+    "build_plain_tree", "build_wired_tree", "exit_measure_experiment",
+    "expected_returns", "hitting_probabilities", "recurrence_experiment",
     "LazyTreeConfig", "LevelRegion", "RayRule", "TreeState", "aggregate",
-    "aggregate_modified", "ball_size", "dot_snapshot", "is_acyclic_config",
+    "aggregate_modified", "ball_size", "is_acyclic_config",
     "alternating_tree_config", "run_chips_infinite", "uniform_config",
     "ConfigDescriptor", "extend_for_root", "factor_blocks",
     "is_escape_branch", "is_escape_tree", "phi", "psi", "satisfies_all",

@@ -1312,9 +1312,3 @@ def dot_blocks(rotors: dict[Address, int], d: int,
         for k in range(0, len(order), 1024):
             yield "\n".join(map(line, order[k:k + 1024]))
     yield "}"
-
-
-def dot_snapshot(rotors: dict[Address, int], d: int,
-                 cluster: Iterable[Address] | None = None) -> str:
-    """The blocks of :func:`dot_blocks`, joined."""
-    return "\n".join(dot_blocks(rotors, d, cluster))

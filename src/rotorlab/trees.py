@@ -8,16 +8,22 @@ Y_n (hat tree with every leaf except o collapsed to a boundary vertex b).
 
 Rotor order at every vertex: children in child-index order, parent last, so
 direction k is slot k-1 and direction d is the parent edge.
+
+Tree vertices are numbered in BFS order, and that numbering is the one
+layout rule: with a = d-1, vertex j has its children at positions
+a*j+1 ... a*j+a and its parent at (j-1)//a.  Every builder places the
+internal vertices in one run of the vertex order, from the root, so a
+rotor slot is found by position and no vertex name is looked up.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain
 from operator import add
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from rotorlab.graph import (
     DirectedMultigraph,
@@ -34,28 +40,23 @@ class BadParametersError(GraphError):
     pass
 
 
-@dataclass(frozen=True)
-class TreeSpec:
-    """Parameters for build_tree: degree d >= 3, height n >= 2, variant."""
-
-    d: int
-    n: int
-    variant: str      # "plain" | "hat" | "wired" | "branch"
-
-
 @dataclass
 class TreeInfo:
-    """Structure shared by the tree builders."""
+    """Structure shared by the tree builders.
+
+    ``internal`` holds the tree vertices of depth 0 to n-2 and ``leaves``
+    those of depth n-1, both in BFS order; the hat tree's ``leaves`` put o
+    first.  Past o, ``internal + leaves`` is the BFS numbering of T_n:
+    vertex j has its children at positions a*j+1 ... a*j+a and its parent
+    at (j-1)//a, with a = d-1.
+    """
 
     d: int
     n: int
     variant: str
+    internal: list[str]     # rotor-bearing tree vertices
+    leaves: list[str]
     root: str = "r"
-    depth: dict[str, int] = field(default_factory=dict)
-    parent: dict[str, str] = field(default_factory=dict)
-    children: dict[str, list[str]] = field(default_factory=dict)
-    internal: list[str] = field(default_factory=list)   # rotor-bearing tree vertices
-    leaves: list[str] = field(default_factory=list)     # depth n-1 (hat: o first)
 
 
 def _check_params(d: int, n: int) -> None:
@@ -66,23 +67,14 @@ def _check_params(d: int, n: int) -> None:
 
 
 def _tree_skeleton(d: int, n: int) -> TreeInfo:
-    """Names, depths, parents and children of T_n, built level by level."""
-    a = d - 1
+    """The names of T_n, built level by level."""
     suffixes = [f"/{i}" for i in range(1, d)]
     levels = [["r"]]
     for _ in range(1, n):
         levels.append([p + x for p in levels[-1] for x in suffixes])
-    info = TreeInfo(d=d, n=n, variant="skeleton")
-    for dep, level in enumerate(levels):
-        info.depth.update(dict.fromkeys(level, dep))
-    for up, level in zip(levels, levels[1:]):
-        info.parent.update(zip(level, [p for p in up for _ in suffixes]))
-        info.children.update(zip(up, (level[i:i + a]
-                                      for i in range(0, len(level), a))))
-    info.children.update((v, []) for v in levels[-1])
-    info.internal = [v for level in levels[:-1] for v in level]
-    info.leaves = levels[-1]
-    return info
+    return TreeInfo(d=d, n=n, variant="skeleton",
+                    internal=[v for level in levels[:-1] for v in level],
+                    leaves=levels[-1])
 
 
 def _tree_graph(d: int, n: int, variant: str, up: str | None,
@@ -99,13 +91,16 @@ def _tree_graph(d: int, n: int, variant: str, up: str | None,
     info = _tree_skeleton(d, n)
     info.variant = variant
     a = d - 1
-    kids = list(map(tuple, info.children.values()))
+    tree = info.internal + info.leaves
+    kids = list(zip(*[iter(tree[1:])] * a))     # a run of a per internal vertex
     last = len(info.internal) - a ** (n - 2)    # the last internal level
-    if merge is not None:   # points at merge, and the leaves are dropped
+    if merge is None:
+        kids += [()] * len(info.leaves)
+    else:   # points at merge, and the leaves are dropped
         kids[last:] = [(merge,) * a] * a ** (n - 2)
-    # zip over one iterable yields its items as 1-tuples
-    ups = chain([() if up is None else (up,)], zip(info.parent.values()))
-    out = dict(zip(info.depth, map(add, kids, ups)))
+    ups = chain([() if up is None else (up,)],
+                ((p,) for p in info.internal for _ in range(a)))
+    out = dict(zip(tree, map(add, kids, ups)))
     vertices = list(out)
     if up is not None and up != merge:
         out[up] = ("r",)
@@ -148,25 +143,25 @@ def build_branch(d: int, n: int) -> tuple[DirectedMultigraph, TreeInfo]:
     return _tree_graph(d, n, "branch", up="o", merge="b")
 
 
-def build_tree(spec: TreeSpec) -> tuple[DirectedMultigraph, TreeInfo]:
-    builders = {
-        "plain": build_plain_tree,
-        "hat": build_hat_tree,
-        "wired": build_wired_tree,
-        "branch": build_branch,
-    }
-    if spec.variant not in builders:
-        raise BadParametersError(f"unknown tree variant {spec.variant!r}")
-    return builders[spec.variant](spec.d, spec.n)
+def _internal_run(g: DirectedMultigraph, info: TreeInfo) -> slice:
+    """Where the internal tree vertices lie in the vertex order."""
+    lo = g.index[info.root]
+    return slice(lo, lo + len(info.internal))
+
+
+def _parent_points_at(slots: Sequence[int], a: int, j: int) -> bool:
+    """The rotor at position (j-1)//a, the parent of internal position
+    j > 0, points at j."""
+    p, i = divmod(j - 1, a)
+    return slots[p] == i
 
 
 def _internal_config(g: DirectedMultigraph, info: TreeInfo,
                      slots: Iterable[int]) -> RotorConfiguration:
-    """``slots`` at the internal tree vertices, in BFS order, which every
-    builder places in one run of the vertex order; slot 0 elsewhere."""
+    """``slots`` at the internal tree vertices, in BFS order; slot 0
+    elsewhere."""
     full = [0] * len(g.vertices)
-    lo = g.index[info.root]
-    full[lo:lo + len(info.internal)] = slots
+    full[_internal_run(g, info)] = slots
     return g.full_to_slots(full)
 
 
@@ -177,8 +172,7 @@ def uniform_direction_config(g: DirectedMultigraph, info: TreeInfo,
     Only the internal vertices carry meaningful rotors; leaf and boundary
     rotors never fire in any experiment here.
     """
-    lo = g.index[info.root]
-    degs = g.deg_idx[lo:lo + len(info.internal)]
+    degs = g.deg_idx[_internal_run(g, info)]
     for v, deg in zip(info.internal, degs):
         if not 1 <= direction <= deg and v != g.sink:
             raise BadParametersError(f"direction {direction} out of range at {v!r}")
@@ -187,8 +181,11 @@ def uniform_direction_config(g: DirectedMultigraph, info: TreeInfo,
 
 def internal_slots(g: DirectedMultigraph, info: TreeInfo,
                    t: RotorConfiguration) -> tuple[int, ...]:
-    """Rotor slots restricted to the internal tree vertices."""
-    return tuple(t.slot(g, v) for v in info.internal)
+    """Rotor slots restricted to the internal tree vertices, in BFS order;
+    -1 at the plain tree's root, which is its sink and has no rotor."""
+    full = g.slots_to_full(t)
+    full[g.sink_index] = -1     # points nowhere
+    return tuple(full[_internal_run(g, info)])
 
 
 def is_acyclic_tree_config(g: DirectedMultigraph, info: TreeInfo,
@@ -196,15 +193,14 @@ def is_acyclic_tree_config(g: DirectedMultigraph, info: TreeInfo,
     """No parent/child pair of internal tree vertices points at each other.
 
     Leaf rotors never fire and are ignored, matching the quotient in which
-    the configuration lives on the wired tree.
+    the configuration lives on the wired tree.  The plain tree's root is its
+    sink and has no rotor, so no pair with it is cyclic.
     """
-    internal = set(info.internal)
-    for v in info.internal:
-        for i, c in enumerate(info.children.get(v, [])):
-            if (c in internal and t.slot(g, v) == i
-                    and t.slot(g, c) == g.outdeg(c) - 1):
-                return False
-    return True
+    slots = internal_slots(g, info, t)
+    degs = g.deg_idx[_internal_run(g, info)]
+    return not any(slots[j] == degs[j] - 1
+                   and _parent_points_at(slots, info.d - 1, j)
+                   for j in range(1, len(slots)))
 
 
 def random_acyclic_tree_config(g: DirectedMultigraph, info: TreeInfo,
@@ -213,14 +209,18 @@ def random_acyclic_tree_config(g: DirectedMultigraph, info: TreeInfo,
 
     Each internal vertex draws uniformly among its slots, excluding the
     parent slot when the parent's rotor already points at it; leaf slots are
-    fixed.  Every acyclic configuration has positive probability.
+    fixed.  Every acyclic configuration has positive probability.  The
+    plain tree's root is its sink and draws nothing.
     """
     a = info.d - 1
+    run = _internal_run(g, info)
     slots: list[int] = []
-    for j, v in enumerate(info.internal):   # BFS: parents precede children
-        deg = g.outdeg(v)
+    for j, deg in enumerate(g.deg_idx[run]):    # BFS: parents precede children
+        if run.start + j == g.sink_index:
+            slots.append(-1)    # points nowhere
+            continue
         choices = list(range(deg))
-        if j and slots[(j - 1) // a] == (j - 1) % a:    # the parent points at v
+        if j and _parent_points_at(slots, a, j):
             choices.remove(deg - 1)
         slots.append(rng.choice(choices))
     t = _internal_config(g, info, slots)
@@ -240,12 +240,12 @@ def _solve_harmonic(info: TreeInfo, boundary: dict[str, Fraction]) -> dict[str, 
     parent being the leaf o.  alpha and beta depend only on v's subtree
     type: a leaf's boundary value, or the tuple of the children's types.
     So the Fraction work is done once per type going up, and once per
-    (type, parent value) going down.
+    (type, parent value) going down.  ``info`` is a skeleton: its leaves
+    are the depth n-1 vertices, in BFS order.
     """
     a = info.d - 1
     kinds: dict = {}        # type -> type id
-    leaves = islice(info.depth, len(info.internal), None)   # in BFS order
-    ids = [kinds.setdefault(boundary[z], len(kinds)) for z in leaves]
+    ids = [kinds.setdefault(boundary[z], len(kinds)) for z in info.leaves]
     alpha = list(kinds)     # a leaf's H is its value + 0 * H(parent)
     beta = [Fraction(0)] * len(alpha)
     typed = []

@@ -29,7 +29,7 @@ from rotorlab.lazytree import (
     aggregate,
     aggregate_modified,
     ball_size,
-    dot_snapshot,
+    dot_blocks,
     find_cyclic_pair,
     is_acyclic_config,
     layer_size,
@@ -1045,16 +1045,16 @@ def test_step_budget_guard():
         aggregate(uniform_config(3, 1), 100, step_cap=20)
 
 
-def test_dot_snapshot():
+def test_dot_blocks_joined():
     cfg = uniform_config(3, 1)
     res = aggregate(cfg, 10)
-    dot = dot_snapshot(res.rotors, cfg.d, cluster=res.occupied)
+    dot = "\n".join(dot_blocks(res.rotors, cfg.d, cluster=res.occupied))
     assert dot.startswith("digraph")
     assert '"o"' in dot
     # no cluster, and edges up to parents: the alternating run's state
     st = run_chips_infinite(alternating_tree_config(), 3000).state
     assert len(st.rotors) > 1024
-    dot = dot_snapshot(st.rotors, st.cfg.d)
+    dot = "\n".join(dot_blocks(st.rotors, st.cfg.d))
     assert hashlib.sha256(dot.encode()).hexdigest() == \
         "ec5f2805eef30251ffb7da083d285c246215dee00d0c3ab4de0943f657c5615d"
 
@@ -1102,6 +1102,29 @@ def _dense_valid_word(rng: random.Random, n: int, stride: int) -> str:
                                         for r in range(stride))
         out = w if ok else out + "0"
     return out
+
+
+def test_every_depth3_branch_config_gives_a_valid_word():
+    # the "only if" half of the escape theorem on configs that synthesis
+    # did not make: every ternary branch config with a default and
+    # overrides at the 7 addresses down to depth 3 (6,561 configs, 4,670 of
+    # them cyclic) gives a 40-chip word that passes every window test; a
+    # config the engine refuses runs on the explicit simulator instead
+    addrs = [(1,), (1, 1), (1, 2), (1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2)]
+    words = set()
+    cyclic = 0
+    for default, *dirs in itertools.product((1, 2, 3), repeat=8):
+        cfg = LazyTreeConfig(3, default, mode="branch",
+                             overrides=tuple(zip(addrs, dirs)))
+        cyclic += not is_acyclic_config(cfg)
+        try:
+            word = run_chips_infinite(cfg, 40).word
+        except UnsupportedConfigError:
+            word = naive_run(cfg, 40, 60)[0]
+        assert satisfies_all(word), (cfg, word)
+        words.add(word)
+    assert cyclic == 4670
+    assert len(words) == 391
 
 
 def test_node_tables_match_oracles_after_every_chip():

@@ -1,7 +1,7 @@
-import dataclasses
 import hashlib
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -9,6 +9,7 @@ import pytest
 from rotorlab import trees
 from rotorlab.graph import (
     ResultCheckError,
+    RotorConfiguration,
     enumerate_recurrent,
     graph_to_json,
     is_recurrent,
@@ -18,12 +19,10 @@ from rotorlab.group import order_of_generator, verify_isomorphism
 from rotorlab.trees import (
     BadParametersError,
     NotAcyclicError,
-    TreeSpec,
     alternation_experiment,
     build_branch,
     build_hat_tree,
     build_plain_tree,
-    build_tree,
     build_wired_tree,
     exit_measure_experiment,
     expected_returns,
@@ -77,7 +76,6 @@ def test_acyclic_equals_recurrent_on_wired_trees():
         g, info = build_wired_tree(d, n)
         from itertools import product
         for slots in product(*(range(g.outdeg(v)) for v in g.rotor_vertices)):
-            from rotorlab.graph import RotorConfiguration
             t = RotorConfiguration(slots)
             assert is_recurrent(g, t) == is_acyclic_tree_config(g, info, t)
 
@@ -129,29 +127,22 @@ def test_branch_structure():
     assert g3.edge_count("r/1", "b") == 2
 
 
-def test_build_tree_dispatch():
-    g, info = build_tree(TreeSpec(3, 2, "wired"))
-    assert info.variant == "wired"
-    with pytest.raises(BadParametersError):
-        build_tree(TreeSpec(3, 2, "bogus"))
-
-
-# sha256 over n = 2..6 of graph_to_json(g) followed by the TreeInfo fields
-# as JSON; vertex and out-list order fix the recurrent-state enumeration
-# order and so the bytes of `rotorlab group`
+# sha256 over n = 2..6 of graph_to_json(g) followed by [info.internal,
+# info.leaves] as JSON; vertex and out-list order fix the recurrent-state
+# enumeration order and so the bytes of `rotorlab group`
 BUILDER_DIGESTS = {
-    ("plain", 3): "b505e997c544af6531418ef3a2b9999ca849b638412ebfef254f179666cc143f",
-    ("plain", 4): "763707d223992aad9d4848debb72698af6a33f2fa743cf475a690f04fd62a483",
-    ("plain", 5): "1d937fa3bd0db4df2add42ebc5a73776b21814f897dfea828e35465f85c195ad",
-    ("hat", 3): "4ecc30afb5182e6159c97cd294484a6d558a8a5f220d3ac5f66d18b788523c0e",
-    ("hat", 4): "1f5b41cf2cd77ce37347a021adfe0d612706f390ce1a9bc23d8903122f42be78",
-    ("hat", 5): "6c89c927df7b8a9b9b2dd8ecd5d4a7e291c9308520cff7da5d2f5a2061cc7c48",
-    ("wired", 3): "6b60428dd2115b66aac5961bac4b045cdc66282a70ce080fb8ada39858533598",
-    ("wired", 4): "ba1c42efdf0f2fbf7b768accc1124eb9ab4792e248d4a7800a53f051e706646d",
-    ("wired", 5): "a9dfdb6c4271f535e64170d58c6e1ba000cfb989d5175a35ccf447f7148e6191",
-    ("branch", 3): "3026def00c66340eeafc89fd6fe9d5efe50a759bf0a89faadc67879dcbae1f9c",
-    ("branch", 4): "9a9f8188319773bb8d8c93d416448e6011eec886cc5723dd95a581e3a47dbf55",
-    ("branch", 5): "5eb44dbacb9747631a1fee1597c85b358e3c7f81ee8417ebb8293a30b237379f",
+    ("plain", 3): "96ed790b426f6e78ead50930b1b689b3efd10057b4121ebdb86b3faeb862f317",
+    ("plain", 4): "9206d5e09bcba744edb39b5bab6b8cb6e14492cf2fc7f8d0f689b04256e01537",
+    ("plain", 5): "9167f460782e0922be3e12d187b58cb299cb592abdf10cbc86e8de0fba3cf02c",
+    ("hat", 3): "456ed568cdcbcceaa1c5fedf108cac747942c3b6f0134016cee5cf77ffdd7fd1",
+    ("hat", 4): "0c303f4e4085f6a754ff19dada4c65892cfbb74be8082ce4b4a0edba82d9ba2a",
+    ("hat", 5): "73c0c984fc793c326cfea52ea83429b583393c093305fbb5cf115f6ae5b3167b",
+    ("wired", 3): "dcb20e82b0643c0a59858d14251715c6c56f75a974b4d24922e973828c9a05a2",
+    ("wired", 4): "328d03d3ce37912c14d21953ed44c970049d7ea6fbcc8b89df70433c4c15a58e",
+    ("wired", 5): "f7ebce9bef43a44d64df1b22348838aebf482d2b8faad1c6b1831382a53e3dcb",
+    ("branch", 3): "c9c38946f3fc1db6c447cd48009673f8f8801be5dbdb7b9427dcf5b50cd8988e",
+    ("branch", 4): "a3b5a84365013c597d5a9bc1db816fa294a4180e76376da885b4613366ae2ecd",
+    ("branch", 5): "b58737336d2778f4d86ef98bc754b88fba88bb83d360a187a86510efedbf62a8",
 }
 
 
@@ -163,8 +154,22 @@ def test_builders_golden():
         for n in range(2, 7):
             g, info = builders[variant](d, n)
             h.update(graph_to_json(g).encode())
-            h.update(json.dumps(dataclasses.asdict(info)).encode())
+            h.update(json.dumps([info.internal, info.leaves]).encode())
         assert h.hexdigest() == digest, (variant, d)
+
+
+def test_branch_build_memory():
+    # the graph and TreeInfo of Y_14 (8,193 vertices, 8,192 leaf names)
+    # hold under 5 MiB: the tree layout is BFS positions, with no
+    # per-vertex maps beside the graph's own
+    tracemalloc.start()
+    try:
+        built = build_branch(3, 14)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(built[0].vertices) == 2 ** 13 + 1
+    assert held < 5 * 2 ** 20, held
 
 
 def test_hitting_probabilities_closed_forms():
@@ -190,13 +195,15 @@ def test_hitting_probabilities_grid():
 def solve_harmonic_oracle(info, boundary):
     """Per-vertex elimination: deepest internal vertices first, H(v) =
     alpha_v + beta_v * H(parent) with the root's parent the leaf o, then a
-    downward pass in BFS order."""
+    downward pass in BFS order.  Children and parents come from the names,
+    not from vertex positions."""
     alpha = {}
     beta = {}
     for v in reversed(info.internal):
+        children = [f"{v}/{i}" for i in range(1, info.d)]
         num = Fraction(0)
-        den = Fraction(len(info.children[v]) + 1)
-        for c in info.children[v]:
+        den = Fraction(len(children) + 1)
+        for c in children:
             if c in alpha:
                 num += alpha[c]
                 den -= beta[c]
@@ -206,7 +213,7 @@ def solve_harmonic_oracle(info, boundary):
         beta[v] = Fraction(1) / den
     H = dict(boundary)
     for v in info.internal:
-        H[v] = alpha[v] + beta[v] * H[info.parent.get(v, "o")]
+        H[v] = alpha[v] + beta[v] * H[v.rsplit("/", 1)[0] if "/" in v else "o"]
     return H
 
 
@@ -260,7 +267,6 @@ def test_exit_measure_random_configs():
 
 def test_exit_measure_rejects_cyclic():
     g, info = build_hat_tree(3, 3)
-    from rotorlab.graph import RotorConfiguration
     # r points at r/1 (slot 0) and r/1 points at parent (slot 2)
     t = RotorConfiguration.from_dict(
         g, {v: (0 if v != "r/1" else 2) for v in g.rotor_vertices})
@@ -291,7 +297,7 @@ def test_harmonic_field_is_harmonic_inside_with_leaf_boundary(d):
         g, info = build_hat_tree(d, n)
         for z in {info.leaves[1], info.leaves[-1]}:
             H = harmonic_field_for_leaf(d, n, z)
-            assert set(H) == set(info.depth) | {"o"}
+            assert set(H) == set(info.internal + info.leaves)
             for v in info.leaves:
                 assert H[v] == (v == z)
             for v in info.internal:
@@ -328,6 +334,62 @@ def test_random_acyclic_config_validity():
     for _ in range(30):
         t = random_acyclic_tree_config(g, info, rng)
         assert is_acyclic_tree_config(g, info, t)
+
+
+def test_seeded_acyclic_draws_golden():
+    # criterion 2 and the benchmark's exit-measure ops run on these draws
+    h = hashlib.sha256()
+    for build in (build_hat_tree, build_wired_tree, build_branch):
+        for d in (3, 4, 5):
+            for n in range(2, 6):
+                g, info = build(d, n)
+                rng = random.Random(n)
+                for _ in range(5):
+                    h.update(bytes(random_acyclic_tree_config(g, info, rng).slots))
+    assert h.hexdigest() == \
+        "fab6e2d77039c850d7688359e217cf999f38800a3a2b555f8723c245bc1bd157"
+
+
+def acyclic_by_names(g, info, t):
+    """No internal vertex and its parent, found by name, point at each
+    other; the plain tree's root is its sink and points nowhere."""
+    return not any(t.target(g, v) == p and t.target(g, p) == v
+                   for v in info.internal[1:]
+                   for p in [v.rsplit("/", 1)[0]] if p != g.sink)
+
+
+@pytest.mark.parametrize("build", [build_plain_tree, build_hat_tree,
+                                   build_wired_tree, build_branch])
+def test_acyclic_tree_config_matches_names(build):
+    rng = random.Random(11)
+    for d, n in [(3, 2), (3, 3), (3, 5), (4, 4), (5, 3)]:
+        g, info = build(d, n)
+        for _ in range(40):
+            t = RotorConfiguration(tuple(rng.randrange(g.outdeg(v))
+                                         for v in g.rotor_vertices))
+            assert is_acyclic_tree_config(g, info, t) == \
+                acyclic_by_names(g, info, t), (d, n, t)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_plain_tree_configs(d):
+    # the root of the plain tree is its sink and has no rotor: a child
+    # pointing up at it closes no cycle
+    rng = random.Random(d)
+    drawn_up = 0
+    for n in range(2, 6):
+        g, info = build_plain_tree(d, n)
+        for _ in range(20):
+            t = random_acyclic_tree_config(g, info, rng)
+            assert is_acyclic_tree_config(g, info, t)
+            drawn_up += n > 2 and t.target(g, "r/1") == "r"
+        up = uniform_direction_config(g, info, d)
+        assert up.target(g, "r/1") == "r"
+        assert is_acyclic_tree_config(g, info, up)
+        if n >= 4:  # r/1 and its first child point at each other
+            cyc = up.with_slot(g, "r/1", 0)
+            assert not is_acyclic_tree_config(g, info, cyc)
+    assert drawn_up     # the sampler does not exclude it
 
 
 def test_uniform_direction_config_directions():
