@@ -63,14 +63,15 @@ class DirectedMultigraph:
     """Immutable directed multigraph with named vertices and a sink.
 
     ``out[name]`` lists out-edge targets in rotor order; repeats encode
-    multiplicity.  Construction is through :func:`build_graph`, which
-    validates all invariants.  Instances are never mutated after build.
+    multiplicity.  ``index`` is the one name-to-position map: a vertex's
+    rotor slot in a configuration is its index, less one past the sink.
+    Construction is through :func:`build_graph`, which validates all
+    invariants.  Instances are never mutated after build.
     """
 
     __slots__ = (
         "vertices", "sink", "out",
-        "index", "sink_index", "out_idx", "deg_idx",
-        "rotor_vertices", "rotor_index",
+        "index", "sink_index", "out_idx", "deg_idx", "rotor_vertices",
     )
 
     def __init__(self, vertices: tuple[str, ...], sink: str,
@@ -87,8 +88,13 @@ class DirectedMultigraph:
         self.out_idx = out_idx
         self.deg_idx = list(map(len, out_idx))
         self.rotor_vertices = vertices[:si] + vertices[si + 1:]
-        self.rotor_index = dict(zip(self.rotor_vertices,
-                                    range(len(vertices) - 1)))
+
+    def rotor_slot(self, x: str) -> int:
+        """x's place in a configuration's slots; KeyError at the sink."""
+        i = self.index[x]
+        if i == self.sink_index:
+            raise KeyError(x)
+        return i - (i > self.sink_index)
 
     def outdeg(self, x: str) -> int:
         return len(self.out[x])
@@ -120,15 +126,15 @@ class RotorConfiguration:
     slots: tuple[int, ...]
 
     def slot(self, g: DirectedMultigraph, x: str) -> int:
-        return self.slots[g.rotor_index[x]]
+        return self.slots[g.rotor_slot(x)]
 
     def target(self, g: DirectedMultigraph, x: str) -> str:
         """Vertex the rotor at x currently points to."""
-        return g.out[x][self.slots[g.rotor_index[x]]]
+        return g.out[x][self.slots[g.rotor_slot(x)]]
 
     def with_slot(self, g: DirectedMultigraph, x: str, s: int) -> "RotorConfiguration":
         lst = list(self.slots)
-        lst[g.rotor_index[x]] = s
+        lst[g.rotor_slot(x)] = s
         return RotorConfiguration(tuple(lst))
 
     def validate(self, g: DirectedMultigraph) -> None:
@@ -224,29 +230,33 @@ def build_graph(vertices: Iterable[str], sink: str,
 
 
 def _strongly_connected(g: DirectedMultigraph) -> bool:
-    n = len(g.vertices)
-    if n == 1:
-        return True
-
-    def reach(adj: Sequence[Sequence[int]]) -> int:
-        seen = [False] * n
-        seen[0] = True
-        stack = [0]
-        count = 1
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    count += 1
-                    stack.append(w)
-        return count
-
-    radj: list[list[int]] = [[] for _ in range(n)]
-    for v, lst in enumerate(g.out_idx):
-        for w in lst:
-            radj[w].append(v)
-    return reach(g.out_idx) == n and reach(radj) == n
+    """Tarjan's low links on one depth-first search from vertex 0: the
+    graph is strongly connected when the search reaches every vertex and no
+    vertex but 0 roots a component.  Until one does, every vertex found
+    lies in 0's component, so an edge to any of them counts."""
+    out_idx = g.out_idx
+    disc = [0] + [-1] * (len(out_idx) - 1)  # discovery order
+    low = [0] * len(out_idx)    # earliest discovery the subtree reaches
+    found = 1
+    stack = [(0, iter(out_idx[0]))]
+    while stack:
+        v, edges = stack[-1]
+        for w in edges:
+            if disc[w] < 0:
+                disc[w] = low[w] = found
+                found += 1
+                stack.append((w, iter(out_idx[w])))
+                break
+            if disc[w] < low[v]:
+                low[v] = disc[w]
+        else:
+            stack.pop()
+            if stack:
+                if low[v] == disc[v]:
+                    return False
+                u = stack[-1][0]
+                low[u] = min(low[u], low[v])
+    return found == len(out_idx)
 
 
 # -- recurrence -----------------------------------------------------------

@@ -74,9 +74,9 @@ def apply_generator(g: DirectedMultigraph, t: RotorConfiguration, x: str,
     v = g.index[x]
     if exponent > 0:
         stops = (g.sink_index,)
-        emitters: set[int] = set()
+        emitted = [False] * len(full)
         for _ in range(exponent):
-            _route(g, full, v, stops, emitters, None, 0, DEFAULT_STEP_BUDGET)
+            _route(g, full, v, stops, emitted, None, 0, DEFAULT_STEP_BUDGET)
     else:
         # each reverse walk ends on a recurrent state
         tgt = _rotor_targets(g, t)
@@ -124,9 +124,9 @@ def _orbit_period(g: DirectedMultigraph, x: str, t0: RotorConfiguration,
     full = start[:]
     v = g.index[x]
     stops = (g.sink_index,)
-    emitters: set[int] = set()
+    emitted = [False] * len(full)
     for k in range(1, cap + 1):
-        _route(g, full, v, stops, emitters, None, 0, DEFAULT_STEP_BUDGET)
+        _route(g, full, v, stops, emitted, None, 0, DEFAULT_STEP_BUDGET)
         if full == start:
             return k
     raise BudgetExceededError(f"order of e_{x} exceeds cap {cap}")
@@ -311,7 +311,7 @@ def _generator_tables(g: DirectedMultigraph,
     # keyed on whole lists: the sink is a stop, so its unused entry stays 0
     where = {tuple(full): i for i, full in enumerate(fulls)}
     stops = (g.sink_index,)
-    emitters: set[int] = set()
+    emitted = [False] * len(g.vertices)
     perm = []
     for v in range(len(g.vertices)):
         if v == g.sink_index:
@@ -320,7 +320,7 @@ def _generator_tables(g: DirectedMultigraph,
         row = []
         for full in fulls:
             image = full[:]
-            _route(g, image, v, stops, emitters, None, 0, DEFAULT_STEP_BUDGET)
+            _route(g, image, v, stops, emitted, None, 0, DEFAULT_STEP_BUDGET)
             i = where.get(tuple(image))
             if i is None:
                 raise NotRecurrentError("generators act on recurrent "
@@ -491,6 +491,8 @@ def verify_isomorphism(g: DirectedMultigraph,
     from the sink with ``_route`` is the identity, and the reverse walk,
     step by step in ``_reverse``, maps every e_x(t) back to t.  Every state
     comes from the enumeration, so each reverse walk starts as recurrent.
+    The sink-identity check cannot fail: the chip starts on the sink, which
+    is a stop, so ``_route`` returns at once and moves no rotor.
     """
     recs = enumerate_recurrent(g, limit)
     structure = sandpile_structure(g)
@@ -506,7 +508,8 @@ def verify_isomorphism(g: DirectedMultigraph,
 
     def routed_from_sink(full: list[int]) -> list[int]:
         full = full[:]
-        _route(g, full, sink, (sink,), set(), None, 0, DEFAULT_STEP_BUDGET)
+        _route(g, full, sink, (sink,), [False] * len(full), None, 0,
+               DEFAULT_STEP_BUDGET)
         return full
 
     sink_identity_ok = all(routed_from_sink(full) == full for full in fulls)

@@ -21,7 +21,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from functools import cached_property
+from itertools import chain, islice, repeat
 from operator import add
 from typing import Iterable, Sequence
 
@@ -48,15 +49,20 @@ class TreeInfo:
     those of depth n-1, both in BFS order; the hat tree's ``leaves`` put o
     first.  Past o, ``internal + leaves`` is the BFS numbering of T_n:
     vertex j has its children at positions a*j+1 ... a*j+a and its parent
-    at (j-1)//a, with a = d-1.
+    at (j-1)//a, with a = d-1.  The wired tree and the branch merge the
+    depth n-1 vertices away, so their names are made on the first read of
+    ``leaves``.
     """
 
     d: int
     n: int
     variant: str
     internal: list[str]     # rotor-bearing tree vertices
-    leaves: list[str]
     root: str = "r"
+
+    @cached_property
+    def leaves(self) -> list[str]:
+        return _children(self.internal[-(self.d - 1) ** (self.n - 2):], self.d)
 
 
 def _check_params(d: int, n: int) -> None:
@@ -66,15 +72,20 @@ def _check_params(d: int, n: int) -> None:
         raise BadParametersError("height n must be at least 2")
 
 
-def _tree_skeleton(d: int, n: int) -> TreeInfo:
-    """The names of T_n, built level by level."""
+def _children(level: list[str], d: int) -> list[str]:
+    """The names of the children of ``level``'s vertices, in BFS order."""
     suffixes = [f"/{i}" for i in range(1, d)]
-    levels = [["r"]]
-    for _ in range(1, n):
-        levels.append([p + x for p in levels[-1] for x in suffixes])
-    return TreeInfo(d=d, n=n, variant="skeleton",
-                    internal=[v for level in levels[:-1] for v in level],
-                    leaves=levels[-1])
+    return [p + x for p in level for x in suffixes]
+
+
+def _tree_skeleton(d: int, n: int) -> TreeInfo:
+    """The internal names of T_n, built level by level; ``leaves`` names
+    the depth n-1 level when it is read."""
+    internal, level = ["r"], ["r"]
+    for _ in range(2, n):
+        level = _children(level, d)
+        internal += level
+    return TreeInfo(d=d, n=n, variant="skeleton", internal=internal)
 
 
 def _tree_graph(d: int, n: int, variant: str, up: str | None,
@@ -91,27 +102,22 @@ def _tree_graph(d: int, n: int, variant: str, up: str | None,
     info = _tree_skeleton(d, n)
     info.variant = variant
     a = d - 1
-    tree = info.internal + info.leaves
-    kids = list(zip(*[iter(tree[1:])] * a))     # a run of a per internal vertex
-    last = len(info.internal) - a ** (n - 2)    # the last internal level
-    if merge is None:
-        kids += [()] * len(info.leaves)
-    else:   # points at merge, and the leaves are dropped
-        kids[last:] = [(merge,) * a] * a ** (n - 2)
+    tree = info.internal if merge else info.internal + info.leaves
+    last = (len(tree) - 1) // a     # the first vertex with no tree children
+    # a run of a children per parent; then the leaves, or the last internal
+    # level, whose a children are merged
+    kids = chain(zip(*[islice(tree, 1, None)] * a),
+                 repeat((merge,) * a if merge else (), len(tree) - last))
     ups = chain([() if up is None else (up,)],
                 ((p,) for p in info.internal for _ in range(a)))
-    out = dict(zip(tree, map(add, kids, ups)))
-    vertices = list(out)
-    if up is not None and up != merge:
-        out[up] = ("r",)
-        vertices.insert(0, up)
-        if merge is None:
-            info.leaves = [up] + info.leaves
-    if merge is not None:
+    out = {} if up in (None, merge) else {up: ("r",)}   # in vertex order
+    out.update(zip(tree, map(add, kids, ups)))
+    if merge:
         out[merge] = (("r",) if up == merge else ()) + tuple(
             v for v in info.internal[last:] for _ in range(a))
-        vertices.append(merge)
-    g = build_graph(vertices, up if up is not None else "r", out)
+    elif up:
+        info.leaves = [up, *info.leaves]
+    g = build_graph(out, up or "r", out)
     return g, info
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 from numbers import Rational
 from typing import Collection, Iterable, Mapping
 
@@ -49,7 +50,10 @@ class WalkTrace:
 
     ``steps`` holds (from, to) vertex pairs; ``segments`` holds the index at
     which each chip's walk begins, so multi-chip traces keep per-chip
-    chaining intact.
+    chaining intact.  Both are filled only when steps are recorded;
+    ``segments`` is [0] otherwise.  Recorded or not, ``emitted`` flags each
+    vertex of ``vertices``, by index, that a chip left; ``emitters()``
+    names them when called.
     """
 
     start: str
@@ -59,12 +63,13 @@ class WalkTrace:
     steps: list[tuple[str, str]] = field(default_factory=list)
     segments: list[int] = field(default_factory=lambda: [0])
     chip_stops: list[str] = field(default_factory=list)
-    emitter_set: set[str] | None = None     # filled even without full steps
+    vertices: tuple[str, ...] = ()
+    emitted: list[bool] | None = None
 
     def emitters(self) -> set[str]:
-        if self.emitter_set is not None:
-            return self.emitter_set
-        return {frm for frm, _ in self.steps}
+        if self.emitted is None:
+            return {frm for frm, _ in self.steps}
+        return set(compress(self.vertices, self.emitted))
 
 
 def step(g: DirectedMultigraph, t: RotorConfiguration,
@@ -72,22 +77,21 @@ def step(g: DirectedMultigraph, t: RotorConfiguration,
     """One rotor-router step: rotate at the chip, move along the new edge."""
     if chip == g.sink:
         raise ChipAtSinkError("cannot step a chip sitting on the sink")
-    pos = g.rotor_index[chip]
-    s = (t.slots[pos] + 1) % g.outdeg(chip)
+    s = (t.slot(g, chip) + 1) % g.outdeg(chip)
     t2 = t.with_slot(g, chip, s)
     return t2, g.out[chip][s]
 
 
 def _route(g: DirectedMultigraph, full: list[int], v: int,
-           stops: Collection[int], emitters: set[int],
+           stops: Collection[int], emitted: list[bool],
            steps: list[tuple[str, str]] | None,
            count: int, step_budget: int) -> tuple[int, int]:
     """Walk one chip from vertex index v until it enters ``stops``.
 
-    Turns the rotors of ``full`` in place, adds every emitting vertex to
-    ``emitters`` and, when ``steps`` is a list, appends each (from, to)
-    pair.  ``count`` steps were taken before this chip; returns the stop
-    vertex and the new count.
+    Turns the rotors of ``full`` in place, flags in ``emitted`` every
+    vertex index the chip leaves and, when ``steps`` is a list, appends
+    each (from, to) pair.  ``count`` steps were taken before this chip;
+    returns the stop vertex and the new count.
     """
     out_idx = g.out_idx
     deg = g.deg_idx
@@ -95,7 +99,7 @@ def _route(g: DirectedMultigraph, full: list[int], v: int,
     while v not in stops:
         if count >= step_budget:
             raise StepBudgetExceededError(f"exceeded {step_budget} steps")
-        emitters.add(v)
+        emitted[v] = True
         s = (full[v] + 1) % deg[v]
         full[v] = s
         w = out_idx[v][s]
@@ -120,13 +124,12 @@ def route_to_sink(g: DirectedMultigraph, t: RotorConfiguration, x: str,
         raise GraphError(f"unknown vertex {x!r}")
     full = g.slots_to_full(t)
     steps: list[tuple[str, str]] = []
-    emitters: set[int] = set()
-    _route(g, full, g.index[x], (g.sink_index,), emitters,
+    emitted = [False] * len(full)
+    _route(g, full, g.index[x], (g.sink_index,), emitted,
            steps if record_trace else None, 0, step_budget)
     t2 = g.full_to_slots(full)
-    names = g.vertices
     trace = WalkTrace(start=x, stop=g.sink, initial=t, final=t2, steps=steps,
-                      emitter_set={names[i] for i in emitters})
+                      vertices=g.vertices, emitted=emitted)
     return t2, trace
 
 
@@ -150,11 +153,9 @@ def reverse_walk(g: DirectedMultigraph, t_final: RotorConfiguration, x: str,
                  step_budget: int = DEFAULT_STEP_BUDGET) -> RotorConfiguration:
     """Invert route_to_sink on recurrent states: e_x(result) == t_final.
 
-    Each reverse step picks the unique legal predecessor.  In a cyclic state
-    the predecessor lies on the rotor cycle through the chip; in a recurrent
-    state the chip is at its first visit, and the predecessor is found by
-    walking the rotor path from x.  The configuration is validated and its
-    whole rotor graph checked for cycles once; the steps run in ``_reverse``.
+    Each reverse step picks the unique legal predecessor; the steps run in
+    ``_reverse``.  The configuration is validated and its whole rotor graph
+    checked for cycles once.
     """
     t_final.validate(g)
     if x not in g.index:
@@ -173,52 +174,55 @@ def _reverse(g: DirectedMultigraph, full: list[int], tgt: list[int],
     index; each reverse step decrements one rotor in both, in place.
     ``rec`` says whether the rotor graph of the input is acyclic.  After
     each step any cycle passes through the one vertex whose rotor changed,
-    so following rotors from it decides recurrence.
+    so one walk along the rotors from it decides recurrence and, on a
+    cycle, ends at the chip's predecessor.  In a recurrent state the chip
+    is at its first visit, and its predecessor is the one before it on the
+    rotor path from start, which is kept and built again only after a
+    cycle breaks.
     """
     out_idx = g.out_idx
     deg = g.deg_idx
     sink = chip = g.sink_index
     count = 0
+    path: list[int] = []    # the rotor path from start, with the chip at k
+    k = -1                  # -1 until the path is built
+    z = -1                  # on a cycle: the chip's predecessor there
     while True:
         if rec and chip == start:
             return
         if count >= step_budget:
             raise StepBudgetExceededError(f"exceeded {step_budget} reverse steps")
-        # a cyclic state has the chip on its unique rotor cycle, and the
-        # predecessor precedes it there; in a recurrent one it is the chip's
-        # first visit, and the predecessor is the last exit from the rotor
-        # path out of start
-        z = _path_predecessor(g, tgt, start if rec else chip, chip)
+        if rec:
+            if k < 0:
+                v = start
+                path = [v]
+                while v != chip and v != sink:
+                    v = tgt[v]
+                    path.append(v)
+                if v != chip:
+                    break
+                k = len(path) - 1
+            k -= 1
+            z = path[k]
+        elif z < 0:     # a cyclic input: the chip, on the sink, has none
+            break
         s = (full[z] - 1) % deg[z]
         full[z] = s
         tgt[z] = out_idx[z][s]
         chip = z
         count += 1
         # the step broke the only cycle (it ran through z) or left none, so
-        # the path from z ends at the sink or comes back to z
-        v = tgt[z]
+        # the rotors from z lead to the sink or back to z
+        u, v = z, tgt[z]
         while v != z and v != sink:
-            v = tgt[v]
+            u, v = v, tgt[v]
+        if v != sink:
+            z = u
+        elif not rec:   # the cycle broke
+            k = -1
         rec = v == sink
-
-
-def _path_predecessor(g: DirectedMultigraph, tgt: list[int], start: int,
-                      chip: int) -> int:
-    """Vertex before the first occurrence of chip on the rotor path from
-    start; started at the chip, its predecessor on the rotor cycle.  A path
-    that misses the chip reaches the sink or closes a cycle within as many
-    steps as there are vertices."""
-    v = start
-    sink = g.sink_index
-    for _ in tgt:
-        if v == sink:
-            break
-        w = tgt[v]
-        if w == chip:
-            return v
-        v = w
-    raise WalkError(f"rotor path from {g.vertices[start]!r} misses "
-                    f"{g.vertices[chip]!r}")
+    raise WalkError(f"rotor path from {g.vertices[start if rec else chip]!r} "
+                    f"misses {g.vertices[chip]!r}")
 
 
 ChipDistribution = dict[str, int]
@@ -258,12 +262,13 @@ def route_all(g: DirectedMultigraph, t: RotorConfiguration,
     recorded = steps if record_trace else None
     segments: list[int] = []
     chip_stops: list[str] = []
-    emitters: set[int] = set()
+    emitted = [False] * len(full)
     count = 0
     for i, v in enumerate(names):
         for _ in range(chips.get(v, 0)):
-            segments.append(len(steps))
-            w, count = _route(g, full, i, stops, emitters, recorded,
+            if record_trace:
+                segments.append(len(steps))
+            w, count = _route(g, full, i, stops, emitted, recorded,
                               count, step_budget)
             if w == sink and not sink_stops:
                 raise ChipAtSinkError(
@@ -275,8 +280,7 @@ def route_all(g: DirectedMultigraph, t: RotorConfiguration,
     stop_counts = {names[v]: c for v, c in sorted(counts.items())}
     trace = WalkTrace(start="", stop="", initial=t, final=t2,
                       steps=steps, segments=segments or [0],
-                      chip_stops=chip_stops,
-                      emitter_set={names[i] for i in emitters})
+                      chip_stops=chip_stops, vertices=names, emitted=emitted)
     return stop_counts, t2, trace
 
 

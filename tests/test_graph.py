@@ -16,6 +16,7 @@ from rotorlab.graph import (
     RotorConfiguration,
     StateClass,
     TooLargeError,
+    _strongly_connected,
     build_graph,
     classify,
     enumerate_recurrent,
@@ -29,6 +30,7 @@ from rotorlab.graph import (
 )
 from rotorlab.sampling import random_multigraph
 from rotorlab.trees import build_branch, build_hat_tree, build_wired_tree
+from rotorlab.walk import ChipAtSinkError, step
 
 
 def two_cycle():
@@ -70,6 +72,42 @@ def test_not_strongly_connected_rejected():
     with pytest.raises(NotStronglyConnectedError):
         build_graph(["a", "b", "s"], "s",
                     {"a": ["b"], "b": ["a"], "s": ["a"]})
+
+
+def strongly_connected_oracle(out_idx):
+    """Every vertex reaches vertex 0 and is reached from it, by two plain
+    searches, one of them over per-vertex in-edge lists."""
+    n = len(out_idx)
+    radj = [[] for _ in range(n)]
+    for v, lst in enumerate(out_idx):
+        for w in lst:
+            radj[w].append(v)
+
+    def reached(adj):
+        seen, stack = {0}, [0]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return len(seen)
+
+    return reached(out_idx) == n and reached(radj) == n
+
+
+def test_strongly_connected_matches_two_search_oracle():
+    rng = random.Random(53)
+    verdicts = {True: 0, False: 0}
+    for _ in range(3000):
+        n = rng.randrange(1, 9)
+        names = [f"v{i}" for i in range(n)]
+        out = {v: [names[j] for j in rng.sample(range(n), rng.randrange(n))
+                   if j != i] for i, v in enumerate(names)}
+        g = DirectedMultigraph(tuple(names), names[-1], out)
+        want = strongly_connected_oracle(g.out_idx)
+        assert _strongly_connected(g) == want, out
+        verdicts[want] += 1
+    assert min(verdicts.values()) > 300, verdicts
 
 
 # (vertices, sink, out, error type, message); the cases are ordered so that
@@ -146,6 +184,18 @@ def test_slot_conversions_match_the_index_mapping(make):
         assert len(full) == len(g.vertices)
         assert full[g.index[g.sink]] == 0
         assert all(full[g.index[v]] == t.slot(g, v) for v in g.rotor_vertices)
+        # slot lookups by name against the position in rotor_vertices
+        for pos, v in enumerate(g.rotor_vertices):
+            s = (t.slots[pos] + 1) % g.outdeg(v)
+            turned = t.slots[:pos] + (s,) + t.slots[pos + 1:]
+            assert t.target(g, v) == g.out[v][t.slots[pos]]
+            assert t.with_slot(g, v, s).slots == turned
+            assert step(g, t, v) == (RotorConfiguration(turned), g.out[v][s])
+        for lookup in (t.slot, t.target, lambda g, x: t.with_slot(g, x, 0)):
+            with pytest.raises(KeyError):
+                lookup(g, g.sink)
+        with pytest.raises(ChipAtSinkError):
+            step(g, t, g.sink)
         assert g.full_to_slots(full) == t
         full[g.index[g.sink]] = 7       # the sink entry is ignored
         assert g.full_to_slots(full) == t

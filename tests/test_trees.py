@@ -159,17 +159,37 @@ def test_builders_golden():
 
 
 def test_branch_build_memory():
-    # the graph and TreeInfo of Y_14 (8,193 vertices, 8,192 leaf names)
-    # hold under 5 MiB: the tree layout is BFS positions, with no
-    # per-vertex maps beside the graph's own
+    # the graph and TreeInfo of Y_14 (8,193 vertices) hold under 3.25 MiB:
+    # the tree layout is BFS positions, the graph has one name-to-index
+    # map, and the 8,192 merged leaves get names only when info.leaves is
+    # read
     tracemalloc.start()
     try:
-        built = build_branch(3, 14)
+        g, info = build_branch(3, 14)
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(built[0].vertices) == 2 ** 13 + 1
-    assert held < 5 * 2 ** 20, held
+    assert len(g.vertices) == 2 ** 13 + 1
+    assert held < 3.25 * 2 ** 20, held
+    assert "leaves" not in vars(info)
+    assert [info.leaves[i] for i in (0, 4096, -1)] == [
+        "r" + "/1" * 13, "r/2" + "/1" * 12, "r" + "/2" * 13]
+
+
+def test_branch_route_memory():
+    # 2^14 - 1 chips alternate on Y_14 with a peak under 0.75 MiB: emitters
+    # are flags per vertex, and no segment list is kept without steps
+    g, info = build_branch(3, 14)
+    t0 = uniform_direction_config(g, info, 1)
+    tracemalloc.start()
+    try:
+        counts, t1, trace = route_all(g, t0, {"r": 2 ** 14 - 1}, {"o", "b"})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert counts == {"o": 2 ** 13 - 1, "b": 2 ** 13} and t1 == t0
+    assert trace.segments == [0] and len(trace.emitters()) == 2 ** 13 - 1
+    assert peak < 0.75 * 2 ** 20, peak
 
 
 def test_hitting_probabilities_closed_forms():

@@ -24,6 +24,7 @@ from rotorlab.walk import (
     RotorsNotRestoredError,
     WalkError,
     WalkTrace,
+    _reverse,
     check_harmonic_invariant,
     predecessor,
     reverse_walk,
@@ -226,6 +227,86 @@ def test_reverse_walk_errors_match_predecessor_oracle():
     assert cases > 100
 
 
+def reverse_rewalking_oracle(g, full, tgt, start, rec, step_budget):
+    """A per-step reference for ``_reverse``, which keeps the rotor path:
+    here each reverse step walks the rotors again to find the predecessor,
+    from start in a recurrent state and around the cycle from the chip in a
+    cyclic one, then walks from the changed rotor to decide recurrence."""
+    out_idx, deg = g.out_idx, g.deg_idx
+    sink = chip = g.sink_index
+    count = 0
+    while True:
+        if rec and chip == start:
+            return
+        if count >= step_budget:
+            raise StepBudgetExceededError(f"exceeded {step_budget} reverse steps")
+        z = path_predecessor(g, tgt, start if rec else chip, chip)
+        s = (full[z] - 1) % deg[z]
+        full[z] = s
+        tgt[z] = out_idx[z][s]
+        chip = z
+        count += 1
+        v = tgt[z]
+        while v != z and v != sink:
+            v = tgt[v]
+        rec = v == sink
+
+
+def path_predecessor(g, tgt, start, chip):
+    """Vertex before the first occurrence of chip on the rotor path from
+    start, within as many steps as there are vertices."""
+    v = start
+    for _ in tgt:
+        if v == g.sink_index:
+            break
+        w = tgt[v]
+        if w == chip:
+            return v
+        v = w
+    raise WalkError(f"rotor path from {g.vertices[start]!r} "
+                    f"misses {g.vertices[chip]!r}")
+
+
+def long_cycle(rng, n, extra):
+    """A directed cycle v0 -> v1 -> ... -> v0 with sink v0, plus ``extra``
+    random edges: long rotor paths and long rotor cycles."""
+    names = [f"v{i}" for i in range(n)]
+    out = {v: [names[(i + 1) % n]] for i, v in enumerate(names)}
+    for _ in range(extra):
+        i, j = rng.sample(range(n), 2)
+        out[names[i]].insert(rng.randrange(len(out[names[i]]) + 1), names[j])
+    return build_graph(names, names[0], out)
+
+
+def test_reverse_kernel_matches_rewalking_oracle():
+    # final slots, final targets and errors agree on every recurrent state,
+    # on random cyclic states and under tiny budgets, also when the walk
+    # stops part way
+    rng = random.Random(47)
+    kinds = {}
+    for k in range(150):
+        g = (random_multigraph(rng, rng.randrange(2, 7)) if k % 2
+             else long_cycle(rng, rng.randrange(3, 12), rng.randrange(1, 5)))
+        states = enumerate_recurrent(g)
+        states += [RotorConfiguration(tuple(rng.randrange(g.outdeg(v))
+                                            for v in g.rotor_vertices))
+                   for _ in range(10)]
+        for t in states:
+            tgt = _rotor_targets(g, t)
+            rec = _acyclic(g, tgt)
+            for x in range(len(g.vertices)):
+                for budget in (10 ** 9, rng.randrange(6)):
+                    got = g.slots_to_full(t), tgt[:]
+                    want = g.slots_to_full(t), tgt[:]
+                    result = outcome(_reverse, g, *got, x, rec, budget)
+                    assert result == outcome(reverse_rewalking_oracle, g,
+                                             *want, x, rec, budget)
+                    assert got == want
+                    kind = result and result[0].__name__
+                    kinds[kind] = kinds.get(kind, 0) + 1
+    assert kinds[None] > 20000 and min(kinds.values()) > 2000, kinds
+
+
 def test_routing_injective_on_recurrent():
     rng = random.Random(21)
     for _ in range(8):
@@ -336,8 +417,8 @@ def test_routing_matches_literal_step_oracle():
             assert trace.chip_stops == chip_stops
             assert t2 == trace.final == t_end and trace.initial == t
             assert trace.steps == (steps if record else [])
-            assert trace.segments == (segments if record
-                                      else [0] * len(segments))
+            # without recorded steps every segment would begin at 0
+            assert trace.segments == (segments if record else [0])
             assert trace.emitters() == {frm for frm, _ in steps}
         x = rng.choice(g.vertices)
         _, _, t_end, steps, _ = route_sequential(g, t, {x: 1}, {g.sink})
