@@ -58,7 +58,6 @@ from rotorlab.lazytree import (
 )
 from rotorlab.escape import (
     ConfigDescriptor,
-    extend_for_root,
     factor_blocks,
     is_escape_branch,
     is_escape_tree,
@@ -90,8 +89,7 @@ __all__ = [
     "LazyTreeConfig", "LevelRegion", "RayRule", "TreeState", "aggregate",
     "aggregate_modified", "ball_size", "is_acyclic_config",
     "alternating_tree_config", "run_chips_infinite", "uniform_config",
-    "ConfigDescriptor", "extend_for_root", "factor_blocks",
-    "is_escape_branch", "is_escape_tree", "phi", "psi", "satisfies_all",
-    "satisfies_pk", "simulate_branch", "simulate_config", "synthesize_branch",
-    "synthesize_tree",
+    "ConfigDescriptor", "factor_blocks", "is_escape_branch", "is_escape_tree",
+    "phi", "psi", "satisfies_all", "satisfies_pk", "simulate_branch",
+    "simulate_config", "synthesize_branch", "synthesize_tree",
 ]

@@ -167,19 +167,6 @@ def phi(c: str, d: str) -> str:
     return "".join(out)
 
 
-def extend_for_root(c: str, d: str, root: str) -> tuple[str, str]:
-    """Extended sub-branch words when the root rotor is not pointing up."""
-    validate_word(c)
-    validate_word(d)
-    if root == "up":
-        return c, d
-    if root == "left":
-        return "0" + c, d
-    if root == "right":
-        return "0" + c, "0" + d
-    raise WordError(f"unknown root direction {root!r}")
-
-
 def is_escape_branch(a: str) -> bool:
     """Is the word realizable as an escape sequence on a single branch?"""
     return satisfies_all(a)

@@ -62,32 +62,33 @@ class ResultCheckError(GraphError):
 class DirectedMultigraph:
     """Immutable directed multigraph with named vertices and a sink.
 
-    ``out[name]`` lists out-edge targets in rotor order; repeats encode
-    multiplicity.  ``index`` is the one name-to-position map: a vertex's
-    rotor slot in a configuration is its index, less one past the sink.
-    Construction is through :func:`build_graph`, which validates all
-    invariants.  Instances are never mutated after build.
+    ``out_idx[i]`` lists vertex i's out-edge targets, as vertex indices, in
+    rotor order; repeats encode multiplicity.  ``index`` is the one
+    name-to-position map: a vertex's rotor slot in a configuration is its
+    index, less one past the sink.  The constructor checks nothing;
+    :func:`build_index_graph` validates.  Never mutated after build.
     """
 
-    __slots__ = (
-        "vertices", "sink", "out",
-        "index", "sink_index", "out_idx", "deg_idx", "rotor_vertices",
-    )
+    __slots__ = ("vertices", "sink", "index", "sink_index", "out_idx",
+                 "deg_idx", "rotor_vertices")
 
     def __init__(self, vertices: tuple[str, ...], sink: str,
-                 out: dict[str, tuple[str, ...]],
-                 index: dict[str, int] | None = None,
-                 out_idx: list[tuple[int, ...]] | None = None):
+                 out_idx: list[tuple[int, ...]],
+                 index: dict[str, int] | None = None):
         index = index or {v: i for i, v in enumerate(vertices)}
-        out_idx = out_idx or [tuple(index[t] for t in out[v]) for v in vertices]
         self.vertices = vertices
         self.sink = sink
-        self.out = out
         self.index = index
         self.sink_index = si = index[sink]
         self.out_idx = out_idx
         self.deg_idx = list(map(len, out_idx))
         self.rotor_vertices = vertices[:si] + vertices[si + 1:]
+
+    @property
+    def out(self) -> dict[str, tuple[str, ...]]:
+        """The out-lists by name, derived from ``out_idx`` on each access."""
+        return {v: tuple(map(self.vertices.__getitem__, lst))
+                for v, lst in zip(self.vertices, self.out_idx)}
 
     def rotor_slot(self, x: str) -> int:
         """x's place in a configuration's slots; KeyError at the sink."""
@@ -97,11 +98,11 @@ class DirectedMultigraph:
         return i - (i > self.sink_index)
 
     def outdeg(self, x: str) -> int:
-        return len(self.out[x])
+        return self.deg_idx[self.index[x]]
 
     def edge_count(self, x: str, y: str) -> int:
         """Number of parallel edges x -> y (d_xy)."""
-        return self.out[x].count(y)
+        return self.out_idx[self.index[x]].count(self.index.get(y))
 
     # -- conversions between rotor-vertex slots and full index arrays -----
 
@@ -130,7 +131,7 @@ class RotorConfiguration:
 
     def target(self, g: DirectedMultigraph, x: str) -> str:
         """Vertex the rotor at x currently points to."""
-        return g.out[x][self.slots[g.rotor_slot(x)]]
+        return g.vertices[g.out_idx[g.index[x]][self.slots[g.rotor_slot(x)]]]
 
     def with_slot(self, g: DirectedMultigraph, x: str, s: int) -> "RotorConfiguration":
         lst = list(self.slots)
@@ -192,38 +193,46 @@ class StateClass:
 
 def build_graph(vertices: Iterable[str], sink: str,
                 out: Mapping[str, Sequence[str]]) -> DirectedMultigraph:
-    """Validate and build a graph from named out-edge lists, in one pass
-    that also turns each out-list into vertex indices.
-
-    Raises LoopEdgeError, EmptyOutListError or NotStronglyConnectedError
-    when the corresponding invariant fails.
-    """
+    """Validate and build a graph from named out-edge lists: GraphError on
+    duplicate names or an unknown sink, then the out-lists mapped to vertex
+    indices (None for an unknown target) go to :func:`build_index_graph`."""
     verts = tuple(vertices)
     index = {v: i for i, v in enumerate(verts)}
     if len(index) != len(verts):
         raise GraphError("duplicate vertex names")
     if sink not in index:
         raise GraphError(f"sink {sink!r} is not a vertex")
-    out_t: dict[str, tuple[str, ...]] = {}
-    out_idx: list[tuple[int, ...]] = []
-    for i, v in enumerate(verts):
-        lst = tuple(out.get(v, ()))
-        idx = tuple(map(index.get, lst))
+    out_idx = [tuple(map(index.get, out.get(v, ()))) for v in verts]
+    return build_index_graph(verts, sink, out_idx, index, out)
+
+
+def build_index_graph(vertices: tuple[str, ...], sink: str,
+                      out_idx: list[tuple[int, ...]], index: dict[str, int],
+                      out: Mapping[str, Sequence[str]] | None = None,
+                      ) -> DirectedMultigraph:
+    """Validate out-lists of vertex indices and build the graph.
+
+    Vertex by vertex, in list order, a loop edge raises LoopEdgeError and
+    an empty non-sink list EmptyOutListError; then a graph that is not
+    strongly connected raises NotStronglyConnectedError.  ``out`` is the
+    named input of :func:`build_graph`: a None in ``out_idx`` marks a
+    target it names outside the vertex set, and an ``out`` key outside it
+    is refused before the connectivity check, both with GraphError.
+    """
+    g = DirectedMultigraph(vertices, sink, out_idx, index)
+    for i, (v, idx) in enumerate(zip(vertices, out_idx)):
         if None in idx or i in idx:
-            for tgt, j in zip(lst, idx):
+            for k, j in enumerate(idx):
                 if j is None:
-                    raise GraphError(f"edge {v!r}->{tgt!r} targets unknown vertex")
+                    raise GraphError(
+                        f"edge {v!r}->{out[v][k]!r} targets unknown vertex")
                 if j == i:
                     raise LoopEdgeError(f"loop edge at {v!r}")
-        if v != sink and not lst:
+        if not idx and i != g.sink_index:
             raise EmptyOutListError(f"non-sink vertex {v!r} has no out-edges")
-        out_t[v] = lst
-        out_idx.append(idx)
-    unknown = set(out).difference(index)
+    unknown = set(out or ()).difference(g.index)
     if unknown:
         raise GraphError(f"out-lists for unknown vertices: {sorted(unknown)}")
-
-    g = DirectedMultigraph(verts, sink, out_t, index, out_idx)
     if not _strongly_connected(g):
         raise NotStronglyConnectedError("graph is not strongly connected")
     return g
@@ -343,12 +352,12 @@ def enumerate_recurrent(g: DirectedMultigraph,
     on backtrack); a rotor v -> w closes a cycle exactly when w already
     lies in v's tree, and such a slot is skipped with everything below it.
     """
-    check_enumeration_limit(map(g.outdeg, g.rotor_vertices), limit)
     rotor = [g.index[v] for v in g.rotor_vertices]
+    outs = [g.out_idx[v] for v in rotor]
+    check_enumeration_limit(map(len, outs), limit)
     m = len(rotor)
     if not m:
         return [RotorConfiguration(())]
-    outs = [g.out_idx[v] for v in rotor]
     parent = list(range(len(g.vertices)))
     size = [1] * len(g.vertices)
     slots = [-1] * m
@@ -391,16 +400,16 @@ def enumerate_recurrent(g: DirectedMultigraph,
 
 def reduced_laplacian(g: DirectedMultigraph) -> list[list[int]]:
     """Integer matrix with diagonal d_x and off-diagonal -d_xy, sink removed."""
-    vs = g.rotor_vertices
+    si = g.sink_index
     mat = []
-    for x in vs:
-        row = []
-        for y in vs:
-            if x == y:
-                row.append(g.outdeg(x))
-            else:
-                row.append(-g.edge_count(x, y))
-        mat.append(row)
+    for x, out in enumerate(g.out_idx):
+        if x != si:
+            row = [0] * len(g.out_idx)
+            for y in out:
+                row[y] -= 1
+            row[x] = g.deg_idx[x]
+            del row[si]
+            mat.append(row)
     return mat
 
 
@@ -483,7 +492,7 @@ def graph_to_json(g: DirectedMultigraph) -> str:
     payload = {
         "vertices": list(g.vertices),
         "sink": g.sink,
-        "out": {v: list(g.out[v]) for v in g.vertices},
+        "out": g.out,
     }
     return json.dumps(payload, indent=2)
 

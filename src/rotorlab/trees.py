@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from operator import add
 from typing import Iterable, Sequence
 
@@ -32,7 +32,7 @@ from rotorlab.graph import (
     NotAcyclicError,
     ResultCheckError,
     RotorConfiguration,
-    build_graph,
+    build_index_graph,
 )
 from rotorlab.walk import route_all
 
@@ -102,23 +102,27 @@ def _tree_graph(d: int, n: int, variant: str, up: str | None,
     info = _tree_skeleton(d, n)
     info.variant = variant
     a = d - 1
+    head = () if up in (None, merge) else (up,)
     tree = info.internal if merge else info.internal + info.leaves
-    last = (len(tree) - 1) // a     # the first vertex with no tree children
+    vertices = (*head, *tree, *([merge] if merge else ()))
+    index = dict(zip(vertices, range(len(vertices))))
+    ids = [*index.values()]     # one int object per vertex, shared by edges
+    r, end = len(head), len(head) + len(tree)   # the run of tree vertices
+    last = r + (len(tree) - 1) // a     # the first with no tree children
     # a run of a children per parent; then the leaves, or the last internal
     # level, whose a children are merged
-    kids = chain(zip(*[islice(tree, 1, None)] * a),
-                 repeat((merge,) * a if merge else (), len(tree) - last))
-    ups = chain([() if up is None else (up,)],
-                ((p,) for p in info.internal for _ in range(a)))
-    out = {} if up in (None, merge) else {up: ("r",)}   # in vertex order
-    out.update(zip(tree, map(add, kids, ups)))
+    kids = chain(zip(*[iter(ids[r + 1:end])] * a),
+                 repeat((ids[-1],) * a if merge else (), end - last))
+    ups = chain([(index[up],) if up else ()],
+                ((p,) for p in ids[r:end] for _ in range(a)))
+    out_idx = [(ids[r],)] if head else []     # up to the root
+    out_idx += map(add, kids, ups)
     if merge:
-        out[merge] = (("r",) if up == merge else ()) + tuple(
-            v for v in info.internal[last:] for _ in range(a))
+        out_idx.append(((ids[r],) if up == merge else ()) + tuple(
+            v for v in ids[last:end] for _ in range(a)))
     elif up:
         info.leaves = [up, *info.leaves]
-    g = build_graph(out, up or "r", out)
-    return g, info
+    return build_index_graph(vertices, up or "r", out_idx, index), info
 
 
 def build_plain_tree(d: int, n: int) -> tuple[DirectedMultigraph, TreeInfo]:

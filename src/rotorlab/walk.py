@@ -79,7 +79,7 @@ def step(g: DirectedMultigraph, t: RotorConfiguration,
         raise ChipAtSinkError("cannot step a chip sitting on the sink")
     s = (t.slot(g, chip) + 1) % g.outdeg(chip)
     t2 = t.with_slot(g, chip, s)
-    return t2, g.out[chip][s]
+    return t2, g.vertices[g.out_idx[g.index[chip]][s]]
 
 
 def _route(g: DirectedMultigraph, full: list[int], v: int,
@@ -264,8 +264,8 @@ def route_all(g: DirectedMultigraph, t: RotorConfiguration,
     chip_stops: list[str] = []
     emitted = [False] * len(full)
     count = 0
-    for i, v in enumerate(names):
-        for _ in range(chips.get(v, 0)):
+    for i, c in sorted((g.index[v], c) for v, c in chips.items()):
+        for _ in range(c):
             if record_trace:
                 segments.append(len(steps))
             w, count = _route(g, full, i, stops, emitted, recorded,
@@ -277,7 +277,7 @@ def route_all(g: DirectedMultigraph, t: RotorConfiguration,
             chip_stops.append(names[w])
 
     t2 = g.full_to_slots(full)
-    stop_counts = {names[v]: c for v, c in sorted(counts.items())}
+    stop_counts = {names[v]: counts[v] for v in sorted(counts)}
     trace = WalkTrace(start="", stop="", initial=t, final=t2,
                       steps=steps, segments=segments or [0],
                       chip_stops=chip_stops, vertices=names, emitted=emitted)
@@ -288,7 +288,7 @@ def is_harmonic_at(g: DirectedMultigraph, H: Mapping[str, Rational],
                    x: str) -> bool:
     """d_x H(x) == sum over out-edges of H(target), with multiplicity."""
     lhs = g.outdeg(x) * Fraction(H[x])
-    rhs = sum(Fraction(H[y]) for y in g.out[x])
+    rhs = sum(Fraction(H[g.vertices[y]]) for y in g.out_idx[g.index[x]])
     return lhs == rhs
 
 

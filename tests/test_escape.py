@@ -9,7 +9,6 @@ from rotorlab.escape import (
     ThreeConsecutiveOnesError,
     WordError,
     descriptor_to_branch_config,
-    extend_for_root,
     factor_blocks,
     is_escape_branch,
     is_escape_tree,
@@ -26,6 +25,19 @@ from rotorlab.escape import (
     violating_window,
 )
 from rotorlab.lazytree import LazyTreeConfig, LevelRegion, run_chips_infinite
+
+
+def extend_for_root(c: str, d: str, root: str) -> tuple[str, str]:
+    """Extended sub-branch words when the root rotor is not pointing up."""
+    validate_word(c)
+    validate_word(d)
+    if root == "up":
+        return c, d
+    if root == "left":
+        return "0" + c, d
+    if root == "right":
+        return "0" + c, "0" + d
+    raise WordError(f"unknown root direction {root!r}")
 
 
 def all_words(max_len: int, min_len: int = 0):

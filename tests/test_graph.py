@@ -100,12 +100,12 @@ def test_strongly_connected_matches_two_search_oracle():
     verdicts = {True: 0, False: 0}
     for _ in range(3000):
         n = rng.randrange(1, 9)
-        names = [f"v{i}" for i in range(n)]
-        out = {v: [names[j] for j in rng.sample(range(n), rng.randrange(n))
-                   if j != i] for i, v in enumerate(names)}
-        g = DirectedMultigraph(tuple(names), names[-1], out)
-        want = strongly_connected_oracle(g.out_idx)
-        assert _strongly_connected(g) == want, out
+        out_idx = [tuple(j for j in rng.sample(range(n), rng.randrange(n))
+                         if j != i) for i in range(n)]
+        g = DirectedMultigraph(tuple(f"v{i}" for i in range(n)), f"v{n - 1}",
+                               out_idx)
+        want = strongly_connected_oracle(out_idx)
+        assert _strongly_connected(g) == want, out_idx
         verdicts[want] += 1
     assert min(verdicts.values()) > 300, verdicts
 
@@ -148,14 +148,46 @@ def test_build_graph_error_messages_and_precedence(vertices, sink, out, error,
 
 
 def test_direct_construction_matches_build_graph():
-    # the fields DirectedMultigraph derives from names equal the ones
-    # build_graph hands it, with the sink first, in the middle and last
+    # the fields DirectedMultigraph derives from index lists equal the ones
+    # build_graph gives it, with the sink first, in the middle and last
     out = {"a": ("b", "s", "b"), "b": ("a", "s"), "s": ("a", "b", "b")}
     for vertices in (("s", "a", "b"), ("a", "s", "b"), ("a", "b", "s")):
         built = build_graph(vertices, "s", out)
-        direct = DirectedMultigraph(vertices, "s", out)
+        out_idx = [tuple(map(vertices.index, out[v])) for v in vertices]
+        direct = DirectedMultigraph(vertices, "s", out_idx)
         for name in DirectedMultigraph.__slots__:
             assert getattr(direct, name) == getattr(built, name), name
+        assert direct.out == built.out == out
+
+
+def test_derived_out_lists_equal_the_input():
+    # build_graph keeps index lists only; the named out-lists read back from
+    # them are the input's, with parallel edges, wherever the sink sits
+    rng = random.Random(29)
+    seen = {"first": 0, "middle": 0, "last": 0, "parallel edges": 0}
+    for _ in range(200):
+        n = rng.randrange(2, 8)
+        names = [f"v{i}" for i in range(n)]
+        out = {v: [names[(i + 1) % n]] + rng.choices(
+                   names[:i] + names[i + 1:], k=rng.randrange(4))
+               for i, v in enumerate(names)}
+        for lst in out.values():
+            rng.shuffle(lst)
+        sink = rng.choice(names)
+        rng.shuffle(names)
+        g = build_graph(names, sink, out)
+        pos = names.index(sink)
+        seen["first" if pos == 0 else "last" if pos == n - 1
+             else "middle"] += 1
+        seen["parallel edges"] += any(len(set(lst)) < len(lst)
+                                      for lst in out.values())
+        assert not hasattr(g, "__dict__")
+        assert list(g.out) == names
+        for v in names:
+            assert g.out[v] == tuple(out[v])
+            assert g.outdeg(v) == len(out[v])
+            assert all(g.edge_count(v, w) == out[v].count(w) for w in names)
+    assert min(seen.values()) >= 30, seen
 
 
 def sink_in_middle():
@@ -301,13 +333,12 @@ def random_unchecked_multigraph(rng, n):
     out-edges, parallel ones allowed, and the sink has none half the time.
     Built without build_graph, which requires strong connectivity: the
     enumeration does not."""
-    names = [f"v{i}" for i in range(n)]
-    out = {}
-    for v in names:
-        k = rng.randrange(0, 3) if v == names[0] else rng.randrange(1, 5)
-        out[v] = tuple(rng.choice([w for w in names if w != v])
-                       for _ in range(k))
-    return DirectedMultigraph(tuple(names), names[0], out)
+    out_idx = []
+    for i in range(n):
+        k = rng.randrange(0, 3) if i == 0 else rng.randrange(1, 5)
+        out_idx.append(tuple(rng.choice([j for j in range(n) if j != i])
+                             for _ in range(k)))
+    return DirectedMultigraph(tuple(f"v{i}" for i in range(n)), "v0", out_idx)
 
 
 def test_enumerate_matches_product_oracle_on_random_multigraphs():

@@ -10,6 +10,7 @@ from rotorlab import trees
 from rotorlab.graph import (
     ResultCheckError,
     RotorConfiguration,
+    build_graph,
     enumerate_recurrent,
     graph_to_json,
     is_recurrent,
@@ -158,11 +159,49 @@ def test_builders_golden():
         assert h.hexdigest() == digest, (variant, d)
 
 
+def named_tree_oracle(d, n, variant):
+    """The builders' graphs from BFS names through build_graph: the children
+    of v are v/1 ... v/(d-1), then comes the parent edge (the root's goes to
+    o, or to s on the wired tree); the wired tree merges the depth n-1
+    vertices into s and the branch into b, which has one edge back along
+    every edge into it, in vertex order of the tails."""
+    up = {"plain": None, "hat": "o", "wired": "s", "branch": "o"}[variant]
+    merge = {"wired": "s", "branch": "b"}.get(variant)
+    levels = [["r"]]
+    for _ in range(n - 1):
+        levels.append([f"{v}/{i}" for v in levels[-1] for i in range(1, d)])
+    out = {up: ["r"]} if up and up != merge else {}
+    for depth, level in enumerate(levels[:-1 if merge else None]):
+        for v in level:
+            kids = [] if depth == n - 1 else [
+                merge if merge and depth == n - 2 else f"{v}/{i}"
+                for i in range(1, d)]
+            parent = v.rpartition("/")[0] or up
+            out[v] = kids + ([parent] if parent else [])
+    if merge:
+        out[merge] = [v for v in out for w in out[v] if w == merge]
+    return build_graph([*out], up or "r", out)
+
+
+@pytest.mark.parametrize("variant", ["plain", "hat", "wired", "branch"])
+def test_builders_match_named_oracle(variant):
+    # the builders write index lists by position; the oracle maps names
+    build = {"plain": build_plain_tree, "hat": build_hat_tree,
+             "wired": build_wired_tree, "branch": build_branch}[variant]
+    for d in range(3, 6):
+        for n in range(2, 8):
+            g, _ = build(d, n)
+            want = named_tree_oracle(d, n, variant)
+            assert (g.vertices, g.sink) == (want.vertices, want.sink)
+            assert g.out_idx == want.out_idx and g.out == want.out
+            assert graph_to_json(g) == graph_to_json(want)
+
+
 def test_branch_build_memory():
-    # the graph and TreeInfo of Y_14 (8,193 vertices) hold under 3.25 MiB:
-    # the tree layout is BFS positions, the graph has one name-to-index
-    # map, and the 8,192 merged leaves get names only when info.leaves is
-    # read
+    # the graph and TreeInfo of Y_14 (8,193 vertices) hold under 2.25 MiB:
+    # the graph keeps index lists only, whose entries are shared int
+    # objects, the tree layout is BFS positions, and the 8,192 merged
+    # leaves get names only when info.leaves is read
     tracemalloc.start()
     try:
         g, info = build_branch(3, 14)
@@ -170,10 +209,23 @@ def test_branch_build_memory():
     finally:
         tracemalloc.stop()
     assert len(g.vertices) == 2 ** 13 + 1
-    assert held < 3.25 * 2 ** 20, held
+    assert held < 2.25 * 2 ** 20, held
     assert "leaves" not in vars(info)
     assert [info.leaves[i] for i in (0, 4096, -1)] == [
         "r" + "/1" * 13, "r/2" + "/1" * 12, "r" + "/2" * 13]
+
+
+def test_branch_build_peak_memory():
+    # building Y_16 (32,769 vertices) peaks under 10.5 MiB: the builder
+    # writes index lists straight from the layout, with no named out-lists
+    tracemalloc.start()
+    try:
+        g, _ = build_branch(3, 16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(g.vertices) == 2 ** 15 + 1
+    assert peak < 10.5 * 2 ** 20, peak
 
 
 def test_branch_route_memory():

@@ -431,6 +431,31 @@ def test_routing_matches_literal_step_oracle():
         assert route_to_sink(g, t, x)[1].emitters() == trace.emitters()
 
 
+def test_route_all_routes_sources_in_vertex_order():
+    # chips given in shuffled key order on several vertices, the sink among
+    # them and placed anywhere in the vertex order, are routed in vertex
+    # order, as the name-order oracle routes them
+    rng = random.Random(41)
+    seen = {"sink in the middle": 0, "chips on the sink": 0}
+    for _ in range(60):
+        g0 = random_multigraph(rng, rng.randrange(3, 8))
+        names = list(g0.vertices)
+        rng.shuffle(names)
+        g = build_graph(names, g0.sink, g0.out)
+        seen["sink in the middle"] += 0 < names.index(g.sink) < len(names) - 1
+        t = RotorConfiguration(tuple(rng.randrange(g.outdeg(v))
+                                     for v in g.rotor_vertices))
+        stop = {g.sink} | {v for v in g.rotor_vertices if rng.random() < 0.3}
+        sources = rng.sample(names, rng.randrange(2, len(names) + 1))
+        chips = {v: rng.randrange(1, 4) for v in sources}
+        seen["chips on the sink"] += g.sink in chips
+        counts, chip_stops, t_end, _, _ = route_sequential(g, t, chips, stop)
+        got, t2, trace = route_all(g, t, chips, stop)
+        assert got == counts and list(got) == sorted(got, key=names.index)
+        assert trace.chip_stops == chip_stops and t2 == t_end
+    assert min(seen.values()) >= 20, seen
+
+
 def test_route_all_chip_through_sink_outside_stop_set_raises():
     # the sink carries no rotor, so walking a chip on from it would depend
     # on a rotor that no RotorConfiguration records
