@@ -12,6 +12,8 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import repeat
+from typing import Iterator
 
 from rotorlab.graph import (
     DirectedMultigraph,
@@ -26,7 +28,7 @@ from rotorlab.graph import (
     reduced_laplacian,
     spanning_tree_count,
 )
-from rotorlab.walk import DEFAULT_STEP_BUDGET, _reverse, _route
+from rotorlab.walk import DEFAULT_STEP_BUDGET, _reverse, _route, _stop_flags
 
 
 # The most rotor configurations the exhaustive checks enumerate by default.
@@ -61,8 +63,9 @@ def apply_generator(g: DirectedMultigraph, t: RotorConfiguration, x: str,
     """e_x^exponent(t); negative exponents run the inverse as reverse walks.
 
     The configuration is validated and checked for recurrence once; every
-    power then runs on one per-vertex slot list, through ``_route`` or
-    ``_reverse``.
+    power then runs on one per-vertex slot list: all of them in one
+    ``_route`` call, which routes one chip per repeat of the list, or one
+    ``_reverse`` call each.
     """
     if not is_recurrent(g, t):
         raise NotRecurrentError("generators act on recurrent configurations")
@@ -73,10 +76,8 @@ def apply_generator(g: DirectedMultigraph, t: RotorConfiguration, x: str,
     full = g.slots_to_full(t)
     v = g.index[x]
     if exponent > 0:
-        stops = (g.sink_index,)
-        emitted = [False] * len(full)
-        for _ in range(exponent):
-            _route(g, full, v, stops, emitted, None, 0, DEFAULT_STEP_BUDGET)
+        _route(g, v, repeat(full, exponent), _stop_flags(g),
+               repeat(None, DEFAULT_STEP_BUDGET), DEFAULT_STEP_BUDGET)
     else:
         # each reverse walk ends on a recurrent state
         tgt = _rotor_targets(g, t)
@@ -123,10 +124,11 @@ def _orbit_period(g: DirectedMultigraph, x: str, t0: RotorConfiguration,
     start = g.slots_to_full(t0)
     full = start[:]
     v = g.index[x]
-    stops = (g.sink_index,)
-    emitted = [False] * len(full)
+    fulls = (full,)
+    flags = _stop_flags(g)
     for k in range(1, cap + 1):
-        _route(g, full, v, stops, emitted, None, 0, DEFAULT_STEP_BUDGET)
+        _route(g, v, fulls, flags, repeat(None, DEFAULT_STEP_BUDGET),
+               DEFAULT_STEP_BUDGET)
         if full == start:
             return k
     raise BudgetExceededError(f"order of e_{x} exceeds cap {cap}")
@@ -305,29 +307,35 @@ def _generator_tables(g: DirectedMultigraph,
     as per-vertex slot lists.
 
     ``perm[v][i]`` is the index in ``fulls`` of e_x(fulls[i]), x being the
-    vertex with index v; the chip is routed by ``_route``, the kernel of
-    ``route_to_sink``.  The sink's table is the identity.
+    vertex with index v.  One ``_route`` call per vertex, the kernel of
+    ``route_to_sink``, routes x's chip on a copy of each state in turn.
+    The sink's chip starts on a stop, so its table is the identity.
     """
     # keyed on whole lists: the sink is a stop, so its unused entry stays 0
     where = {tuple(full): i for i, full in enumerate(fulls)}
-    stops = (g.sink_index,)
-    emitted = [False] * len(g.vertices)
+    flags = _stop_flags(g)
     perm = []
     for v in range(len(g.vertices)):
-        if v == g.sink_index:
-            perm.append(list(range(len(fulls))))
-            continue
-        row = []
-        for full in fulls:
-            image = full[:]
-            _route(g, image, v, stops, emitted, None, 0, DEFAULT_STEP_BUDGET)
-            i = where.get(tuple(image))
-            if i is None:
-                raise NotRecurrentError("generators act on recurrent "
-                                        "configurations")
-            row.append(i)
+        row: list[int | None] = []
+        _route(g, v, _copies(fulls, where, row), flags,
+               repeat(None, DEFAULT_STEP_BUDGET), DEFAULT_STEP_BUDGET)
+        if None in row:
+            raise NotRecurrentError("generators act on recurrent "
+                                    "configurations")
         perm.append(row)
     return perm
+
+
+def _copies(fulls: list[list[int]], where: dict[tuple[int, ...], int],
+            row: list[int | None]) -> Iterator[list[int]]:
+    """A copy of each slot list of ``fulls`` in turn, for ``_route`` to
+    route a chip on.  ``_route`` is done with a copy when it asks for the
+    next, so on resuming this appends to ``row`` the index in ``where`` of
+    the routed copy, or None; one copy is alive at a time."""
+    for full in fulls:
+        image = full[:]
+        yield image
+        row.append(where.get(tuple(image)))
 
 
 def _composed(tables: list[list[int]]) -> list[int]:
@@ -487,12 +495,12 @@ def verify_isomorphism(g: DirectedMultigraph,
     are equal tables.  It also verifies that every e_x is injective, that
     the action is transitive, and that the recurrent-state count equals the
     Smith normal form group order.  Each state's per-vertex slot list is
-    built once, and two checks stay literal on those lists: routing a chip
-    from the sink with ``_route`` is the identity, and the reverse walk,
-    step by step in ``_reverse``, maps every e_x(t) back to t.  Every state
-    comes from the enumeration, so each reverse walk starts as recurrent.
-    The sink-identity check cannot fail: the chip starts on the sink, which
-    is a stop, so ``_route`` returns at once and moves no rotor.
+    built once.  The sink's table, routed like the others, must be the
+    identity, and the reverse walk, step by step in ``_reverse`` on those
+    lists, maps every e_x(t) back to t.  Every state comes from the
+    enumeration, so each reverse walk starts as recurrent.  The
+    sink-identity check cannot fail: the chip starts on the sink, which is
+    a stop, so ``_route`` returns at once and moves no rotor.
     """
     recs = enumerate_recurrent(g, limit)
     structure = sandpile_structure(g)
@@ -506,13 +514,7 @@ def verify_isomorphism(g: DirectedMultigraph,
         == _composed([perm[y] for y in g.out_idx[x]])
         for x in movers)
 
-    def routed_from_sink(full: list[int]) -> list[int]:
-        full = full[:]
-        _route(g, full, sink, (sink,), [False] * len(full), None, 0,
-               DEFAULT_STEP_BUDGET)
-        return full
-
-    sink_identity_ok = all(routed_from_sink(full) == full for full in fulls)
+    sink_identity_ok = perm[sink] == list(range(len(fulls)))
 
     commutes_ok = all(
         _composed([perm[x], perm[y]]) == _composed([perm[y], perm[x]])

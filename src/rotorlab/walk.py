@@ -2,16 +2,19 @@
 
 A step first increments the rotor at the chip's vertex, then moves the chip
 along the new rotor edge.  This rotate-then-move convention is shared by
-every module in the package.
+every module in the package.  Every forward walk, here and in
+``rotorlab.group``, runs in one kernel, ``_route``, which walks a batch of
+chips per call on per-vertex slot lists; reverse walks run in ``_reverse``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, repeat
 from numbers import Rational
-from typing import Collection, Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from rotorlab.graph import (
     DEFAULT_STEP_BUDGET,
@@ -75,6 +78,8 @@ class WalkTrace:
 def step(g: DirectedMultigraph, t: RotorConfiguration,
          chip: str) -> tuple[RotorConfiguration, str]:
     """One rotor-router step: rotate at the chip, move along the new edge."""
+    if chip not in g.index:
+        raise GraphError(f"unknown vertex {chip!r}")
     if chip == g.sink:
         raise ChipAtSinkError("cannot step a chip sitting on the sink")
     s = (t.slot(g, chip) + 1) % g.outdeg(chip)
@@ -82,32 +87,76 @@ def step(g: DirectedMultigraph, t: RotorConfiguration,
     return t2, g.vertices[g.out_idx[g.index[chip]][s]]
 
 
-def _route(g: DirectedMultigraph, full: list[int], v: int,
-           stops: Collection[int], emitted: list[bool],
-           steps: list[tuple[str, str]] | None,
-           count: int, step_budget: int) -> tuple[int, int]:
-    """Walk one chip from vertex index v until it enters ``stops``.
+def _stop_flags(g: DirectedMultigraph,
+                stops: Iterable[int] = ()) -> list[bool | None]:
+    """A run's flags for ``_route`` by vertex index: None at the sink and
+    at ``stops``, where chips end, and False elsewhere until a chip leaves
+    the vertex."""
+    flags: list[bool | None] = [False] * len(g.vertices)
+    flags[g.sink_index] = None
+    for v in stops:
+        flags[v] = None
+    return flags
 
-    Turns the rotors of ``full`` in place, flags in ``emitted`` every
-    vertex index the chip leaves and, when ``steps`` is a list, appends
-    each (from, to) pair.  ``count`` steps were taken before this chip;
-    returns the stop vertex and the new count.
+
+def _route(g: DirectedMultigraph, v: int, fulls: Iterable[list[int]],
+           flags: list[bool | None], budget: Iterator[None],
+           step_budget: int, chip_stops: list[str] | None = None,
+           steps: list[tuple[str, str]] | None = None,
+           halt: int = -1) -> None:
+    """Walk one chip from vertex index v on each slot list of ``fulls``, in
+    turn, until it enters a stop.
+
+    ``flags`` is :func:`_stop_flags`'s list: a chip stops at a vertex where
+    it holds None, and elsewhere sets it to True, turns the rotor by one,
+    wrapping to 0 at the out-degree, and moves on.  Each chip turns the
+    rotors of its own list in place, so one list repeated routes chips in
+    sequence.  Each chip's stop is named in ``chip_stops`` and, in a loop
+    of its own, each (from, to) step appended to ``steps``, when those are
+    lists.  A chip that stops at ``halt`` raises ChipAtSinkError.  Each
+    step takes one item of ``budget``, which holds one item for every step
+    still allowed and may be shared with other calls, so no step compares
+    against the budget: a chip that needs a step when it is empty raises
+    StepBudgetExceededError, naming ``step_budget``, the budget's size.
     """
     out_idx = g.out_idx
     deg = g.deg_idx
     names = g.vertices
-    while v not in stops:
-        if count >= step_budget:
-            raise StepBudgetExceededError(f"exceeded {step_budget} steps")
-        emitted[v] = True
-        s = (full[v] + 1) % deg[v]
-        full[v] = s
-        w = out_idx[v][s]
-        if steps is not None:
-            steps.append((names[v], names[w]))
-        v = w
-        count += 1
-    return v, count
+    for full in fulls:
+        w = v
+        if flags[w] is None:
+            pass
+        elif steps is None:
+            for _ in budget:
+                flags[w] = True
+                s = full[w] + 1
+                if s == deg[w]:
+                    s = 0
+                full[w] = s
+                w = out_idx[w][s]
+                if flags[w] is None:
+                    break
+            else:
+                raise StepBudgetExceededError(f"exceeded {step_budget} steps")
+        else:
+            for _ in budget:
+                flags[w] = True
+                s = full[w] + 1
+                if s == deg[w]:
+                    s = 0
+                full[w] = s
+                x = out_idx[w][s]
+                steps.append((names[w], names[x]))
+                w = x
+                if flags[w] is None:
+                    break
+            else:
+                raise StepBudgetExceededError(f"exceeded {step_budget} steps")
+        if w == halt:
+            raise ChipAtSinkError(
+                "a chip reached the sink, which is not in the stop set")
+        if chip_stops is not None:
+            chip_stops.append(names[w])
 
 
 def route_to_sink(g: DirectedMultigraph, t: RotorConfiguration, x: str,
@@ -124,9 +173,10 @@ def route_to_sink(g: DirectedMultigraph, t: RotorConfiguration, x: str,
         raise GraphError(f"unknown vertex {x!r}")
     full = g.slots_to_full(t)
     steps: list[tuple[str, str]] = []
-    emitted = [False] * len(full)
-    _route(g, full, g.index[x], (g.sink_index,), emitted,
-           steps if record_trace else None, 0, step_budget)
+    emitted = _stop_flags(g)
+    _route(g, g.index[x], (full,), emitted, repeat(None, step_budget),
+           step_budget, steps=steps if record_trace else None)
+    emitted[g.sink_index] = False
     t2 = g.full_to_slots(full)
     trace = WalkTrace(start=x, stop=g.sink, initial=t, final=t2, steps=steps,
                       vertices=g.vertices, emitted=emitted)
@@ -141,6 +191,9 @@ def predecessor(g: DirectedMultigraph, t: RotorConfiguration, chip: str,
     decremented and the chip moved back.
     """
     t.validate(g)
+    for x in (chip, frm):
+        if x not in g.index:
+            raise GraphError(f"unknown vertex {x!r}")
     if frm == g.sink:
         raise NotAPredecessorError("sink carries no rotor")
     if t.target(g, frm) != chip:
@@ -236,48 +289,56 @@ def route_all(g: DirectedMultigraph, t: RotorConfiguration,
     """Route every chip until it enters the stop set.
 
     Chips are routed one at a time, each to its stop, in vertex order of
-    their starting vertices.  By the abelian property the stop counts and
-    the final configuration do not depend on that order.  ``step_budget``
-    bounds the steps of all chips together.  The sink carries no rotor, so
-    a chip that starts at or enters the sink while the sink is not in the
-    stop set raises ``ChipAtSinkError``, as ``step`` does.
+    their starting vertices; each source's chips go to ``_route`` in one
+    call.  By the abelian property the stop counts and the final
+    configuration do not depend on that order.  ``step_budget`` bounds the
+    steps of all chips together: the chip that would take one step more
+    raises StepBudgetExceededError.  The sink carries no rotor, so a chip
+    that starts at or enters the sink while the sink is not in the stop set
+    raises ``ChipAtSinkError``, as ``step`` does.
     """
     t.validate(g)
-    stops = {g.index[v] for v in stop_set}
+    index = g.index
+    stops = set()
+    for x in stop_set:
+        if x not in index:
+            raise GraphError(f"unknown vertex {x!r}")
+        stops.add(index[x])
     if not stops:
         raise WalkError("stop set must be nonempty")
     sink = g.sink_index
-    sink_stops = sink in stops
-    stops.add(sink)
+    halt = -1 if sink in stops else sink
     for v, c in chips.items():
-        if v not in g.index:
+        if v not in index:
             raise GraphError(f"unknown vertex {v!r}")
         if c < 0:
             raise WalkError("negative chip count")
 
     full = g.slots_to_full(t)
     names = g.vertices
-    counts: dict[int, int] = {}
     steps: list[tuple[str, str]] = []
-    recorded = steps if record_trace else None
     segments: list[int] = []
     chip_stops: list[str] = []
-    emitted = [False] * len(full)
-    count = 0
-    for i, c in sorted((g.index[v], c) for v, c in chips.items()):
+    emitted = _stop_flags(g, stops)
+    budget = repeat(None, step_budget)
+    for i, c in sorted((index[v], c) for v, c in chips.items()):
+        if not record_trace:
+            _route(g, i, repeat(full, c), emitted, budget, step_budget,
+                   chip_stops, halt=halt)
+            continue
         for _ in range(c):
-            if record_trace:
-                segments.append(len(steps))
-            w, count = _route(g, full, i, stops, emitted, recorded,
-                              count, step_budget)
-            if w == sink and not sink_stops:
-                raise ChipAtSinkError(
-                    "a chip reached the sink, which is not in the stop set")
-            counts[w] = counts.get(w, 0) + 1
-            chip_stops.append(names[w])
+            segments.append(len(steps))
+            _route(g, i, (full,), emitted, budget, step_budget, chip_stops,
+                   steps, halt)
 
-    t2 = g.full_to_slots(full)
-    stop_counts = {names[v]: counts[v] for v in sorted(counts)}
+    for v in (sink, *stops):    # no chip leaves a stop
+        emitted[v] = False
+    # full_to_slots in place, without its two copies of the slots: the end
+    # of a long route is its memory peak
+    del full[sink]
+    t2 = RotorConfiguration(tuple(full))
+    counts = Counter(chip_stops)
+    stop_counts = {x: counts[x] for x in sorted(counts, key=index.__getitem__)}
     trace = WalkTrace(start="", stop="", initial=t, final=t2,
                       steps=steps, segments=segments or [0],
                       chip_stops=chip_stops, vertices=names, emitted=emitted)

@@ -577,6 +577,21 @@ def test_generator_image_outside_recurrent_states_raises(monkeypatch):
         verify_isomorphism(triangle())
 
 
+def test_generator_tables_match_route_to_sink():
+    # every state's image under every generator, the sink's identity
+    # included, one route_to_sink call each
+    rng = random.Random(73)
+    graphs = [random_multigraph(rng, 4 + k % 4) for k in range(24)]
+    graphs.append(build_wired_tree(3, 3)[0])
+    for g in graphs:
+        recs = enumerate_recurrent(g)
+        where = {t: i for i, t in enumerate(recs)}
+        want = [[where[route_to_sink(g, t, x)[0]] for t in recs]
+                for x in g.vertices]
+        fulls = [g.slots_to_full(t) for t in recs]
+        assert group._generator_tables(g, fulls) == want
+
+
 def test_orbit_period_matches_route_to_sink_loop():
     rng = random.Random(59)
     for _ in range(20):

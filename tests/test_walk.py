@@ -484,6 +484,120 @@ def test_step_budget_exceeded():
         route_all(g, t, {"a": 5}, {"s"}, step_budget=2)
 
 
+def test_unknown_vertices_raise_before_routing():
+    # a stop, a stepped chip or a predecessor vertex off the graph is named;
+    # the budget of 0 would stop any routing first
+    g = three_out()
+    t = RotorConfiguration.uniform(g, 0)
+    want = (GraphError, "unknown vertex 'zz'")
+    assert outcome(route_all, g, t, {"m": 1}, {"zz"}) == want
+    assert outcome(route_all, g, t, {"m": 1}, {"a", "zz"},
+                   step_budget=0) == want
+    assert outcome(step, g, t, "zz") == want
+    assert outcome(predecessor, g, t, "a", "zz") == want
+    assert outcome(predecessor, g, t, "zz", "m") == want
+
+
+def shuffled_graph(rng, n):
+    """A random multigraph with its vertices, the sink among them, in random
+    order."""
+    g0 = random_multigraph(rng, n)
+    names = list(g0.vertices)
+    rng.shuffle(names)
+    return build_graph(names, g0.sink, g0.out)
+
+
+def random_slots(rng, g):
+    return RotorConfiguration(tuple(rng.randrange(g.outdeg(v))
+                                    for v in g.rotor_vertices))
+
+
+def test_step_budget_boundaries_match_the_oracle():
+    # the oracle's step total is exactly enough and one step less raises;
+    # a chip that enters a sink outside the stop set raises at that chip,
+    # with any budget that lets it get there
+    from rotorlab.group import apply_generator
+    rng = random.Random(61)
+    seen = {"sink stops": 0, "sink entered": 0, "runs out": 0}
+    for k in range(120):
+        g = shuffled_graph(rng, rng.randrange(2, 8))
+        sink = g.sink
+        t = random_slots(rng, g)
+        stop = {v for v in g.rotor_vertices if rng.random() < 0.3}
+        if k % 2 or not stop:
+            stop.add(sink)
+        sources = rng.sample(g.vertices, rng.randrange(1, len(g.vertices) + 1))
+        chips = {v: rng.randrange(1, 5) for v in sources}
+        counts, chip_stops, t_end, steps, segments = route_sequential(
+            g, t, chips, stop | {sink})
+        total = len(steps)
+        ends = segments[1:] + [total]
+        entries = [end for end, z in zip(ends, chip_stops)
+                   if z == sink and sink not in stop]
+        for record in (True, False):
+            def run(budget):
+                return route_all(g, t, chips, stop, record_trace=record,
+                                 step_budget=budget)
+            if entries:
+                seen["sink entered"] += 1
+                for budget in {entries[0], total, total + 1}:
+                    with pytest.raises(ChipAtSinkError):
+                        run(budget)
+            else:
+                seen["sink stops"] += 1
+                got, t2, trace = run(total)
+                assert got == counts and t2 == t_end
+                assert trace.chip_stops == chip_stops
+                assert trace.steps == (steps if record else [])
+            if (entries or [total])[0]:
+                seen["runs out"] += 1
+                with pytest.raises(StepBudgetExceededError):
+                    run((entries or [total])[0] - 1)
+        x = rng.choice(g.vertices)
+        _, _, t_end, steps, _ = route_sequential(g, t, {x: 1}, {sink})
+        emitters = {frm for frm, _ in steps}
+        for record in (True, False):
+            t2, trace = route_to_sink(g, t, x, record, len(steps))
+            assert t2 == t_end
+            assert trace.emitted == [v in emitters for v in g.vertices]
+            if steps:
+                with pytest.raises(StepBudgetExceededError):
+                    route_to_sink(g, t, x, record, len(steps) - 1)
+        t = random_recurrent_config(g, rng)
+        power = rng.randrange(1, 40)
+        want = route_sequential(g, t, {x: power}, {sink})[2]
+        assert apply_generator(g, t, x, power) == want
+    assert min(seen.values()) >= 50, seen
+
+
+def test_route_all_matches_the_oracle_at_scale():
+    # hundreds of chips on graphs of 20-40 vertices, and the alternation on
+    # Y_8, take over ten steps per vertex: the rotors wrap many times
+    from rotorlab.trees import build_branch, uniform_direction_config
+    rng = random.Random(71)
+    runs = []
+    for k in range(6):
+        g = shuffled_graph(rng, rng.randrange(20, 41))
+        stop = {g.sink} | {v for v in g.rotor_vertices if rng.random() < 0.1}
+        sources = rng.sample(g.vertices, 5)
+        chips = {v: rng.randrange(50, 150) for v in sources}
+        runs.append((g, random_slots(rng, g), chips, stop))
+    g, info = build_branch(3, 8)
+    runs.append((g, uniform_direction_config(g, info, 1), {"r": 255},
+                 {"o", "b"}))
+    for g, t, chips, stop in runs:
+        counts, chip_stops, t_end, steps, _ = route_sequential(
+            g, t, chips, stop)
+        got, t2, trace = route_all(g, t, chips, stop)
+        assert got == counts
+        assert list(got) == sorted(got, key=g.index.__getitem__)
+        assert trace.chip_stops == chip_stops and t2 == t_end
+        emitters = {frm for frm, _ in steps}
+        assert trace.emitters() == emitters
+        assert trace.emitted == [x in emitters for x in g.vertices]
+        assert len(steps) > 10 * len(g.vertices)
+
+
 def segment_bounds(trace: WalkTrace) -> list[tuple[int, int]]:
     ends = trace.segments[1:] + [len(trace.steps)]
     return list(zip(trace.segments, ends))
