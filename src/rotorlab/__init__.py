@@ -3,6 +3,7 @@
 from rotorlab.graph import (
     DirectedMultigraph,
     RotorConfiguration,
+    RotorlabError,
     StateClass,
     build_graph,
     classify,
@@ -74,7 +75,7 @@ from rotorlab.escape import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DirectedMultigraph", "RotorConfiguration", "StateClass",
+    "DirectedMultigraph", "RotorConfiguration", "RotorlabError", "StateClass",
     "build_graph", "classify", "enumerate_recurrent", "graph_from_json",
     "graph_to_json", "is_recurrent", "shortest_path_config",
     "spanning_tree_count",

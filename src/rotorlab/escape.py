@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from operator import sub
 
+from rotorlab.graph import RotorlabError
 from rotorlab.lazytree import (
     Address,
     LazyTreeConfig,
@@ -23,7 +24,7 @@ from rotorlab.lazytree import (
 )
 
 
-class WordError(ValueError):
+class WordError(RotorlabError):
     pass
 
 

@@ -15,7 +15,12 @@ from operator import getitem
 from typing import Iterable, Mapping, Sequence
 
 
-class GraphError(ValueError):
+class RotorlabError(ValueError):
+    """Root of every error rotorlab raises: malformed input, an exceeded
+    limit, or a failed result guard."""
+
+
+class GraphError(RotorlabError):
     """Base for graph construction and usage errors."""
 
 
@@ -151,9 +156,6 @@ class RotorConfiguration:
         t = RotorConfiguration((s,) * len(g.rotor_vertices))
         t.validate(g)
         return t
-
-    def to_dict(self, g: DirectedMultigraph) -> dict[str, int]:
-        return {v: s for v, s in zip(g.rotor_vertices, self.slots)}
 
     @staticmethod
     def from_dict(g: DirectedMultigraph, d: Mapping[str, int]) -> "RotorConfiguration":

@@ -38,15 +38,20 @@ materialized rotors:
 * escape rays -- when a chip provably descends forever, the vertices along
   its infinite path each advance once.  The path is expanded lazily: a
   ray's pending tip waits on the last vertex of the path that has an id,
-  and moves down as the next vertex gets one.
+  and moves down as the next vertex gets one.  The proof is a probe down
+  the chip's path; one that stops at a bounce or mixed territory instead
+  lets the chip take the probed path in one stride.
 
 * pass counts -- how many escape rays have run through a vertex, which
   offsets its base direction.
 
-Inside ``TreeState`` every vertex the engine touches gets an integer id on
-first contact, and the state lives in flat per-id tables: parent, depth,
-child index, rotor (0 while not materialized), sibling links, and the
-static ``NodeKind``, derived from the parent's kind when the id is made.
+Inside ``TreeState`` every vertex the engine touches has an integer id,
+and the state lives in flat per-id tables: parent, depth, child index,
+rotor (0 while not materialized), sibling links, and the static
+``NodeKind``.  The structure gets its ids when the state is made, in
+depth-first preorder, the order in which walks first meet it, with the
+kinds read from the ``kids`` maps.  Every other vertex gets its id on first
+contact, its kind derived from the parent's.
 A child's id is found in a block of child slots at small degree and in a
 dict at large degree.  Sparse maps keyed by id hold the pass count and the
 absolute depth reached by the deepest patch covering the vertex; setting a
@@ -60,8 +65,9 @@ is a table read.  Addresses stay the currency of the API:
 ``stops``, ``occupied`` and ``rotors``, JSON and DOT.
 
 Every shortcut is exact: the literal step-by-step engine (fast_paths=False)
-runs on the same tables and computes the same words, depths and effective
-directions, and the test suite cross-checks the two.  An escaped chip has
+runs on the same tables, with ids made on first contact only and a probe
+at every fresh vertex, and computes the same words, depths and effective
+directions; the test suite cross-checks the two.  An escaped chip has
 no depth: ``run_chips_infinite`` reports None for it.
 
 Aggregation (a chip stops on the first unoccupied vertex it enters) does
@@ -563,11 +569,14 @@ BLOCK_DEGREE = 16
 class TreeState:
     """Mutable rotor state of a lazy tree run, on per-vertex id tables.
 
-    Id 0 is the origin; a vertex gets the next id on first contact.  Per
-    id: ``_parent``, ``_depth``, ``_cidx`` (its child index under the
-    parent), ``_rot`` (0 while the vertex is not materialized), ``_kind``,
-    and ``_head``/``_next``, which list each vertex's children newest first
-    (0 ends a list: the origin is nobody's child).
+    Id 0 is the origin.  With fast paths, ids 1, 2, ... go to the structure
+    when the state is made, in depth-first preorder of the addresses (see
+    ``_seed``); any other vertex gets the next id on first contact, as
+    every vertex does in the literal mode.  Per id: ``_parent``,
+    ``_depth``, ``_cidx`` (its child index under the parent), ``_rot`` (0
+    while the vertex is not materialized), ``_kind``, and
+    ``_head``/``_next``, which list each vertex's children newest first (0
+    ends a list: the origin is nobody's child).
 
     Up to degree BLOCK_DEGREE, child c of x has its id, or -1, at
     ``_kids[_first[x] + c]``: a vertex gets a block of d slots with its
@@ -614,6 +623,8 @@ class TreeState:
         self.n_rays = 0
         self._max_materialized = 0
         self._max_patch_end = 0
+        if fast_paths:
+            self._seed()
 
     # -- ids and addresses ----------------------------------------------------
 
@@ -654,6 +665,48 @@ class TreeState:
                 else:
                     self._tips.setdefault(x, []).append(r)
         return y
+
+    def _seed(self) -> None:
+        """Ids for the whole structure, read from the kinds' ``kids`` maps,
+        in depth-first preorder, the order in which walks first meet it
+        (breadth-first ids walk slower: a walk's table reads spread out).
+        No patch or ray tip exists yet to cover the ids or move into them."""
+        d = self.cfg.d
+        first, kids, depth, head = self._first, self._kids, self._depth, \
+            self._head
+        add_parent, add_depth, add_cidx, add_head, add_next, add_kind = (
+            self._parent.append, depth.append, self._cidx.append,
+            head.append, self._next.append, self._kind.append)
+        block = None if first is None else kids[:d]     # d slots of -1
+        y = 0
+        stack = [(0, 0, self.cfg.root_kind)]
+        pop, push = stack.pop, stack.append
+        while stack:
+            x, c, kind = pop()
+            if c:                       # c = 0 stands for the origin
+                y += 1
+                if first is None:
+                    kids[x * d + c] = y
+                else:
+                    kids[first[x] + c] = y
+                    first.append(-1)
+                add_parent(x)
+                add_depth(depth[x] + 1)
+                add_cidx(c)
+                add_next(head[x])
+                head[x] = y
+                add_head(0)
+                add_kind(kind)
+                x = y
+            sub = kind.kids
+            if sub:
+                if first is not None:
+                    first[x] = len(kids) - 1
+                    kids += block
+                for c in sorted(sub, reverse=True):
+                    push((x, c, sub[c]))
+        self._rot += [0] * y
+        self._addr += [None] * y
 
     def _id(self, x: int, c: int) -> int:
         """The id of child c of x, or -1 if it has none yet."""
@@ -786,14 +839,14 @@ class TreeState:
             y = self._id(x, self._heading(ray_id))
         self._tips.setdefault(x, []).append(ray_id)
 
-    def _descends_forever(self, x: int) -> bool:
-        """Exact escape decision for a chip about to descend from x.
-
-        Walks a virtual probe downward; declares escape once the remaining
-        path provably stays in territory that never bounces (uniform default
-        c != d-1, an all-d region tail, or an endless ride along a config
-        ray), returns False as soon as a bounce is certain, and hands mixed
-        territory back to the stepwise walk one level at a time.
+    def _descent_stop(self, x: int) -> int:
+        """Exact escape decision for a chip about to descend from x, a fresh
+        vertex without passes: -1 once a probe down the chip's path, making
+        ids on it, proves that it never bounces (uniform default c != d-1,
+        an all-d region tail, or an endless ride along a config ray).
+        Otherwise the first vertex of the path where a bounce is certain or
+        the territory is mixed: the chip steps straight down to it, turning
+        each fresh vertex above it once, and the stepwise walk takes over.
         """
         d = self.cfg.d
         static = self.cfg._static_depth
@@ -810,21 +863,23 @@ class TreeState:
         while guard:
             guard -= 1
             if w in rc or rot[w]:
-                return False
+                return w
             kind = kinds[w]
             e = d if w in cover else kind.base
             inc = e % d + 1
             if inc == d:
-                return False
+                return w
             if not kind.kids:
                 if kind.ray is None:    # no bounce above the limit
                     depth = depths[w]
-                    return (cover.get(w, 0) or depth + 1) >= depth + kind.limit
+                    if (cover.get(w, 0) or depth + 1) >= depth + kind.limit:
+                        return -1
+                    return w
                 i, offset = kind.ray
                 if (self.cfg.rays[i].pattern[offset] == inc and depths[w]
                         > static + self._max_patch_end):
                     if kind.ray in ride_seen:
-                        return True     # periodic ride along the ray
+                        return -1       # periodic ride along the ray
                     ride_seen.add(kind.ray)
             # along the ray, or off it
             y = kids.get(w * d + inc, -1) if first is None else \
@@ -850,13 +905,19 @@ class TreeState:
     def walk_chip(self, record_visits: bool = False) -> ChipResult:
         """One chip from the origin: walk until it returns or escapes.
 
+        With fast paths a fresh descent is probed once: unless the chip
+        escapes, it takes the probed path in one stride and walks on where
+        the probe stopped.  The literal walk probes at every fresh vertex.
+        No stride crosses the step cap or the fresh-depth cap, so both bind
+        at the same step in both modes.
+
         The state's ``step_cap`` bounds each walk on its own:
         StepBudgetExceededError is raised before step ``step_cap + 1``.
         """
         d = self.cfg.d
-        origin_arity = self.cfg.origin_arity()
-        branch = self.cfg.mode == "branch"
         parent = self._parent
+        depths = self._depth
+        cidx = self._cidx
         first = self._first
         kids = self._kids
         rot = self._rot
@@ -867,30 +928,20 @@ class TreeState:
         rc = self._rc
         fast = self.fast
         cap = self.step_cap
-        pos = 0
-        depth = 0                       # of pos
-        max_depth = 0
         fresh_cap = self._fresh_depth_cap()   # frozen: the walk's own
         visited: list[Address] | None = [] if record_visits else None
+        if cap < 1:
+            raise StepBudgetExceededError(f"exceeded {cap} steps")
+        if self.cfg.mode == "branch":
+            inc = 1                     # the origin edge carries no rotor
+        else:
+            inc = rot[0] % d + 1        # the origin's d branches
+            rot[0] = inc
+        pos = depth = max_depth = 0     # depth: of pos
+        steps = 1
+        numbers = iter(range(2, cap + 1))     # of the steps still allowed
 
-        for steps in range(1, cap + 1):
-            if pos:                     # below the origin
-                inc = rot[pos] % d + 1
-                rot[pos] = inc
-                if inc == d:
-                    # up: every materialized vertex's parent is materialized
-                    pos = parent[pos]
-                    if not pos:
-                        return ChipResult(RETURNED, max_depth, steps, visited)
-                    depth -= 1
-                    if visited is not None:
-                        visited.append(self._address(pos))
-                    continue
-            elif branch:
-                inc = 1                 # the origin edge carries no rotor
-            else:
-                inc = rot[0] % origin_arity + 1
-                rot[0] = inc
+        while True:                     # step ``steps``: pos to child inc
             if first is None:
                 target = kids.get(pos * d + inc, -1)
             else:
@@ -906,53 +957,84 @@ class TreeState:
             if rot[target]:
                 pos = target
                 depth = t_depth
-                continue
-
-            # entering unmaterialized territory: cover, base, pass count
-            cov = cover.get(target, 0)
-            kind = kinds[target]
-            k = rc.get(target)
-            e = d if cov else kind.base
-            if k:
-                e = (e - 1 + k) % d + 1
-
-            if e == d - 1 and (k or not fast):
-                # bounce straight back to the parent
-                self._materialize(target, d)
-            elif e == d - 1 or (e == d and fast and not k and (
-                    cov or t_depth + 1) < t_depth + kind.limit):
-                # a bounce, kept as a one-level patch, or a closed-form
-                # excursion: a full turn of every vertex down to level lvl,
-                # the first under the patch (a cover lies below its
-                # vertex), and back up.  The patch then passes level lvl,
-                # deeper than the vertex's patch and cover reached.
-                lvl = t_depth if e < d else cov or t_depth + 1
-                if lvl > max_depth:
-                    max_depth = lvl
-                end = lvl + 1
-                patch[target] = end - t_depth
-                cover[target] = end
-                if end > self._max_patch_end:
-                    self._max_patch_end = end
-                if head[target]:
-                    self._cover_below(target, end)
             else:
-                if not k and self._descends_forever(target):
-                    self._record_escape(target, e)
-                    return ChipResult(ESCAPED, max_depth, steps, visited)
-                if t_depth > fresh_cap:
-                    raise UnsupportedConfigError(
-                        "walk keeps entering fresh territory without a "
-                        "provable descent; configuration outside the "
-                        "supported class")
-                # step into the vertex and keep walking
-                self._materialize(target, e)
-                pos = target
-                depth = t_depth
-                continue
-            if not pos:
-                return ChipResult(RETURNED, max_depth, steps, visited)
-        raise StepBudgetExceededError(f"exceeded {cap} steps")
+                # entering unmaterialized territory: cover, base, pass count
+                cov = cover.get(target, 0)
+                kind = kinds[target]
+                k = rc.get(target)
+                e = d if cov else kind.base
+                if k:
+                    e = (e - 1 + k) % d + 1
+
+                if e == d - 1 and (k or not fast):
+                    # bounce straight back to the parent
+                    self._materialize(target, d)
+                elif e == d - 1 or (e == d and fast and not k and (
+                        cov or t_depth + 1) < t_depth + kind.limit):
+                    # a bounce, kept as a one-level patch, or a closed-form
+                    # excursion: a full turn of every vertex down to level
+                    # lvl, the first under the patch (a cover lies below
+                    # its vertex), and back up.  The patch then passes level
+                    # lvl, deeper than the vertex's patch and cover reached.
+                    lvl = t_depth if e < d else cov or t_depth + 1
+                    if lvl > max_depth:
+                        max_depth = lvl
+                    end = lvl + 1
+                    patch[target] = end - t_depth
+                    cover[target] = end
+                    if end > self._max_patch_end:
+                        self._max_patch_end = end
+                    if head[target]:
+                        self._cover_below(target, end)
+                else:
+                    # a vertex with passes is not probed, and no stride
+                    stop = target if k else self._descent_stop(target)
+                    if stop < 0:
+                        self._record_escape(target, e)
+                        return ChipResult(ESCAPED, max_depth, steps, visited)
+                    if t_depth > fresh_cap:
+                        raise UnsupportedConfigError(
+                            "walk keeps entering fresh territory without a "
+                            "provable descent; configuration outside the "
+                            "supported class")
+                    # step into the vertex, and on down the probe's path
+                    self._materialize(target, e)
+                    pos = target
+                    depth = t_depth
+                    s_depth = depths[stop]
+                    if (fast and t_depth < s_depth <= fresh_cap + 1
+                            and steps + s_depth - t_depth <= cap):
+                        steps += s_depth - t_depth
+                        numbers = iter(range(steps + 1, cap + 1))
+                        pos, depth, inc = parent[stop], s_depth - 1, cidx[stop]
+                        self._materialize(pos, inc)
+                        y = pos                 # each turns toward the next
+                        while y != target:
+                            x = parent[y]
+                            rot[x] = cidx[y]
+                            y = x
+                        if visited is not None:     # below target, above stop
+                            a = self._address(stop)
+                            visited += [a[:i] for i in range(t_depth + 1,
+                                                             s_depth)]
+                        continue
+                if not pos:
+                    return ChipResult(RETURNED, max_depth, steps, visited)
+
+            for steps in numbers:       # the next departure from pos
+                inc = rot[pos] % d + 1
+                rot[pos] = inc
+                if inc < d:
+                    break
+                # up: every materialized vertex's parent is materialized
+                pos = parent[pos]
+                if not pos:
+                    return ChipResult(RETURNED, max_depth, steps, visited)
+                depth -= 1
+                if visited is not None:
+                    visited.append(self._address(pos))
+            else:
+                raise StepBudgetExceededError(f"exceeded {cap} steps")
 
     def _materialize(self, x: int, dirn: int) -> None:
         self._rot[x] = dirn

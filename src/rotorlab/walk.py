@@ -12,7 +12,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import compress, count, repeat
+from operator import ne
 from numbers import Rational
 from typing import Iterable, Iterator, Mapping
 
@@ -90,13 +91,22 @@ def step(g: DirectedMultigraph, t: RotorConfiguration,
 def _stop_flags(g: DirectedMultigraph,
                 stops: Iterable[int] = ()) -> list[bool | None]:
     """A run's flags for ``_route`` by vertex index: None at the sink and
-    at ``stops``, where chips end, and False elsewhere until a chip leaves
-    the vertex."""
+    at ``stops``, where chips end, and False elsewhere until the vertex's
+    rotor wraps."""
     flags: list[bool | None] = [False] * len(g.vertices)
     flags[g.sink_index] = None
     for v in stops:
         flags[v] = None
     return flags
+
+
+def _flag_moved(emitted: list[bool | None], before: Iterable[int],
+                after: Iterable[int], sink: int) -> None:
+    """Flag, by vertex index, each rotor vertex whose slot differs between
+    the two slot lists: with the ones whose rotor wrapped, which ``_route``
+    flagged, these are the vertices a chip left."""
+    for j in compress(count(), map(ne, before, after)):
+        emitted[j + (j >= sink)] = True
 
 
 def _route(g: DirectedMultigraph, v: int, fulls: Iterable[list[int]],
@@ -108,16 +118,17 @@ def _route(g: DirectedMultigraph, v: int, fulls: Iterable[list[int]],
     turn, until it enters a stop.
 
     ``flags`` is :func:`_stop_flags`'s list: a chip stops at a vertex where
-    it holds None, and elsewhere sets it to True, turns the rotor by one,
-    wrapping to 0 at the out-degree, and moves on.  Each chip turns the
-    rotors of its own list in place, so one list repeated routes chips in
-    sequence.  Each chip's stop is named in ``chip_stops`` and, in a loop
-    of its own, each (from, to) step appended to ``steps``, when those are
-    lists.  A chip that stops at ``halt`` raises ChipAtSinkError.  Each
-    step takes one item of ``budget``, which holds one item for every step
-    still allowed and may be shared with other calls, so no step compares
-    against the budget: a chip that needs a step when it is empty raises
-    StepBudgetExceededError, naming ``step_budget``, the budget's size.
+    it holds None, and elsewhere turns the rotor by one and moves on; at
+    the out-degree the rotor wraps to 0 and the flag is set to True.  Each
+    chip turns the rotors of its own list in place, so one list repeated
+    routes chips in sequence.  Each chip's stop is named in ``chip_stops``
+    and, in a loop of its own, each (from, to) step appended to ``steps``,
+    when those are lists.  A chip that stops at ``halt`` raises
+    ChipAtSinkError.  Each step takes one item of ``budget``, which holds
+    one item for every step still allowed and may be shared with other
+    calls, so no step compares against the budget: a chip that needs a
+    step when it is empty raises StepBudgetExceededError, naming
+    ``step_budget``, the budget's size.
     """
     out_idx = g.out_idx
     deg = g.deg_idx
@@ -128,10 +139,10 @@ def _route(g: DirectedMultigraph, v: int, fulls: Iterable[list[int]],
             pass
         elif steps is None:
             for _ in budget:
-                flags[w] = True
                 s = full[w] + 1
                 if s == deg[w]:
                     s = 0
+                    flags[w] = True
                 full[w] = s
                 w = out_idx[w][s]
                 if flags[w] is None:
@@ -140,10 +151,10 @@ def _route(g: DirectedMultigraph, v: int, fulls: Iterable[list[int]],
                 raise StepBudgetExceededError(f"exceeded {step_budget} steps")
         else:
             for _ in budget:
-                flags[w] = True
                 s = full[w] + 1
                 if s == deg[w]:
                     s = 0
+                    flags[w] = True
                 full[w] = s
                 x = out_idx[w][s]
                 steps.append((names[w], names[x]))
@@ -178,6 +189,7 @@ def route_to_sink(g: DirectedMultigraph, t: RotorConfiguration, x: str,
            step_budget, steps=steps if record_trace else None)
     emitted[g.sink_index] = False
     t2 = g.full_to_slots(full)
+    _flag_moved(emitted, t.slots, t2.slots, g.sink_index)
     trace = WalkTrace(start=x, stop=g.sink, initial=t, final=t2, steps=steps,
                       vertices=g.vertices, emitted=emitted)
     return t2, trace
@@ -336,6 +348,7 @@ def route_all(g: DirectedMultigraph, t: RotorConfiguration,
     # full_to_slots in place, without its two copies of the slots: the end
     # of a long route is its memory peak
     del full[sink]
+    _flag_moved(emitted, t.slots, full, sink)
     t2 = RotorConfiguration(tuple(full))
     counts = Counter(chip_stops)
     stop_counts = {x: counts[x] for x in sorted(counts, key=index.__getitem__)}

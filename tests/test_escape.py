@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import rotorlab
 from rotorlab.escape import (
     ConfigDescriptor,
     LengthMismatchError,
@@ -24,6 +25,7 @@ from rotorlab.escape import (
     validate_word,
     violating_window,
 )
+from rotorlab.graph import GraphError
 from rotorlab.lazytree import LazyTreeConfig, LevelRegion, run_chips_infinite
 
 
@@ -44,6 +46,14 @@ def all_words(max_len: int, min_len: int = 0):
     for n in range(min_len, max_len + 1):
         for bits in range(2 ** n):
             yield format(bits, f"0{n}b") if n else ""
+
+
+def test_word_and_graph_errors_share_one_root():
+    # one class catches every error rotorlab raises, and it stays a
+    # ValueError, as both roots were
+    assert issubclass(WordError, rotorlab.RotorlabError)
+    assert issubclass(GraphError, rotorlab.RotorlabError)
+    assert issubclass(rotorlab.RotorlabError, ValueError)
 
 
 def test_satisfies_pk_examples():

@@ -8,6 +8,7 @@ from collections import Counter
 
 import pytest
 
+from rotorlab.acceptance import random_valid_word
 from rotorlab.escape import (
     descriptor_to_branch_config,
     satisfies_all,
@@ -1266,3 +1267,77 @@ def test_aggregate_memory_stays_near_the_stops():
         tracemalloc.stop()
     assert res.is_exact_ball(13)
     assert peak < 5.5 * 2 ** 20
+
+
+# -- escape runs pinned byte for byte -----------------------------------------
+
+def _pinned_escape_configs() -> list:
+    """(config, chips) pairs: seeded synthesized configs of both modes,
+    20 to 100 letters, dense and sparse words, and three presets."""
+    rng = random.Random(2609)
+    runs = [(alternating_tree_config(), 300), (uniform_config(3, 2), 60),
+            (uniform_config(4, 3), 60)]
+    for i in range(40):
+        n = rng.randrange(20, 101)
+        stride = 3 if i % 2 else 1
+        a = (_dense_valid_word(rng, n, stride) if i % 4 < 2
+             else random_valid_word(rng, n, stride))
+        cfg = (synthesize_tree(a) if stride == 3
+               else descriptor_to_branch_config(synthesize_branch(a)))
+        runs.append((cfg, n))
+    return runs
+
+
+def _digest_walks(h, st: TreeState, m: int) -> None:
+    """Feed h the word, the depths, each chip's steps, max_depth and
+    visits, the error that ended the run early if any, and the sorted
+    rotors and patches."""
+    res = []
+    error = ""
+    for _ in range(m):
+        try:
+            res.append(st.walk_chip(record_visits=True))
+        except (StepBudgetExceededError, UnsupportedConfigError) as exc:
+            error = type(exc).__name__
+            break
+    word = "".join("1" if r.outcome == "escaped" else "0" for r in res)
+    depths = [None if r.outcome == "escaped" else r.max_depth for r in res]
+    h.update(f"{word}|{depths}|{error}|".encode())
+    h.update(repr([(r.steps, r.max_depth, r.visited)
+                   for r in res]).encode())
+    h.update(repr(sorted(st.rotors.items())).encode())
+    h.update(repr(sorted(st.patches.items())).encode())
+
+
+def test_escape_runs_match_pinned_digest(monkeypatch):
+    # the sha256 of the fast engine's runs, computed before the engine
+    # seeded structure ids and took each fresh descent in one stride; the
+    # capped runs end inside descents, and the state they leave is hashed
+    runs = _pinned_escape_configs()
+    h = hashlib.sha256()
+    for cfg, m in runs:
+        _digest_walks(h, TreeState(cfg), m)
+    for cfg, m in runs[3:9]:
+        for cap in range(1, 120):
+            _digest_walks(h, TreeState(cfg, step_cap=cap), m)
+    for cfg, m in runs[3:9]:
+        for cap in range(12):
+            monkeypatch.setattr(TreeState, "_fresh_depth_cap",
+                                lambda self, cap=cap: cap)
+            _digest_walks(h, TreeState(cfg), m)
+    assert h.hexdigest() == (
+        "da990846bff9d4f304c47f9512dbc570f279f01d56fafa211a3d45acd7cf8819")
+
+
+def test_structure_ids_are_seeded_in_depth_first_preorder():
+    # a fast state gives every prefix of an override, region or ray start
+    # its id when it is made, in depth-first preorder (sorted addresses); a
+    # literal state makes each id on first contact
+    for cfg, _ in _pinned_escape_configs():
+        marked = ([a for a, _ in cfg.overrides] + [r.addr for r in cfg.regions]
+                  + [r.start for r in cfg.rays])
+        structure = sorted({a[:i] for a in marked for i in range(len(a) + 1)}
+                           | {ORIGIN})
+        st = TreeState(cfg)
+        assert [st._address(x) for x in range(len(st._rot))] == structure
+        assert len(TreeState(cfg, fast_paths=False)._rot) == 1
