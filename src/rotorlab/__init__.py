@@ -24,14 +24,11 @@ from rotorlab.walk import (
     step,
 )
 from rotorlab.group import (
-    GroupElement,
     IsomorphismReport,
     SandpileGroupStructure,
-    apply_generator,
     order_of_generator,
     sandpile_structure,
     verify_isomorphism,
-    verify_transitivity,
 )
 from rotorlab.trees import (
     alternation_experiment,
@@ -67,7 +64,6 @@ from rotorlab.escape import (
     satisfies_all,
     satisfies_pk,
     simulate_branch,
-    simulate_config,
     synthesize_branch,
     synthesize_tree,
 )
@@ -81,9 +77,9 @@ __all__ = [
     "spanning_tree_count",
     "WalkTrace", "check_harmonic_invariant", "predecessor", "reverse_walk",
     "route_all", "route_to_sink", "step",
-    "GroupElement", "IsomorphismReport", "SandpileGroupStructure",
-    "apply_generator", "order_of_generator", "sandpile_structure",
-    "verify_isomorphism", "verify_transitivity",
+    "IsomorphismReport", "SandpileGroupStructure",
+    "order_of_generator", "sandpile_structure",
+    "verify_isomorphism",
     "alternation_experiment", "build_branch", "build_hat_tree",
     "build_plain_tree", "build_wired_tree", "exit_measure_experiment",
     "expected_returns", "hitting_probabilities", "recurrence_experiment",
@@ -92,5 +88,5 @@ __all__ = [
     "alternating_tree_config", "run_chips_infinite", "uniform_config",
     "ConfigDescriptor", "factor_blocks", "is_escape_branch", "is_escape_tree",
     "phi", "psi", "satisfies_all", "satisfies_pk", "simulate_branch",
-    "simulate_config", "synthesize_branch", "synthesize_tree",
+    "synthesize_branch", "synthesize_tree",
 ]

@@ -21,7 +21,6 @@ from rotorlab.escape import (
     satisfies_all,
     satisfies_pk,
     simulate_branch,
-    simulate_config,
     synthesize_branch,
     synthesize_tree,
 )
@@ -69,14 +68,14 @@ def _timed(number: int, name: str, fn) -> CriterionResult:
     return CriterionResult(number, name, ok, details, time.perf_counter() - t0)
 
 
-def criterion_1_perfect_ball(configs_per_degree: int = 20) -> CriterionResult:
+def criterion_1_perfect_ball() -> CriterionResult:
     """Aggregation fills exact balls at b_rho and stays sandwiched between."""
     def run():
         cases = [(3, 6), (4, 4)]
         checked = 0
         for d, rho_max in cases:
             rng = random.Random(100 + d)
-            for i in range(configs_per_degree):
+            for i in range(20):
                 cfg = random_acyclic_config(d, rng)
                 res = aggregate(cfg, ball_size(d, rho_max))
                 if not res.is_exact_ball(rho_max):
@@ -92,7 +91,7 @@ def criterion_1_perfect_ball(configs_per_degree: int = 20) -> CriterionResult:
     return _timed(1, "perfect ball growth", run)
 
 
-def criterion_2_exit_measure(runs_per_case: int = 50) -> CriterionResult:
+def criterion_2_exit_measure() -> CriterionResult:
     """One chip per leaf, the closed-form count at o, rotors restored."""
     def run():
         total = 0
@@ -100,7 +99,7 @@ def criterion_2_exit_measure(runs_per_case: int = 50) -> CriterionResult:
             for n in range(2, 7):
                 rng = random.Random(1000 * d + n)
                 g, info = build_hat_tree(d, n)
-                for _ in range(runs_per_case):
+                for _ in range(50):
                     res = _exit_measure(
                         g, info, random_acyclic_tree_config(g, info, rng))
                     if not res.ok:
@@ -126,7 +125,7 @@ def criterion_3_root_order() -> CriterionResult:
     return _timed(3, "wired-tree root order", run)
 
 
-def criterion_4_isomorphism(n_random: int = 20) -> CriterionResult:
+def criterion_4_isomorphism() -> CriterionResult:
     """Rotor-router group and sandpile group agree on small graphs."""
     def run():
         g, _ = build_wired_tree(3, 2)
@@ -134,14 +133,14 @@ def criterion_4_isomorphism(n_random: int = 20) -> CriterionResult:
         if not rep.ok:
             return False, f"wired tree failed: {rep.to_json()}"
         rng = random.Random(42)
-        for i in range(n_random):
+        for i in range(20):
             h = random_multigraph(rng, rng.randrange(3, 6))
             rep = verify_isomorphism(h)
             if not rep.ok:
                 return False, f"random graph {i} failed: {rep.to_json()}"
             if rep.rec_count != spanning_tree_count(h):
                 return False, f"random graph {i}: tree count mismatch"
-        return True, f"wired tree + {n_random} random multigraphs, all checks"
+        return True, "wired tree + 20 random multigraphs, all checks"
     return _timed(4, "group isomorphism", run)
 
 
@@ -207,19 +206,18 @@ def _all_words(max_len: int):
             yield format(bits, f"0{n}b") if n else ""
 
 
-def descriptor_word_closure(m: int = 8, max_h: int = 8,
-                            ) -> tuple[set[str], int]:
-    """Realized length-m words of every bounded-depth descriptor.
+def descriptor_word_closure() -> tuple[set[str], int]:
+    """Realized length-8 words of every bounded-depth descriptor.
 
     The word a Node realizes is a function of the realized words of its two
     children, so the closure over semantic representatives enumerates the
     realized words of all descriptors of any bounded recursion depth.  Level
-    rules above h = m realize the same m-chip prefix as h = m.
+    rules above h = 8 realize the same 8-chip prefix as h = 8.
     """
     reps: dict[str, ConfigDescriptor] = {}
-    for h in range(max_h + 1):
+    for h in range(9):
         desc = ConfigDescriptor.level(h)
-        reps.setdefault(simulate_branch(desc, m), desc)
+        reps.setdefault(simulate_branch(desc, 8), desc)
     done: set[tuple[str, str]] = set()
     depth = 0
     while True:
@@ -232,7 +230,7 @@ def descriptor_word_closure(m: int = 8, max_h: int = 8,
                     continue
                 done.add((wl, wr))
                 node = ConfigDescriptor.node(dl, dr)
-                w = simulate_branch(node, m)
+                w = simulate_branch(node, 8)
                 if w not in reps and w not in new:
                     new[w] = node
         if not new:
@@ -253,8 +251,7 @@ def random_valid_word(rng: random.Random, n: int, stride: int = 1) -> str:
     return out
 
 
-def criterion_8_escape_characterization(n_long_words: int = 200,
-                                        long_len: int = 100) -> CriterionResult:
+def criterion_8_escape_characterization() -> CriterionResult:
     """Branch words are exactly the window-condition words; synthesis works."""
     def run():
         # (a) exhaustive round trip for every word of length <= 10
@@ -271,7 +268,7 @@ def criterion_8_escape_characterization(n_long_words: int = 200,
                     pass
         # (b) brute-force oracle: bounded-depth descriptors realize exactly
         # the window-valid length-8 words
-        realized, depth = descriptor_word_closure(8)
+        realized, depth = descriptor_word_closure()
         valid8 = {w for w in _all_words(8) if len(w) == 8 and satisfies_all(w)}
         if realized != valid8:
             extra = sorted(realized - valid8)[:3]
@@ -279,16 +276,16 @@ def criterion_8_escape_characterization(n_long_words: int = 200,
             return False, f"oracle mismatch: extra={extra} missing={missing}"
         # (c) long random words round-trip on the branch and the full tree
         rng = random.Random(7)
-        for i in range(n_long_words):
-            a = random_valid_word(rng, long_len)
-            if simulate_branch(synthesize_branch(a), long_len) != a:
+        for i in range(200):
+            a = random_valid_word(rng, 100)
+            if simulate_branch(synthesize_branch(a), 100) != a:
                 return False, f"branch round trip failed at long word {i}"
-            b = random_valid_word(rng, long_len, stride=3)
-            if simulate_config(synthesize_tree(b), long_len) != b:
+            b = random_valid_word(rng, 100, stride=3)
+            if run_chips_infinite(synthesize_tree(b), 100).word != b:
                 return False, f"tree round trip failed at long word {i}"
         return True, (f"exhaustive |a|<=10; oracle {len(valid8)} words at "
-                      f"closure depth {depth}; {n_long_words} words of "
-                      f"length {long_len} on branch and tree")
+                      f"closure depth {depth}; 200 words of length 100 on "
+                      "branch and tree")
     return _timed(8, "escape characterization", run)
 
 
@@ -327,11 +324,10 @@ ALL_CRITERIA = [
 ]
 
 
-def run_all(verbose: bool = True) -> list[CriterionResult]:
+def run_all() -> list[CriterionResult]:
     results = []
     for fn in ALL_CRITERIA:
         res = fn()
         results.append(res)
-        if verbose:
-            print(res.line(), flush=True)
+        print(res.line(), flush=True)
     return results

@@ -20,7 +20,6 @@ from rotorlab.escape import (
     NotRealizableError,
     WordError,
     residues,
-    simulate_config,
     synthesize_branch,
     synthesize_tree,
     descriptor_to_branch_config,
@@ -229,7 +228,7 @@ def cmd_escape(args) -> int:
                 cfg = descriptor_to_branch_config(synthesize_branch(word))
         except NotRealizableError as exc:
             return _fail(str(exc), NOT_REALIZABLE)
-        check = simulate_config(cfg, len(word))
+        check = run_chips_infinite(cfg, len(word)).word
         payload = {
             "word": word,
             "mode": "tree" if args.tree else "branch",
@@ -272,7 +271,7 @@ def _window_dict(win: tuple[int, int, int] | None) -> dict | None:
 
 
 def cmd_verify_all(args) -> int:
-    results = acceptance.run_all(verbose=True)
+    results = acceptance.run_all()
     failed = [r for r in results if not r.ok]
     print()
     print(f"{len(results) - len(failed)}/{len(results)} criteria passed")

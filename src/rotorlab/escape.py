@@ -316,7 +316,3 @@ def synthesize_tree(a: str) -> LazyTreeConfig:
 def simulate_branch(desc: ConfigDescriptor, m: int) -> str:
     """Realized escape word of a descriptor for m chips."""
     return run_chips_infinite(descriptor_to_branch_config(desc), m).word
-
-
-def simulate_config(cfg: LazyTreeConfig, m: int) -> str:
-    return run_chips_infinite(cfg, m).word

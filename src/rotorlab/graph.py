@@ -105,10 +105,6 @@ class DirectedMultigraph:
     def outdeg(self, x: str) -> int:
         return self.deg_idx[self.index[x]]
 
-    def edge_count(self, x: str, y: str) -> int:
-        """Number of parallel edges x -> y (d_xy)."""
-        return self.out_idx[self.index[x]].count(self.index.get(y))
-
     # -- conversions between rotor-vertex slots and full index arrays -----
 
     def slots_to_full(self, t: "RotorConfiguration") -> list[int]:

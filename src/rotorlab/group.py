@@ -21,7 +21,6 @@ from rotorlab.graph import (
     ResultCheckError,
     RotorConfiguration,
     TooLargeError,
-    _rotor_targets,
     enumerate_recurrent,
     is_recurrent,
     rank_and_minor,
@@ -56,34 +55,6 @@ def check_work_limit(degrees: list[int]) -> None:
     if work > CHECK_WORK_LIMIT:
         raise TooLargeError(
             f"{work} check steps exceed limit {CHECK_WORK_LIMIT}")
-
-
-def apply_generator(g: DirectedMultigraph, t: RotorConfiguration, x: str,
-                    exponent: int = 1) -> RotorConfiguration:
-    """e_x^exponent(t); negative exponents run the inverse as reverse walks.
-
-    The configuration is validated and checked for recurrence once; every
-    power then runs on one per-vertex slot list: all of them in one
-    ``_route`` call, which routes one chip per repeat of the list, or one
-    ``_reverse`` call each.
-    """
-    if not is_recurrent(g, t):
-        raise NotRecurrentError("generators act on recurrent configurations")
-    if x == g.sink or not exponent:
-        return t           # e_s and e_x^0 are the identity
-    if x not in g.index:
-        raise GraphError(f"unknown vertex {x!r}")
-    full = g.slots_to_full(t)
-    v = g.index[x]
-    if exponent > 0:
-        _route(g, v, repeat(full, exponent), _stop_flags(g),
-               repeat(None, DEFAULT_STEP_BUDGET), DEFAULT_STEP_BUDGET)
-    else:
-        # each reverse walk ends on a recurrent state
-        tgt = _rotor_targets(g, t)
-        for _ in range(-exponent):
-            _reverse(g, full, tgt, v, True, DEFAULT_STEP_BUDGET)
-    return g.full_to_slots(full)
 
 
 def order_of_generator(g: DirectedMultigraph, x: str,
@@ -132,33 +103,6 @@ def _orbit_period(g: DirectedMultigraph, x: str, t0: RotorConfiguration,
         if full == start:
             return k
     raise BudgetExceededError(f"order of e_{x} exceeds cap {cap}")
-
-
-@dataclass(frozen=True)
-class GroupElement:
-    """Formal product of generators: vertex -> integer exponent.
-
-    Application order is irrelevant because the generators commute; negative
-    exponents run the inverse walks.
-    """
-
-    exponents: tuple[tuple[str, int], ...]
-
-    @staticmethod
-    def from_dict(exps: dict[str, int]) -> "GroupElement":
-        return GroupElement(tuple(sorted(exps.items())))
-
-    def apply(self, g: DirectedMultigraph,
-              t: RotorConfiguration) -> RotorConfiguration:
-        for x, k in self.exponents:
-            t = apply_generator(g, t, x, k)
-        return t
-
-    def compose(self, other: "GroupElement") -> "GroupElement":
-        exps = dict(self.exponents)
-        for x, k in other.exponents:
-            exps[x] = exps.get(x, 0) + k
-        return GroupElement.from_dict(exps)
 
 
 @dataclass(frozen=True)
@@ -345,13 +289,6 @@ def _composed(tables: list[list[int]]) -> list[int]:
     for t in tables[1:]:
         table = [t[i] for i in table]
     return table
-
-
-def verify_transitivity(g: DirectedMultigraph,
-                        limit: int = CHECK_LIMIT) -> bool:
-    """The generators reach every recurrent state from every other."""
-    fulls = [g.slots_to_full(t) for t in enumerate_recurrent(g, limit)]
-    return _transitive(g, fulls, _generator_tables(g, fulls))
 
 
 def _transitive(g: DirectedMultigraph, fulls: list[list[int]],

@@ -353,17 +353,6 @@ class LazyTreeConfig:
             shared = self._shared_kinds[key] = self._kind(None, *key)
         return shared
 
-    def kind_at(self, addr: Address) -> NodeKind:
-        """The kind of the vertex at an address: ``child_kind`` folded down
-        from ``root_kind``."""
-        kind = self.root_kind
-        for c in addr:
-            kind = self.child_kind(kind, c)
-        return kind
-
-    def base_direction(self, addr: Address) -> int:
-        return self.kind_at(addr).base
-
     # -- serialization ------------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -497,13 +486,13 @@ def is_acyclic_config(cfg: LazyTreeConfig) -> bool:
 
 
 def random_acyclic_config(d: int, rng: random.Random,
-                          max_overrides: int = 8,
                           max_depth: int = 3,
                           allow_ray: bool = True) -> LazyTreeConfig:
-    """Random acyclic configuration: default + overrides, sometimes a ray."""
+    """Random acyclic configuration: default + up to 8 overrides, sometimes a
+    ray."""
     while True:
         default = rng.randrange(1, d)      # direction d at the origin is cyclic
-        n_over = rng.randrange(0, max_overrides + 1)
+        n_over = rng.randrange(0, 9)
         overrides: dict[Address, int] = {}
         for _ in range(n_over):
             depth = rng.randrange(0, max_depth + 1)
@@ -530,10 +519,16 @@ def random_acyclic_config(d: int, rng: random.Random,
 
 # -- ball arithmetic ---------------------------------------------------------
 
-def ball_size(d: int, rho: int) -> int:
-    """Number of vertices within distance rho of the origin: b_rho."""
+def _check_ball(d: int, rho: int) -> None:
+    if d < 3:
+        raise LazyTreeError("degree d must be at least 3")
     if rho < 0:
         raise LazyTreeError("radius must be nonnegative")
+
+
+def ball_size(d: int, rho: int) -> int:
+    """Number of vertices within distance rho of the origin: b_rho."""
+    _check_ball(d, rho)
     a = d - 1
     return 1 + d * (a ** rho - 1) // (a - 1)
 
@@ -544,6 +539,7 @@ def layer_size(d: int, k: int) -> int:
 
 def modified_count(d: int, rho: int) -> int:
     """Chips of the stop-at-origin-too process needed to fill B_rho: c_rho."""
+    _check_ball(d, rho)
     a = d - 1
     return 1 + d * sum((a ** t - 1) // (a - 1) for t in range(1, rho + 1))
 

@@ -6,6 +6,7 @@ import random
 
 from rotorlab.graph import (
     DirectedMultigraph,
+    GraphError,
     ResultCheckError,
     RotorConfiguration,
     build_graph,
@@ -22,7 +23,7 @@ def random_multigraph(rng: random.Random, n_vertices: int,
     (parallel edges allowed) are sprinkled on top.
     """
     if n_vertices < 2:
-        raise ValueError("need at least 2 vertices")
+        raise GraphError("need at least 2 vertices")
     names = [f"v{i}" for i in range(n_vertices)]
     order = names[:]
     rng.shuffle(order)
@@ -40,18 +41,18 @@ def random_multigraph(rng: random.Random, n_vertices: int,
     return build_graph(names, names[0], out)
 
 
-def random_recurrent_config(g: DirectedMultigraph, rng: random.Random,
-                            mix_steps: int = 32) -> RotorConfiguration:
+def random_recurrent_config(g: DirectedMultigraph,
+                            rng: random.Random) -> RotorConfiguration:
     """A pseudo-random recurrent configuration.
 
     Starts from the shortest-path configuration and walks the orbit by
-    routing chips from random vertices; routing maps recurrent states to
+    routing 32 chips from random vertices; routing maps recurrent states to
     recurrent states, so the result is always recurrent.
     """
     from rotorlab.walk import route_to_sink
 
     t = shortest_path_config(g)
-    for _ in range(mix_steps):
+    for _ in range(32):
         x = rng.choice(g.rotor_vertices)
         t, _ = route_to_sink(g, t, x)
     if not is_recurrent(g, t):

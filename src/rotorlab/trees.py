@@ -321,8 +321,12 @@ def hitting_probabilities(d: int, n: int, verify: bool = True,
 
 def harmonic_field_for_leaf(d: int, n: int, z: str) -> dict[str, Fraction]:
     """Full hitting-probability function H(x) = P_x(stop at z) on the hat tree."""
+    _check_params(d, n)
     info = _tree_skeleton(d, n)
-    return _solve_harmonic(info, _indicator_boundary(info, z))
+    boundary = _indicator_boundary(info, z)
+    if z not in boundary:
+        raise BadParametersError(f"{z!r} is not a leaf of the hat tree")
+    return _solve_harmonic(info, boundary)
 
 
 # -- exit measure (finite aggregation step) --------------------------------

@@ -60,8 +60,6 @@ class WalkTrace:
     names them when called.
     """
 
-    start: str
-    stop: str
     initial: RotorConfiguration
     final: RotorConfiguration
     steps: list[tuple[str, str]] = field(default_factory=list)
@@ -190,8 +188,8 @@ def route_to_sink(g: DirectedMultigraph, t: RotorConfiguration, x: str,
     emitted[g.sink_index] = False
     t2 = g.full_to_slots(full)
     _flag_moved(emitted, t.slots, t2.slots, g.sink_index)
-    trace = WalkTrace(start=x, stop=g.sink, initial=t, final=t2, steps=steps,
-                      vertices=g.vertices, emitted=emitted)
+    trace = WalkTrace(initial=t, final=t2, steps=steps, vertices=g.vertices,
+                      emitted=emitted)
     return t2, trace
 
 
@@ -352,7 +350,7 @@ def route_all(g: DirectedMultigraph, t: RotorConfiguration,
     t2 = RotorConfiguration(tuple(full))
     counts = Counter(chip_stops)
     stop_counts = {x: counts[x] for x in sorted(counts, key=index.__getitem__)}
-    trace = WalkTrace(start="", stop="", initial=t, final=t2,
+    trace = WalkTrace(initial=t, final=t2,
                       steps=steps, segments=segments or [0],
                       chip_stops=chip_stops, vertices=names, emitted=emitted)
     return stop_counts, t2, trace

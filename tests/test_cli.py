@@ -333,7 +333,7 @@ def test_escape_synthesize_refuses_words_past_the_length_limit(mode,
     def synthesize(*args, **kwargs):
         raise AssertionError("synthesized past the length limit")
 
-    for name in ("synthesize_branch", "synthesize_tree", "simulate_config"):
+    for name in ("synthesize_branch", "synthesize_tree", "run_chips_infinite"):
         monkeypatch.setattr(cli, name, synthesize)
     word = "110" + "0" * (MAX_SYNTHESIS_LETTERS - 2)
     code, err = _run_quietly(["escape", "synthesize", word, mode])
@@ -580,8 +580,8 @@ def test_chip_limit_exits_2_before_walking(argv, monkeypatch):
     def walk(*args, **kwargs):
         raise AssertionError("walked past the chip limit")
 
-    for name in ("aggregate", "run_chips_infinite", "simulate_config",
-                 "synthesize_branch", "synthesize_tree"):
+    for name in ("aggregate", "run_chips_infinite", "synthesize_branch",
+                 "synthesize_tree"):
         monkeypatch.setattr(cli, name, walk)
     code, err = _run_quietly(argv)
     assert code == 2

@@ -15,15 +15,12 @@ from rotorlab.graph import (
     spanning_tree_count,
 )
 from rotorlab.group import (
-    GroupElement,
     IsomorphismReport,
     NotRecurrentError,
-    apply_generator,
     order_of_generator,
     sandpile_structure,
     smith_invariant_factors,
     verify_isomorphism,
-    verify_transitivity,
 )
 from rotorlab.sampling import random_multigraph, random_recurrent_config
 from rotorlab.trees import build_wired_tree
@@ -41,34 +38,14 @@ def triangle():
     )
 
 
-def test_apply_generator_identity_exponent():
-    g = triangle()
-    t = enumerate_recurrent(g)[0]
-    assert apply_generator(g, t, "a", 0) == t
-
-
 def test_apply_generator_inverse():
+    # e_x by route_to_sink, its inverse by reverse_walk
     rng = random.Random(3)
     g = random_multigraph(rng, 5)
     t = random_recurrent_config(g, rng)
     for x in g.rotor_vertices:
-        assert apply_generator(g, apply_generator(g, t, x, 1), x, -1) == t
-        assert apply_generator(g, apply_generator(g, t, x, -1), x, 1) == t
-
-
-def test_apply_generator_matches_per_power_calls():
-    # each power through route_to_sink or reverse_walk, call by call
-    rng = random.Random(67)
-    for _ in range(12):
-        g = random_multigraph(rng, rng.randrange(2, 7))
-        t = random_recurrent_config(g, rng)
-        for x in g.vertices:
-            for exponent in range(-4, 5):
-                want = t
-                for _ in range(abs(exponent)):
-                    want = (route_to_sink(g, want, x)[0] if exponent > 0
-                            else reverse_walk(g, want, x))
-                assert apply_generator(g, t, x, exponent) == want
+        assert reverse_walk(g, route_to_sink(g, t, x)[0], x) == t
+        assert route_to_sink(g, reverse_walk(g, t, x), x)[0] == t
 
 
 def test_apply_generator_laplacian_relation():
@@ -77,21 +54,11 @@ def test_apply_generator_laplacian_relation():
         g = random_multigraph(rng, 4)
         t = random_recurrent_config(g, rng)
         for x in g.rotor_vertices:
-            lhs = apply_generator(g, t, x, g.outdeg(x))
+            lhs = power(g, t, x, g.outdeg(x))
             rhs = t
             for y in g.out[x]:
-                rhs = apply_generator(g, rhs, y, 1)
+                rhs = route_to_sink(g, rhs, y)[0]
             assert lhs == rhs
-
-
-def test_apply_generator_rejects_nonrecurrent():
-    g = build_graph(
-        ["o", "r", "s"], "s",
-        {"o": ["r"], "r": ["o", "s"], "s": ["r"]},
-    )
-    t = RotorConfiguration.from_dict(g, {"o": 0, "r": 0})  # 2-cycle
-    with pytest.raises(NotRecurrentError):
-        apply_generator(g, t, "o", 1)
 
 
 def test_smith_invariant_factors_triangle():
@@ -377,15 +344,13 @@ def test_order_divides_group_order():
 
 
 def test_transitivity_two_cycle():
-    assert verify_transitivity(two_cycle())
+    assert verify_isomorphism(two_cycle()).transitive_ok
 
 
 def test_group_checks_respect_enumeration_guard():
     from rotorlab.graph import TooLargeError
     rng = random.Random(1)
     g = random_multigraph(rng, 5)
-    with pytest.raises(TooLargeError):
-        verify_transitivity(g, limit=1)
     with pytest.raises(TooLargeError):
         verify_isomorphism(g, limit=1)
 
@@ -394,7 +359,7 @@ def test_transitivity_random_graphs():
     rng = random.Random(19)
     for _ in range(10):
         g = random_multigraph(rng, 4)
-        assert verify_transitivity(g)
+        assert verify_isomorphism(g).transitive_ok
 
 
 def test_verify_isomorphism_small():
@@ -420,21 +385,9 @@ def test_commutativity_exhaustive_small():
         for t in recs:
             for x in g.rotor_vertices:
                 for y in g.rotor_vertices:
-                    a = apply_generator(g, apply_generator(g, t, x), y)
-                    b = apply_generator(g, apply_generator(g, t, y), x)
+                    a = route_to_sink(g, route_to_sink(g, t, x)[0], y)[0]
+                    b = route_to_sink(g, route_to_sink(g, t, y)[0], x)[0]
                     assert a == b
-
-
-def test_group_element_order_independence():
-    rng = random.Random(31)
-    g = random_multigraph(rng, 4)
-    t = random_recurrent_config(g, rng)
-    xs = list(g.rotor_vertices)
-    e1 = GroupElement.from_dict({xs[0]: 2, xs[1]: -1})
-    e2 = GroupElement.from_dict({xs[1]: -1, xs[0]: 2})
-    assert e1.apply(g, t) == e2.apply(g, t)
-    composed = e1.compose(GroupElement.from_dict({xs[0]: -2, xs[1]: 1}))
-    assert composed.apply(g, t) == t
 
 
 def test_report_json_shape():
@@ -454,8 +407,16 @@ def test_order_witness_disagreement_raises_result_check(monkeypatch):
         order_of_generator(g, "a", verify_witnesses=1)
 
 
+def power(g, t, x, k):
+    """e_x^k(t), one power at a time: route_to_sink for each positive
+    power, reverse_walk for each negative one."""
+    for _ in range(abs(k)):
+        t = route_to_sink(g, t, x)[0] if k > 0 else reverse_walk(g, t, x)
+    return t
+
+
 def transport_oracle(g, t1, t2):
-    """Apply prod e_x^{u(x)-v(x)} to t1 through apply_generator, following
+    """Apply prod e_x^{u(x)-v(x)} to t1 through ``power``, following
     the transitivity proof: u(x) counts rotor turns from t1(x) to t2(x),
     v(x) counts chips landing at x when u(y) chips at each y take a single
     step from t1."""
@@ -468,12 +429,12 @@ def transport_oracle(g, t1, t2):
             v[g.out[y][(s + i) % g.outdeg(y)]] += 1
     t = t1
     for x in g.rotor_vertices:
-        t = apply_generator(g, t, x, u[x] - v[x])
+        t = power(g, t, x, u[x] - v[x])
     return t
 
 
 def transitivity_oracle(g, limit=1_000_000):
-    """Literal oracle for verify_transitivity: the constructive transport
+    """Literal oracle for transitive_ok: the constructive transport
     from the first state to each other one, then a breadth-first orbit
     under route_to_sink."""
     recs = enumerate_recurrent(g, limit)
@@ -498,7 +459,7 @@ def transitivity_oracle(g, limit=1_000_000):
 
 def isomorphism_oracle(g, limit=1_000_000):
     """Literal oracle for verify_isomorphism: every check recomputes each
-    generator through apply_generator or route_to_sink, call by call."""
+    generator through route_to_sink or ``power``, call by call."""
     recs = enumerate_recurrent(g, limit)
     structure = sandpile_structure(g)
     relations_ok = True
@@ -506,12 +467,12 @@ def isomorphism_oracle(g, limit=1_000_000):
         for t in recs:
             rhs = t
             for y in g.out[x]:
-                rhs = apply_generator(g, rhs, y, 1)
-            if apply_generator(g, t, x, g.outdeg(x)) != rhs:
+                rhs = route_to_sink(g, rhs, y)[0]
+            if power(g, t, x, g.outdeg(x)) != rhs:
                 relations_ok = False
     commutes_ok = all(
-        apply_generator(g, apply_generator(g, t, x), y)
-        == apply_generator(g, apply_generator(g, t, y), x)
+        route_to_sink(g, route_to_sink(g, t, x)[0], y)[0]
+        == route_to_sink(g, route_to_sink(g, t, y)[0], x)[0]
         for x, y in combinations(g.rotor_vertices, 2) for t in recs)
     bijective_ok = True
     for x in g.vertices:
@@ -544,7 +505,6 @@ def test_verify_isomorphism_matches_literal_oracle():
         want = isomorphism_oracle(g).to_json_dict()
         assert want["ok"]
         assert verify_isomorphism(g).to_json_dict() == want
-        assert verify_transitivity(g) is want["transitive_ok"]
 
 
 def test_swapped_generator_images_fail_the_check(monkeypatch):

@@ -45,6 +45,15 @@ from rotorlab.lazytree import (
 
 # -- explicit reference simulator -------------------------------------------
 
+def kind_at(cfg: LazyTreeConfig, addr):
+    """The kind of the vertex at an address: ``child_kind`` folded down
+    from ``root_kind``."""
+    kind = cfg.root_kind
+    for c in addr:
+        kind = cfg.child_kind(kind, c)
+    return kind
+
+
 def naive_run(cfg: LazyTreeConfig, m: int, depth_cap: int):
     """Fully explicit simulator; a chip crossing depth_cap counts as escaped.
 
@@ -54,7 +63,7 @@ def naive_run(cfg: LazyTreeConfig, m: int, depth_cap: int):
     d = cfg.d
     rotors = {}
     if cfg.mode == "tree":
-        rotors[ORIGIN] = cfg.base_direction(ORIGIN)
+        rotors[ORIGIN] = kind_at(cfg, ORIGIN).base
     word = []
     depths = []
     for _ in range(m):
@@ -82,7 +91,7 @@ def naive_run(cfg: LazyTreeConfig, m: int, depth_cap: int):
                 break
             maxd = max(maxd, len(target))
             if target not in rotors:
-                rotors[target] = cfg.base_direction(target)
+                rotors[target] = kind_at(cfg, target).base
             pos = target
     return "".join(word), depths, rotors
 
@@ -96,7 +105,7 @@ def naive_aggregate(cfg: LazyTreeConfig, n_chips: int, modified: bool):
     the rotors and the number of steps taken.
     """
     d = cfg.d
-    rotors = {ORIGIN: cfg.base_direction(ORIGIN)}
+    rotors = {ORIGIN: kind_at(cfg, ORIGIN).base}
     stops = [ORIGIN]
     steps = 0
     for _ in range(n_chips - 1):
@@ -113,7 +122,7 @@ def naive_aggregate(cfg: LazyTreeConfig, n_chips: int, modified: bool):
                 stops.append(ORIGIN)
                 break
             if target not in rotors:
-                rotors[target] = cfg.base_direction(target)
+                rotors[target] = kind_at(cfg, target).base
                 stops.append(target)
                 break
             pos = target
@@ -179,15 +188,15 @@ def test_base_direction_precedence():
         rays=(RayRule((3,), (2,), 2),),
         regions=(LevelRegion((1,), 2),),
     )
-    assert cfg.base_direction((3,)) == 2          # ray start
-    assert cfg.base_direction((3, 2)) == 2        # ray
-    assert cfg.base_direction((3, 2, 2)) == 2     # ray continues
-    assert cfg.base_direction((3, 1)) == 3        # override off the ray
-    assert cfg.base_direction((3, 1, 1)) == 1     # default below the override
-    assert cfg.base_direction((1,)) == 2          # region level 0 -> d-1
-    assert cfg.base_direction((1, 1)) == 2        # region level 1 -> d-1
-    assert cfg.base_direction((1, 1, 1)) == 3     # region tail -> d
-    assert cfg.base_direction((2,)) == 1          # default
+    assert kind_at(cfg, (3,)).base == 2          # ray start
+    assert kind_at(cfg, (3, 2)).base == 2        # ray
+    assert kind_at(cfg, (3, 2, 2)).base == 2     # ray continues
+    assert kind_at(cfg, (3, 1)).base == 3        # override off the ray
+    assert kind_at(cfg, (3, 1, 1)).base == 1     # default below the override
+    assert kind_at(cfg, (1,)).base == 2          # region level 0 -> d-1
+    assert kind_at(cfg, (1, 1)).base == 2        # region level 1 -> d-1
+    assert kind_at(cfg, (1, 1, 1)).base == 3     # region tail -> d
+    assert kind_at(cfg, (2,)).base == 1          # default
 
 
 def test_overlapping_override_and_ray_rejected():
@@ -326,6 +335,14 @@ def test_ball_arithmetic():
     assert layer_size(3, 2) == 6
     assert modified_count(3, 1) == 4
     assert modified_count(3, 2) == 13
+
+
+@pytest.mark.parametrize("count", [ball_size, modified_count])
+def test_ball_arithmetic_checks_its_parameters(count):
+    with pytest.raises(LazyTreeError, match="^degree d must be at least 3$"):
+        count(2, 3)
+    with pytest.raises(LazyTreeError, match="^radius must be nonnegative$"):
+        count(3, -1)
 
 
 # -- escape runs ---------------------------------------------------------------
@@ -683,7 +700,7 @@ def test_root_kind_matches_all_prefixes_oracle():
 
 def brute_mutual_pairs(cfg: LazyTreeConfig) -> set:
     """Every parent/child pair whose base rotors point at each other, found
-    by visiting vertices from the origin with ``base_direction``, down to a
+    by visiting vertices from the origin with ``kind_at``, down to a
     depth below which a ray only repeats its period and every region is in
     its tail.  A visited vertex's children are visited when the vertex lies
     on a marked address's path, on a config ray, or at most h levels below
@@ -717,9 +734,9 @@ def brute_mutual_pairs(cfg: LazyTreeConfig) -> set:
     while stack:
         a = stack.pop()
         arity = cfg.num_children(a)
-        bp = cfg.base_direction(a)
+        bp = kind_at(cfg, a).base
         if (bp <= arity and (a or cfg.mode == "tree")
-                and cfg.base_direction(a + (bp,)) == d):
+                and kind_at(cfg, a + (bp,)).base == d):
             pairs.add((a, a + (bp,)))
         if len(a) < bound and expand(a):
             stack += (a + (c,) for c in range(1, arity + 1))
@@ -745,8 +762,8 @@ def test_find_cyclic_pair_matches_brute_force():
             cyclic += 1
             p, c = pair
             assert c[:-1] == p and (p or cfg.mode == "tree"), (cfg, pair)
-            assert cfg.base_direction(p) == c[-1], (cfg, pair)
-            assert cfg.base_direction(c) == cfg.d, (cfg, pair)
+            assert kind_at(cfg, p).base == c[-1], (cfg, pair)
+            assert kind_at(cfg, c).base == cfg.d, (cfg, pair)
     assert 50 <= cyclic <= made - 50, cyclic
 
 
@@ -892,10 +909,10 @@ def test_aggregate_matches_naive_aggregator():
             assert res.sandwich_ok == sandwich_ok
             assert res.steps == steps
             assert res.rotors == rotors
-            want = all(r == cfg.base_direction(a) for a, r in rotors.items())
+            want = all(r == kind_at(cfg, a).base for a, r in rotors.items())
             assert res.rotors_restored() is want
             restored[want] += 1
-            region_sites += sum(cfg.kind_at(a).left is not None
+            region_sites += sum(kind_at(cfg, a).left is not None
                                 for a in rotors)
             if i % 10 == 0 and steps:
                 with pytest.raises(StepBudgetExceededError):
@@ -1158,7 +1175,7 @@ def test_node_tables_match_oracles_after_every_chip():
                 assert [r.max_depth for r in res] == [ndepths[-1]] * 2
             for addr in set(nrotors) | set(probes):
                 if len(addr) <= cap:
-                    want = nrotors.get(addr) or cfg.base_direction(addr)
+                    want = nrotors.get(addr) or kind_at(cfg, addr).base
                     assert fast.effective(addr) == want, (a, k, addr)
                     assert literal.effective(addr) == want, (a, k, addr)
 

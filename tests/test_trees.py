@@ -49,6 +49,18 @@ def test_bad_parameters():
         build_wired_tree(3, 1)
 
 
+@pytest.mark.parametrize("d, n, z, message", [
+    (2, 3, "o", "degree d must be at least 3"),
+    (3, 1, "o", "height n must be at least 2"),
+    (3, 3, "nope", "'nope' is not a leaf of the hat tree"),
+    (3, 3, "r", "'r' is not a leaf of the hat tree"),
+])
+def test_harmonic_field_for_leaf_checks_its_parameters(d, n, z, message):
+    with pytest.raises(BadParametersError) as exc:
+        harmonic_field_for_leaf(d, n, z)
+    assert str(exc.value) == message
+
+
 def test_wired_tree_smallest():
     g, info = build_wired_tree(3, 2)
     assert set(g.vertices) == {"r", "s"}
@@ -60,9 +72,9 @@ def test_wired_tree_structure():
     g, info = build_wired_tree(3, 3)
     assert set(g.vertices) == {"r", "r/1", "r/2", "s"}
     # each neighbor of the sink except the root has a = 2 edges to it
-    assert g.edge_count("r/1", "s") == 2
-    assert g.edge_count("r/2", "s") == 2
-    assert g.edge_count("r", "s") == 1
+    assert g.out["r/1"].count("s") == 2
+    assert g.out["r/2"].count("s") == 2
+    assert g.out["r"].count("s") == 1
     assert spanning_tree_count(g) == 21
 
 
@@ -125,7 +137,7 @@ def test_branch_structure():
     assert g.out["r"] == ("b", "b", "o")
     g3, info3 = build_branch(3, 3)
     assert set(g3.vertices) == {"o", "r", "r/1", "r/2", "b"}
-    assert g3.edge_count("r/1", "b") == 2
+    assert g3.out["r/1"].count("b") == 2
 
 
 # sha256 over n = 2..6 of graph_to_json(g) followed by [info.internal,

@@ -424,7 +424,6 @@ def test_routing_matches_literal_step_oracle():
         _, _, t_end, steps, _ = route_sequential(g, t, {x: 1}, {g.sink})
         t2, trace = route_to_sink(g, t, x, record_trace=True)
         assert t2 == trace.final == t_end and trace.initial == t
-        assert (trace.start, trace.stop) == (x, g.sink)
         assert trace.steps == steps and trace.segments == [0]
         assert trace.chip_stops == []
         assert trace.emitters() == {frm for frm, _ in steps}
@@ -516,7 +515,6 @@ def test_step_budget_boundaries_match_the_oracle():
     # the oracle's step total is exactly enough and one step less raises;
     # a chip that enters a sink outside the stop set raises at that chip,
     # with any budget that lets it get there
-    from rotorlab.group import apply_generator
     rng = random.Random(61)
     seen = {"sink stops": 0, "sink entered": 0, "runs out": 0}
     for k in range(120):
@@ -563,10 +561,6 @@ def test_step_budget_boundaries_match_the_oracle():
             if steps:
                 with pytest.raises(StepBudgetExceededError):
                     route_to_sink(g, t, x, record, len(steps) - 1)
-        t = random_recurrent_config(g, rng)
-        power = rng.randrange(1, 40)
-        want = route_sequential(g, t, {x: power}, {sink})[2]
-        assert apply_generator(g, t, x, power) == want
     assert min(seen.values()) >= 50, seen
 
 
@@ -654,7 +648,7 @@ def test_harmonic_invariant_constant_function():
 def test_harmonic_invariant_empty_trace():
     g = three_out()
     t = RotorConfiguration.uniform(g, 0)
-    trace = WalkTrace(start="m", stop="m", initial=t, final=t)
+    trace = WalkTrace(initial=t, final=t)
     assert check_harmonic_invariant(g, {v: 1 for v in g.vertices}, {}, {}, trace)
 
 
