@@ -102,11 +102,13 @@ def cmd_aggregate(args) -> int:
                          INPUT_ERROR)
         if args.radius is not None:
             chips = _radius_chips(args.d, args.radius)
+        elif args.chips is None:
+            return _fail("need --chips or --radius", INPUT_ERROR)
+        elif args.chips < 1:
+            return _fail("--chips must be at least 1", INPUT_ERROR)
         else:
             chips = args.chips
-        if chips is None or chips < 1:
-            return _fail("need --chips or --radius", INPUT_ERROR)
-        _check_chips(f"--chips {chips}", chips)
+            _check_chips(f"--chips {chips}", chips)
     except (OSError, ValueError, LazyTreeError) as exc:
         return _fail(str(exc), INPUT_ERROR)
 

@@ -12,7 +12,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import count, repeat
 from typing import Iterator
 
 from rotorlab.graph import (
@@ -43,10 +43,6 @@ class NotRecurrentError(GraphError):
     pass
 
 
-class BudgetExceededError(GraphError):
-    pass
-
-
 def check_work_limit(degrees: list[int]) -> None:
     """Raise TooLargeError when the rotor vertices' out-degrees give more
     check work than CHECK_WORK_LIMIT.  Run it after the configuration
@@ -59,7 +55,6 @@ def check_work_limit(degrees: list[int]) -> None:
 
 def order_of_generator(g: DirectedMultigraph, x: str,
                        witness: RotorConfiguration | None = None,
-                       cap: int = 10 ** 7,
                        verify_witnesses: int = 0,
                        rng: random.Random | None = None) -> int:
     """Smallest k >= 1 with e_x^k(witness) == witness.
@@ -67,7 +62,10 @@ def order_of_generator(g: DirectedMultigraph, x: str,
     The action is transitive and abelian, so the period of any orbit point
     equals the order of e_x in the group; ``verify_witnesses`` extra random
     witnesses are checked for agreement.  A witness that is not recurrent
-    raises NotRecurrentError before any routing.
+    raises NotRecurrentError before any routing.  Each orbit's powers share
+    one budget of DEFAULT_STEP_BUDGET steps, and every power but the
+    sink's takes a step, so the budget bounds the order too: an orbit that
+    needs more steps raises StepBudgetExceededError.
     """
     from rotorlab.sampling import random_recurrent_config
     from rotorlab.graph import shortest_path_config
@@ -77,18 +75,18 @@ def order_of_generator(g: DirectedMultigraph, x: str,
     elif not is_recurrent(g, witness):
         # off the recurrent states an orbit need not return to its start
         raise NotRecurrentError("generators act on recurrent configurations")
-    order = _orbit_period(g, x, witness, cap)
+    order = _orbit_period(g, x, witness)
     if verify_witnesses:
         rng = rng or random.Random(0)
         for _ in range(verify_witnesses):
             w = random_recurrent_config(g, rng)
-            if _orbit_period(g, x, w, cap) != order:
+            if _orbit_period(g, x, w) != order:
                 raise ResultCheckError("generator order depends on witness; bug")
     return order
 
 
-def _orbit_period(g: DirectedMultigraph, x: str, t0: RotorConfiguration,
-                  cap: int) -> int:
+def _orbit_period(g: DirectedMultigraph, x: str,
+                  t0: RotorConfiguration) -> int:
     t0.validate(g)
     if x not in g.index:
         raise GraphError(f"unknown vertex {x!r}")
@@ -97,12 +95,11 @@ def _orbit_period(g: DirectedMultigraph, x: str, t0: RotorConfiguration,
     v = g.index[x]
     fulls = (full,)
     flags = _stop_flags(g)
-    for k in range(1, cap + 1):
-        _route(g, v, fulls, flags, repeat(None, DEFAULT_STEP_BUDGET),
-               DEFAULT_STEP_BUDGET)
+    budget = repeat(None, DEFAULT_STEP_BUDGET)
+    for k in count(1):
+        _route(g, v, fulls, flags, budget, DEFAULT_STEP_BUDGET)
         if full == start:
             return k
-    raise BudgetExceededError(f"order of e_{x} exceeds cap {cap}")
 
 
 @dataclass(frozen=True)
@@ -300,9 +297,8 @@ def _transitive(g: DirectedMultigraph, fulls: list[list[int]],
     transitivity proof to the first state, one table lookup per power,
     aiming at each other state: u(x) counts rotor turns from t1(x) to
     t2(x), v(x) counts chips landing at x when u(y) chips at each y take a
-    single step from t1.  Negative exponents use the inverse tables.  Then confirms orbit closure by
-    breadth-first search over the tables as an independent route.  False
-    when a table is not a permutation.
+    single step from t1.  Negative exponents use the inverse tables.
+    False when a table is not a permutation.
     """
     n = len(fulls)
     inv = []
@@ -346,19 +342,7 @@ def _transitive(g: DirectedMultigraph, fulls: list[list[int]],
                 i = table[i]
         if i != k:
             return False
-    # independent confirmation: BFS orbit of the first state
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for x in movers:
-                j = perm[x][i]
-                if j not in seen:
-                    seen.add(j)
-                    nxt.append(j)
-        frontier = nxt
-    return len(seen) == n
+    return True
 
 
 def _round_trips(g: DirectedMultigraph, fulls: list[list[int]],
@@ -377,7 +361,8 @@ def _round_trips(g: DirectedMultigraph, fulls: list[list[int]],
             return False
         for i, j in enumerate(row):
             full = fulls[j][:]
-            _reverse(g, full, tgts[j][:], x, True, DEFAULT_STEP_BUDGET)
+            _reverse(g, full, tgts[j][:], x, True,
+                     repeat(None, DEFAULT_STEP_BUDGET), DEFAULT_STEP_BUDGET)
             if full != fulls[i]:
                 return False
     return True

@@ -15,12 +15,13 @@ from rotorlab.graph import (
 )
 
 
-def random_multigraph(rng: random.Random, n_vertices: int,
-                      extra_edges: int | None = None) -> DirectedMultigraph:
+def random_multigraph(rng: random.Random,
+                      n_vertices: int) -> DirectedMultigraph:
     """Random strongly connected multigraph without loops.
 
-    A random Hamiltonian cycle guarantees strong connectivity; extra edges
-    (parallel edges allowed) are sprinkled on top.
+    A random Hamiltonian cycle guarantees strong connectivity; between
+    n_vertices and 3 * n_vertices - 1 extra edges (parallel edges allowed)
+    are sprinkled on top.
     """
     if n_vertices < 2:
         raise GraphError("need at least 2 vertices")
@@ -30,9 +31,7 @@ def random_multigraph(rng: random.Random, n_vertices: int,
     out: dict[str, list[str]] = {v: [] for v in names}
     for i, v in enumerate(order):
         out[v].append(order[(i + 1) % n_vertices])
-    if extra_edges is None:
-        extra_edges = rng.randrange(n_vertices, 3 * n_vertices)
-    for _ in range(extra_edges):
+    for _ in range(rng.randrange(n_vertices, 3 * n_vertices)):
         v = rng.choice(names)
         w = rng.choice([u for u in names if u != v])
         out[v].append(w)

@@ -50,27 +50,20 @@ class NotHarmonicAtEmitterError(WalkError):
 
 @dataclass
 class WalkTrace:
-    """Recorded steps of one or more chip walks.
+    """The outcome of one or more chip walks.
 
-    ``steps`` holds (from, to) vertex pairs; ``segments`` holds the index at
-    which each chip's walk begins, so multi-chip traces keep per-chip
-    chaining intact.  Both are filled only when steps are recorded;
-    ``segments`` is [0] otherwise.  Recorded or not, ``emitted`` flags each
-    vertex of ``vertices``, by index, that a chip left; ``emitters()``
-    names them when called.
+    ``chip_stops`` names each chip's stop in routing order; ``emitted``
+    flags each vertex of ``vertices``, by index, that a chip left, and
+    ``emitters()`` names them when called.
     """
 
     initial: RotorConfiguration
     final: RotorConfiguration
-    steps: list[tuple[str, str]] = field(default_factory=list)
-    segments: list[int] = field(default_factory=lambda: [0])
     chip_stops: list[str] = field(default_factory=list)
     vertices: tuple[str, ...] = ()
-    emitted: list[bool] | None = None
+    emitted: list[bool | None] = field(default_factory=list)
 
     def emitters(self) -> set[str]:
-        if self.emitted is None:
-            return {frm for frm, _ in self.steps}
         return set(compress(self.vertices, self.emitted))
 
 
@@ -110,7 +103,6 @@ def _flag_moved(emitted: list[bool | None], before: Iterable[int],
 def _route(g: DirectedMultigraph, v: int, fulls: Iterable[list[int]],
            flags: list[bool | None], budget: Iterator[None],
            step_budget: int, chip_stops: list[str] | None = None,
-           steps: list[tuple[str, str]] | None = None,
            halt: int = -1) -> None:
     """Walk one chip from vertex index v on each slot list of ``fulls``, in
     turn, until it enters a stop.
@@ -120,8 +112,7 @@ def _route(g: DirectedMultigraph, v: int, fulls: Iterable[list[int]],
     the out-degree the rotor wraps to 0 and the flag is set to True.  Each
     chip turns the rotors of its own list in place, so one list repeated
     routes chips in sequence.  Each chip's stop is named in ``chip_stops``
-    and, in a loop of its own, each (from, to) step appended to ``steps``,
-    when those are lists.  A chip that stops at ``halt`` raises
+    when that is a list.  A chip that stops at ``halt`` raises
     ChipAtSinkError.  Each step takes one item of ``budget``, which holds
     one item for every step still allowed and may be shared with other
     calls, so no step compares against the budget: a chip that needs a
@@ -133,9 +124,7 @@ def _route(g: DirectedMultigraph, v: int, fulls: Iterable[list[int]],
     names = g.vertices
     for full in fulls:
         w = v
-        if flags[w] is None:
-            pass
-        elif steps is None:
+        if flags[w] is not None:
             for _ in budget:
                 s = full[w] + 1
                 if s == deg[w]:
@@ -143,20 +132,6 @@ def _route(g: DirectedMultigraph, v: int, fulls: Iterable[list[int]],
                     flags[w] = True
                 full[w] = s
                 w = out_idx[w][s]
-                if flags[w] is None:
-                    break
-            else:
-                raise StepBudgetExceededError(f"exceeded {step_budget} steps")
-        else:
-            for _ in budget:
-                s = full[w] + 1
-                if s == deg[w]:
-                    s = 0
-                    flags[w] = True
-                full[w] = s
-                x = out_idx[w][s]
-                steps.append((names[w], names[x]))
-                w = x
                 if flags[w] is None:
                     break
             else:
@@ -169,27 +144,11 @@ def _route(g: DirectedMultigraph, v: int, fulls: Iterable[list[int]],
 
 
 def route_to_sink(g: DirectedMultigraph, t: RotorConfiguration, x: str,
-                  record_trace: bool = False,
                   step_budget: int = DEFAULT_STEP_BUDGET,
                   ) -> tuple[RotorConfiguration, WalkTrace]:
-    """Add a chip at x and walk it to the sink; returns e_x(t) and a trace.
-
-    The trace records steps only when ``record_trace`` is set; the initial
-    and final configurations are always attached.
-    """
-    t.validate(g)
-    if x not in g.index:
-        raise GraphError(f"unknown vertex {x!r}")
-    full = g.slots_to_full(t)
-    steps: list[tuple[str, str]] = []
-    emitted = _stop_flags(g)
-    _route(g, g.index[x], (full,), emitted, repeat(None, step_budget),
-           step_budget, steps=steps if record_trace else None)
-    emitted[g.sink_index] = False
-    t2 = g.full_to_slots(full)
-    _flag_moved(emitted, t.slots, t2.slots, g.sink_index)
-    trace = WalkTrace(initial=t, final=t2, steps=steps, vertices=g.vertices,
-                      emitted=emitted)
+    """Add a chip at x and walk it to the sink; returns e_x(t) and the
+    trace of ``route_all``, which routes the one chip."""
+    _, t2, trace = route_all(g, t, {x: 1}, (g.sink,), step_budget)
     return t2, trace
 
 
@@ -225,12 +184,14 @@ def reverse_walk(g: DirectedMultigraph, t_final: RotorConfiguration, x: str,
         raise GraphError(f"unknown vertex {x!r}")
     full = g.slots_to_full(t_final)
     tgt = _rotor_targets(g, t_final)
-    _reverse(g, full, tgt, g.index[x], _acyclic(g, tgt), step_budget)
+    _reverse(g, full, tgt, g.index[x], _acyclic(g, tgt),
+             repeat(None, step_budget), step_budget)
     return g.full_to_slots(full)
 
 
 def _reverse(g: DirectedMultigraph, full: list[int], tgt: list[int],
-             start: int, rec: bool, step_budget: int) -> None:
+             start: int, rec: bool, budget: Iterator[None],
+             step_budget: int) -> None:
     """Reverse-walk the chip from the sink back to vertex index start.
 
     ``full`` holds the slots and ``tgt`` the rotor targets, per vertex
@@ -241,20 +202,19 @@ def _reverse(g: DirectedMultigraph, full: list[int], tgt: list[int],
     cycle, ends at the chip's predecessor.  In a recurrent state the chip
     is at its first visit, and its predecessor is the one before it on the
     rotor path from start, which is kept and built again only after a
-    cycle breaks.
+    cycle breaks.  Each reverse step takes one item of ``budget``, as a
+    step of ``_route`` does; a walk that needs a step when it is empty
+    raises StepBudgetExceededError, naming ``step_budget``.
     """
     out_idx = g.out_idx
     deg = g.deg_idx
     sink = chip = g.sink_index
-    count = 0
     path: list[int] = []    # the rotor path from start, with the chip at k
     k = -1                  # -1 until the path is built
     z = -1                  # on a cycle: the chip's predecessor there
-    while True:
-        if rec and chip == start:
-            return
-        if count >= step_budget:
-            raise StepBudgetExceededError(f"exceeded {step_budget} reverse steps")
+    if rec and start == sink:
+        return
+    for _ in budget:
         if rec:
             if k < 0:
                 v = start
@@ -273,7 +233,6 @@ def _reverse(g: DirectedMultigraph, full: list[int], tgt: list[int],
         full[z] = s
         tgt[z] = out_idx[z][s]
         chip = z
-        count += 1
         # the step broke the only cycle (it ran through z) or left none, so
         # the rotors from z lead to the sink or back to z
         u, v = z, tgt[z]
@@ -284,6 +243,10 @@ def _reverse(g: DirectedMultigraph, full: list[int], tgt: list[int],
         elif not rec:   # the cycle broke
             k = -1
         rec = v == sink
+        if rec and chip == start:
+            return
+    else:
+        raise StepBudgetExceededError(f"exceeded {step_budget} reverse steps")
     raise WalkError(f"rotor path from {g.vertices[start if rec else chip]!r} "
                     f"misses {g.vertices[chip]!r}")
 
@@ -293,7 +256,6 @@ ChipDistribution = dict[str, int]
 
 def route_all(g: DirectedMultigraph, t: RotorConfiguration,
               chips: Mapping[str, int], stop_set: Iterable[str],
-              record_trace: bool = False,
               step_budget: int = DEFAULT_STEP_BUDGET,
               ) -> tuple[ChipDistribution, RotorConfiguration, WalkTrace]:
     """Route every chip until it enters the stop set.
@@ -325,21 +287,12 @@ def route_all(g: DirectedMultigraph, t: RotorConfiguration,
             raise WalkError("negative chip count")
 
     full = g.slots_to_full(t)
-    names = g.vertices
-    steps: list[tuple[str, str]] = []
-    segments: list[int] = []
     chip_stops: list[str] = []
     emitted = _stop_flags(g, stops)
     budget = repeat(None, step_budget)
     for i, c in sorted((index[v], c) for v, c in chips.items()):
-        if not record_trace:
-            _route(g, i, repeat(full, c), emitted, budget, step_budget,
-                   chip_stops, halt=halt)
-            continue
-        for _ in range(c):
-            segments.append(len(steps))
-            _route(g, i, (full,), emitted, budget, step_budget, chip_stops,
-                   steps, halt)
+        _route(g, i, repeat(full, c), emitted, budget, step_budget,
+               chip_stops, halt)
 
     for v in (sink, *stops):    # no chip leaves a stop
         emitted[v] = False
@@ -350,9 +303,8 @@ def route_all(g: DirectedMultigraph, t: RotorConfiguration,
     t2 = RotorConfiguration(tuple(full))
     counts = Counter(chip_stops)
     stop_counts = {x: counts[x] for x in sorted(counts, key=index.__getitem__)}
-    trace = WalkTrace(initial=t, final=t2,
-                      steps=steps, segments=segments or [0],
-                      chip_stops=chip_stops, vertices=names, emitted=emitted)
+    trace = WalkTrace(initial=t, final=t2, chip_stops=chip_stops,
+                      vertices=g.vertices, emitted=emitted)
     return stop_counts, t2, trace
 
 

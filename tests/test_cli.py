@@ -109,6 +109,17 @@ def test_aggregate_branch_mode_config_rejected(capsys, tmp_path):
     assert len(lines) == 1 and lines[0].startswith("error:")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--chips", "0"], "--chips must be at least 1"),
+    (["--chips", "-4"], "--chips must be at least 1"),
+    ([], "need --chips or --radius"),
+])
+def test_aggregate_chip_count_messages(capsys, argv, message):
+    # a --chips below 1 is named as such, not as a missing count
+    code, out, err = run_cli(capsys, "aggregate", "--d", "3", *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def _complete_graph_json(n):
     names = [f"v{i}" for i in range(n)]
     return {"vertices": names, "sink": names[0],

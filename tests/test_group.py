@@ -8,10 +8,12 @@ from rotorlab import group
 from rotorlab.graph import (
     ResultCheckError,
     RotorConfiguration,
+    StepBudgetExceededError,
     build_graph,
     enumerate_recurrent,
     integer_determinant,
     reduced_laplacian,
+    shortest_path_config,
     spanning_tree_count,
 )
 from rotorlab.group import (
@@ -24,7 +26,7 @@ from rotorlab.group import (
 )
 from rotorlab.sampling import random_multigraph, random_recurrent_config
 from rotorlab.trees import build_wired_tree
-from rotorlab.walk import reverse_walk, route_to_sink
+from rotorlab.walk import reverse_walk, route_to_sink, step
 
 
 def two_cycle():
@@ -324,8 +326,8 @@ def test_order_of_generator_witness_independent():
 
 
 def test_order_of_generator_rejects_non_recurrent_witness():
-    # the 2-cycle o <-> r never returns under e_o; before the recurrence
-    # check, the default cap of 10^7 routings ran for seconds first
+    # the 2-cycle o <-> r never returns under e_o: the witness is refused
+    # before any routing, not after the step budget runs out
     g = build_graph(["o", "r", "s"], "s",
                     {"o": ["r"], "r": ["o", "s"], "s": ["r"]})
     witness = RotorConfiguration.from_dict(g, {"o": 0, "r": 0})
@@ -405,6 +407,29 @@ def test_order_witness_disagreement_raises_result_check(monkeypatch):
     monkeypatch.setattr(group, "_orbit_period", lambda *args: next(periods))
     with pytest.raises(ResultCheckError):
         order_of_generator(g, "a", verify_witnesses=1)
+
+
+def test_orbit_powers_share_one_step_budget(monkeypatch):
+    # the powers of one orbit take their steps from one budget: the orbit's
+    # literal step total is enough and one step less raises; the sink's
+    # power takes no step
+    g, _ = build_wired_tree(3, 3)
+    t0 = t = shortest_path_config(g)
+    total = order = 0
+    while order == 0 or t != t0:
+        chip = "r"
+        while chip != g.sink:
+            t, chip = step(g, t, chip)
+            total += 1
+        order += 1
+    monkeypatch.setattr(group, "DEFAULT_STEP_BUDGET", total)
+    assert order_of_generator(g, "r") == order == 7
+    monkeypatch.setattr(group, "DEFAULT_STEP_BUDGET", total - 1)
+    with pytest.raises(StepBudgetExceededError,
+                       match=f"^exceeded {total - 1} steps$"):
+        order_of_generator(g, "r")
+    monkeypatch.setattr(group, "DEFAULT_STEP_BUDGET", 0)
+    assert order_of_generator(g, g.sink) == 1
 
 
 def power(g, t, x, k):
@@ -561,7 +586,7 @@ def test_orbit_period_matches_route_to_sink_loop():
             t, k = route_to_sink(g, t0, x)[0], 1
             while t != t0:
                 t, k = route_to_sink(g, t, x)[0], k + 1
-            assert group._orbit_period(g, x, t0, 10 ** 6) == k
+            assert group._orbit_period(g, x, t0) == k
 
 
 @pytest.mark.parametrize("n", range(2, 11))

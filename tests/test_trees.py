@@ -242,7 +242,7 @@ def test_branch_build_peak_memory():
 
 def test_branch_route_memory():
     # 2^14 - 1 chips alternate on Y_14 with a peak under 0.75 MiB: emitters
-    # are flags per vertex, and no segment list is kept without steps
+    # are flags per vertex, and no step is recorded
     g, info = build_branch(3, 14)
     t0 = uniform_direction_config(g, info, 1)
     tracemalloc.start()
@@ -252,7 +252,7 @@ def test_branch_route_memory():
     finally:
         tracemalloc.stop()
     assert counts == {"o": 2 ** 13 - 1, "b": 2 ** 13} and t1 == t0
-    assert trace.segments == [0] and len(trace.emitters()) == 2 ** 13 - 1
+    assert len(trace.emitters()) == 2 ** 13 - 1
     assert peak < 0.75 * 2 ** 20, peak
 
 
@@ -364,8 +364,7 @@ def test_exit_measure_satisfies_harmonic_invariant():
     rng = random.Random(5)
     t0 = random_acyclic_tree_config(g, info, rng)
     m = ((d - 1) ** n - 1) // (d - 2)
-    counts, t1, trace = route_all(g, t0, {"r": m}, set(info.leaves),
-                                  record_trace=True)
+    counts, t1, trace = route_all(g, t0, {"r": m}, set(info.leaves))
     z = [v for v in info.leaves if v != "o"][0]
     H = harmonic_field_for_leaf(d, n, z)
     assert check_harmonic_invariant(g, H, {"r": m}, counts, trace)

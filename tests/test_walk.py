@@ -1,7 +1,6 @@
-import io
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import product, repeat
 
 import pytest
 
@@ -72,8 +71,8 @@ def test_step_at_sink_rejected():
 def test_route_to_sink_two_cycle():
     g = two_cycle()
     t = RotorConfiguration.uniform(g, 0)
-    t2, trace = route_to_sink(g, t, "r", record_trace=True)
-    assert trace.steps == [("r", "s")]
+    t2, trace = route_to_sink(g, t, "r")
+    assert trace.chip_stops == ["s"] and trace.emitters() == {"r"}
     assert t2 == t
 
 
@@ -298,7 +297,8 @@ def test_reverse_kernel_matches_rewalking_oracle():
                 for budget in (10 ** 9, rng.randrange(6)):
                     got = g.slots_to_full(t), tgt[:]
                     want = g.slots_to_full(t), tgt[:]
-                    result = outcome(_reverse, g, *got, x, rec, budget)
+                    result = outcome(_reverse, g, *got, x, rec,
+                                     repeat(None, budget), budget)
                     assert result == outcome(reverse_rewalking_oracle, g,
                                              *want, x, rec, budget)
                     assert got == want
@@ -408,26 +408,22 @@ def test_routing_matches_literal_step_oracle():
         # step() refuses a chip on the sink, so the sink always stops chips
         stop = {g.sink} | {v for v in g.rotor_vertices if rng.random() < 0.3}
         chips = {v: rng.randrange(0, 4) for v in g.vertices}
-        counts, chip_stops, t_end, steps, segments = route_sequential(
+        counts, chip_stops, t_end, steps, _ = route_sequential(
             g, t, chips, stop)
-        for record in (True, False):
-            got, t2, trace = route_all(g, t, chips, stop, record_trace=record)
-            assert got == counts
-            assert list(got) == sorted(got, key=g.index.__getitem__)
-            assert trace.chip_stops == chip_stops
-            assert t2 == trace.final == t_end and trace.initial == t
-            assert trace.steps == (steps if record else [])
-            # without recorded steps every segment would begin at 0
-            assert trace.segments == (segments if record else [0])
-            assert trace.emitters() == {frm for frm, _ in steps}
-        x = rng.choice(g.vertices)
-        _, _, t_end, steps, _ = route_sequential(g, t, {x: 1}, {g.sink})
-        t2, trace = route_to_sink(g, t, x, record_trace=True)
+        got, t2, trace = route_all(g, t, chips, stop)
+        assert got == counts
+        assert list(got) == sorted(got, key=g.index.__getitem__)
+        assert trace.chip_stops == chip_stops
         assert t2 == trace.final == t_end and trace.initial == t
-        assert trace.steps == steps and trace.segments == [0]
-        assert trace.chip_stops == []
         assert trace.emitters() == {frm for frm, _ in steps}
-        assert route_to_sink(g, t, x)[1].emitters() == trace.emitters()
+        # route_to_sink routes one chip with the sink as the only stop
+        x = rng.choice(g.vertices)
+        _, chip_stops, t_end, steps, _ = route_sequential(
+            g, t, {x: 1}, {g.sink})
+        t2, trace = route_to_sink(g, t, x)
+        assert t2 == trace.final == t_end and trace.initial == t
+        assert trace.chip_stops == chip_stops == [g.sink]
+        assert trace.emitters() == {frm for frm, _ in steps}
 
 
 def test_route_all_routes_sources_in_vertex_order():
@@ -517,7 +513,7 @@ def test_step_budget_boundaries_match_the_oracle():
     # with any budget that lets it get there
     rng = random.Random(61)
     seen = {"sink stops": 0, "sink entered": 0, "runs out": 0}
-    for k in range(120):
+    for k in range(240):
         g = shuffled_graph(rng, rng.randrange(2, 8))
         sink = g.sink
         t = random_slots(rng, g)
@@ -532,35 +528,31 @@ def test_step_budget_boundaries_match_the_oracle():
         ends = segments[1:] + [total]
         entries = [end for end, z in zip(ends, chip_stops)
                    if z == sink and sink not in stop]
-        for record in (True, False):
-            def run(budget):
-                return route_all(g, t, chips, stop, record_trace=record,
-                                 step_budget=budget)
-            if entries:
-                seen["sink entered"] += 1
-                for budget in {entries[0], total, total + 1}:
-                    with pytest.raises(ChipAtSinkError):
-                        run(budget)
-            else:
-                seen["sink stops"] += 1
-                got, t2, trace = run(total)
-                assert got == counts and t2 == t_end
-                assert trace.chip_stops == chip_stops
-                assert trace.steps == (steps if record else [])
-            if (entries or [total])[0]:
-                seen["runs out"] += 1
-                with pytest.raises(StepBudgetExceededError):
-                    run((entries or [total])[0] - 1)
+        def run(budget):
+            return route_all(g, t, chips, stop, step_budget=budget)
+        if entries:
+            seen["sink entered"] += 1
+            for budget in {entries[0], total, total + 1}:
+                with pytest.raises(ChipAtSinkError):
+                    run(budget)
+        else:
+            seen["sink stops"] += 1
+            got, t2, trace = run(total)
+            assert got == counts and t2 == t_end
+            assert trace.chip_stops == chip_stops
+        if (entries or [total])[0]:
+            seen["runs out"] += 1
+            with pytest.raises(StepBudgetExceededError):
+                run((entries or [total])[0] - 1)
         x = rng.choice(g.vertices)
         _, _, t_end, steps, _ = route_sequential(g, t, {x: 1}, {sink})
         emitters = {frm for frm, _ in steps}
-        for record in (True, False):
-            t2, trace = route_to_sink(g, t, x, record, len(steps))
-            assert t2 == t_end
-            assert trace.emitted == [v in emitters for v in g.vertices]
-            if steps:
-                with pytest.raises(StepBudgetExceededError):
-                    route_to_sink(g, t, x, record, len(steps) - 1)
+        t2, trace = route_to_sink(g, t, x, len(steps))
+        assert t2 == t_end
+        assert trace.emitted == [v in emitters for v in g.vertices]
+        if steps:
+            with pytest.raises(StepBudgetExceededError):
+                route_to_sink(g, t, x, len(steps) - 1)
     assert min(seen.values()) >= 50, seen
 
 
@@ -592,54 +584,11 @@ def test_route_all_matches_the_oracle_at_scale():
         assert len(steps) > 10 * len(g.vertices)
 
 
-def segment_bounds(trace: WalkTrace) -> list[tuple[int, int]]:
-    ends = trace.segments[1:] + [len(trace.steps)]
-    return list(zip(trace.segments, ends))
-
-
-def check_chaining(trace: WalkTrace) -> bool:
-    """Consecutive steps chain within every segment."""
-    for lo, hi in segment_bounds(trace):
-        for i in range(lo + 1, hi):
-            if trace.steps[i][0] != trace.steps[i - 1][1]:
-                return False
-    return True
-
-
-def replay(g, trace: WalkTrace) -> RotorConfiguration:
-    """Re-apply the recorded steps to the initial configuration."""
-    full = g.slots_to_full(trace.initial)
-    for frm, _to in trace.steps:
-        i = g.index[frm]
-        full[i] = (full[i] + 1) % g.deg_idx[i]
-    return g.full_to_slots(full)
-
-
-def to_csv(trace: WalkTrace) -> str:
-    buf = io.StringIO()
-    buf.write("step,from,to\n")
-    for k, (frm, to) in enumerate(trace.steps):
-        buf.write(f"{k},{frm},{to}\n")
-    return buf.getvalue()
-
-
-def test_trace_chaining_and_replay():
-    rng = random.Random(31)
-    g = random_multigraph(rng, 5)
-    t = random_recurrent_config(g, rng)
-    t2, trace = route_to_sink(g, t, g.rotor_vertices[1], record_trace=True)
-    assert check_chaining(trace)
-    assert replay(g, trace) == t2
-    csv = to_csv(trace)
-    assert csv.splitlines()[0] == "step,from,to"
-    assert len(csv.splitlines()) == len(trace.steps) + 1
-
-
 def test_harmonic_invariant_constant_function():
     g = three_out()
     t = RotorConfiguration.uniform(g, 0)
-    counts, t2, trace = route_all(g, t, {"m": 3}, {"a", "b", "c"},
-                                  record_trace=True)
+    counts, t2, trace = route_all(g, t, {"m": 3}, {"a", "b", "c"})
+    assert trace.emitters() == {"m"}
     H = {v: Fraction(1) for v in g.vertices}
     before = {"m": 3}
     assert check_harmonic_invariant(g, H, before, counts, trace)
@@ -655,28 +604,16 @@ def test_harmonic_invariant_empty_trace():
 def test_harmonic_invariant_rejects_unrestored_rotors():
     g = three_out()
     t = RotorConfiguration.uniform(g, 0)
-    t2, trace = route_to_sink(g, t, "m", record_trace=True)
+    t2, trace = route_to_sink(g, t, "m")
     assert t2 != t
     with pytest.raises(RotorsNotRestoredError):
         check_harmonic_invariant(g, {v: 1 for v in g.vertices}, {}, {}, trace)
 
 
-def test_harmonic_invariant_without_recorded_steps():
-    # emitters are tracked even when the full step list is not recorded
-    g = three_out()
-    t = RotorConfiguration.uniform(g, 0)
-    counts, t2, trace = route_all(g, t, {"m": 3}, {"a", "b", "c"})
-    assert trace.steps == []
-    assert trace.emitters() == {"m"}
-    H = {v: Fraction(1) for v in g.vertices}
-    assert check_harmonic_invariant(g, H, {"m": 3}, counts, trace)
-
-
 def test_harmonic_invariant_rejects_bad_function():
     g = three_out()
     t = RotorConfiguration.uniform(g, 0)
-    counts, t2, trace = route_all(g, t, {"m": 3}, {"a", "b", "c"},
-                                  record_trace=True)
+    counts, t2, trace = route_all(g, t, {"m": 3}, {"a", "b", "c"})
     H = {v: Fraction(1) for v in g.vertices}
     H["a"] = Fraction(5)   # breaks harmonicity at the emitter m
     with pytest.raises(NotHarmonicAtEmitterError):
