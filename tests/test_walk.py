@@ -610,6 +610,21 @@ def test_harmonic_invariant_rejects_unrestored_rotors():
         check_harmonic_invariant(g, {v: 1 for v in g.vertices}, {}, {}, trace)
 
 
+def test_harmonic_invariant_without_recorded_steps():
+    # no step list is kept: emitters come from the run's per-vertex flags,
+    # and a non-constant H harmonic at m is conserved
+    g = three_out()
+    t = RotorConfiguration.uniform(g, 0)
+    counts, t2, trace = route_all(g, t, {"m": 3}, {"a", "b", "c"})
+    assert not hasattr(trace, "steps")
+    assert trace.emitted == [x == "m" for x in g.vertices]
+    assert trace.emitters() == {"m"}
+    assert counts == {"a": 1, "b": 1, "c": 1}
+    H = {"m": Fraction(1), "a": Fraction(0), "b": Fraction(1),
+         "c": Fraction(2), "s": Fraction(7)}
+    assert check_harmonic_invariant(g, H, {"m": 3}, counts, trace)
+
+
 def test_harmonic_invariant_rejects_bad_function():
     g = three_out()
     t = RotorConfiguration.uniform(g, 0)
