@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 1 a verified property failed (that would be a bug),
 2 bad input, 3 word not realizable.  Output is deterministic JSON: same
-request, same bytes.  A request for more than MAX_CHIPS chips, or a word
-longer than MAX_SYNTHESIS_LETTERS to ``escape synthesize``, exits 2 before
-any work.
+request, same bytes.  A request for more than MAX_CHIPS chips, a word
+longer than MAX_SYNTHESIS_LETTERS to ``escape synthesize``, or an ``--out``
+or ``--dot`` path that cannot be written exits 2 before any work.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 
@@ -69,6 +70,18 @@ def _emit(payload: dict, out_path: str | None) -> None:
 def _fail(msg: str, code: int) -> int:
     print(f"error: {msg}", file=sys.stderr)
     return code
+
+
+def _unwritable(path: str) -> str | None:
+    """Why no file can be written at ``path``, or None if one can."""
+    if os.path.isdir(path):
+        return "is a directory"
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        return f"no directory {folder}"
+    if not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        return "permission denied"
+    return None
 
 
 def _check_chips(request: str, chips: int) -> None:
@@ -343,6 +356,12 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("check/synthesize need a word")
         if args.action == "simulate" and not (args.config or args.preset):
             parser.error("simulate needs --config or --preset")
+    for flag in ("out", "dot"):
+        path = getattr(args, flag, None)
+        problem = path and _unwritable(path)
+        if problem:
+            return _fail(f"cannot write --{flag} {path}: {problem}",
+                         INPUT_ERROR)
     return args.func(args)
 
 

@@ -242,15 +242,16 @@ def sandpile_structure(g: DirectedMultigraph) -> SandpileGroupStructure:
     return SandpileGroupStructure(factors)
 
 
-def _generator_tables(g: DirectedMultigraph,
-                      fulls: list[list[int]]) -> list[list[int]]:
+def _generator_tables(g: DirectedMultigraph, fulls: list[list[int]],
+                      budget: Iterator[None]) -> list[list[int]]:
     """Each generator's action as a table over the recurrent states, given
     as per-vertex slot lists.
 
     ``perm[v][i]`` is the index in ``fulls`` of e_x(fulls[i]), x being the
     vertex with index v.  One ``_route`` call per vertex, the kernel of
-    ``route_to_sink``, routes x's chip on a copy of each state in turn.
-    The sink's chip starts on a stop, so its table is the identity.
+    ``route_to_sink``, routes x's chip on a copy of each state in turn,
+    each step taking one item of ``budget``.  The sink's chip starts on a
+    stop, so its table is the identity.
     """
     # keyed on whole lists: the sink is a stop, so its unused entry stays 0
     where = {tuple(full): i for i, full in enumerate(fulls)}
@@ -258,8 +259,8 @@ def _generator_tables(g: DirectedMultigraph,
     perm = []
     for v in range(len(g.vertices)):
         row: list[int | None] = []
-        _route(g, v, _copies(fulls, where, row), flags,
-               repeat(None, DEFAULT_STEP_BUDGET), DEFAULT_STEP_BUDGET)
+        _route(g, v, _copies(fulls, where, row), flags, budget,
+               DEFAULT_STEP_BUDGET)
         if None in row:
             raise NotRecurrentError("generators act on recurrent "
                                     "configurations")
@@ -346,10 +347,10 @@ def _transitive(g: DirectedMultigraph, fulls: list[list[int]],
 
 
 def _round_trips(g: DirectedMultigraph, fulls: list[list[int]],
-                 perm: list[list[int]]) -> bool:
+                 perm: list[list[int]], budget: Iterator[None]) -> bool:
     """Every generator table is injective, and the literal reverse walk in
-    ``_reverse`` maps each image e_x(t) back to t; False at the first
-    failure."""
+    ``_reverse``, each step taking one item of ``budget``, maps each image
+    e_x(t) back to t; False at the first failure."""
     n = len(fulls)
     # each state's rotor targets, from its slot list; the sink's entry
     # points at the sink
@@ -361,8 +362,8 @@ def _round_trips(g: DirectedMultigraph, fulls: list[list[int]],
             return False
         for i, j in enumerate(row):
             full = fulls[j][:]
-            _reverse(g, full, tgts[j][:], x, True,
-                     repeat(None, DEFAULT_STEP_BUDGET), DEFAULT_STEP_BUDGET)
+            _reverse(g, full, tgts[j][:], x, True, budget,
+                     DEFAULT_STEP_BUDGET)
             if full != fulls[i]:
                 return False
     return True
@@ -423,11 +424,16 @@ def verify_isomorphism(g: DirectedMultigraph,
     enumeration, so each reverse walk starts as recurrent.  The
     sink-identity check cannot fail: the chip starts on the sink, which is
     a stop, so ``_route`` returns at once and moves no rotor.
+
+    The forward routes and the reverse walks share one budget of
+    DEFAULT_STEP_BUDGET steps; StepBudgetExceededError is raised when
+    their total would pass it.
     """
     recs = enumerate_recurrent(g, limit)
     structure = sandpile_structure(g)
     fulls = [g.slots_to_full(t) for t in recs]
-    perm = _generator_tables(g, fulls)
+    budget = repeat(None, DEFAULT_STEP_BUDGET)
+    perm = _generator_tables(g, fulls, budget)
     sink = g.sink_index
     movers = [v for v in range(len(g.vertices)) if v != sink]
 
@@ -442,7 +448,7 @@ def verify_isomorphism(g: DirectedMultigraph,
         _composed([perm[x], perm[y]]) == _composed([perm[y], perm[x]])
         for xi, x in enumerate(movers) for y in movers[xi + 1:])
 
-    bijective_ok = _round_trips(g, fulls, perm)
+    bijective_ok = _round_trips(g, fulls, perm, budget)
     transitive_ok = _transitive(g, fulls, perm)
 
     report = IsomorphismReport(

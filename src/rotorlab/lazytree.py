@@ -52,15 +52,16 @@ rotor (0 while not materialized), sibling links, and the static
 depth-first preorder, the order in which walks first meet it, with the
 kinds read from the ``kids`` maps.  Every other vertex gets its id on first
 contact, its kind derived from the parent's.
-A child's id is found in a block of child slots at small degree and in a
-dict at large degree.  Sparse maps keyed by id hold the pass count and the
-absolute depth reached by the deepest patch covering the vertex; setting a
-patch updates the cover of every descendant that already has an id.  A
-pending ray tip always sits on a vertex whose next ray vertex has no id
-yet, and making that id moves the tip into it, so every ray has passed
-every vertex with an id that it will pass, and each lookup during a walk
-is a table read.  Addresses stay the currency of the API:
-``effective(addr)`` and ``visited``, the address-keyed snapshots
+A child's id is found in one dict keyed by parent id and child index, at
+every degree, for about 110 bytes per child (see ``TreeState`` for what
+that costs on a million-chip run).  Sparse maps keyed by id hold the pass
+count and the absolute depth reached by the deepest patch covering the
+vertex; setting a patch updates the cover of every descendant that
+already has an id.  A pending ray tip always sits on a vertex whose next
+ray vertex has no id yet, and making that id moves the tip into it, so
+every ray has passed every vertex with an id that it will pass, and each
+lookup during a walk is a table read.  Addresses stay the currency of the
+API: ``effective(addr)`` and ``visited``, the address-keyed snapshots
 ``rotors``, ``patches``, ``ray_counts`` and ``ray_tips``, aggregation
 ``stops``, ``occupied`` and ``rotors``, JSON and DOT.
 
@@ -558,10 +559,6 @@ class ChipResult:
     visited: list[Address] | None = None
 
 
-# The largest degree whose vertices keep their child ids in blocks.
-BLOCK_DEGREE = 16
-
-
 class TreeState:
     """Mutable rotor state of a lazy tree run, on per-vertex id tables.
 
@@ -574,14 +571,13 @@ class TreeState:
     ``_head``/``_next``, which list each vertex's children newest first (0
     ends a list: the origin is nobody's child).
 
-    Up to degree BLOCK_DEGREE, child c of x has its id, or -1, at
-    ``_kids[_first[x] + c]``: a vertex gets a block of d slots with its
-    first child, and until then ``_first`` is -1, which points into the
-    shared block of -1s at the start of ``_kids``.  Above it ``_first`` is
-    None and ``_kids`` is a dict keyed ``x * d + c``.  Either way memory is
-    within a constant of the number of vertices touched: a block is at most
-    64 bytes per vertex with a child, and a dict entry with its two int
-    objects costs about 110 bytes per child.
+    At every degree the id of child c of x sits in the dict ``_kids`` under
+    the key ``x * d + c``, so memory follows the vertices touched: an entry
+    with its two int objects costs about 110 bytes per child.  On runs that
+    touch millions of vertices that is more than fixed slots of 4-byte ints
+    would take: ``escape simulate --preset alternating --m 1000000``
+    peaks at 346 MiB of RSS, where d slots per vertex with a child took
+    294 MiB (CPython 3.11, x86-64).
 
     Sparse maps hold what most vertices lack: ``_rc`` pass counts;
     ``_cover``, for each vertex a patch covers, the largest ``depth(a) + k``
@@ -602,12 +598,7 @@ class TreeState:
         self._cidx = array("i", [0])
         self._head = array("i", [0])
         self._next = array("i", [0])
-        if cfg.d <= BLOCK_DEGREE:
-            self._first: array | None = array("i", [-1])
-            self._kids: array | dict[int, int] = array("i", [-1]) * cfg.d
-        else:
-            self._first = None
-            self._kids = {}
+        self._kids: dict[int, int] = {}
         self._rot: list[int] = [root.base if cfg.mode == "tree" else 0]
         self._kind: list[NodeKind] = [root]
         self._addr: list[Address | None] = [ORIGIN]
@@ -628,17 +619,7 @@ class TreeState:
         """A fresh id for child c of x, covered as x is.  The tips at x
         that head to c move into it, in ray-id order."""
         y = len(self._rot)
-        d = self.cfg.d
-        first = self._first
-        if first is None:
-            self._kids[x * d + c] = y
-        else:
-            b = first[x]
-            if b < 0:
-                b = first[x] = len(self._kids) - 1
-                self._kids.extend(self._kids[:d])    # d slots of -1
-            self._kids[b + c] = y
-            first.append(-1)
+        self._kids[x * self.cfg.d + c] = y
         depth = self._depth[x] + 1
         self._parent.append(x)
         self._depth.append(depth)
@@ -668,12 +649,10 @@ class TreeState:
         (breadth-first ids walk slower: a walk's table reads spread out).
         No patch or ray tip exists yet to cover the ids or move into them."""
         d = self.cfg.d
-        first, kids, depth, head = self._first, self._kids, self._depth, \
-            self._head
+        kids, depth, head = self._kids, self._depth, self._head
         add_parent, add_depth, add_cidx, add_head, add_next, add_kind = (
             self._parent.append, depth.append, self._cidx.append,
             head.append, self._next.append, self._kind.append)
-        block = None if first is None else kids[:d]     # d slots of -1
         y = 0
         stack = [(0, 0, self.cfg.root_kind)]
         pop, push = stack.pop, stack.append
@@ -681,11 +660,7 @@ class TreeState:
             x, c, kind = pop()
             if c:                       # c = 0 stands for the origin
                 y += 1
-                if first is None:
-                    kids[x * d + c] = y
-                else:
-                    kids[first[x] + c] = y
-                    first.append(-1)
+                kids[x * d + c] = y
                 add_parent(x)
                 add_depth(depth[x] + 1)
                 add_cidx(c)
@@ -696,9 +671,6 @@ class TreeState:
                 x = y
             sub = kind.kids
             if sub:
-                if first is not None:
-                    first[x] = len(kids) - 1
-                    kids += block
                 for c in sorted(sub, reverse=True):
                     push((x, c, sub[c]))
         self._rot += [0] * y
@@ -706,9 +678,7 @@ class TreeState:
 
     def _id(self, x: int, c: int) -> int:
         """The id of child c of x, or -1 if it has none yet."""
-        if self._first is None:
-            return self._kids.get(x * self.cfg.d + c, -1)
-        return self._kids[self._first[x] + c]
+        return self._kids.get(x * self.cfg.d + c, -1)
 
     def _kid(self, x: int, c: int) -> int:
         """The id of child c of x, made if it has none yet."""
@@ -846,7 +816,6 @@ class TreeState:
         """
         d = self.cfg.d
         static = self.cfg._static_depth
-        first = self._first
         kids = self._kids
         rot = self._rot
         kinds = self._kind
@@ -878,8 +847,7 @@ class TreeState:
                         return -1       # periodic ride along the ray
                     ride_seen.add(kind.ray)
             # along the ray, or off it
-            y = kids.get(w * d + inc, -1) if first is None else \
-                kids[first[w] + inc]
+            y = kids.get(w * d + inc, -1)
             w = y if y >= 0 else self._child(w, inc)
         raise UnsupportedConfigError("escape decision did not converge")
 
@@ -914,7 +882,6 @@ class TreeState:
         parent = self._parent
         depths = self._depth
         cidx = self._cidx
-        first = self._first
         kids = self._kids
         rot = self._rot
         head = self._head
@@ -938,10 +905,7 @@ class TreeState:
         numbers = iter(range(2, cap + 1))     # of the steps still allowed
 
         while True:                     # step ``steps``: pos to child inc
-            if first is None:
-                target = kids.get(pos * d + inc, -1)
-            else:
-                target = kids[first[pos] + inc]
+            target = kids.get(pos * d + inc, -1)
             if target < 0:
                 target = self._child(pos, inc)
             t_depth = depth + 1

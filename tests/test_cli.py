@@ -160,6 +160,22 @@ def test_malformed_input_exits_2_with_one_error_line(capsys, tmp_path,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["aggregate", "--d", "3", "--radius", "2", "--out"], "--out"),
+    (["aggregate", "--d", "3", "--radius", "2", "--dot"], "--dot"),
+    (["escape", "check", "101", "--out"], "--out"),
+    (["group", "--wired", "3", "3", "--out"], "--out"),
+], ids=["aggregate-out", "aggregate-dot", "escape-check-out", "group-out"])
+def test_unwritable_output_path_exits_2_before_any_work(capsys, tmp_path,
+                                                        argv, flag):
+    for path in (tmp_path / "missing" / "x.json", tmp_path):
+        code, out, err = run_cli(capsys, *argv, str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {flag} {path}: ")
+        assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_group_wired(capsys):
     code, out, _ = run_cli(capsys, "group", "--wired", "3", "3")
     assert code == 0

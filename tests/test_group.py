@@ -1,6 +1,6 @@
 import math
 import random
-from itertools import combinations
+from itertools import combinations, repeat
 
 import pytest
 
@@ -432,6 +432,28 @@ def test_orbit_powers_share_one_step_budget(monkeypatch):
     assert order_of_generator(g, g.sink) == 1
 
 
+def test_isomorphism_check_shares_one_step_budget(monkeypatch):
+    # the forward routes of the generator tables and the reverse walks that
+    # undo them take their steps from one budget: the forward total alone
+    # covers either half, not both
+    g, _ = build_wired_tree(3, 3)
+    forward = 0
+    for t in enumerate_recurrent(g, group.CHECK_LIMIT):
+        for x in g.vertices:
+            chip = x
+            while chip != g.sink:
+                t, chip = step(g, t, chip)
+                forward += 1
+    assert forward == 117
+    monkeypatch.setattr(group, "DEFAULT_STEP_BUDGET", 2 * forward)
+    assert verify_isomorphism(g).ok
+    for budget in (2 * forward - 1, forward):
+        monkeypatch.setattr(group, "DEFAULT_STEP_BUDGET", budget)
+        with pytest.raises(StepBudgetExceededError,
+                           match=f"^exceeded {budget} reverse steps$"):
+            verify_isomorphism(g)
+
+
 def power(g, t, x, k):
     """e_x^k(t), one power at a time: route_to_sink for each positive
     power, reverse_walk for each negative one."""
@@ -535,8 +557,8 @@ def test_verify_isomorphism_matches_literal_oracle():
 def test_swapped_generator_images_fail_the_check(monkeypatch):
     real = group._generator_tables
 
-    def swapped(g, fulls):
-        perm = real(g, fulls)
+    def swapped(g, fulls, budget):
+        perm = real(g, fulls, budget)
         row = perm[g.index["a"]]
         row[0], row[1] = row[1], row[0]
         return perm
@@ -557,7 +579,7 @@ def test_generator_image_outside_recurrent_states_raises(monkeypatch):
     # then land outside the index
     real = group._generator_tables
     monkeypatch.setattr(group, "_generator_tables",
-                        lambda g, fulls: real(g, fulls[:-1]))
+                        lambda g, fulls, budget: real(g, fulls[:-1], budget))
     with pytest.raises(NotRecurrentError):
         verify_isomorphism(triangle())
 
@@ -574,7 +596,8 @@ def test_generator_tables_match_route_to_sink():
         want = [[where[route_to_sink(g, t, x)[0]] for t in recs]
                 for x in g.vertices]
         fulls = [g.slots_to_full(t) for t in recs]
-        assert group._generator_tables(g, fulls) == want
+        budget = repeat(None, group.DEFAULT_STEP_BUDGET)
+        assert group._generator_tables(g, fulls, budget) == want
 
 
 def test_orbit_period_matches_route_to_sink_loop():

@@ -11,6 +11,7 @@ import pytest
 from rotorlab.acceptance import random_valid_word
 from rotorlab.escape import (
     descriptor_to_branch_config,
+    residues,
     satisfies_all,
     synthesize_branch,
     synthesize_tree,
@@ -628,11 +629,13 @@ def assert_kind_trees_equal(got, want) -> int:
     return seen
 
 
-def _random_structure_config(rng: random.Random) -> LazyTreeConfig:
-    """Overrides at random depths (their prefixes mostly unmarked), nested
-    level regions, and rays, some of them starting at one address."""
-    d = rng.choice([3, 3, 4, 5])
-    mode = rng.choice(["tree", "branch"])
+def _random_structure_config(rng: random.Random, d: int | None = None,
+                             mode: str | None = None) -> LazyTreeConfig:
+    """Overrides down to depth 6 (their prefixes mostly unmarked), nested
+    level regions, and rays, some of them starting at one address.  The
+    degree and the mode are drawn unless given."""
+    d = d or rng.choice([3, 3, 4, 5])
+    mode = mode or rng.choice(["tree", "branch"])
 
     def addr(lo: int, hi: int) -> tuple:
         return tuple(rng.randrange(1, (d if mode == "tree" else 1) + 1)
@@ -867,15 +870,14 @@ def _mutual_pair_config(rng: random.Random, d: int) -> LazyTreeConfig:
 
 def _aggregation_oracle_configs(rng: random.Random) -> list:
     """Random acyclic configs at d = 3, 4, 5 with and without rays, mutual
-    pairs, synthesized tree configs with level regions, and degrees above
-    BLOCK_DEGREE."""
+    pairs, synthesized tree configs with level regions, and degrees 17 to
+    20."""
     cfgs = [random_acyclic_config((3, 4, 5)[i % 3], rng,
                                   allow_ray=i % 2 == 0) for i in range(150)]
     cfgs += [_mutual_pair_config(rng, (3, 4)[i % 2]) for i in range(60)]
     cfgs += [synthesize_tree(_dense_valid_word(rng, rng.randrange(3, 25), 3))
              for _ in range(70)]
-    d = lazytree.BLOCK_DEGREE + 1
-    cfgs += [random_acyclic_config(d + i % 4, rng, max_depth=2)
+    cfgs += [random_acyclic_config(17 + i % 4, rng, max_depth=2)
              for i in range(20)]
     return cfgs
 
@@ -1145,6 +1147,50 @@ def test_every_depth3_branch_config_gives_a_valid_word():
     assert len(words) == 391
 
 
+def test_random_structure_configs_give_valid_words():
+    # the same on random ternary configs with overrides down to depth 6,
+    # nested level regions and rays, in both modes: the engine's 60-chip
+    # word starts with the explicit simulator's 12-chip word (the simulator
+    # walks an all-return region literally, at 2^k steps for chip k), and
+    # it passes every window test (in tree mode, each residue does); a
+    # config the engine refuses is window-tested on the simulator's word.
+    # At d = 17 and 18 the engine is checked against the simulator only
+    rng = random.Random(47)
+
+    def valid_config(d, mode=None):
+        while True:
+            try:
+                return _random_structure_config(rng, d, mode)
+            except LazyTreeError:
+                pass
+
+    checked = Counter()
+    for i in range(300):
+        mode = ("branch", "tree")[i % 2]
+        cfg = valid_config(3, mode)
+        prefix = naive_run(cfg, 12, 45)[0]
+        try:
+            word = run_chips_infinite(cfg, 60).word
+            assert word[:12] == prefix, cfg
+        except UnsupportedConfigError:
+            checked["refused"] += 1
+            word = prefix
+        words = [word] if mode == "branch" else residues(word)
+        assert all(satisfies_all(w) for w in words), (cfg, word)
+        checked[mode, bool(cfg.regions and cfg.rays)] += 1
+    assert checked["branch", True] >= 50 and checked["tree", True] >= 50
+    assert checked["refused"] < 30
+    for i in range(20):
+        cfg = valid_config(17 + i % 2)
+        try:
+            word = run_chips_infinite(cfg, 12).word
+        except UnsupportedConfigError:
+            checked["refused at large degree"] += 1
+            continue
+        assert word == naive_run(cfg, 12, 45)[0], cfg
+    assert checked["refused at large degree"] < 10
+
+
 def test_node_tables_match_oracles_after_every_chip():
     # effective() is read on every vertex the explicit simulator touched
     # and on every vertex of the first four levels, after every chip: a
@@ -1211,38 +1257,6 @@ def test_ray_tips_wait_only_above_vertices_without_ids():
             assert_no_tip_waits_above_an_id(st)
         assert st.n_rays > 0 or cfg.default == cfg.d - 1
     assert escapes > 1700               # 1,500 in the alternating run
-
-
-def _state_snapshot(st: TreeState) -> tuple:
-    return (st.rotors, st.patches, st.ray_counts, st.ray_tips, st.ray_seen)
-
-
-def test_dict_child_storage_matches_blocks(monkeypatch):
-    # the same runs with every degree above BLOCK_DEGREE, so children live
-    # in the dict keyed x * d + c instead of in blocks
-    rng = random.Random(37)
-    cfgs = [alternating_tree_config(), uniform_config(3, 2),
-            uniform_config(4, 3),
-            synthesize_tree(_dense_valid_word(rng, 12, 3)),
-            descriptor_to_branch_config(
-                synthesize_branch(_dense_valid_word(rng, 12, 1)))]
-    cfgs += [random_acyclic_config(rng.choice([3, 4]), rng)
-             for _ in range(12)]
-    runs = []
-    for block_degree in (lazytree.BLOCK_DEGREE, 2):
-        monkeypatch.setattr(lazytree, "BLOCK_DEGREE", block_degree)
-        out = []
-        for cfg in cfgs:
-            for fast in (True, False):
-                st = TreeState(cfg, fast_paths=fast, step_cap=10 ** 6)
-                assert (st._first is None) == (block_degree == 2)
-                res = [st.walk_chip(record_visits=True) for _ in range(10)]
-                out.append((res, _state_snapshot(st)))
-            if cfg.mode == "tree" and is_acyclic_config(cfg):
-                agg = aggregate(cfg, ball_size(cfg.d, 2) + 5)
-                out.append((agg.stops, agg.rotors))
-        runs.append(out)
-    assert runs[0] == runs[1]
 
 
 def test_aggregate_memory_grows_with_touched_vertices():
