@@ -17,11 +17,12 @@ it and, on the structure, the kinds of the structure children.  It fixes
 every base rotor of the subtree, and a child's kind follows from its
 parent's.  Off the structure kinds are shared by content, so a config has
 finitely many.  The escape walk reads a kind's bounce limit, the response
-tables keep one table per kind, and ``find_cyclic_pair`` checks each kind
-once, which makes the acyclicity check exact.  One pass over the marked
-addresses validates a config and types its structure when it is made: each
-prefix of an override, region or ray start has its child index
-range-checked and gets its kind, from its parent's, once.
+tables keep one table per kind content (see below), and
+``find_cyclic_pair`` checks each kind once, which makes the acyclicity
+check exact.  One pass over the marked addresses validates a config and
+types its structure when it is made: each prefix of an override, region
+or ray start has its child index range-checked and gets its kind, from
+its parent's, once.
 
 The escape-run engine keeps three kinds of dynamic state besides explicitly
 materialized rotors:
@@ -75,17 +76,24 @@ Aggregation (a chip stops on the first unoccupied vertex it enters) does
 not walk its chips.  A subtree is entered only from its root's parent, so
 what the k-th chip to enter it does depends only on its initial rotors and
 on k: it settles at some address relative to the root, or comes back up
-after a fixed number of steps.  Subtrees of one ``NodeKind`` have the
-same rotors below them and share one response table, whose element k is
-built once from the child tables while the root's rotor turns.  Element
-k reads only elements below k of the child tables: the rotor points at the
-parent between any two departures to one child, and that ends an entry
-into the root.  One loop builds and reads every table, on an explicit
-stack whose bottom frame is the origin: there the rotor cycles over the d
-children, and a chip that comes back walks on, or stops at the origin in
-the modified process; above it direction d pops a frame.  Each frame
-carries its root's address, so a settling chip's site is that address,
-the child index and the tail of the element read.  The tables sit in flat
+after a fixed number of steps.  Subtrees whose kinds have one content key
+have the same rotors below them and share one response table.  The key
+is (base, rays, left, children): the kind's base direction, its config
+rays with their offsets, its region levels left, and ``(c, id)`` for each
+structure child c whose content id differs from that of the kind child c
+would have off the structure.  Keys are interned to ids children first,
+in one loop over the structure kinds, so content-equal structure
+subtrees share a table, and a structure prefix that adds nothing shares
+the off-structure one.  A table's element k is built once from the child
+tables while the root's rotor turns, and reads only elements below k of
+the child tables: the rotor points at the parent between any two
+departures to one child, and that ends an entry into the root.  One loop
+builds and reads every table, on an explicit stack whose bottom frame is
+the origin: there the rotor cycles over the d children, and a chip that
+comes back walks on, or stops at the origin in the modified process;
+above it direction d pops a frame.  Each frame carries its root's
+address, so a settling chip's site is that address, the child index and
+the tail of the element read.  The tables sit in flat
 lists indexed by type id.  A final rotor is its base direction advanced by
 the chips it sent on, read from the tables in one pass over the stops.
 The literal oracle in the test suite checks every result field against a
@@ -167,7 +175,12 @@ class NodeKind:
     direction d-1 by their base, so an excursion bounces at the first level
     under the vertex's patch when that level is one of them.  It is
     ``left`` in a region, unbounded under default d-1 with no region, and
-    0 otherwise or with a config ray or structure below."""
+    0 otherwise or with a config ray or structure below.
+
+    The response tables key a kind by its content, not its identity: base,
+    ``rays``, ``left``, and the ids of the structure children whose content
+    differs from that of the off-structure kind at their index (see
+    ``_ResponseTables``)."""
 
     __slots__ = ("base", "kids", "left", "limit", "ray", "rays")
 
@@ -339,14 +352,18 @@ class LazyTreeConfig:
         return {}
 
     def child_kind(self, kind: NodeKind, c: int) -> NodeKind:
-        """Kind of child ``c`` of a vertex of kind ``kind``.
-
-        Off the structure a kind depends only on the config rays through
-        the vertex and the region levels left, so those kinds are shared."""
+        """Kind of child ``c`` of a vertex of kind ``kind``: its structure
+        kind if it has one, else the shared one (``_off_structure``)."""
         if kind.kids:
             sub = kind.kids.get(c)
             if sub is not None:
                 return sub
+        return self._off_structure(kind, c)
+
+    def _off_structure(self, kind: NodeKind, c: int) -> NodeKind:
+        """The kind child ``c`` of a vertex of kind ``kind`` has when it is
+        not a structure child.  It depends only on the config rays through
+        the vertex and the region levels left, so those kinds are shared."""
         rays = self._step_rays(kind.rays, c) if kind.rays else ()
         key = (rays, kind.left and kind.left - 1)
         shared = self._shared_kinds.get(key)
@@ -1044,51 +1061,86 @@ class _ResponseTables:
 
     A subtree is entered only from its root's parent, so what the k-th chip
     entering it does depends only on the subtree's initial rotors and on k.
-    Those rotors follow from the root's ``NodeKind``, the type of the
-    subtree, so every subtree of one kind shares one table.  Types are ids
-    in order of first entry; 0 is the origin's.  Flat lists indexed by id
-    hold each type's ``kind``, its ``base`` direction, its ``kids`` (the
-    child indices entered so far, mapped to their type ids), ``sent``, the
-    chips the root's rotor has sent on after the last element, and the
-    table's columns.  Element k is what the k-th chip to enter the root
-    from its parent (counting from 0) does.  ``steps[t][k]`` counts its
-    literal steps, from the move into the root to the move that settles it
-    or takes it back up.  ``dep[t][k]`` is how many chips the root's rotor
-    has sent on after the first k + 1 entries.  ``site[t][k]`` is None when
-    the chip goes back up; otherwise the chip settles on
-    ``site[t][k][off[t][k]:]``, relative to the root.  ``site[t][k]`` is
-    the absolute address where the chip that built the element settled,
-    already held by the stops, so an element costs no address of its own.
-    Element 0 is the same for every type: the first chip settles on the
-    root.  The origin's table stays empty, and its ``sent`` counts the
-    chips sent on by the origin itself.  ``total_steps`` is the literal
-    step total of the chips so far."""
+    Those rotors follow from the root's content key (base, rays, left,
+    children): its ``NodeKind``'s base direction, config rays with their
+    offsets and region levels left, and ``(c, id)`` for each structure
+    child c whose content id differs from that of the off-structure kind
+    at c.  Keys are interned to content ids when the tables are made,
+    children before parents over the structure kinds, and a kind with no
+    id yet has no structure below it and gets its own on first use.  So
+    every subtree with one content shares one table: content-equal
+    structure subtrees, and a structure prefix that adds nothing to the
+    kind it would have off the structure.
+
+    Types are ids in order of first entry; 0 is the origin's, never shared.
+    Flat lists indexed by id hold a ``kind`` of each type, its ``base``
+    direction, its ``kids`` (the child indices entered so far, mapped to
+    their type ids) and the table's columns.  Element k is what the k-th
+    chip to enter the root from its parent (counting from 0) does.
+    ``steps[t][k]`` counts its literal steps, from the move into the root
+    to the move that settles it or takes it back up.  ``dep[t][k]`` is how
+    many chips the root's rotor has sent on after the first k + 1 entries.
+    ``site[t][k]`` is None when the chip goes back up; otherwise the chip
+    settles on ``site[t][k][off[t][k]:]``, relative to the root.
+    ``site[t][k]`` is the absolute address where the chip that built the
+    element settled, already held by the stops, so an element costs no
+    address of its own.  Element 0 is the same for every type: the first
+    chip settles on the root.  The origin's table stays empty, and
+    ``origin_dep`` counts the chips sent on by the origin itself.
+    ``total_steps`` is the literal step total of the chips so far."""
 
     def __init__(self, cfg: LazyTreeConfig, step_cap: int) -> None:
         self.cfg = cfg
         self.step_cap = step_cap
-        self._index: dict[NodeKind, int] = {}
+        self._keys: dict[tuple, int] = {}
+        self._content: dict[NodeKind, int] = {}
+        order = [cfg.root_kind]
+        for kind in order:              # breadth first: parents first
+            if kind.kids:
+                order += kind.kids.values()
+        content = self._content_id
+        for kind in reversed(order):    # children first: no recursion
+            if kind.kids:
+                children = []
+                for c, sub in sorted(kind.kids.items()):
+                    u = content(sub)
+                    if u != content(cfg._off_structure(kind, c)):
+                        children.append((c, u))
+                self._content[kind] = self._intern(kind, tuple(children))
+        self._index: dict[int, int] = {}
         self.kind = [cfg.root_kind]
         self.base = [cfg.root_kind.base]
         self.kids: list[dict[int, int]] = [{}]
-        self.sent = [0]
         self.site: list[list[Address | None]] = [[]]
         self.steps: list[list[int]] = [[]]
         self.off = [array("i")]
         self.dep = [array("q")]
+        self.origin_dep = 0
         self.total_steps = 0
+
+    def _intern(self, kind: NodeKind, children: tuple) -> int:
+        key = (kind.base, kind.rays, kind.left, children)
+        return self._keys.setdefault(key, len(self._keys))
+
+    def _content_id(self, kind: NodeKind) -> int:
+        """A kind's content id; one not given an id yet has no structure
+        below it."""
+        cid = self._content.get(kind)
+        if cid is None:
+            cid = self._content[kind] = self._intern(kind, ())
+        return cid
 
     def _kid(self, t: int, c: int) -> int:
         """The id of the type of child c of a vertex of type t, recorded in
         ``kids[t]``."""
         kind = self.cfg.child_kind(self.kind[t], c)
-        u = self._index.get(kind)
+        cid = self._content_id(kind)
+        u = self._index.get(cid)
         if u is None:
-            u = self._index[kind] = len(self.kind)
+            u = self._index[cid] = len(self.kind)
             self.kind.append(kind)
             self.base.append(kind.base)
             self.kids.append({})
-            self.sent.append(0)
             self.site.append([ORIGIN])
             self.steps.append([1])
             self.off.append(array("i", [0]))
@@ -1114,14 +1166,14 @@ class _ResponseTables:
         Between two entries into c the rotor passes the parent, which ends
         an entry into t, so an element reads only elements below it of the
         child tables.  The child answers from its table, or a new frame on
-        top builds its next element first.  A chip that settles ends the
-        element of every frame above the origin, whose roots lie on its
-        path, and is yielded."""
+        top builds its next element first, its rotor's departures read from
+        the last entry of the child's ``dep`` column.  A chip that settles
+        ends the element of every frame above the origin, whose roots lie
+        on its path, and is yielded."""
         d = self.cfg.d
         cap = self.step_cap
-        bases, kids, sent, sites, steps, offs, deps = (
-            self.base, self.kids, self.sent, self.site, self.steps,
-            self.off, self.dep)
+        bases, kids, sites, steps, offs, deps = (
+            self.base, self.kids, self.site, self.steps, self.off, self.dep)
         stack: list[tuple[int, Address, int, int]] = []
         t, addr, dep, s = 0, ORIGIN, 0, 0       # the origin frame
         b, kt = bases[0] - 1, kids[0]
@@ -1135,7 +1187,6 @@ class _ResponseTables:
                     steps[t].append(s)
                     offs[t].append(0)
                     deps[t].append(dep)
-                    sent[t] = dep
                     inner = s
                     t, addr, dep, s = stack.pop()
                     s += inner          # and the waiting element walks on
@@ -1150,7 +1201,7 @@ class _ResponseTables:
                     su = steps[u]
                     if j == len(su):    # build u's element j first
                         stack.append((t, addr, dep, s))
-                        t, addr, dep, s = u, addr + (c,), sent[u], 1
+                        t, addr, dep, s = u, addr + (c,), deps[u][-1], 1
                         b, kt = bases[t] - 1, kids[t]
                         continue
                     s += su[j]
@@ -1162,7 +1213,6 @@ class _ResponseTables:
                             steps[t].append(s)
                             offs[t].append(len(addr))
                             deps[t].append(dep)
-                            sent[t] = dep
                             inner = s
                             t, addr, dep, s = stack.pop()
                             s += inner
@@ -1174,7 +1224,7 @@ class _ResponseTables:
                 if site is not None or modified:
                     break
             yield ORIGIN if site is None else site
-        sent[0] = dep
+        self.origin_dep = dep
         self.total_steps = s
 
     def final_rotors(self, stops: list[Address]) -> tuple[dict, bool]:
@@ -1184,7 +1234,7 @@ class _ResponseTables:
         gets departure (c - base - 1) % d + 1 and every d-th after it."""
         d = self.cfg.d
         bases, kids, deps = self.base, self.kids, self.dep
-        sites: dict = {ORIGIN: (0, self.sent[0])}
+        sites: dict = {ORIGIN: (0, self.origin_dep)}
         for site in stops:
             if site:
                 t, dep = sites[site[:-1]]

@@ -246,7 +246,7 @@ def _reverse(g: DirectedMultigraph, full: list[int], tgt: list[int],
         if rec and chip == start:
             return
     else:
-        raise StepBudgetExceededError(f"exceeded {step_budget} reverse steps")
+        raise StepBudgetExceededError(f"exceeded {step_budget} steps")
     raise WalkError(f"rotor path from {g.vertices[start if rec else chip]!r} "
                     f"misses {g.vertices[chip]!r}")
 

@@ -450,7 +450,7 @@ def test_isomorphism_check_shares_one_step_budget(monkeypatch):
     for budget in (2 * forward - 1, forward):
         monkeypatch.setattr(group, "DEFAULT_STEP_BUDGET", budget)
         with pytest.raises(StepBudgetExceededError,
-                           match=f"^exceeded {budget} reverse steps$"):
+                           match=f"^exceeded {budget} steps$"):
             verify_isomorphism(g)
 
 

@@ -164,7 +164,7 @@ def reverse_walk_oracle(g, t_final, x, step_budget=10 ** 9):
         if rec and chip == x:
             return t
         if count >= step_budget:
-            raise StepBudgetExceededError(f"exceeded {step_budget} reverse steps")
+            raise StepBudgetExceededError(f"exceeded {step_budget} steps")
         # the predecessor precedes the chip on the rotor cycle through it
         # or, at a first visit, on the rotor path from x
         goal = g.index[chip]
@@ -238,7 +238,7 @@ def reverse_rewalking_oracle(g, full, tgt, start, rec, step_budget):
         if rec and chip == start:
             return
         if count >= step_budget:
-            raise StepBudgetExceededError(f"exceeded {step_budget} reverse steps")
+            raise StepBudgetExceededError(f"exceeded {step_budget} steps")
         z = path_predecessor(g, tgt, start if rec else chip, chip)
         s = (full[z] - 1) % deg[z]
         full[z] = s
