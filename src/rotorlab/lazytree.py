@@ -22,7 +22,9 @@ tables keep one table per kind content (see below), and
 check exact.  One pass over the marked addresses validates a config and
 types its structure when it is made: each prefix of an override, region
 or ray start has its child index range-checked and gets its kind, from
-its parent's, once.
+its parent's, once, at the next position of the config's flat structure
+tables, parents first: a walk state starts as a copy of the tables, and
+the response tables read the kinds in reverse, children first.
 
 The escape-run engine keeps three kinds of dynamic state besides explicitly
 materialized rotors:
@@ -49,10 +51,9 @@ materialized rotors:
 Inside ``TreeState`` every vertex the engine touches has an integer id,
 and the state lives in flat per-id tables: parent, depth, child index,
 rotor (0 while not materialized), sibling links, and the static
-``NodeKind``.  The structure gets its ids when the state is made, in
-depth-first preorder, the order in which walks first meet it, with the
-kinds read from the ``kids`` maps.  Every other vertex gets its id on first
-contact, its kind derived from the parent's.
+``NodeKind``.  A state starts as a copy of the config's structure tables,
+so the structure's ids are its positions.  Every other vertex gets its id
+on first contact, its kind derived from the parent's.
 A child's id is found in one dict keyed by parent id and child index, at
 every degree, for about 110 bytes per child (see ``TreeState`` for what
 that costs on a million-chip run).  Sparse maps keyed by id hold the pass
@@ -106,7 +107,7 @@ import json
 import math
 import random
 from array import array
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
@@ -195,14 +196,21 @@ class NodeKind:
         self.rays = rays
 
 
+# A config's structure vertices by position, in the order typing made them
+# (parents first, 0 the origin), in ``TreeState``'s table layout; ``ids``
+# maps ``x * d + c`` to the position of child c of x.
+_Structure = namedtuple("_Structure", "parent depth cidx head next kind ids")
+
+
 @dataclass(frozen=True)
 class LazyTreeConfig:
     """A finite rotor configuration on the tree of degree d (see the module
     docstring).  Making one validates it and types its structure, in one
     pass: ``root_kind`` is the origin's kind, with the kinds of the
-    structure below it, and ``_static_depth`` the depth the structure
-    reaches: the largest of 1, the override depths, ``len(addr) + h`` over
-    the regions and ``len(start) + len(pattern)`` over the rays."""
+    structure below it, ``_structure`` holds the structure's tables, and
+    ``_static_depth`` is the depth the structure reaches: the largest of 1,
+    the override depths, ``len(addr) + h`` over the regions and
+    ``len(start) + len(pattern)`` over the rays."""
 
     d: int
     default: int
@@ -211,6 +219,7 @@ class LazyTreeConfig:
     rays: tuple[RayRule, ...] = ()
     regions: tuple[LevelRegion, ...] = ()
     root_kind: NodeKind = field(init=False, repr=False, compare=False)
+    _structure: _Structure = field(init=False, repr=False, compare=False)
     _static_depth: int = field(init=False, repr=False, compare=False)
 
     # -- structure ---------------------------------------------------------
@@ -218,21 +227,19 @@ class LazyTreeConfig:
     def origin_arity(self) -> int:
         return self.d if self.mode == "tree" else 1
 
-    def num_children(self, addr: Address) -> int:
-        if addr == ORIGIN:
-            return self.origin_arity()
-        return self.d - 1
-
     def __post_init__(self):
         """Check the scalars, then the overrides, rays and regions in
-        order, each as it puts its address into the map of structure
-        prefixes.  A prefix new to the map gets its child index
-        range-checked and its kind, from its parent's, once; the region
-        heights and ray starts it reads are gathered first, and an override
-        sets the base of its kind when the loop reaches it, and notes the
-        config rays through it: an override on a ray, at any depth, is
-        refused at that ray's turn.  The first fault found in that order
-        raises LazyTreeError."""
+        order, each as it places its address.  Placing records the address
+        and each missing prefix in ``_structure``, parents first: each gets
+        the next position, its child index range-checked and its kind made
+        from its parent's, once.  A mark whose parent is a placed mark is
+        one step below it; any other walks down from the origin, reading
+        the region heights and ray starts of the prefixes it makes from a
+        trie.  Only marks are keyed by address.  An override sets the base
+        of its kind when the loop reaches it, and notes the config rays
+        through it: an override on a ray, at any depth, is refused at that
+        ray's turn.  The first fault found in that order raises
+        LazyTreeError."""
         d = self.d
         if d < 3:
             raise LazyTreeError("degree d must be at least 3")
@@ -249,51 +256,84 @@ class LazyTreeConfig:
         root = self._kind(
             1 if self.mode == "branch" and ORIGIN not in regions else None,
             (), regions.get(ORIGIN))    # the branch origin edge: no rotor
-        made = {ORIGIN: root}
+        structure = _Structure(*(array("i", [v]) for v in (-1, 0, 0, 0, 0)),
+                               [root], {})
+        parents, depths, cidxs, heads, nexts, kinds, ids = structure
+        made = {ORIGIN: 0}              # mark: position
+        default = self.default
+        off_limit = math.inf if default == d - 1 else 0
+        trie: dict | None = None        # of the region and ray start marks
 
-        def place(addr: Address) -> NodeKind:
-            """The kind of a marked address, made with its missing
-            prefixes, parents first."""
-            kind = made.get(addr)
-            if kind is not None:
-                return kind
-            missing = [addr]
-            addr = addr[:-1]
-            while (kind := made.get(addr)) is None:
-                missing.append(addr)
-                addr = addr[:-1]
-            for prefix in reversed(missing):
-                c = prefix[-1]
-                if not 1 <= c <= (arity if kind is root else d - 1):
-                    raise LazyTreeError(f"bad address {missing[0]}")
+        def step(x: int, c: int, mark: Address | None, addr: Address) -> int:
+            """The position of child c of position x, made if it has none;
+            ``mark``, the child's address or None, keys its region height
+            and ray starts."""
+            if not 1 <= c <= (arity if x == 0 else d - 1):
+                raise LazyTreeError(f"bad address {addr}")
+            y = ids.get(x * d + c)
+            if y is not None:
+                return y
+            kind = kinds[x]
+            left = kind.left
+            left = regions.get(mark, left and left - 1)
+            if kind.rays or starts and mark in starts:
                 rays = self._step_rays(kind.rays, c) if kind.rays else ()
-                if starts and prefix in starts:
-                    rays += starts[prefix]
-                left = kind.left
-                sub = made[prefix] = self._kind(
-                    None, rays, regions.get(prefix, left and left - 1))
-                kids = kind.kids
-                if kids is None:
-                    kids = kind.kids = {}
-                    kind.limit = 0      # structure below
-                kids[c] = sub
-                kind = sub
-            return kind
+                sub = self._kind(None, rays + starts.get(mark, ()), left)
+            elif left is None:          # as ``_kind`` makes it, inline
+                sub = NodeKind(default, off_limit, None, None, ())
+            else:
+                sub = NodeKind(d - 1 if left else d, left, None, left, ())
+            y = ids[x * d + c] = len(kinds)
+            parents.append(x)
+            depths.append(depths[x] + 1)
+            cidxs.append(c)
+            nexts.append(heads[x])
+            heads[x] = y
+            heads.append(0)
+            kinds.append(sub)
+            if kind.kids is None:
+                kind.kids = {}
+                kind.limit = 0          # structure below
+            kind.kids[c] = sub
+            return y
 
-        seen: set[Address] = set()
+        def place(addr: Address) -> int:
+            """The position of a marked address, made with its missing
+            prefixes, parents first."""
+            nonlocal trie
+            if not addr:
+                return 0
+            x = made.get(addr[:-1])
+            if x is None:               # down from the origin
+                if trie is None:
+                    trie = {}
+                    for a in (*regions, *starts):
+                        node = trie
+                        for c in a:
+                            node = node.setdefault(c, {})
+                        node[None] = a
+                node, x = trie, 0
+                for c in addr[:-1]:
+                    node = node.get(c, {})
+                    x = step(x, c, node.get(None), addr)
+            y = made[addr] = step(x, addr[-1], addr, addr)
+            return y
+
+        overridden: set[int] = set()
         on_ray: dict[int, Address] = {}     # ray index: shallowest override
         for addr, dirn in self.overrides:
             if not 1 <= dirn <= (d if addr else arity):
                 raise LazyTreeError(f"override direction {dirn} out of range")
-            if addr in seen:
+            y = place(addr)
+            if y in overridden:
                 raise LazyTreeError(f"address {addr} assigned twice")
-            seen.add(addr)
-            kind = place(addr)
+            overridden.add(y)
+            kind = kinds[y]
             kind.base = dirn
             for i, _ in kind.rays:
                 if i not in on_ray or len(addr) < len(on_ray[i]):
                     on_ray[i] = addr
-        depth = max(1, max(map(len, made)))     # the deepest override
+        depth = max(1, max(depths))     # the deepest override
         for i, ray in enumerate(self.rays):
             if ray.start == ORIGIN:
                 raise LazyTreeError("rays must start below the origin")
@@ -315,6 +355,7 @@ class LazyTreeConfig:
                 raise LazyTreeError("region height must be nonnegative")
             depth = max(depth, len(reg.addr) + reg.h)
         object.__setattr__(self, "root_kind", root)
+        object.__setattr__(self, "_structure", structure)
         object.__setattr__(self, "_static_depth", depth)
 
     # -- base directions ----------------------------------------------------
@@ -472,20 +513,27 @@ def find_cyclic_pair(cfg: LazyTreeConfig) -> tuple[Address, Address] | None:
     each kind is checked once, at the first vertex of it met depth-first
     from the origin.  The walk enters a kind's structure children, the
     children its config rays head to, and the least other child: the
-    remaining children share that one's kind."""
+    remaining children share that one's kind.  A vertex is held as the
+    link (c, parent's link), None at the origin, so the walk builds no
+    address but the one of the pair it returns."""
     d = cfg.d
     rays = cfg.rays
     seen: set[NodeKind] = set()
-    stack = [(cfg.root_kind, ORIGIN)]
+    stack: list[tuple[NodeKind, tuple | None]] = [(cfg.root_kind, None)]
     while stack:
-        kind, addr = stack.pop()
+        kind, link = stack.pop()
         if kind in seen:
             continue
         seen.add(kind)
-        arity = cfg.num_children(addr)
+        arity = d - 1 if link else cfg.origin_arity()
         bp = kind.base
-        if (bp <= arity and (addr or cfg.mode == "tree")
+        if (bp <= arity and (link or cfg.mode == "tree")
                 and cfg.child_kind(kind, bp).base == d):
+            path = []
+            while link:
+                path.append(link[0])
+                link = link[1]
+            addr = tuple(reversed(path))
             return (addr, addr + (bp,))
         cs = set(kind.kids or ())
         cs.update(rays[i].pattern[o] for i, o in kind.rays)
@@ -495,7 +543,7 @@ def find_cyclic_pair(cfg: LazyTreeConfig) -> tuple[Address, Address] | None:
         if c <= arity:
             cs.add(c)
         for c in sorted(cs, reverse=True):      # preorder: least on top
-            stack.append((cfg.child_kind(kind, c), addr + (c,)))
+            stack.append((cfg.child_kind(kind, c), (c, link)))
     return None
 
 
@@ -579,9 +627,10 @@ class ChipResult:
 class TreeState:
     """Mutable rotor state of a lazy tree run, on per-vertex id tables.
 
-    Id 0 is the origin.  With fast paths, ids 1, 2, ... go to the structure
-    when the state is made, in depth-first preorder of the addresses (see
-    ``_seed``); any other vertex gets the next id on first contact, as
+    Id 0 is the origin.  With fast paths the state starts as a copy of the
+    config's structure tables (``LazyTreeConfig._structure``), so ids 1,
+    2, ... are the structure's positions, in the order typing first met
+    each prefix; any other vertex gets the next id on first contact, as
     every vertex does in the literal mode.  Per id: ``_parent``,
     ``_depth``, ``_cidx`` (its child index under the parent), ``_rot`` (0
     while the vertex is not materialized), ``_kind``, and
@@ -609,16 +658,16 @@ class TreeState:
         self.cfg = cfg
         self.fast = fast_paths
         self.step_cap = step_cap
-        root = cfg.root_kind
-        self._parent = array("i", [-1])
-        self._depth = array("i", [0])
-        self._cidx = array("i", [0])
-        self._head = array("i", [0])
-        self._next = array("i", [0])
-        self._kids: dict[int, int] = {}
-        self._rot: list[int] = [root.base if cfg.mode == "tree" else 0]
-        self._kind: list[NodeKind] = [root]
-        self._addr: list[Address | None] = [ORIGIN]
+        s = cfg._structure
+        n = len(s.kind) if fast_paths else 1
+        self._parent, self._depth, self._cidx, self._next = (
+            a[:n] for a in (s.parent, s.depth, s.cidx, s.next))
+        self._head = s.head[:n] if fast_paths else array("i", [0])
+        self._kids: dict[int, int] = s.ids.copy() if fast_paths else {}
+        self._rot: list[int] = [0] * n
+        self._rot[0] = cfg.root_kind.base if cfg.mode == "tree" else 0
+        self._kind: list[NodeKind] = s.kind[:n]
+        self._addr: list[Address | None] = [ORIGIN] + [None] * (n - 1)
         self._rc: dict[int, int] = {}
         self._cover: dict[int, int] = {}
         self._patch: dict[int, int] = {}
@@ -627,8 +676,6 @@ class TreeState:
         self.n_rays = 0
         self._max_materialized = 0
         self._max_patch_end = 0
-        if fast_paths:
-            self._seed()
 
     # -- ids and addresses ----------------------------------------------------
 
@@ -659,39 +706,6 @@ class TreeState:
                 else:
                     self._tips.setdefault(x, []).append(r)
         return y
-
-    def _seed(self) -> None:
-        """Ids for the whole structure, read from the kinds' ``kids`` maps,
-        in depth-first preorder, the order in which walks first meet it
-        (breadth-first ids walk slower: a walk's table reads spread out).
-        No patch or ray tip exists yet to cover the ids or move into them."""
-        d = self.cfg.d
-        kids, depth, head = self._kids, self._depth, self._head
-        add_parent, add_depth, add_cidx, add_head, add_next, add_kind = (
-            self._parent.append, depth.append, self._cidx.append,
-            head.append, self._next.append, self._kind.append)
-        y = 0
-        stack = [(0, 0, self.cfg.root_kind)]
-        pop, push = stack.pop, stack.append
-        while stack:
-            x, c, kind = pop()
-            if c:                       # c = 0 stands for the origin
-                y += 1
-                kids[x * d + c] = y
-                add_parent(x)
-                add_depth(depth[x] + 1)
-                add_cidx(c)
-                add_next(head[x])
-                head[x] = y
-                add_head(0)
-                add_kind(kind)
-                x = y
-            sub = kind.kids
-            if sub:
-                for c in sorted(sub, reverse=True):
-                    push((x, c, sub[c]))
-        self._rot += [0] * y
-        self._addr += [None] * y
 
     def _id(self, x: int, c: int) -> int:
         """The id of child c of x, or -1 if it has none yet."""
@@ -1065,12 +1079,12 @@ class _ResponseTables:
     children): its ``NodeKind``'s base direction, config rays with their
     offsets and region levels left, and ``(c, id)`` for each structure
     child c whose content id differs from that of the off-structure kind
-    at c.  Keys are interned to content ids when the tables are made,
-    children before parents over the structure kinds, and a kind with no
-    id yet has no structure below it and gets its own on first use.  So
-    every subtree with one content shares one table: content-equal
-    structure subtrees, and a structure prefix that adds nothing to the
-    kind it would have off the structure.
+    at c.  Keys are interned to content ids when the tables are made, over
+    the config's structure positions in reverse, children before parents;
+    a kind with no id yet has no structure below it and gets its own on
+    first use.  So every subtree with one content shares one table:
+    content-equal structure subtrees, and a structure prefix that adds
+    nothing to the kind it would have off the structure.
 
     Types are ids in order of first entry; 0 is the origin's, never shared.
     Flat lists indexed by id hold a ``kind`` of each type, its ``base``
@@ -1094,12 +1108,8 @@ class _ResponseTables:
         self.step_cap = step_cap
         self._keys: dict[tuple, int] = {}
         self._content: dict[NodeKind, int] = {}
-        order = [cfg.root_kind]
-        for kind in order:              # breadth first: parents first
-            if kind.kids:
-                order += kind.kids.values()
         content = self._content_id
-        for kind in reversed(order):    # children first: no recursion
+        for kind in reversed(cfg._structure.kind):  # children first
             if kind.kids:
                 children = []
                 for c, sub in sorted(kind.kids.items()):

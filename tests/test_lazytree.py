@@ -736,7 +736,7 @@ def brute_mutual_pairs(cfg: LazyTreeConfig) -> set:
     stack = [ORIGIN]
     while stack:
         a = stack.pop()
-        arity = cfg.num_children(a)
+        arity = cfg.d - 1 if a else cfg.origin_arity()
         bp = kind_at(cfg, a).base
         if (bp <= arity and (a or cfg.mode == "tree")
                 and kind_at(cfg, a + (bp,)).base == d):
@@ -748,9 +748,11 @@ def brute_mutual_pairs(cfg: LazyTreeConfig) -> set:
 
 def test_find_cyclic_pair_matches_brute_force():
     # find_cyclic_pair is None exactly when no mutual pair exists, and a
-    # pair it reports points both ways
+    # pair it reports points both ways; the sha256 of the pairs was taken
+    # when the walk kept an address tuple per stack entry
     rng = random.Random(7)
     made = cyclic = 0
+    h = hashlib.sha256()
     while made < 400:
         try:
             cfg = _random_structure_config(rng)
@@ -759,6 +761,7 @@ def test_find_cyclic_pair_matches_brute_force():
         made += 1
         assert_kind_trees_equal(cfg.root_kind, oracle_root_kind(cfg))
         pair = find_cyclic_pair(cfg)
+        h.update(repr(pair).encode())
         pairs = brute_mutual_pairs(cfg)
         assert (pair is None) == (not pairs), (cfg, pair)
         if pair is not None:
@@ -768,6 +771,8 @@ def test_find_cyclic_pair_matches_brute_force():
             assert kind_at(cfg, p).base == c[-1], (cfg, pair)
             assert kind_at(cfg, c).base == cfg.d, (cfg, pair)
     assert 50 <= cyclic <= made - 50, cyclic
+    assert h.hexdigest() == (
+        "8e0d14f228fc3849d7ab1266b64c68aa030c7775c9c15173dc5abf3767f30322")
 
 
 # -- aggregation ----------------------------------------------------------------
@@ -1060,6 +1065,34 @@ def test_deep_structure_aggregates_without_recursion():
     assert len(res._tables.kind) == 10
 
 
+def test_deep_override_runs_in_linear_memory():
+    # one override 20,000 levels deep: typing, the acyclicity check, the
+    # response tables and a walk state hold a few entries per level (an
+    # address tuple per prefix would take about 1.6 GB); the first chips
+    # never reach depth 4, so they do what they do with the override at
+    # depth 3
+    tracemalloc.start()
+    try:
+        deep = LazyTreeConfig(d=3, default=1, overrides=(((1,) * 20_000, 2),))
+        agg = aggregate(deep, 4)
+        run = run_chips_infinite(deep, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+    assert len(deep._structure.kind) == 20_001
+    shallow = LazyTreeConfig(d=3, default=1, overrides=(((1,) * 3, 2),))
+    want = aggregate(shallow, 4)
+    for name in ("stops", "occupied", "depth_counts", "max_depth",
+                 "ball_checks", "sandwich_ok", "steps", "rotors"):
+        assert getattr(agg, name) == getattr(want, name), name
+    want = run_chips_infinite(shallow, 4)
+    assert (run.word, run.depths) == (want.word, want.depths) == (
+        "1110", [None, None, None, 1])
+    for name in ("rotors", "patches", "ray_counts", "ray_tips"):
+        assert getattr(run.state, name) == getattr(want.state, name), name
+
+
 def _origin_and_children_configs() -> list:
     """Every d = 3 config with any default and any override, or none, on
     the origin and on each of its three children: 3 * 4^4 = 768."""
@@ -1073,10 +1106,14 @@ def _origin_and_children_configs() -> list:
 def test_perfect_balls_on_every_origin_and_children_config():
     # the acyclic hypothesis probed from the cyclic side: on this family,
     # cyclic configs grow perfect balls too.  A tested statement only:
-    # aggregate keeps refusing cyclic configs
+    # aggregate keeps refusing cyclic configs.  The sha256 of the pairs
+    # found was taken when find_cyclic_pair kept address tuples
     cfgs = _origin_and_children_configs()
     assert len(cfgs) == 768
-    cyclic = [cfg for cfg in cfgs if find_cyclic_pair(cfg) is not None]
+    pairs = [find_cyclic_pair(cfg) for cfg in cfgs]
+    assert hashlib.sha256("".join(map(repr, pairs)).encode()).hexdigest() == (
+        "804ed55cd64bd7794c64b4c077a6af7916893db8c6917f5b3d90198951612559")
+    cyclic = [cfg for cfg, pair in zip(cfgs, pairs) if pair is not None]
     assert len(cyclic) == 384
     with pytest.raises(NotAcyclicError):
         aggregate(cyclic[0], ball_size(3, 7))
@@ -1377,7 +1414,8 @@ def test_node_tables_match_oracles_after_every_chip():
         probes = [()]
         for _ in range(4):
             probes += [p + (c,) for p in probes if len(p) == len(probes[-1])
-                       for c in range(1, cfg.num_children(p) + 1)]
+                       for c in range(1, (cfg.d if p else cfg.origin_arity()
+                                          + 1))]
         fast, literal = TreeState(cfg), TreeState(cfg, fast_paths=False)
         for k in range(1, n + 1):
             res = [fast.walk_chip(), literal.walk_chip()]
@@ -1528,15 +1566,45 @@ def test_escape_runs_match_pinned_digest(monkeypatch):
         "da990846bff9d4f304c47f9512dbc570f279f01d56fafa211a3d45acd7cf8819")
 
 
-def test_structure_ids_are_seeded_in_depth_first_preorder():
-    # a fast state gives every prefix of an override, region or ray start
-    # its id when it is made, in depth-first preorder (sorted addresses); a
-    # literal state makes each id on first contact
+def test_structure_ids_are_typing_positions():
+    # a fast state starts with the config's structure, each prefix of an
+    # override, ray start or region at its position: the order in which
+    # typing first met the prefix, marks in that order, each prefix after
+    # its parent; a literal state makes each id on first contact
     for cfg, _ in _pinned_escape_configs():
-        marked = ([a for a, _ in cfg.overrides] + [r.addr for r in cfg.regions]
-                  + [r.start for r in cfg.rays])
-        structure = sorted({a[:i] for a in marked for i in range(len(a) + 1)}
-                           | {ORIGIN})
+        marked = ([a for a, _ in cfg.overrides] + [r.start for r in cfg.rays]
+                  + [r.addr for r in cfg.regions])
+        structure = list(dict.fromkeys(
+            [ORIGIN] + [a[:i] for a in marked for i in range(1, len(a) + 1)]))
         st = TreeState(cfg)
         assert [st._address(x) for x in range(len(st._rot))] == structure
         assert len(TreeState(cfg, fast_paths=False)._rot) == 1
+
+
+def test_structure_tables_match_ids_made_lazily():
+    # every structure vertex has the parent, depth, child index and kind
+    # that ``TreeState._child`` gives it when a literal state makes its id;
+    # the random configs have marks whose parents are not marks, which
+    # typing reaches by a walk from the origin
+    rng = random.Random(31)
+    cfgs = [cfg for cfg, _ in _pinned_escape_configs()]
+    while len(cfgs) < 243:
+        try:
+            cfgs.append(_random_structure_config(rng))
+        except LazyTreeError:
+            continue
+    for cfg in cfgs:
+        st = TreeState(cfg)
+        lazy = TreeState(cfg, fast_paths=False)
+        for x in range(1, len(st._rot)):
+            addr = st._address(x)
+            y = lazy._node(addr)
+            assert (lazy._address(lazy._parent[y]), lazy._depth[y],
+                    lazy._cidx[y]) == (st._address(st._parent[x]),
+                                       st._depth[x], st._cidx[x]), addr
+            assert lazy._kind[y] is st._kind[x], addr
+        assert len(lazy._rot) == len(st._rot)
+        for x in range(len(st._rot)):       # the same child lists
+            y = lazy._node(st._address(x))
+            assert ({st._address(z) for z in st._children(x)}
+                    == {lazy._address(z) for z in lazy._children(y)})
