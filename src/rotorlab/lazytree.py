@@ -13,18 +13,18 @@ direction d; this is how synthesized configurations are expressed).
 
 A ``NodeKind`` is the type of the subtree below a vertex: its base
 direction, the config rays through it, the region levels left at and below
-it and, on the structure, the kinds of the structure children.  It fixes
-every base rotor of the subtree, and a child's kind follows from its
-parent's.  Off the structure kinds are shared by content, so a config has
-finitely many.  The escape walk reads a kind's bounce limit, the response
-tables keep one table per kind content (see below), and
-``find_cyclic_pair`` checks each kind once, which makes the acyclicity
-check exact.  One pass over the marked addresses validates a config and
-types its structure when it is made: each prefix of an override, region
-or ray start has its child index range-checked and gets its kind, from
-its parent's, once, at the next position of the config's flat structure
-tables, parents first: a walk state starts as a copy of the tables, and
-the response tables read the kinds in reverse, children first.
+it and, above structure, its position in the config's structure tables.
+It fixes every base rotor of the subtree, and a child's kind follows from
+its parent's: the tables give a structure child's, and off the structure
+kinds are shared by content, so a config has finitely many.  The escape
+walk reads a kind's bounce limit, the response tables keep one table per
+kind content (see below), and ``find_cyclic_pair`` checks each kind once,
+which makes the acyclicity check exact.  One pass over the marked
+addresses validates a config and types its structure when it is made:
+each prefix of an override, region or ray start has its child index
+range-checked and gets its kind, from its parent's, once, at the next
+position of the flat structure tables, parents first: a walk state starts
+as a copy of the tables, and the response tables read them in reverse.
 
 The escape-run engine keeps three kinds of dynamic state besides explicitly
 materialized rotors:
@@ -140,9 +140,10 @@ def addr_to_str(addr: Address) -> str:
 
 
 def str_to_addr(text: str) -> Address:
-    if text == "":
-        return ()
-    return tuple(int(p) for p in text.split("/"))
+    parts = text.split("/") if text else []     # '' is the origin
+    if not all(p.isascii() and p.isdigit() for p in parts):
+        raise ValueError(f"bad address {text!r}")
+    return tuple(map(int, parts))
 
 
 @dataclass(frozen=True)
@@ -164,15 +165,15 @@ class LevelRegion:
 
 class NodeKind:
     """The type of the subtree below a vertex: what a config fixes there.
-    ``base`` is the vertex's base direction, ``ray`` the first config ray
-    through it as (index, offset mod period) and ``rays`` all of them, and
-    ``left`` the number of direction-(d-1) levels that the nearest level
-    region at or above it still has at and below it (None outside every
-    region).  ``kids`` maps child indices to the kinds of the structure
-    addresses (overrides, regions, ray starts and their prefixes) just
-    below; it is None off the structure and nonempty exactly on proper
-    prefixes of it.  ``limit`` is the bounce limit, relative to the
-    vertex: the levels fewer than ``limit`` below the vertex point in
+    ``base`` is the vertex's base direction, ``rays`` the config rays
+    through it as (index, offset mod period), the least of which sets the
+    base, and ``left`` the number of direction-(d-1) levels that the
+    nearest level region at or above it still has at and below it (None
+    outside every region).  ``pos`` is the vertex's position in the
+    config's structure tables when structure (overrides, regions, ray
+    starts and their prefixes) lies below it, else None; the tables hold
+    its structure children.  ``limit`` is the bounce limit, relative to
+    the vertex: the levels fewer than ``limit`` below the vertex point in
     direction d-1 by their base, so an excursion bounces at the first level
     under the vertex's patch when that level is one of them.  It is
     ``left`` in a region, unbounded under default d-1 with no region, and
@@ -183,17 +184,25 @@ class NodeKind:
     differs from that of the off-structure kind at their index (see
     ``_ResponseTables``)."""
 
-    __slots__ = ("base", "kids", "left", "limit", "ray", "rays")
+    __slots__ = ("base", "left", "limit", "pos", "rays")
 
-    def __init__(self, base: int, limit: int | float,
-                 ray: tuple[int, int] | None, left: int | None,
+    def __init__(self, base: int, limit: int | float, left: int | None,
                  rays: tuple[tuple[int, int], ...]) -> None:
         self.base = base
-        self.kids: dict[int, NodeKind] | None = None
         self.left = left
         self.limit = limit
-        self.ray = ray
+        self.pos: int | None = None
         self.rays = rays
+
+
+def _children(head, nxt, x: int) -> list[int]:
+    """The children of x in the sibling lists ``head``/``nxt``, newest first."""
+    kids = []
+    y = head[x]
+    while y:
+        kids.append(y)
+        y = nxt[y]
+    return kids
 
 
 # A config's structure vertices by position, in the order typing made them
@@ -206,8 +215,8 @@ _Structure = namedtuple("_Structure", "parent depth cidx head next kind ids")
 class LazyTreeConfig:
     """A finite rotor configuration on the tree of degree d (see the module
     docstring).  Making one validates it and types its structure, in one
-    pass: ``root_kind`` is the origin's kind, with the kinds of the
-    structure below it, ``_structure`` holds the structure's tables, and
+    pass: ``root_kind`` is the origin's kind, ``_structure`` holds the
+    structure's tables, its kinds among them, and
     ``_static_depth`` is the depth the structure reaches: the largest of 1,
     the override depths, ``len(addr) + h`` over the regions and
     ``len(start) + len(pattern)`` over the rays."""
@@ -280,9 +289,9 @@ class LazyTreeConfig:
                 rays = self._step_rays(kind.rays, c) if kind.rays else ()
                 sub = self._kind(None, rays + starts.get(mark, ()), left)
             elif left is None:          # as ``_kind`` makes it, inline
-                sub = NodeKind(default, off_limit, None, None, ())
+                sub = NodeKind(default, off_limit, None, ())
             else:
-                sub = NodeKind(d - 1 if left else d, left, None, left, ())
+                sub = NodeKind(d - 1 if left else d, left, left, ())
             y = ids[x * d + c] = len(kinds)
             parents.append(x)
             depths.append(depths[x] + 1)
@@ -291,10 +300,7 @@ class LazyTreeConfig:
             heads[x] = y
             heads.append(0)
             kinds.append(sub)
-            if kind.kids is None:
-                kind.kids = {}
-                kind.limit = 0          # structure below
-            kind.kids[c] = sub
+            kind.pos, kind.limit = x, 0         # structure below
             return y
 
         def place(addr: Address) -> int:
@@ -362,24 +368,23 @@ class LazyTreeConfig:
 
     def _kind(self, override: int | None, rays: tuple[tuple[int, int], ...],
               left: int | None) -> NodeKind:
-        """The base direction is the override, else the first config ray's
+        """The base direction is the override, else the least config ray's
         direction, else the level region's, else the default."""
-        ray = min(rays) if rays else None
         if override is not None:
             base = override
-        elif ray is not None:
-            base = self.rays[ray[0]].direction
+        elif rays:
+            base = self.rays[min(rays)[0]].direction
         elif left is not None:
             base = self.d - 1 if left else self.d
         else:
             base = self.default
-        if ray is not None:
+        if rays:
             limit = 0
         elif left is not None:
             limit = left
         else:
             limit = math.inf if self.default == self.d - 1 else 0
-        return NodeKind(base, limit, ray, left, rays)
+        return NodeKind(base, limit, left, rays)
 
     def _step_rays(self, rays: tuple[tuple[int, int], ...],
                    c: int) -> tuple[tuple[int, int], ...]:
@@ -395,10 +400,10 @@ class LazyTreeConfig:
     def child_kind(self, kind: NodeKind, c: int) -> NodeKind:
         """Kind of child ``c`` of a vertex of kind ``kind``: its structure
         kind if it has one, else the shared one (``_off_structure``)."""
-        if kind.kids:
-            sub = kind.kids.get(c)
-            if sub is not None:
-                return sub
+        if kind.pos is not None:
+            y = self._structure.ids.get(kind.pos * self.d + c)
+            if y is not None:
+                return self._structure.kind[y]
         return self._off_structure(kind, c)
 
     def _off_structure(self, kind: NodeKind, c: int) -> NodeKind:
@@ -511,13 +516,14 @@ def find_cyclic_pair(cfg: LazyTreeConfig) -> tuple[Address, Address] | None:
     A vertex's kind fixes the kinds of its children, so whether a vertex
     and the child it points at form a pair depends on its kind alone, and
     each kind is checked once, at the first vertex of it met depth-first
-    from the origin.  The walk enters a kind's structure children, the
-    children its config rays head to, and the least other child: the
-    remaining children share that one's kind.  A vertex is held as the
-    link (c, parent's link), None at the origin, so the walk builds no
-    address but the one of the pair it returns."""
+    from the origin.  The walk enters a kind's structure children, as the
+    structure tables list them, the children its config rays head to, and
+    the least other child: the remaining children share that one's kind.
+    A vertex is held as the link (c, parent's link), None at the origin,
+    so the walk builds no address but the one of the pair it returns."""
     d = cfg.d
     rays = cfg.rays
+    s = cfg._structure
     seen: set[NodeKind] = set()
     stack: list[tuple[NodeKind, tuple | None]] = [(cfg.root_kind, None)]
     while stack:
@@ -535,8 +541,9 @@ def find_cyclic_pair(cfg: LazyTreeConfig) -> tuple[Address, Address] | None:
                 link = link[1]
             addr = tuple(reversed(path))
             return (addr, addr + (bp,))
-        cs = set(kind.kids or ())
-        cs.update(rays[i].pattern[o] for i, o in kind.rays)
+        cs = {rays[i].pattern[o] for i, o in kind.rays}
+        if kind.pos is not None:
+            cs.update(s.cidx[y] for y in _children(s.head, s.next, kind.pos))
         c = 1
         while c in cs:
             c += 1
@@ -716,14 +723,6 @@ class TreeState:
         y = self._id(x, c)
         return self._child(x, c) if y < 0 else y
 
-    def _children(self, x: int) -> list[int]:
-        kids = []
-        y = self._head[x]
-        while y:
-            kids.append(y)
-            y = self._next[y]
-        return kids
-
     def _node(self, addr: Address) -> int:
         """The id of an address, making ids down its path as needed."""
         x = 0
@@ -795,14 +794,14 @@ class TreeState:
         of x that have ids are covered that deep too."""
         cover = self._cover
         depth = self._depth
-        stack = self._children(x)
+        stack = _children(self._head, self._next, x)
         while stack:
             y = stack.pop()
             # a vertex at depth >= end stays as it was, and so does every
             # vertex below one whose cover already reaches end
             if depth[y] < end and cover.get(y, 0) < end:
                 cover[y] = end
-                stack += self._children(y)
+                stack += _children(self._head, self._next, y)
 
     # -- escape rays ----------------------------------------------------------
 
@@ -865,18 +864,18 @@ class TreeState:
             inc = e % d + 1
             if inc == d:
                 return w
-            if not kind.kids:
-                if kind.ray is None:    # no bounce above the limit
+            if kind.pos is None:
+                if not kind.rays:       # no bounce above the limit
                     depth = depths[w]
                     if (cover.get(w, 0) or depth + 1) >= depth + kind.limit:
                         return -1
                     return w
-                i, offset = kind.ray
-                if (self.cfg.rays[i].pattern[offset] == inc and depths[w]
+                ray = min(kind.rays)    # the one the base follows
+                if (self.cfg.rays[ray[0]].pattern[ray[1]] == inc and depths[w]
                         > static + self._max_patch_end):
-                    if kind.ray in ride_seen:
+                    if ray in ride_seen:
                         return -1       # periodic ride along the ray
-                    ride_seen.add(kind.ray)
+                    ride_seen.add(ray)
             # along the ray, or off it
             y = kids.get(w * d + inc, -1)
             w = y if y >= 0 else self._child(w, inc)
@@ -1109,14 +1108,15 @@ class _ResponseTables:
         self._keys: dict[tuple, int] = {}
         self._content: dict[NodeKind, int] = {}
         content = self._content_id
-        for kind in reversed(cfg._structure.kind):  # children first
-            if kind.kids:
+        s = cfg._structure
+        for kind in reversed(s.kind):       # children first
+            if kind.pos is not None:
                 children = []
-                for c, sub in sorted(kind.kids.items()):
-                    u = content(sub)
+                for y in _children(s.head, s.next, kind.pos):
+                    c, u = s.cidx[y], content(s.kind[y])
                     if u != content(cfg._off_structure(kind, c)):
                         children.append((c, u))
-                self._content[kind] = self._intern(kind, tuple(children))
+                self._content[kind] = self._intern(kind, children)
         self._index: dict[int, int] = {}
         self.kind = [cfg.root_kind]
         self.base = [cfg.root_kind.base]
@@ -1128,8 +1128,8 @@ class _ResponseTables:
         self.origin_dep = 0
         self.total_steps = 0
 
-    def _intern(self, kind: NodeKind, children: tuple) -> int:
-        key = (kind.base, kind.rays, kind.left, children)
+    def _intern(self, kind: NodeKind, children: list) -> int:
+        key = (kind.base, kind.rays, kind.left, tuple(sorted(children)))
         return self._keys.setdefault(key, len(self._keys))
 
     def _content_id(self, kind: NodeKind) -> int:
@@ -1137,7 +1137,7 @@ class _ResponseTables:
         below it."""
         cid = self._content.get(kind)
         if cid is None:
-            cid = self._content[kind] = self._intern(kind, ())
+            cid = self._content[kind] = self._intern(kind, [])
         return cid
 
     def _kid(self, t: int, c: int) -> int:

@@ -126,6 +126,15 @@ def _complete_graph_json(n):
             "out": {v: [w for w in names if w != v] for v in names}}
 
 
+# address parts that int() takes but a config may not use: "1_2" would be
+# child 12, and "+1", " 1" and an Arabic-Indic digit child 1
+_LOOSE_ADDRESSES = [(command, {"d": 3, "default": 1,
+                               "overrides": [{"addr": addr, "dir": 2}]},
+                     f"bad address {addr!r}")
+                    for command in ("aggregate", "simulate")
+                    for addr in ("1_2", "+1", " 1", "\u0663")]
+
+
 @pytest.mark.parametrize("command, payload, needle", [
     ("aggregate", {"d": "3", "default": 1}, "'d'"),
     ("aggregate", [{"d": 3, "default": 1}], "object"),
@@ -137,9 +146,11 @@ def _complete_graph_json(n):
     ("preset", "uniform-3--1", "uniform-<D>-<C>"),
     ("preset", "uniform-3", "uniform-<D>-<C>"),
     ("preset", "uniform-x-1", "uniform-<D>-<C>"),
-], ids=["string-degree", "list-root", "string-override-dir",
+] + _LOOSE_ADDRESSES, ids=["string-degree", "list-root", "string-override-dir",
         "number-out-list", "k9-too-large", "preset-negative-direction",
-        "preset-missing-direction", "preset-nondecimal-degree"])
+        "preset-missing-direction", "preset-nondecimal-degree"] + [
+            f"{command}-loose-address-{i % 4}"
+            for i, (command, _, _) in enumerate(_LOOSE_ADDRESSES)])
 def test_malformed_input_exits_2_with_one_error_line(capsys, tmp_path,
                                                      command, payload, needle):
     path = tmp_path / "input.json"

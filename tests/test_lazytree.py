@@ -27,6 +27,7 @@ from rotorlab.lazytree import (
     RayRule,
     TreeState,
     UnsupportedConfigError,
+    _children,
     addr_to_str,
     aggregate,
     aggregate_modified,
@@ -537,8 +538,9 @@ def bounce_level_oracle(cfg: LazyTreeConfig, kind, addr: tuple,
     comes back when the subtree has no structure below and no config ray,
     and level i0 points in direction d-1: inside the first h levels of the
     deepest region at or above the vertex, or anywhere under default d-1
-    with no region."""
-    if kind.kids or kind.ray is not None:
+    with no region.  Structure below is read from the structure tables."""
+    x = structure_position(cfg, addr)
+    if kind.rays or x is not None and cfg._structure.head[x]:
         return False
     regs = [r for r in cfg.regions if addr[:len(r.addr)] == r.addr]
     if regs:
@@ -578,10 +580,21 @@ def test_bounce_limit_at_level_region_boundaries():
 
 # -- structure kinds -------------------------------------------------------------
 
-def oracle_root_kind(cfg: LazyTreeConfig):
-    """All-prefixes oracle for ``root_kind``: every prefix of every marked
-    address, sorted so that parents come first, gets its kind from its
-    parent's."""
+def structure_position(cfg: LazyTreeConfig, addr: tuple) -> int | None:
+    """The position of an address in the config's structure tables, found
+    through the child ids from the origin, or None off the structure."""
+    x = 0
+    for c in addr:
+        x = cfg._structure.ids.get(x * cfg.d + c)
+        if x is None:
+            return None
+    return x
+
+
+def oracle_structure_kinds(cfg: LazyTreeConfig) -> dict:
+    """All-prefixes oracle for the typed structure: every prefix of every
+    marked address, sorted so that parents come first, gets its kind from
+    its parent's.  Returns the kinds by address."""
     overrides = dict(cfg.overrides)
     regions = {reg.addr: reg.h for reg in cfg.regions}
     starts = {}
@@ -600,33 +613,38 @@ def oracle_root_kind(cfg: LazyTreeConfig):
         if not addr and override is None and left is None \
                 and cfg.mode == "branch":
             override = 1
-        kind = made[addr] = cfg._kind(override, rays, left)
-        if up:
-            if up.kids is None:
-                up.kids = {}
-            up.kids[addr[-1]] = kind
-    return made[ORIGIN]
+        made[addr] = cfg._kind(override, rays, left)
+    return made
 
 
-def assert_kind_trees_equal(got, want) -> int:
-    """Same base, rays, region levels left and kids at every structure
-    vertex, where ``kids`` is None on a structure leaf and nonempty above
-    one, as the ``NodeKind`` docstring says; returns the number of
-    vertices compared."""
-    stack = [(got, want, ())]
-    seen = 0
-    while stack:
-        g, w, addr = stack.pop()
-        seen += 1
-        assert (g.base, g.ray, g.rays) == (w.base, w.ray, w.rays), addr
-        assert g.left == w.left, addr
-        assert g.kids is None or g.kids, addr
-        if w.kids is None:
-            assert g.kids is None, addr
-            continue
-        assert g.kids.keys() == w.kids.keys(), addr
-        stack += ((g.kids[c], w.kids[c], addr + (c,)) for c in w.kids)
-    return seen
+def assert_structure_matches_oracle(cfg: LazyTreeConfig, want: dict) -> int:
+    """Each position of the config's structure tables holds one address of
+    ``want``, at its depth, with its base, rays, region levels left and
+    bounce limit (0 with structure below); ``pos`` is set exactly on the
+    positions with a structure child, and both the child ids and the child
+    lists give the oracle's children.  Returns the number of positions."""
+    s = cfg._structure
+    assert s.kind[0] is cfg.root_kind
+    addrs = [ORIGIN]
+    for x in range(1, len(s.kind)):
+        addrs.append(addrs[s.parent[x]] + (s.cidx[x],))
+    assert sorted(addrs) == sorted(want)
+    below = {}
+    for a in want:
+        if a:
+            below.setdefault(a[:-1], set()).add(a[-1])
+    for x, addr in enumerate(addrs):
+        g, w = s.kind[x], want[addr]
+        cs = below.get(addr, set())
+        assert (g.base, g.rays, g.left) == (w.base, w.rays, w.left), addr
+        assert g.limit == (0 if cs else w.limit), addr
+        assert s.depth[x] == len(addr), addr
+        assert g.pos == (x if cs else None), addr
+        assert {s.cidx[y] for y in _children(s.head, s.next, x)} == cs, addr
+        for c in cs:
+            assert addrs[s.ids[x * cfg.d + c]] == addr + (c,), addr
+    assert len(s.ids) == len(addrs) - 1
+    return len(addrs)
 
 
 def _random_structure_config(rng: random.Random, d: int | None = None,
@@ -683,7 +701,7 @@ def test_root_kind_matches_all_prefixes_oracle():
         except LazyTreeError:
             continue
         made += 1
-        assert_kind_trees_equal(cfg.root_kind, oracle_root_kind(cfg))
+        assert_structure_matches_oracle(cfg, oracle_structure_kinds(cfg))
         assert cfg._static_depth == static_depth_oracle(cfg)
         starts = [ray.start for ray in cfg.rays]
         shared_start += len(set(starts)) < len(starts)
@@ -696,7 +714,8 @@ def test_root_kind_matches_all_prefixes_oracle():
         a = _dense_valid_word(rng, n, stride)
         cfg = synthesize_tree(a) if stride == 3 else \
             descriptor_to_branch_config(synthesize_branch(a))
-        seen = assert_kind_trees_equal(cfg.root_kind, oracle_root_kind(cfg))
+        seen = assert_structure_matches_oracle(cfg,
+                                               oracle_structure_kinds(cfg))
         assert seen > len(cfg.overrides)
         assert cfg._static_depth == static_depth_oracle(cfg)
 
@@ -759,7 +778,7 @@ def test_find_cyclic_pair_matches_brute_force():
         except LazyTreeError:
             continue
         made += 1
-        assert_kind_trees_equal(cfg.root_kind, oracle_root_kind(cfg))
+        assert_structure_matches_oracle(cfg, oracle_structure_kinds(cfg))
         pair = find_cyclic_pair(cfg)
         h.update(repr(pair).encode())
         pairs = brute_mutual_pairs(cfg)
@@ -1068,17 +1087,20 @@ def test_deep_structure_aggregates_without_recursion():
 def test_deep_override_runs_in_linear_memory():
     # one override 20,000 levels deep: typing, the acyclicity check, the
     # response tables and a walk state hold a few entries per level (an
-    # address tuple per prefix would take about 1.6 GB); the first chips
-    # never reach depth 4, so they do what they do with the override at
-    # depth 3
+    # address tuple per prefix would take about 1.6 GB), and the typed
+    # config keeps one kind and one child id per level, its structure
+    # children in the tables alone; the first chips never reach depth 4,
+    # so they do what they do with the override at depth 3
     tracemalloc.start()
     try:
         deep = LazyTreeConfig(d=3, default=1, overrides=(((1,) * 20_000, 2),))
+        typed = tracemalloc.get_traced_memory()[0]
         agg = aggregate(deep, 4)
         run = run_chips_infinite(deep, 4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert typed < 6 * 2 ** 20
     assert peak < 32 * 2 ** 20
     assert len(deep._structure.kind) == 20_001
     shallow = LazyTreeConfig(d=3, default=1, overrides=(((1,) * 3, 2),))
@@ -1585,7 +1607,9 @@ def test_structure_tables_match_ids_made_lazily():
     # every structure vertex has the parent, depth, child index and kind
     # that ``TreeState._child`` gives it when a literal state makes its id;
     # the random configs have marks whose parents are not marks, which
-    # typing reaches by a walk from the origin
+    # typing reaches by a walk from the origin.  ``child_kind`` reads every
+    # child of a structure position through the child ids: the structure
+    # kind where the tables have one, the shared off-structure kind else
     rng = random.Random(31)
     cfgs = [cfg for cfg, _ in _pinned_escape_configs()]
     while len(cfgs) < 243:
@@ -1606,5 +1630,13 @@ def test_structure_tables_match_ids_made_lazily():
         assert len(lazy._rot) == len(st._rot)
         for x in range(len(st._rot)):       # the same child lists
             y = lazy._node(st._address(x))
-            assert ({st._address(z) for z in st._children(x)}
-                    == {lazy._address(z) for z in lazy._children(y)})
+            assert ({st._address(z) for z in _children(st._head, st._next, x)}
+                    == {lazy._address(z)
+                        for z in _children(lazy._head, lazy._next, y)})
+        s = cfg._structure
+        for x, kind in enumerate(s.kind):   # the tables give every child
+            assert kind.pos == (x if s.head[x] else None), x
+            for c in range(1, (cfg.d - 1 if x else cfg.origin_arity()) + 1):
+                y = s.ids.get(x * cfg.d + c)
+                want = cfg._off_structure(kind, c) if y is None else s.kind[y]
+                assert cfg.child_kind(kind, c) is want, (x, c)
