@@ -151,8 +151,8 @@ def cmd_aggregate(args) -> int:
 
 
 def cmd_group(args) -> int:
-    path = args.graph_pos or args.graph
-    if bool(path) == bool(args.wired):
+    path = args.graph if args.graph_pos is None else args.graph_pos
+    if (args.graph_pos, args.graph, args.wired).count(None) != 2:
         return _fail("need exactly one of a graph file or --wired D N",
                      INPUT_ERROR)
     try:
@@ -352,7 +352,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "escape":
-        if args.action in ("check", "synthesize") and not args.word:
+        if args.action in ("check", "synthesize") and args.word is None:
             parser.error("check/synthesize need a word")
         if args.action == "simulate" and not (args.config or args.preset):
             parser.error("simulate needs --config or --preset")

@@ -11,8 +11,8 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
-from itertools import count, repeat
+from dataclasses import dataclass
+from itertools import count
 from typing import Iterator
 
 from rotorlab.graph import (
@@ -25,12 +25,15 @@ from rotorlab.graph import (
     is_recurrent,
     rank_and_minor,
     reduced_laplacian,
+    shortest_path_config,
     spanning_tree_count,
 )
-from rotorlab.walk import DEFAULT_STEP_BUDGET, _reverse, _route, _stop_flags
+from rotorlab.sampling import random_recurrent_config
+from rotorlab.walk import (DEFAULT_STEP_BUDGET, _budget, _reverse, _route,
+                           _stop_flags)
 
 
-# The most rotor configurations the exhaustive checks enumerate by default.
+# The most rotor configurations the exhaustive checks enumerate.
 CHECK_LIMIT = 1_000_000
 # The most check work the CLI takes on: configurations times the sum of
 # the out-degrees, as the relation check composes d_x - 1 whole tables on
@@ -67,9 +70,6 @@ def order_of_generator(g: DirectedMultigraph, x: str,
     sink's takes a step, so the budget bounds the order too: an orbit that
     needs more steps raises StepBudgetExceededError.
     """
-    from rotorlab.sampling import random_recurrent_config
-    from rotorlab.graph import shortest_path_config
-
     if witness is None:
         witness = shortest_path_config(g)
     elif not is_recurrent(g, witness):
@@ -95,9 +95,9 @@ def _orbit_period(g: DirectedMultigraph, x: str,
     v = g.index[x]
     fulls = (full,)
     flags = _stop_flags(g)
-    budget = repeat(None, DEFAULT_STEP_BUDGET)
+    budget = _budget(DEFAULT_STEP_BUDGET)
     for k in count(1):
-        _route(g, v, fulls, flags, budget, DEFAULT_STEP_BUDGET)
+        _route(g, v, fulls, flags, budget)
         if full == start:
             return k
 
@@ -259,8 +259,7 @@ def _generator_tables(g: DirectedMultigraph, fulls: list[list[int]],
     perm = []
     for v in range(len(g.vertices)):
         row: list[int | None] = []
-        _route(g, v, _copies(fulls, where, row), flags, budget,
-               DEFAULT_STEP_BUDGET)
+        _route(g, v, _copies(fulls, where, row), flags, budget)
         if None in row:
             raise NotRecurrentError("generators act on recurrent "
                                     "configurations")
@@ -362,8 +361,7 @@ def _round_trips(g: DirectedMultigraph, fulls: list[list[int]],
             return False
         for i, j in enumerate(row):
             full = fulls[j][:]
-            _reverse(g, full, tgts[j][:], x, True, budget,
-                     DEFAULT_STEP_BUDGET)
+            _reverse(g, full, tgts[j][:], x, True, budget)
             if full != fulls[i]:
                 return False
     return True
@@ -381,7 +379,6 @@ class IsomorphismReport:
     transitive_ok: bool
     sink_identity_ok: bool
     bijective_ok: bool
-    notes: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -406,8 +403,7 @@ class IsomorphismReport:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
 
 
-def verify_isomorphism(g: DirectedMultigraph,
-                       limit: int = CHECK_LIMIT) -> IsomorphismReport:
+def verify_isomorphism(g: DirectedMultigraph) -> IsomorphismReport:
     """Check the group isomorphism exhaustively on the recurrent states.
 
     Each e_x is computed once per recurrent state, as a table of state
@@ -425,14 +421,16 @@ def verify_isomorphism(g: DirectedMultigraph,
     sink-identity check cannot fail: the chip starts on the sink, which is
     a stop, so ``_route`` returns at once and moves no rotor.
 
-    The forward routes and the reverse walks share one budget of
-    DEFAULT_STEP_BUDGET steps; StepBudgetExceededError is raised when
-    their total would pass it.
+    The recurrent states are enumerated over at most CHECK_LIMIT rotor
+    configurations; more raise TooLargeError.  The forward routes and the
+    reverse walks share one budget of DEFAULT_STEP_BUDGET steps;
+    StepBudgetExceededError is raised when their total would pass it.  Both
+    constants are read when the check starts.
     """
-    recs = enumerate_recurrent(g, limit)
+    recs = enumerate_recurrent(g, CHECK_LIMIT)
     structure = sandpile_structure(g)
     fulls = [g.slots_to_full(t) for t in recs]
-    budget = repeat(None, DEFAULT_STEP_BUDGET)
+    budget = _budget(DEFAULT_STEP_BUDGET)
     perm = _generator_tables(g, fulls, budget)
     sink = g.sink_index
     movers = [v for v in range(len(g.vertices)) if v != sink]

@@ -71,7 +71,10 @@ Every shortcut is exact: the literal step-by-step engine (fast_paths=False)
 runs on the same tables, with ids made on first contact only and a probe
 at every fresh vertex, and computes the same words, depths and effective
 directions; the test suite cross-checks the two.  An escaped chip has
-no depth: ``run_chips_infinite`` reports None for it.
+no depth: ``run_chips_infinite`` reports None for it.  Every limit is
+this module's DEFAULT_STEP_BUDGET, read when a run starts: it bounds each
+chip's walk on its own, and the summed steps of a whole aggregation run;
+StepBudgetExceededError is raised past it.
 
 Aggregation (a chip stops on the first unoccupied vertex it enters) does
 not walk its chips.  A subtree is entered only from its root's parent, so
@@ -658,13 +661,13 @@ class TreeState:
     rays whose pending tip sits on the vertex, in ray-id order.  Each tip
     heads to child ``ray_seen[r] % d + 1``, which has no id yet.
     ``_addr`` memoizes the addresses handed out by the API.
+    ``fast_paths=False`` makes the literal engine, the fast one's oracle.
+    DEFAULT_STEP_BUDGET bounds each walk (see ``walk_chip``).
     """
 
-    def __init__(self, cfg: LazyTreeConfig, fast_paths: bool = True,
-                 step_cap: int = DEFAULT_STEP_BUDGET):
+    def __init__(self, cfg: LazyTreeConfig, fast_paths: bool = True):
         self.cfg = cfg
         self.fast = fast_paths
-        self.step_cap = step_cap
         s = cfg._structure
         n = len(s.kind) if fast_paths else 1
         self._parent, self._depth, self._cidx, self._next = (
@@ -902,11 +905,11 @@ class TreeState:
         With fast paths a fresh descent is probed once: unless the chip
         escapes, it takes the probed path in one stride and walks on where
         the probe stopped.  The literal walk probes at every fresh vertex.
-        No stride crosses the step cap or the fresh-depth cap, so both bind
-        at the same step in both modes.
+        No stride crosses the step budget or the fresh-depth cap, so both
+        bind at the same step in both modes.
 
-        The state's ``step_cap`` bounds each walk on its own:
-        StepBudgetExceededError is raised before step ``step_cap + 1``.
+        DEFAULT_STEP_BUDGET, read when the walk starts, bounds this walk on
+        its own: StepBudgetExceededError is raised before the step past it.
         """
         d = self.cfg.d
         parent = self._parent
@@ -920,7 +923,7 @@ class TreeState:
         patch = self._patch
         rc = self._rc
         fast = self.fast
-        cap = self.step_cap
+        cap = DEFAULT_STEP_BUDGET
         fresh_cap = self._fresh_depth_cap()   # frozen: the walk's own
         visited: list[Address] | None = [] if record_visits else None
         if cap < 1:
@@ -1048,14 +1051,14 @@ class EscapeRunResult:
 
 
 def run_chips_infinite(cfg: LazyTreeConfig, m: int,
-                       fast_paths: bool = True,
-                       step_cap: int = DEFAULT_STEP_BUDGET,
                        state: TreeState | None = None) -> EscapeRunResult:
-    """Run m chips from the origin; 1 per escape, 0 per return.  A given
-    ``state`` goes on, and must have been made with the same arguments."""
-    st = state if state is not None else TreeState(cfg, fast_paths, step_cap)
-    if (st.cfg, st.fast, st.step_cap) != (cfg, fast_paths, step_cap):
-        raise LazyTreeError("state was made with other arguments")
+    """Run m chips from the origin; 1 per escape, 0 per return.  They walk
+    on a new fast ``TreeState``, or go on with ``state``, made for an equal
+    config, fast or literal.  DEFAULT_STEP_BUDGET bounds each chip's walk
+    (see ``TreeState.walk_chip``)."""
+    st = TreeState(cfg) if state is None else state
+    if st.cfg != cfg:
+        raise LazyTreeError("state was made for another config")
     bits = []
     depths = []
     for _ in range(m):
@@ -1102,9 +1105,8 @@ class _ResponseTables:
     ``origin_dep`` counts the chips sent on by the origin itself.
     ``total_steps`` is the literal step total of the chips so far."""
 
-    def __init__(self, cfg: LazyTreeConfig, step_cap: int) -> None:
+    def __init__(self, cfg: LazyTreeConfig) -> None:
         self.cfg = cfg
-        self.step_cap = step_cap
         self._keys: dict[tuple, int] = {}
         self._content: dict[NodeKind, int] = {}
         content = self._content_id
@@ -1163,7 +1165,8 @@ class _ResponseTables:
         vertex it settles on or, when ``modified``, ORIGIN for a chip that
         comes back.  A plain chip that comes back walks on as a fresh chip
         would.  StepBudgetExceededError is raised once the step total
-        passes ``step_cap``, checked whenever a chip is back at the origin.
+        passes DEFAULT_STEP_BUDGET, read when the run starts and checked
+        whenever a chip is back at the origin.
 
         The loop runs on an explicit stack of frames whose bottom is the
         origin.  A frame is a vertex whose rotor turns: its type t, its
@@ -1181,7 +1184,7 @@ class _ResponseTables:
         ends the element of every frame above the origin, whose roots lie
         on its path, and is yielded."""
         d = self.cfg.d
-        cap = self.step_cap
+        cap = DEFAULT_STEP_BUDGET
         bases, kids, sites, steps, offs, deps = (
             self.base, self.kids, self.site, self.steps, self.off, self.dep)
         stack: list[tuple[int, Address, int, int]] = []
@@ -1295,7 +1298,7 @@ class AggregationResult:
 
 
 def _aggregate_run(cfg: LazyTreeConfig, n_chips: int, modified: bool,
-                   check_acyclic: bool, step_cap: int) -> AggregationResult:
+                   check_acyclic: bool) -> AggregationResult:
     """Chip 1 occupies the origin; every later chip walks until it enters
     an unoccupied vertex, which it occupies, or, when ``modified``, until
     it returns to the origin.  The stops come from the response tables.
@@ -1317,7 +1320,7 @@ def _aggregate_run(cfg: LazyTreeConfig, n_chips: int, modified: bool,
     if n_chips < 1:
         raise LazyTreeError("need at least one chip")
 
-    tables = _ResponseTables(cfg, step_cap)
+    tables = _ResponseTables(cfg)
     stops: list[Address] = [ORIGIN]
     occupied: set[Address] = {ORIGIN}
     # merged block by block, the set grows 2x, not 4x as with add() or
@@ -1357,32 +1360,29 @@ def _aggregate_run(cfg: LazyTreeConfig, n_chips: int, modified: bool,
 
 
 def aggregate(cfg: LazyTreeConfig, n_chips: int,
-              check_acyclic: bool = True,
-              step_cap: int = DEFAULT_STEP_BUDGET) -> AggregationResult:
+              check_acyclic: bool = True) -> AggregationResult:
     """Rotor-router aggregation: chip n stops on first exiting the cluster.
 
     Each chip's stop and literal steps are read from the response tables
     of the subtrees below the origin (see the module docstring), built
     element by element as chips first need them; no chip is walked step
-    by step.  ``step_cap`` is one budget for the whole run: the literal
-    steps of every chip are summed, and StepBudgetExceededError is raised
-    once the sum passes it.
+    by step.  DEFAULT_STEP_BUDGET is one budget for the whole run: the
+    literal steps of every chip are summed, and StepBudgetExceededError is
+    raised once the sum passes it.
     """
     return _aggregate_run(cfg, n_chips, modified=False,
-                          check_acyclic=check_acyclic, step_cap=step_cap)
+                          check_acyclic=check_acyclic)
 
 
 def aggregate_modified(cfg: LazyTreeConfig, n_chips: int,
-                       check_acyclic: bool = True,
-                       step_cap: int = DEFAULT_STEP_BUDGET,
-                       ) -> AggregationResult:
+                       check_acyclic: bool = True) -> AggregationResult:
     """Time-changed aggregation: chips also stop on returning to the origin.
 
-    Chips are answered from the response tables and ``step_cap`` is one
-    budget for the whole run, as in :func:`aggregate`.
+    Chips are answered from the response tables and DEFAULT_STEP_BUDGET is
+    one budget for the whole run, as in :func:`aggregate`.
     """
     return _aggregate_run(cfg, n_chips, modified=True,
-                          check_acyclic=check_acyclic, step_cap=step_cap)
+                          check_acyclic=check_acyclic)
 
 
 # -- DOT export ---------------------------------------------------------------

@@ -13,6 +13,7 @@ from rotorlab.graph import (
     is_recurrent,
     shortest_path_config,
 )
+from rotorlab.walk import route_to_sink
 
 
 def random_multigraph(rng: random.Random,
@@ -48,8 +49,6 @@ def random_recurrent_config(g: DirectedMultigraph,
     routing 32 chips from random vertices; routing maps recurrent states to
     recurrent states, so the result is always recurrent.
     """
-    from rotorlab.walk import route_to_sink
-
     t = shortest_path_config(g)
     for _ in range(32):
         x = rng.choice(g.rotor_vertices)

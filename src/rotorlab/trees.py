@@ -56,7 +56,6 @@ class TreeInfo:
 
     d: int
     n: int
-    variant: str
     internal: list[str]     # rotor-bearing tree vertices
     root: str = "r"
 
@@ -85,10 +84,10 @@ def _tree_skeleton(d: int, n: int) -> TreeInfo:
     for _ in range(2, n):
         level = _children(level, d)
         internal += level
-    return TreeInfo(d=d, n=n, variant="skeleton", internal=internal)
+    return TreeInfo(d=d, n=n, internal=internal)
 
 
-def _tree_graph(d: int, n: int, variant: str, up: str | None,
+def _tree_graph(d: int, n: int, up: str | None,
                 merge: str | None) -> tuple[DirectedMultigraph, TreeInfo]:
     """T_n with the root's parent edge going to ``up`` and the leaves merged
     into the vertex ``merge``; None means no parent edge / leaves kept.
@@ -100,7 +99,6 @@ def _tree_graph(d: int, n: int, variant: str, up: str | None,
     """
     _check_params(d, n)
     info = _tree_skeleton(d, n)
-    info.variant = variant
     a = d - 1
     head = () if up in (None, merge) else (up,)
     tree = info.internal if merge else info.internal + info.leaves
@@ -127,7 +125,7 @@ def _tree_graph(d: int, n: int, variant: str, up: str | None,
 
 def build_plain_tree(d: int, n: int) -> tuple[DirectedMultigraph, TreeInfo]:
     """T_n alone, bidirected, rooted sink at r."""
-    return _tree_graph(d, n, "plain", up=None, merge=None)
+    return _tree_graph(d, n, up=None, merge=None)
 
 
 def build_hat_tree(d: int, n: int) -> tuple[DirectedMultigraph, TreeInfo]:
@@ -136,7 +134,7 @@ def build_hat_tree(d: int, n: int) -> tuple[DirectedMultigraph, TreeInfo]:
     Chips are stopped on the leaf set {o} + (depth n-1 vertices); the
     rotors at those leaves never fire.
     """
-    return _tree_graph(d, n, "hat", up="o", merge=None)
+    return _tree_graph(d, n, up="o", merge=None)
 
 
 def build_wired_tree(d: int, n: int) -> tuple[DirectedMultigraph, TreeInfo]:
@@ -145,12 +143,12 @@ def build_wired_tree(d: int, n: int) -> tuple[DirectedMultigraph, TreeInfo]:
     Edges are kept, not collapsed: the root has one edge to s (the former o
     edge) and every other neighbor of s has a = d-1 parallel edges to s.
     """
-    return _tree_graph(d, n, "wired", up="s", merge="s")
+    return _tree_graph(d, n, up="s", merge="s")
 
 
 def build_branch(d: int, n: int) -> tuple[DirectedMultigraph, TreeInfo]:
     """Y_n: hat tree with all leaves except o collapsed to a boundary b."""
-    return _tree_graph(d, n, "branch", up="o", merge="b")
+    return _tree_graph(d, n, up="o", merge="b")
 
 
 def _internal_run(g: DirectedMultigraph, info: TreeInfo) -> slice:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress, count, repeat
+from itertools import chain, compress, count, repeat
 from operator import ne
 from numbers import Rational
 from typing import Iterable, Iterator, Mapping
@@ -100,10 +100,22 @@ def _flag_moved(emitted: list[bool | None], before: Iterable[int],
         emitted[j + (j >= sink)] = True
 
 
+def _budget(n: int) -> Iterator[None]:
+    """A step budget for the kernels: n items, one taken per step, so no
+    step compares against it.  Asking for item n + 1 raises
+    StepBudgetExceededError, naming n."""
+    return chain(repeat(None, n), _exceeded(n))
+
+
+def _exceeded(n: int) -> Iterator[None]:
+    # a generator, so the error comes with its first item, not at the call
+    raise StepBudgetExceededError(f"exceeded {n} steps")
+    yield
+
+
 def _route(g: DirectedMultigraph, v: int, fulls: Iterable[list[int]],
            flags: list[bool | None], budget: Iterator[None],
-           step_budget: int, chip_stops: list[str] | None = None,
-           halt: int = -1) -> None:
+           chip_stops: list[str] | None = None, halt: int = -1) -> None:
     """Walk one chip from vertex index v on each slot list of ``fulls``, in
     turn, until it enters a stop.
 
@@ -113,11 +125,8 @@ def _route(g: DirectedMultigraph, v: int, fulls: Iterable[list[int]],
     chip turns the rotors of its own list in place, so one list repeated
     routes chips in sequence.  Each chip's stop is named in ``chip_stops``
     when that is a list.  A chip that stops at ``halt`` raises
-    ChipAtSinkError.  Each step takes one item of ``budget``, which holds
-    one item for every step still allowed and may be shared with other
-    calls, so no step compares against the budget: a chip that needs a
-    step when it is empty raises StepBudgetExceededError, naming
-    ``step_budget``, the budget's size.
+    ChipAtSinkError.  Each step takes one item of ``budget``, a
+    :func:`_budget` that may be shared with other calls.
     """
     out_idx = g.out_idx
     deg = g.deg_idx
@@ -134,8 +143,6 @@ def _route(g: DirectedMultigraph, v: int, fulls: Iterable[list[int]],
                 w = out_idx[w][s]
                 if flags[w] is None:
                     break
-            else:
-                raise StepBudgetExceededError(f"exceeded {step_budget} steps")
         if w == halt:
             raise ChipAtSinkError(
                 "a chip reached the sink, which is not in the stop set")
@@ -144,11 +151,10 @@ def _route(g: DirectedMultigraph, v: int, fulls: Iterable[list[int]],
 
 
 def route_to_sink(g: DirectedMultigraph, t: RotorConfiguration, x: str,
-                  step_budget: int = DEFAULT_STEP_BUDGET,
                   ) -> tuple[RotorConfiguration, WalkTrace]:
     """Add a chip at x and walk it to the sink; returns e_x(t) and the
-    trace of ``route_all``, which routes the one chip."""
-    _, t2, trace = route_all(g, t, {x: 1}, (g.sink,), step_budget)
+    trace of ``route_all``, which routes the one chip within its budget."""
+    _, t2, trace = route_all(g, t, {x: 1}, (g.sink,))
     return t2, trace
 
 
@@ -171,13 +177,14 @@ def predecessor(g: DirectedMultigraph, t: RotorConfiguration, chip: str,
     return t.with_slot(g, frm, s), frm
 
 
-def reverse_walk(g: DirectedMultigraph, t_final: RotorConfiguration, x: str,
-                 step_budget: int = DEFAULT_STEP_BUDGET) -> RotorConfiguration:
+def reverse_walk(g: DirectedMultigraph, t_final: RotorConfiguration,
+                 x: str) -> RotorConfiguration:
     """Invert route_to_sink on recurrent states: e_x(result) == t_final.
 
     Each reverse step picks the unique legal predecessor; the steps run in
     ``_reverse``.  The configuration is validated and its whole rotor graph
-    checked for cycles once.
+    checked for cycles once.  The walk may take DEFAULT_STEP_BUDGET
+    steps, read when it starts; one more raises StepBudgetExceededError.
     """
     t_final.validate(g)
     if x not in g.index:
@@ -185,13 +192,12 @@ def reverse_walk(g: DirectedMultigraph, t_final: RotorConfiguration, x: str,
     full = g.slots_to_full(t_final)
     tgt = _rotor_targets(g, t_final)
     _reverse(g, full, tgt, g.index[x], _acyclic(g, tgt),
-             repeat(None, step_budget), step_budget)
+             _budget(DEFAULT_STEP_BUDGET))
     return g.full_to_slots(full)
 
 
 def _reverse(g: DirectedMultigraph, full: list[int], tgt: list[int],
-             start: int, rec: bool, budget: Iterator[None],
-             step_budget: int) -> None:
+             start: int, rec: bool, budget: Iterator[None]) -> None:
     """Reverse-walk the chip from the sink back to vertex index start.
 
     ``full`` holds the slots and ``tgt`` the rotor targets, per vertex
@@ -203,8 +209,7 @@ def _reverse(g: DirectedMultigraph, full: list[int], tgt: list[int],
     is at its first visit, and its predecessor is the one before it on the
     rotor path from start, which is kept and built again only after a
     cycle breaks.  Each reverse step takes one item of ``budget``, as a
-    step of ``_route`` does; a walk that needs a step when it is empty
-    raises StepBudgetExceededError, naming ``step_budget``.
+    step of ``_route`` does.
     """
     out_idx = g.out_idx
     deg = g.deg_idx
@@ -245,8 +250,6 @@ def _reverse(g: DirectedMultigraph, full: list[int], tgt: list[int],
         rec = v == sink
         if rec and chip == start:
             return
-    else:
-        raise StepBudgetExceededError(f"exceeded {step_budget} steps")
     raise WalkError(f"rotor path from {g.vertices[start if rec else chip]!r} "
                     f"misses {g.vertices[chip]!r}")
 
@@ -256,18 +259,18 @@ ChipDistribution = dict[str, int]
 
 def route_all(g: DirectedMultigraph, t: RotorConfiguration,
               chips: Mapping[str, int], stop_set: Iterable[str],
-              step_budget: int = DEFAULT_STEP_BUDGET,
               ) -> tuple[ChipDistribution, RotorConfiguration, WalkTrace]:
     """Route every chip until it enters the stop set.
 
     Chips are routed one at a time, each to its stop, in vertex order of
     their starting vertices; each source's chips go to ``_route`` in one
     call.  By the abelian property the stop counts and the final
-    configuration do not depend on that order.  ``step_budget`` bounds the
-    steps of all chips together: the chip that would take one step more
-    raises StepBudgetExceededError.  The sink carries no rotor, so a chip
-    that starts at or enters the sink while the sink is not in the stop set
-    raises ``ChipAtSinkError``, as ``step`` does.
+    configuration do not depend on that order.  DEFAULT_STEP_BUDGET, read
+    when the call starts, bounds the steps of all its chips together: the
+    chip that would take one step more raises StepBudgetExceededError.
+    The sink carries no rotor, so a chip that starts at or enters the sink
+    while the sink is not in the stop set raises ``ChipAtSinkError``, as
+    ``step`` does.
     """
     t.validate(g)
     index = g.index
@@ -289,10 +292,9 @@ def route_all(g: DirectedMultigraph, t: RotorConfiguration,
     full = g.slots_to_full(t)
     chip_stops: list[str] = []
     emitted = _stop_flags(g, stops)
-    budget = repeat(None, step_budget)
+    budget = _budget(DEFAULT_STEP_BUDGET)
     for i, c in sorted((index[v], c) for v, c in chips.items()):
-        _route(g, i, repeat(full, c), emitted, budget, step_budget,
-               chip_stops, halt)
+        _route(g, i, repeat(full, c), emitted, budget, chip_stops, halt)
 
     for v in (sink, *stops):    # no chip leaves a stop
         emitted[v] = False

@@ -143,11 +143,13 @@ _LOOSE_ADDRESSES = [(command, {"d": 3, "default": 1,
     ("group", {"vertices": ["a", "s"], "sink": "s",
                "out": {"a": 5, "s": ["a"]}}, "'out'"),
     ("group", _complete_graph_json(9), "limit 1000000"),
+    ("group-twice", _complete_graph_json(3), "exactly one"),
     ("preset", "uniform-3--1", "uniform-<D>-<C>"),
     ("preset", "uniform-3", "uniform-<D>-<C>"),
     ("preset", "uniform-x-1", "uniform-<D>-<C>"),
 ] + _LOOSE_ADDRESSES, ids=["string-degree", "list-root", "string-override-dir",
-        "number-out-list", "k9-too-large", "preset-negative-direction",
+        "number-out-list", "k9-too-large", "group-file-and-missing-graph",
+        "preset-negative-direction",
         "preset-missing-direction", "preset-nondecimal-degree"] + [
             f"{command}-loose-address-{i % 4}"
             for i, (command, _, _) in enumerate(_LOOSE_ADDRESSES)])
@@ -160,6 +162,8 @@ def test_malformed_input_exits_2_with_one_error_line(capsys, tmp_path,
                       "--config", str(path)],
         "simulate": ["escape", "simulate", "--config", str(path), "--m", "3"],
         "group": ["group", str(path)],
+        "group-twice": ["group", str(path),
+                        "--graph", str(tmp_path / "missing.json")],
         "preset": ["escape", "simulate", "--preset", payload, "--m", "3"],
     }[command]
     code, out, err = run_cli(capsys, *argv)
@@ -415,10 +419,33 @@ def test_escape_simulate_preset(capsys):
     assert payload["word"] == "10" * 500
 
 
+@pytest.mark.parametrize("argv", [
+    [], ["", "--wired", "3", "3"], ["--graph", "", "--wired", "3", "3"],
+])
+def test_group_takes_exactly_one_graph(capsys, argv):
+    # no graph, or a graph path beside --wired: an empty path is a path
+    code, out, err = run_cli(capsys, "group", *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: need exactly one of a graph file or --wired D N\n"
+
+
 def test_escape_missing_word_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["escape", "check"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("mode", ["--branch", "--tree"])
+def test_escape_empty_word_is_a_word(capsys, mode):
+    # the empty word is binary: it is valid and round-trips with no chips
+    code, out, err = run_cli(capsys, "escape", "check", "", mode)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["valid"] is True
+    code, out, err = run_cli(capsys, "escape", "synthesize", "", mode)
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert (payload["word"], payload["simulated"]) == ("", "")
+    assert payload["round_trip_ok"] is True
 
 
 def test_aggregate_with_good_config_file(capsys, tmp_path):

@@ -25,7 +25,8 @@ from rotorlab.escape import (
     violating_window,
 )
 from rotorlab.graph import GraphError
-from rotorlab.lazytree import LazyTreeConfig, LevelRegion, run_chips_infinite
+from rotorlab.lazytree import (LazyTreeConfig, LevelRegion, TreeState,
+                               run_chips_infinite)
 
 
 def extend_for_root(c: str, d: str, root: str) -> tuple[str, str]:
@@ -454,8 +455,9 @@ def test_synthesized_configs_agree_with_literal_engine():
     for _ in range(15):
         a = random_valid_branch_word(rng, 9)
         cfg = descriptor_to_branch_config(synthesize_branch(a))
-        fast = run_chips_infinite(cfg, len(a), fast_paths=True)
-        lit = run_chips_infinite(cfg, len(a), fast_paths=False)
+        fast = run_chips_infinite(cfg, len(a))
+        lit = run_chips_infinite(cfg, len(a),
+                                 state=TreeState(cfg, fast_paths=False))
         assert fast.word == lit.word == a
         assert fast.depths == lit.depths
         assert [d is None for d in fast.depths] == [c == "1" for c in a]

@@ -1,6 +1,6 @@
 import math
 import random
-from itertools import combinations, repeat
+from itertools import combinations
 
 import pytest
 
@@ -26,7 +26,7 @@ from rotorlab.group import (
 )
 from rotorlab.sampling import random_multigraph, random_recurrent_config
 from rotorlab.trees import build_wired_tree
-from rotorlab.walk import reverse_walk, route_to_sink, step
+from rotorlab.walk import _budget, reverse_walk, route_to_sink, step
 
 
 def two_cycle():
@@ -349,12 +349,13 @@ def test_transitivity_two_cycle():
     assert verify_isomorphism(two_cycle()).transitive_ok
 
 
-def test_group_checks_respect_enumeration_guard():
+def test_group_checks_respect_enumeration_guard(monkeypatch):
     from rotorlab.graph import TooLargeError
     rng = random.Random(1)
     g = random_multigraph(rng, 5)
-    with pytest.raises(TooLargeError):
-        verify_isomorphism(g, limit=1)
+    monkeypatch.setattr(group, "CHECK_LIMIT", 1)
+    with pytest.raises(TooLargeError, match="exceed limit 1$"):
+        verify_isomorphism(g)
 
 
 def test_transitivity_random_graphs():
@@ -596,7 +597,7 @@ def test_generator_tables_match_route_to_sink():
         want = [[where[route_to_sink(g, t, x)[0]] for t in recs]
                 for x in g.vertices]
         fulls = [g.slots_to_full(t) for t in recs]
-        budget = repeat(None, group.DEFAULT_STEP_BUDGET)
+        budget = _budget(group.DEFAULT_STEP_BUDGET)
         assert group._generator_tables(g, fulls, budget) == want
 
 

@@ -143,12 +143,13 @@ def assert_engines_agree(cfg: LazyTreeConfig, m: int, depth_cap: int = 40):
     return None.
     """
     try:
-        fast = run_chips_infinite(cfg, m, fast_paths=True)
+        fast = run_chips_infinite(cfg, m)
     except UnsupportedConfigError:
         with pytest.raises(UnsupportedConfigError):
-            run_chips_infinite(cfg, m, fast_paths=False)
+            run_chips_infinite(cfg, m, state=TreeState(cfg, fast_paths=False))
         return None
-    literal = run_chips_infinite(cfg, m, fast_paths=False)
+    literal = run_chips_infinite(cfg, m,
+                                 state=TreeState(cfg, fast_paths=False))
     nword, ndepths, nrotors = naive_run(cfg, m, depth_cap)
     assert fast.word == literal.word == nword
     assert fast.depths == literal.depths == ndepths
@@ -426,14 +427,10 @@ def test_walk_chip_wrapped_on_the_instance_is_called_per_chip():
 
 def test_state_from_another_run_is_refused():
     st = TreeState(uniform_config(3, 2))
-    with pytest.raises(LazyTreeError):
+    with pytest.raises(LazyTreeError,
+                       match="^state was made for another config$"):
         run_chips_infinite(alternating_tree_config(), 6, state=st)
     cfg = alternating_tree_config()
-    for kwargs in ({"fast_paths": False}, {"step_cap": 100}):
-        with pytest.raises(LazyTreeError):
-            run_chips_infinite(cfg, 6, state=TreeState(cfg), **kwargs)
-        st = TreeState(cfg, **kwargs)
-        assert run_chips_infinite(cfg, 6, state=st, **kwargs).word == "101010"
     # an equal config made separately is the same config
     st = TreeState(alternating_tree_config())
     assert run_chips_infinite(cfg, 6, state=st).word == "101010"
@@ -928,7 +925,7 @@ def assert_matches_naive_aggregate(cfg: LazyTreeConfig, chips: int,
     return stops, rotors, steps, want
 
 
-def test_aggregate_matches_naive_aggregator():
+def test_aggregate_matches_naive_aggregator(monkeypatch):
     # every result field, the final rotors and the step total
     # against the literal walk, plain and modified, on 300 configs
     rng = random.Random(29)
@@ -951,10 +948,14 @@ def test_aggregate_matches_naive_aggregator():
                                 for a in rotors)
             if i % 10 == 0 and steps:
                 run = aggregate_modified if modified else aggregate
-                with pytest.raises(StepBudgetExceededError):
-                    run(cfg, chips, check_acyclic=False, step_cap=steps - 1)
-                assert run(cfg, chips, check_acyclic=False,
-                           step_cap=steps).stops == stops
+                with monkeypatch.context() as mp:
+                    mp.setattr(lazytree, "DEFAULT_STEP_BUDGET", steps - 1)
+                    with pytest.raises(StepBudgetExceededError,
+                                       match=f"^exceeded {steps - 1} steps$"):
+                        run(cfg, chips, check_acyclic=False)
+                    mp.setattr(lazytree, "DEFAULT_STEP_BUDGET", steps)
+                    assert run(cfg, chips,
+                               check_acyclic=False).stops == stops
     assert min(restored[True], restored[False]) >= 50, restored
     assert region_sites >= 500, region_sites
 
@@ -1202,7 +1203,7 @@ def run_scripted(monkeypatch, d: int, script: list, modified: bool):
     chips = 1 + (len(script) if modified
                  else sum(site is not None for site in script))
     return lazytree._aggregate_run(uniform_config(d, 1), chips, modified,
-                                   check_acyclic=False, step_cap=10 ** 9)
+                                   check_acyclic=False)
 
 
 def _scripts():
@@ -1282,14 +1283,16 @@ def test_occupied_set_is_no_larger_than_one_element_merges():
     assert sys.getsizeof(res.occupied) < sys.getsizeof(set(res.stops))
 
 
-def test_step_budget_guard():
+def test_step_budget_guard(monkeypatch):
     from rotorlab.lazytree import StepBudgetExceededError
     # the literal engine really walks the exponential bouncy excursions
-    with pytest.raises(StepBudgetExceededError):
-        run_chips_infinite(uniform_config(3, 2), 30, fast_paths=False,
-                           step_cap=100)
-    with pytest.raises(StepBudgetExceededError):
-        aggregate(uniform_config(3, 1), 100, step_cap=20)
+    cfg = uniform_config(3, 2)
+    monkeypatch.setattr(lazytree, "DEFAULT_STEP_BUDGET", 100)
+    with pytest.raises(StepBudgetExceededError, match="^exceeded 100 steps$"):
+        run_chips_infinite(cfg, 30, state=TreeState(cfg, fast_paths=False))
+    monkeypatch.setattr(lazytree, "DEFAULT_STEP_BUDGET", 20)
+    with pytest.raises(StepBudgetExceededError, match="^exceeded 20 steps$"):
+        aggregate(uniform_config(3, 1), 100)
 
 
 def test_dot_blocks_joined():
@@ -1578,7 +1581,9 @@ def test_escape_runs_match_pinned_digest(monkeypatch):
         _digest_walks(h, TreeState(cfg), m)
     for cfg, m in runs[3:9]:
         for cap in range(1, 120):
-            _digest_walks(h, TreeState(cfg, step_cap=cap), m)
+            with monkeypatch.context() as mp:
+                mp.setattr(lazytree, "DEFAULT_STEP_BUDGET", cap)
+                _digest_walks(h, TreeState(cfg), m)
     for cfg, m in runs[3:9]:
         for cap in range(12):
             monkeypatch.setattr(TreeState, "_fresh_depth_cap",

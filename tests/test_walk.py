@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import product, repeat
+from itertools import product
 
 import pytest
 
@@ -15,6 +15,7 @@ from rotorlab.graph import (
     enumerate_recurrent,
     is_recurrent,
 )
+from rotorlab import walk
 from rotorlab.sampling import random_multigraph, random_recurrent_config
 from rotorlab.walk import (
     ChipAtSinkError,
@@ -23,6 +24,7 @@ from rotorlab.walk import (
     RotorsNotRestoredError,
     WalkError,
     WalkTrace,
+    _budget,
     _reverse,
     check_harmonic_invariant,
     predecessor,
@@ -198,7 +200,7 @@ def test_reverse_walk_matches_predecessor_oracle():
                 assert reverse_walk(g, t, x) == reverse_walk_oracle(g, t, x)
 
 
-def test_reverse_walk_errors_match_predecessor_oracle():
+def test_reverse_walk_errors_match_predecessor_oracle(monkeypatch):
     rng = random.Random(41)
     cases = 0
     for _ in range(10):
@@ -208,9 +210,11 @@ def test_reverse_walk_errors_match_predecessor_oracle():
             t = RotorConfiguration(slots)
             for x in g.vertices:
                 budget = rng.randrange(4)
-                for kwargs in ({}, {"step_budget": budget}):
-                    want = outcome(reverse_walk_oracle, g, t, x, **kwargs)
-                    assert outcome(reverse_walk, g, t, x, **kwargs) == want
+                for n in (walk.DEFAULT_STEP_BUDGET, budget):
+                    want = outcome(reverse_walk_oracle, g, t, x, n)
+                    with monkeypatch.context() as mp:
+                        mp.setattr(walk, "DEFAULT_STEP_BUDGET", n)
+                        assert outcome(reverse_walk, g, t, x) == want
                     cases += isinstance(want, tuple)
         bad = [RotorConfiguration(slots + (0,)),
                RotorConfiguration((g.outdeg(g.rotor_vertices[0]),)
@@ -298,7 +302,7 @@ def test_reverse_kernel_matches_rewalking_oracle():
                     got = g.slots_to_full(t), tgt[:]
                     want = g.slots_to_full(t), tgt[:]
                     result = outcome(_reverse, g, *got, x, rec,
-                                     repeat(None, budget), budget)
+                                     _budget(budget))
                     assert result == outcome(reverse_rewalking_oracle, g,
                                              *want, x, rec, budget)
                     assert got == want
@@ -468,26 +472,28 @@ def test_route_all_chip_through_sink_outside_stop_set_raises():
                                                                 "s": 1}
 
 
-def test_step_budget_exceeded():
+def test_step_budget_exceeded(monkeypatch):
     from rotorlab.walk import StepBudgetExceededError
     g = build_graph(["a", "b", "c", "s"], "s",
                     {"a": ["b"], "b": ["c"], "c": ["s"], "s": ["a"]})
     t = RotorConfiguration.uniform(g, 0)
-    with pytest.raises(StepBudgetExceededError):
-        route_to_sink(g, t, "a", step_budget=1)
-    with pytest.raises(StepBudgetExceededError):
-        route_all(g, t, {"a": 5}, {"s"}, step_budget=2)
+    monkeypatch.setattr(walk, "DEFAULT_STEP_BUDGET", 1)
+    with pytest.raises(StepBudgetExceededError, match="^exceeded 1 steps$"):
+        route_to_sink(g, t, "a")
+    monkeypatch.setattr(walk, "DEFAULT_STEP_BUDGET", 2)
+    with pytest.raises(StepBudgetExceededError, match="^exceeded 2 steps$"):
+        route_all(g, t, {"a": 5}, {"s"})
 
 
-def test_unknown_vertices_raise_before_routing():
+def test_unknown_vertices_raise_before_routing(monkeypatch):
     # a stop, a stepped chip or a predecessor vertex off the graph is named;
     # the budget of 0 would stop any routing first
     g = three_out()
     t = RotorConfiguration.uniform(g, 0)
     want = (GraphError, "unknown vertex 'zz'")
     assert outcome(route_all, g, t, {"m": 1}, {"zz"}) == want
-    assert outcome(route_all, g, t, {"m": 1}, {"a", "zz"},
-                   step_budget=0) == want
+    monkeypatch.setattr(walk, "DEFAULT_STEP_BUDGET", 0)
+    assert outcome(route_all, g, t, {"m": 1}, {"a", "zz"}) == want
     assert outcome(step, g, t, "zz") == want
     assert outcome(predecessor, g, t, "a", "zz") == want
     assert outcome(predecessor, g, t, "zz", "m") == want
@@ -507,7 +513,7 @@ def random_slots(rng, g):
                                     for v in g.rotor_vertices))
 
 
-def test_step_budget_boundaries_match_the_oracle():
+def test_step_budget_boundaries_match_the_oracle(monkeypatch):
     # the oracle's step total is exactly enough and one step less raises;
     # a chip that enters a sink outside the stop set raises at that chip,
     # with any budget that lets it get there
@@ -529,7 +535,8 @@ def test_step_budget_boundaries_match_the_oracle():
         entries = [end for end, z in zip(ends, chip_stops)
                    if z == sink and sink not in stop]
         def run(budget):
-            return route_all(g, t, chips, stop, step_budget=budget)
+            monkeypatch.setattr(walk, "DEFAULT_STEP_BUDGET", budget)
+            return route_all(g, t, chips, stop)
         if entries:
             seen["sink entered"] += 1
             for budget in {entries[0], total, total + 1}:
@@ -540,19 +547,24 @@ def test_step_budget_boundaries_match_the_oracle():
             got, t2, trace = run(total)
             assert got == counts and t2 == t_end
             assert trace.chip_stops == chip_stops
-        if (entries or [total])[0]:
+        short = (entries or [total])[0] - 1
+        if short >= 0:
             seen["runs out"] += 1
-            with pytest.raises(StepBudgetExceededError):
-                run((entries or [total])[0] - 1)
+            with pytest.raises(StepBudgetExceededError,
+                               match=f"^exceeded {short} steps$"):
+                run(short)
         x = rng.choice(g.vertices)
         _, _, t_end, steps, _ = route_sequential(g, t, {x: 1}, {sink})
         emitters = {frm for frm, _ in steps}
-        t2, trace = route_to_sink(g, t, x, len(steps))
+        monkeypatch.setattr(walk, "DEFAULT_STEP_BUDGET", len(steps))
+        t2, trace = route_to_sink(g, t, x)
         assert t2 == t_end
         assert trace.emitted == [v in emitters for v in g.vertices]
         if steps:
-            with pytest.raises(StepBudgetExceededError):
-                route_to_sink(g, t, x, len(steps) - 1)
+            monkeypatch.setattr(walk, "DEFAULT_STEP_BUDGET", len(steps) - 1)
+            with pytest.raises(StepBudgetExceededError,
+                               match=f"^exceeded {len(steps) - 1} steps$"):
+                route_to_sink(g, t, x)
     assert min(seen.values()) >= 50, seen
 
 
