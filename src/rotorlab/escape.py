@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import sub
+from typing import NamedTuple
 
 from rotorlab.graph import RotorlabError
 from rotorlab.lazytree import (
@@ -189,17 +190,19 @@ def is_escape_tree(a: str) -> bool:
 
 # -- configuration descriptors ------------------------------------------------
 
-@dataclass(frozen=True, eq=False, repr=False)
-class ConfigDescriptor:
+class ConfigDescriptor(NamedTuple):
     """Finite recursive description of a branch rotor configuration.
 
     kind "level": the first h levels of the branch point in direction d-1
     and everything deeper points in direction d.  kind "node": the branch
     root points up and the two sub-branches carry their own descriptors.
-    A descriptor is a DAG node, compared by identity: synthesized
-    descriptors share equal sub-descriptors.  Two descriptors realize the
-    same configuration exactly when ``descriptor_to_branch_config`` gives
-    equal configs, and that config's JSON is a descriptor's text form.
+    A descriptor is a record, an immutable (kind, h, left, right) tuple
+    whose fields refuse assignment, and a DAG node: synthesized
+    descriptors share equal sub-descriptors, so descriptors compare and
+    hash by identity, and the repr is the object's, which does not
+    recurse.  Two descriptors realize the same configuration exactly when
+    ``descriptor_to_branch_config`` gives equal configs, and that config's
+    JSON is a descriptor's text form.
     """
 
     kind: str                     # "level" | "node"
@@ -207,16 +210,26 @@ class ConfigDescriptor:
     left: "ConfigDescriptor | None" = None
     right: "ConfigDescriptor | None" = None
 
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
+    __repr__ = object.__repr__
+
     @staticmethod
     def level(h: int) -> "ConfigDescriptor":
         if h < 0:
             raise WordError("level rule height must be nonnegative")
-        return ConfigDescriptor("level", h=h)
+        return _record(ConfigDescriptor, ("level", h, None, None))
 
     @staticmethod
     def node(left: "ConfigDescriptor", right: "ConfigDescriptor",
              ) -> "ConfigDescriptor":
-        return ConfigDescriptor("node", left=left, right=right)
+        return _record(ConfigDescriptor, ("node", 0, left, right))
+
+
+# A record from the tuple of all its fields, without the generated
+# constructor's call: ``_record(LevelRegion, (addr, h))``.
+_record = tuple.__new__
 
 
 def _degenerate_height(a: str) -> int | None:
@@ -277,12 +290,12 @@ def expand_descriptor(desc: ConfigDescriptor, base: Address,
     its left subtree, then its right), to the two lists."""
     stack = [(desc, base)]
     while stack:
-        desc, base = stack.pop()
-        if desc.kind == "level":
-            regions.append(LevelRegion(base, desc.h))
+        (kind, h, left, right), base = stack.pop()
+        if kind == "level":
+            regions.append(_record(LevelRegion, (base, h)))
         else:
             overrides.append((base, 3))
-            stack += ((desc.right, base + (2,)), (desc.left, base + (1,)))
+            stack += ((right, base + (2,)), (left, base + (1,)))
 
 
 def descriptor_to_branch_config(desc: ConfigDescriptor) -> LazyTreeConfig:

@@ -19,12 +19,13 @@ its parent's: the tables give a structure child's, and off the structure
 kinds are shared by content, so a config has finitely many.  The escape
 walk reads a kind's bounce limit, the response tables keep one table per
 kind content (see below), and ``find_cyclic_pair`` checks each kind once,
-which makes the acyclicity check exact.  One pass over the marked
-addresses validates a config and types its structure when it is made:
-each prefix of an override, region or ray start has its child index
-range-checked and gets its kind, from its parent's, once, at the next
-position of the flat structure tables, parents first: a walk state starts
-as a copy of the tables, and the response tables read them in reverse.
+which makes the acyclicity check exact.  Making a config types its
+structure in one pass over the marked addresses, then validates them in
+order: each prefix of an override, region or ray start has its child
+index range-checked and gets its kind, from its parent's, once, at the
+next position of the flat structure tables, parents first.  The tables
+grow as lists and are frozen into arrays once: a walk state starts as a
+copy of them, and the response tables read them in reverse.
 
 The escape-run engine keeps three kinds of dynamic state besides explicitly
 materialized rotors:
@@ -113,8 +114,9 @@ from array import array
 from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice
-from typing import Iterable, Iterator
+from itertools import chain, islice
+from operator import attrgetter, itemgetter
+from typing import Iterable, Iterator, NamedTuple
 
 from rotorlab.graph import (
     DEFAULT_STEP_BUDGET,
@@ -158,9 +160,13 @@ class RayRule:
     direction: int
 
 
-@dataclass(frozen=True)
-class LevelRegion:
-    """Subtree rule: relative depths 0..h-1 get direction d-1, deeper get d."""
+class LevelRegion(NamedTuple):
+    """Subtree rule: relative depths 0..h-1 get direction d-1, deeper get d.
+
+    A record: an immutable (addr, h) tuple, compared and hashed by value,
+    whose fields refuse assignment.  Synthesis makes one per level leaf of
+    a descriptor, without a constructor call, and typing reads the regions
+    as pairs."""
 
     addr: Address
     h: int
@@ -217,9 +223,10 @@ _Structure = namedtuple("_Structure", "parent depth cidx head next kind ids")
 @dataclass(frozen=True)
 class LazyTreeConfig:
     """A finite rotor configuration on the tree of degree d (see the module
-    docstring).  Making one validates it and types its structure, in one
-    pass: ``root_kind`` is the origin's kind, ``_structure`` holds the
-    structure's tables, its kinds among them, and
+    docstring).  Making one types its structure in one pass over its
+    marked addresses and then validates it: ``root_kind`` is the origin's
+    kind, ``_structure`` holds the structure's tables (``array('i')``
+    columns, built as lists and frozen once), its kinds among them, and
     ``_static_depth`` is the depth the structure reaches: the largest of 1,
     the override depths, ``len(addr) + h`` over the regions and
     ``len(start) + len(pattern)`` over the rays."""
@@ -240,17 +247,13 @@ class LazyTreeConfig:
         return self.d if self.mode == "tree" else 1
 
     def __post_init__(self):
-        """Check the scalars, then the overrides, rays and regions in
-        order, each as it places its address.  Placing records the address
-        and each missing prefix in ``_structure``, parents first: each gets
-        the next position, its child index range-checked and its kind made
-        from its parent's, once.  A mark whose parent is a placed mark is
-        one step below it; any other walks down from the origin, reading
-        the region heights and ray starts of the prefixes it makes from a
-        trie.  Only marks are keyed by address.  An override sets the base
-        of its kind when the loop reaches it, and notes the config rays
-        through it: an override on a ray, at any depth, is refused at that
-        ray's turn.  The first fault found in that order raises
+        """Check the scalars, type the structure, then check the overrides,
+        rays and regions in order, each mark at its turn taking its
+        position, or raising its bad address if typing stopped before it.
+        An override sets the base of its kind at its turn, and notes the
+        config rays through it: an override on a ray, at any depth, is
+        refused at that ray's turn, and a second override or region at one
+        address at its own.  The first fault found in that order raises
         LazyTreeError."""
         d = self.d
         if d < 3:
@@ -260,80 +263,22 @@ class LazyTreeConfig:
         if not 1 <= self.default <= d:
             raise LazyTreeError("default direction out of range")
         arity = self.origin_arity()
-        regions = {reg.addr: reg.h for reg in self.regions}
+        regions = dict(self.regions)            # address: height
         starts: dict[Address, tuple[tuple[int, int], ...]] = {}
         for i, ray in enumerate(self.rays):
             if ray.pattern:     # an empty one is refused below, unstepped
                 starts[ray.start] = starts.get(ray.start, ()) + ((i, 0),)
-        root = self._kind(
-            1 if self.mode == "branch" and ORIGIN not in regions else None,
-            (), regions.get(ORIGIN))    # the branch origin edge: no rotor
-        structure = _Structure(*(array("i", [v]) for v in (-1, 0, 0, 0, 0)),
-                               [root], {})
-        parents, depths, cidxs, heads, nexts, kinds, ids = structure
-        made = {ORIGIN: 0}              # mark: position
-        default = self.default
-        off_limit = math.inf if default == d - 1 else 0
-        trie: dict | None = None        # of the region and ray start marks
-
-        def step(x: int, c: int, mark: Address | None, addr: Address) -> int:
-            """The position of child c of position x, made if it has none;
-            ``mark``, the child's address or None, keys its region height
-            and ray starts."""
-            if not 1 <= c <= (arity if x == 0 else d - 1):
-                raise LazyTreeError(f"bad address {addr}")
-            y = ids.get(x * d + c)
-            if y is not None:
-                return y
-            kind = kinds[x]
-            left = kind.left
-            left = regions.get(mark, left and left - 1)
-            if kind.rays or starts and mark in starts:
-                rays = self._step_rays(kind.rays, c) if kind.rays else ()
-                sub = self._kind(None, rays + starts.get(mark, ()), left)
-            elif left is None:          # as ``_kind`` makes it, inline
-                sub = NodeKind(default, off_limit, None, ())
-            else:
-                sub = NodeKind(d - 1 if left else d, left, left, ())
-            y = ids[x * d + c] = len(kinds)
-            parents.append(x)
-            depths.append(depths[x] + 1)
-            cidxs.append(c)
-            nexts.append(heads[x])
-            heads[x] = y
-            heads.append(0)
-            kinds.append(sub)
-            kind.pos, kind.limit = x, 0         # structure below
-            return y
-
-        def place(addr: Address) -> int:
-            """The position of a marked address, made with its missing
-            prefixes, parents first."""
-            nonlocal trie
-            if not addr:
-                return 0
-            x = made.get(addr[:-1])
-            if x is None:               # down from the origin
-                if trie is None:
-                    trie = {}
-                    for a in (*regions, *starts):
-                        node = trie
-                        for c in a:
-                            node = node.setdefault(c, {})
-                        node[None] = a
-                node, x = trie, 0
-                for c in addr[:-1]:
-                    node = node.get(c, {})
-                    x = step(x, c, node.get(None), addr)
-            y = made[addr] = step(x, addr[-1], addr, addr)
-            return y
-
+        structure, placed = self._type_structure(regions, starts)
+        kinds = structure.kind
+        placed = iter(placed)
         overridden: set[int] = set()
         on_ray: dict[int, Address] = {}     # ray index: shallowest override
         for addr, dirn in self.overrides:
             if not 1 <= dirn <= (d if addr else arity):
                 raise LazyTreeError(f"override direction {dirn} out of range")
-            y = place(addr)
+            y = next(placed, None)
+            if y is None:
+                raise LazyTreeError(f"bad address {addr}")
             if y in overridden:
                 raise LazyTreeError(f"address {addr} assigned twice")
             overridden.add(y)
@@ -342,11 +287,14 @@ class LazyTreeConfig:
             for i, _ in kind.rays:
                 if i not in on_ray or len(addr) < len(on_ray[i]):
                     on_ray[i] = addr
-        depth = max(1, max(depths))     # the deepest override
+        # the deepest position: a ray start or region address is no deeper
+        # than its term below
+        depth = max(1, max(structure.depth))
         for i, ray in enumerate(self.rays):
             if ray.start == ORIGIN:
                 raise LazyTreeError("rays must start below the origin")
-            place(ray.start)
+            if next(placed, None) is None:
+                raise LazyTreeError(f"bad address {ray.start}")
             if not ray.pattern:
                 raise LazyTreeError("ray pattern must be nonempty")
             if any(not 1 <= c <= d - 1 for c in ray.pattern):
@@ -356,16 +304,101 @@ class LazyTreeConfig:
             if i in on_ray:
                 raise LazyTreeError(f"address {on_ray[i]} assigned twice")
             depth = max(depth, len(ray.start) + len(ray.pattern))
-        for reg in self.regions:
-            place(reg.addr)
-            if reg.addr == ORIGIN and self.mode == "tree":
+        regioned: set[int] = set()
+        for addr, h in self.regions:
+            y = next(placed, None)
+            if y is None:
+                raise LazyTreeError(f"bad address {addr}")
+            if addr == ORIGIN and self.mode == "tree":
                 raise LazyTreeError("level regions must sit inside a branch")
-            if reg.h < 0:
+            if h < 0:
                 raise LazyTreeError("region height must be nonnegative")
-            depth = max(depth, len(reg.addr) + reg.h)
-        object.__setattr__(self, "root_kind", root)
+            if y in regioned:
+                raise LazyTreeError(f"address {addr} assigned twice")
+            regioned.add(y)
+            depth = max(depth, len(addr) + h)
+        object.__setattr__(self, "root_kind", kinds[0])
         object.__setattr__(self, "_structure", structure)
         object.__setattr__(self, "_static_depth", depth)
+
+    def _type_structure(self, regions: dict[Address, int],
+                        starts: dict[Address, tuple[tuple[int, int], ...]],
+                        ) -> tuple[_Structure, list[int]]:
+        """The structure tables, and the positions of the marks (override
+        addresses, then ray starts, then region addresses) in order, up to
+        the first with a bad child index.  Placing a mark records it and
+        each missing prefix, parents first: each gets the next position, its
+        child index range-checked and its kind made from its parent's, once.
+        A mark whose parent is a placed mark is one step below it; any other
+        walks down from the origin, reading the region heights and ray
+        starts of the prefixes it makes from a trie.  The columns grow as
+        lists and are frozen into arrays once."""
+        d = self.d
+        arity = self.origin_arity()
+        default = self.default
+        off_limit = math.inf if default == d - 1 else 0
+        root = self._kind(
+            1 if self.mode == "branch" and ORIGIN not in regions else None,
+            (), regions.get(ORIGIN))    # the branch origin edge: no rotor
+        parents, depths, cidxs, heads, nexts = [-1], [0], [0], [0], [0]
+        kinds = [root]
+        ids: dict[int, int] = {}
+        made = {ORIGIN: 0}              # mark: position
+        placed: list[int] = []
+        trie: dict | None = None        # of the region and ray start marks
+        for addr in chain(map(itemgetter(0), self.overrides),
+                          map(attrgetter("start"), self.rays),
+                          map(itemgetter(0), self.regions)):
+            x = made.get(addr[:-1])
+            if x is None:               # down from the origin
+                if trie is None:
+                    trie = {}
+                    for a in (*regions, *starts):
+                        node = trie
+                        for c in a:
+                            node = node.setdefault(c, {})
+                        node[None] = a
+                x, node, path = 0, trie, addr
+            else:                       # one step below a placed mark
+                node, path, mark = None, addr[-1:], addr
+            for c in path:
+                if not 1 <= c <= (arity if x == 0 else d - 1):
+                    break
+                if node is not None:    # the prefix's mark, if it is one
+                    node = node.get(c, {})
+                    mark = node.get(None)
+                y = ids.get(x * d + c)
+                if y is None:
+                    kind = kinds[x]
+                    left = kind.left
+                    left = regions.get(mark, left and left - 1)
+                    if kind.rays or starts and mark in starts:
+                        rays = (self._step_rays(kind.rays, c) if kind.rays
+                                else ())
+                        sub = self._kind(None, rays + starts.get(mark, ()),
+                                         left)
+                    elif left is None:  # as ``_kind`` makes it, inline
+                        sub = NodeKind(default, off_limit, None, ())
+                    else:
+                        sub = NodeKind(d - 1 if left else d, left, left, ())
+                    y = ids[x * d + c] = len(kinds)
+                    parents.append(x)
+                    depths.append(depths[x] + 1)
+                    cidxs.append(c)
+                    nexts.append(heads[x])
+                    heads[x] = y
+                    heads.append(0)
+                    kinds.append(sub)
+                    kind.pos, kind.limit = x, 0     # structure below
+                x = y
+            else:
+                made[addr] = x
+                placed.append(x)
+                continue
+            break                       # a bad child index: typing stops
+        return _Structure(*(array("i", column) for column in
+                            (parents, depths, cidxs, heads, nexts)),
+                          kinds, ids), placed
 
     # -- base directions ----------------------------------------------------
 
@@ -545,8 +578,11 @@ def find_cyclic_pair(cfg: LazyTreeConfig) -> tuple[Address, Address] | None:
             addr = tuple(reversed(path))
             return (addr, addr + (bp,))
         cs = {rays[i].pattern[o] for i, o in kind.rays}
-        if kind.pos is not None:
-            cs.update(s.cidx[y] for y in _children(s.head, s.next, kind.pos))
+        if kind.pos is not None:        # its structure children
+            y = s.head[kind.pos]
+            while y:
+                cs.add(s.cidx[y])
+                y = s.next[y]
         c = 1
         while c in cs:
             c += 1

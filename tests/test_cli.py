@@ -5,6 +5,7 @@ import gc
 import hashlib
 import io
 import json
+import random
 import tempfile
 import time
 
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotorlab import cli
+from rotorlab.acceptance import random_valid_word
 from rotorlab.cli import MAX_CHIPS, MAX_SYNTHESIS_LETTERS, main
 from rotorlab.escape import descriptor_to_branch_config, synthesize_branch
 from rotorlab.graph import (
@@ -133,6 +135,13 @@ _LOOSE_ADDRESSES = [(command, {"d": 3, "default": 1,
                      f"bad address {addr!r}")
                     for command in ("aggregate", "simulate")
                     for addr in ("1_2", "+1", " 1", "\u0663")]
+# a level region given twice, in either order: a dict of the regions kept
+# the last height, and simulate ran
+_REPEATED_REGIONS = [(command, {"d": 3, "default": 3, "mode": "branch",
+                                "regions": [{"addr": "1", "h": h},
+                                            {"addr": "1", "h": 7 - h}]},
+                      "address (1,) assigned twice")
+                     for command in ("aggregate", "simulate") for h in (2, 5)]
 
 
 @pytest.mark.parametrize("command, payload, needle", [
@@ -147,12 +156,14 @@ _LOOSE_ADDRESSES = [(command, {"d": 3, "default": 1,
     ("preset", "uniform-3--1", "uniform-<D>-<C>"),
     ("preset", "uniform-3", "uniform-<D>-<C>"),
     ("preset", "uniform-x-1", "uniform-<D>-<C>"),
-] + _LOOSE_ADDRESSES, ids=["string-degree", "list-root", "string-override-dir",
+] + _LOOSE_ADDRESSES + _REPEATED_REGIONS, ids=["string-degree", "list-root", "string-override-dir",
         "number-out-list", "k9-too-large", "group-file-and-missing-graph",
         "preset-negative-direction",
         "preset-missing-direction", "preset-nondecimal-degree"] + [
             f"{command}-loose-address-{i % 4}"
-            for i, (command, _, _) in enumerate(_LOOSE_ADDRESSES)])
+            for i, (command, _, _) in enumerate(_LOOSE_ADDRESSES)] + [
+            f"{command}-repeated-region-{i % 2}"
+            for i, (command, _, _) in enumerate(_REPEATED_REGIONS)])
 def test_malformed_input_exits_2_with_one_error_line(capsys, tmp_path,
                                                      command, payload, needle):
     path = tmp_path / "input.json"
@@ -333,6 +344,32 @@ def test_escape_check_output_is_pinned(capsys, word, branch_code, branch_sha,
         got, out, _ = run_cli(capsys, "escape", "check", word, *argv)
         assert got == code, (word, argv)
         assert hashlib.sha256(out.encode()).hexdigest() == sha, (word, argv)
+
+
+# sha256 of the stdout of `escape synthesize WORD MODE`, taken when
+# descriptors and level regions were dataclasses and typing built its
+# columns as arrays
+@pytest.mark.parametrize("word, mode, sha", [
+    ("10110", "--branch",
+     "e849c447ced06bd124214822919a22c78855efcf38340df0634a0078067df60f"),
+    ("10110", "--tree",
+     "a46f8216fadd5d167cefb75a61ec4177f96d027bcb286cb9584a4b73bca4816d"),
+    ("110" + "0" * 30, "--branch",
+     "49d3268b7651287ae4e9afbe9f27ea67ef4f56da48e8608d265d6dd50e1a7657"),
+    ("110" + "0" * 30, "--tree",
+     "66a474b15bf94b9245b9f7323535f455a313cfa1263b57d36c98e64fb7552b24"),
+    (random_valid_word(random.Random(5), 400), "--branch",
+     "407270b0c4457a55a2155e3413a6f86a5752f9d84e42b5aea9b4a781a1f77155"),
+    (random_valid_word(random.Random(5), 400, 3), "--tree",
+     "bef3a90b9ec05d1184c88cb364e9d25c5d652c061bb16a2db5d7dcb2c25efa01"),
+], ids=["5-branch", "5-tree", "33-branch", "33-tree", "400-branch",
+        "400-tree"])
+def test_escape_synthesize_output_matches_pinned_digest(capsys, word, mode,
+                                                        sha):
+    code, out, _ = run_cli(capsys, "escape", "synthesize", word, mode)
+    assert code == 0
+    assert json.loads(out)["round_trip_ok"] is True
+    assert hashlib.sha256(out.encode()).hexdigest() == sha
 
 
 def test_escape_synthesize_and_simulate_round_trip(capsys, tmp_path):

@@ -463,6 +463,32 @@ def test_synthesized_configs_agree_with_literal_engine():
         assert [d is None for d in fast.depths] == [c == "1" for c in a]
 
 
+def test_records_compare_and_refuse_assignment_as_before():
+    # level regions compare and hash by value, descriptors by identity
+    region = LevelRegion((1, 2), 3)
+    assert region == LevelRegion((1, 2), 3)
+    assert hash(region) == hash(LevelRegion((1, 2), 3))
+    assert region != LevelRegion((1, 2), 4)
+    assert repr(region) == "LevelRegion(addr=(1, 2), h=3)"
+    level = ConfigDescriptor.level(2)
+    twin = ConfigDescriptor.level(2)
+    node = ConfigDescriptor.node(level, twin)
+    assert level == level and level != twin
+    assert len({level, twin, node}) == 3
+    assert hash(level) == object.__hash__(level)
+    assert (node.kind, node.h, node.left, node.right) == ("node", 0, level,
+                                                          twin)
+    assert (level.kind, level.h, level.left, level.right) == ("level", 2,
+                                                              None, None)
+    assert repr(node).startswith("<rotorlab.escape.ConfigDescriptor object")
+    for record, name in ((region, "h"), (region, "addr"), (level, "h"),
+                         (node, "left")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 1)
+    with pytest.raises(WordError):
+        ConfigDescriptor.level(-1)
+
+
 def test_compositionality_of_node_descriptors():
     # with the root pointing up, the branch word is phi of the sub-branch words
     rng = random.Random(13)

@@ -272,6 +272,18 @@ MALFORMED_CONFIGS = [
     (dict(d=3, default=1, rays=(RayRule((1, 2), (), 2),),
           regions=(LevelRegion((1, 2, 1), -1),)),
      "ray pattern must be nonempty"),
+    # a region address given twice is refused at the repeat's turn, after
+    # the faults found before it
+    (dict(d=3, default=3, mode="branch",
+          regions=(LevelRegion((1,), 2), LevelRegion((1, 1), 0),
+                   LevelRegion((1,), 5))),
+     "address (1,) assigned twice"),
+    (dict(d=3, default=3, mode="branch",
+          regions=(LevelRegion((1,), 2), LevelRegion((1,), -1))),
+     "region height must be nonnegative"),
+    (dict(d=3, default=3, mode="branch", overrides=(((1, 2), 4),),
+          regions=(LevelRegion((1,), 2), LevelRegion((1,), 2))),
+     "override direction 4 out of range"),
     # an override on a ray is refused at any depth, and the shallowest is
     # named
     (dict(d=3, default=1,
@@ -287,6 +299,99 @@ def test_validation_messages(fields, message):
     with pytest.raises(LazyTreeError) as err:
         LazyTreeConfig(**fields)
     assert str(err.value) == message
+
+
+def _typing_corpus(n: int, seed: int) -> list[tuple]:
+    """Seeded config fields, mostly malformed: bad degrees, modes, defaults,
+    directions, addresses, child indices and ray patterns, repeated
+    overrides, overrides on rays, regions at the origin, negative heights
+    and empty patterns; no region address is given twice."""
+    rng = random.Random(seed)
+
+    def addr(d, mode, depth, bad):
+        out = []
+        for lvl in range(depth):
+            hi = (d if mode == "tree" else 1) if lvl == 0 else d - 1
+            c = rng.randint(1, hi)
+            if rng.random() < bad:
+                c = rng.choice((0, hi + 1, d + 1, -1))
+            out.append(c)
+        return tuple(out)
+
+    corpus = []
+    for _ in range(n):
+        d = rng.choice((3, 3, 3, 4, 5))
+        if rng.random() < 0.01:
+            d = 2
+        mode = rng.choice(("tree", "branch"))
+        if rng.random() < 0.01:
+            mode = "ring"
+        default = rng.randint(1, d)
+        if rng.random() < 0.02:
+            default = rng.choice((0, d + 1))
+        bad = rng.choice((0.0, 0.0, 0.0, 0.02, 0.1))
+        overrides = []
+        for _ in range(rng.randrange(7)):
+            a = addr(d, mode, rng.choice((0, 1, 2, 2, 3, 3, 4, 5)), bad)
+            k = rng.randint(1, d)
+            if rng.random() < bad:
+                k = rng.choice((0, d + 1))
+            overrides.append((a, k))
+        if overrides and rng.random() < 0.1:      # a repeated override
+            overrides.insert(rng.randrange(len(overrides) + 1),
+                             (rng.choice(overrides)[0], rng.randint(1, d)))
+        rays = []
+        for _ in range(rng.choice((0, 0, 1, 1, 2))):
+            start = addr(d, mode,
+                         rng.randrange(1, 4) if rng.random() < 0.95 else 0,
+                         bad)
+            pattern = tuple(rng.randint(1, d - 1)
+                            for _ in range(rng.randrange(4)))
+            if pattern and rng.random() < bad:
+                pattern += (rng.choice((0, d, -1)),)
+            k = rng.randint(1, d)
+            if rng.random() < bad:
+                k = rng.choice((0, d + 1))
+            rays.append(RayRule(start, pattern, k))
+            if pattern and rng.random() < 0.1:     # an override on the ray
+                on = start + pattern * rng.randrange(3)
+                overrides.append((on, rng.randint(1, d)))
+        regions = {}
+        for _ in range(rng.randrange(6)):
+            a = addr(d, mode, rng.choice((0, 1, 2, 2, 3, 3, 4, 5)), bad)
+            h = rng.randrange(5)
+            if rng.random() < bad:
+                h = -rng.randint(1, 3)
+            regions.setdefault(a, LevelRegion(a, h))
+        corpus.append(dict(d=d, default=default, mode=mode,
+                           overrides=tuple(overrides), rays=tuple(rays),
+                           regions=tuple(regions.values())))
+    return corpus
+
+
+def _typed(fields: dict) -> str:
+    """A config's error message, or its structure tables, kinds, static
+    depth and cyclic pair."""
+    try:
+        cfg = LazyTreeConfig(**fields)
+    except LazyTreeError as e:
+        return f"{type(e).__name__}: {e}"
+    s = cfg._structure
+    return repr((list(s.parent), list(s.depth), list(s.cidx), list(s.head),
+                 list(s.next), sorted(s.ids.items()),
+                 [(k.base, k.left, k.limit, k.pos, k.rays) for k in s.kind],
+                 cfg.root_kind is s.kind[0], cfg._static_depth,
+                 find_cyclic_pair(cfg)))
+
+
+def test_typing_faults_and_tables_match_pinned_digest():
+    # the sha256 of each config's typing, taken when the columns were
+    # built as arrays through place/step closures
+    outs = [_typed(fields) for fields in _typing_corpus(4000, 34)]
+    assert sum(o.startswith("LazyTreeError: ") for o in outs) == 2867
+    digest = "".join(hashlib.sha256(o.encode()).hexdigest() for o in outs)
+    assert hashlib.sha256(digest.encode()).hexdigest() == (
+        "cfc61209927b0b16b69ed20a7d07ea22f7cc1096da2c307464a04fe2da52cc17")
 
 
 def test_acyclicity_checks():
