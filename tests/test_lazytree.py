@@ -272,6 +272,13 @@ MALFORMED_CONFIGS = [
     (dict(d=3, default=1, rays=(RayRule((1, 2), (), 2),),
           regions=(LevelRegion((1, 2, 1), -1),)),
      "ray pattern must be nonempty"),
+    # an override on a ray is refused at any depth, and the shallowest is
+    # named
+    (dict(d=3, default=1,
+          overrides=(((3,) + (2,) * 9, 3), ((3,) + (2,) * 6, 1),
+                     ((3,) + (2,) * 12, 2)),
+          rays=(RayRule((3,), (2,), 2),)),
+     f"address {(3,) + (2,) * 6} assigned twice"),
     # a region address given twice is refused at the repeat's turn, after
     # the faults found before it
     (dict(d=3, default=3, mode="branch",
@@ -284,13 +291,6 @@ MALFORMED_CONFIGS = [
     (dict(d=3, default=3, mode="branch", overrides=(((1, 2), 4),),
           regions=(LevelRegion((1,), 2), LevelRegion((1,), 2))),
      "override direction 4 out of range"),
-    # an override on a ray is refused at any depth, and the shallowest is
-    # named
-    (dict(d=3, default=1,
-          overrides=(((3,) + (2,) * 9, 3), ((3,) + (2,) * 6, 1),
-                     ((3,) + (2,) * 12, 2)),
-          rays=(RayRule((3,), (2,), 2),)),
-     f"address {(3,) + (2,) * 6} assigned twice"),
 ]
 
 
