@@ -52,10 +52,11 @@ class NotAcyclicError(GraphError):
 class StepBudgetExceededError(GraphError):
     """A walk ran past its step budget.  Termination is guaranteed for
     strongly connected graphs and acyclic tree configurations, so this
-    signals a bug or a tiny budget."""
+    signals a bug or a DEFAULT_STEP_BUDGET set too low."""
 
 
-# The step budget a walk gets when its caller names none.
+# The step budget of one run: walk, group and lazytree each import it, and
+# each run reads its own module's copy when it starts.
 DEFAULT_STEP_BUDGET = 10 ** 9
 
 
@@ -70,8 +71,10 @@ class DirectedMultigraph:
     ``out_idx[i]`` lists vertex i's out-edge targets, as vertex indices, in
     rotor order; repeats encode multiplicity.  ``index`` is the one
     name-to-position map: a vertex's rotor slot in a configuration is its
-    index, less one past the sink.  The constructor checks nothing;
-    :func:`build_index_graph` validates.  Never mutated after build.
+    index, less one past the sink.  The constructor checks nothing:
+    :func:`build_graph` validates named input, and the tree builders of
+    ``rotorlab.trees`` construct their graphs directly, valid by
+    construction.  Never mutated after build.
     """
 
     __slots__ = ("vertices", "sink", "index", "sink_index", "out_idx",
@@ -191,79 +194,60 @@ class StateClass:
 
 def build_graph(vertices: Iterable[str], sink: str,
                 out: Mapping[str, Sequence[str]]) -> DirectedMultigraph:
-    """Validate and build a graph from named out-edge lists: GraphError on
-    duplicate names or an unknown sink, then the out-lists mapped to vertex
-    indices (None for an unknown target) go to :func:`build_index_graph`."""
+    """Validate named out-edge lists and build the graph.
+
+    Duplicate names and a sink outside the vertex set raise GraphError.
+    Then, vertex by vertex in list order, the first target outside the
+    vertex set (GraphError) or loop edge (LoopEdgeError) in the out-list,
+    and an empty non-sink out-list (EmptyOutListError); then out-list keys
+    outside the vertex set (GraphError); then a graph that is not strongly
+    connected raises NotStronglyConnectedError.
+    """
     verts = tuple(vertices)
     index = {v: i for i, v in enumerate(verts)}
     if len(index) != len(verts):
         raise GraphError("duplicate vertex names")
     if sink not in index:
         raise GraphError(f"sink {sink!r} is not a vertex")
-    out_idx = [tuple(map(index.get, out.get(v, ()))) for v in verts]
-    return build_index_graph(verts, sink, out_idx, index, out)
-
-
-def build_index_graph(vertices: tuple[str, ...], sink: str,
-                      out_idx: list[tuple[int, ...]], index: dict[str, int],
-                      out: Mapping[str, Sequence[str]] | None = None,
-                      ) -> DirectedMultigraph:
-    """Validate out-lists of vertex indices and build the graph.
-
-    Vertex by vertex, in list order, a loop edge raises LoopEdgeError and
-    an empty non-sink list EmptyOutListError; then a graph that is not
-    strongly connected raises NotStronglyConnectedError.  ``out`` is the
-    named input of :func:`build_graph`: a None in ``out_idx`` marks a
-    target it names outside the vertex set, and an ``out`` key outside it
-    is refused before the connectivity check, both with GraphError.
-    """
-    g = DirectedMultigraph(vertices, sink, out_idx, index)
-    for i, (v, idx) in enumerate(zip(vertices, out_idx)):
-        if None in idx or i in idx:
-            for k, j in enumerate(idx):
-                if j is None:
-                    raise GraphError(
-                        f"edge {v!r}->{out[v][k]!r} targets unknown vertex")
-                if j == i:
-                    raise LoopEdgeError(f"loop edge at {v!r}")
-        if not idx and i != g.sink_index:
+    out_idx = []
+    for v in verts:
+        targets = out.get(v, ())
+        for w in targets:
+            if w not in index:
+                raise GraphError(f"edge {v!r}->{w!r} targets unknown vertex")
+            if w == v:
+                raise LoopEdgeError(f"loop edge at {v!r}")
+        if not targets and v != sink:
             raise EmptyOutListError(f"non-sink vertex {v!r} has no out-edges")
-    unknown = set(out or ()).difference(g.index)
+        out_idx.append(tuple(map(index.__getitem__, targets)))
+    unknown = set(out).difference(index)
     if unknown:
         raise GraphError(f"out-lists for unknown vertices: {sorted(unknown)}")
+    g = DirectedMultigraph(verts, sink, out_idx, index)
     if not _strongly_connected(g):
         raise NotStronglyConnectedError("graph is not strongly connected")
     return g
 
 
 def _strongly_connected(g: DirectedMultigraph) -> bool:
-    """Tarjan's low links on one depth-first search from vertex 0: the
-    graph is strongly connected when the search reaches every vertex and no
-    vertex but 0 roots a component.  Until one does, every vertex found
-    lies in 0's component, so an edge to any of them counts."""
-    out_idx = g.out_idx
-    disc = [0] + [-1] * (len(out_idx) - 1)  # discovery order
-    low = [0] * len(out_idx)    # earliest discovery the subtree reaches
-    found = 1
-    stack = [(0, iter(out_idx[0]))]
-    while stack:
-        v, edges = stack[-1]
-        for w in edges:
-            if disc[w] < 0:
-                disc[w] = low[w] = found
-                found += 1
-                stack.append((w, iter(out_idx[w])))
-                break
-            if disc[w] < low[v]:
-                low[v] = disc[w]
-        else:
-            stack.pop()
-            if stack:
-                if low[v] == disc[v]:
-                    return False
-                u = stack[-1][0]
-                low[u] = min(low[u], low[v])
-    return found == len(out_idx)
+    """Every vertex is reached from vertex 0 and reaches it: one search
+    along the out-edges and one along the in-edges."""
+    into: list[list[int]] = [[] for _ in g.out_idx]
+    for v, targets in enumerate(g.out_idx):
+        for w in targets:
+            into[w].append(v)
+
+    def reaches_all(adj: Sequence[Sequence[int]]) -> bool:
+        seen = [True] + [False] * (len(adj) - 1)
+        stack = [0]
+        while stack:
+            for w in adj[stack.pop()]:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+        return all(seen)
+
+    return reaches_all(g.out_idx) and reaches_all(into)
 
 
 # -- recurrence -----------------------------------------------------------

@@ -81,27 +81,24 @@ def test_not_strongly_connected_rejected():
 
 
 def strongly_connected_oracle(out_idx):
-    """Every vertex reaches vertex 0 and is reached from it, by two plain
-    searches, one of them over per-vertex in-edge lists."""
+    """From every vertex, a search along the out-edges reaches every
+    vertex: the definition, with one search per vertex and no in-edge
+    lists."""
     n = len(out_idx)
-    radj = [[] for _ in range(n)]
-    for v, lst in enumerate(out_idx):
-        for w in lst:
-            radj[w].append(v)
 
-    def reached(adj):
-        seen, stack = {0}, [0]
+    def reached(start):
+        seen, stack = {start}, [start]
         while stack:
-            for w in adj[stack.pop()]:
+            for w in out_idx[stack.pop()]:
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
         return len(seen)
 
-    return reached(out_idx) == n and reached(radj) == n
+    return all(reached(v) == n for v in range(n))
 
 
-def test_strongly_connected_matches_two_search_oracle():
+def test_strongly_connected_matches_every_source_oracle():
     rng = random.Random(53)
     verdicts = {True: 0, False: 0}
     for _ in range(3000):

@@ -1526,6 +1526,26 @@ def test_random_structure_configs_give_valid_words():
     assert checked["refused at large degree"] < 10
 
 
+def test_descent_probe_rides_the_least_ray_where_two_part():
+    # ray 0 runs from (1,) by the pattern 2,2,2,2,2,1 with direction 1, and
+    # ray 1 starts on it at depth 8 and goes on by child 2 with direction
+    # 2; they share depths 8 to 12, below the static depth 9, and part at
+    # depth 12.  On the shared vertices the base follows ray 0, the least,
+    # a probe down them goes to child 2 at each and bounces on ray 1's
+    # vertex at depth 13; a probe that took ray 1 as the one it rides
+    # would see ray 1's one-letter period twice and call chip 195 (or 382)
+    # an escape.  The literal engine shares the probe, so the explicit
+    # simulator is the oracle
+    start = (1,) + (2,) * 5 + (1, 2)
+    for default, m, chip, depth in ((1, 200, 195, 13), (3, 390, 382, 6)):
+        cfg = LazyTreeConfig(d=3, default=default, rays=(
+            RayRule((1,), (2, 2, 2, 2, 2, 1), 1), RayRule(start, (2,), 2)))
+        assert cfg._static_depth == 9
+        run = run_chips_infinite(cfg, m)
+        assert (run.word, run.depths) == naive_run(cfg, m, 30)[:2], default
+        assert (run.word[chip - 1], run.depths[chip - 1]) == ("0", depth)
+
+
 def test_node_tables_match_oracles_after_every_chip():
     # effective() is read on every vertex the explicit simulator touched
     # and on every vertex of the first four levels, after every chip: a

@@ -228,8 +228,9 @@ def test_branch_build_memory():
 
 
 def test_branch_build_peak_memory():
-    # building Y_16 (32,769 vertices) peaks under 10.5 MiB: the builder
-    # writes index lists straight from the layout, with no named out-lists
+    # building Y_16 (32,769 vertices) peaks under 9 MiB: the builder
+    # writes index lists straight from the layout, with no named out-lists,
+    # and builds the graph with no check, so no search arrays
     tracemalloc.start()
     try:
         g, _ = build_branch(3, 16)
@@ -237,7 +238,7 @@ def test_branch_build_peak_memory():
     finally:
         tracemalloc.stop()
     assert len(g.vertices) == 2 ** 15 + 1
-    assert peak < 10.5 * 2 ** 20, peak
+    assert peak < 9 * 2 ** 20, peak
 
 
 def test_branch_route_memory():
